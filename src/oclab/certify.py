@@ -37,6 +37,7 @@ from .linalg import (
     rank_exact,
     scaled_int_coords,
     _int_rank,
+    _lcm_denominator,
 )
 from .rng import rng_for
 
@@ -494,10 +495,7 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
 
     # integer fast path for the sampled combinations
     m = len(data.extracted)
-    den = 1
-    for x in data.extracted:
-        for c in x.coords:
-            den = den * c.denominator // math.gcd(den, c.denominator)
+    den = _lcm_denominator(c for x in data.extracted for c in x.coords)
     int_rows = [[int(c * den) for c in x.coords] for x in data.extracted]
     supports = [x.support() for x in data.extracted]
     sampled_min = None
@@ -507,9 +505,7 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
         coeffs = [Fraction(v) for v in a]
         if sum(map(abs, coeffs)) != 1:
             raise DomainError("samples must have exact total mass one")
-        d_a = 1
-        for v in coeffs:
-            d_a = d_a * v.denominator // math.gcd(d_a, v.denominator)
+        d_a = _lcm_denominator(coeffs)
         nums = [int(v * d_a) for v in coeffs]
         acc = [0] * L
         for j in range(m):

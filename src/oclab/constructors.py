@@ -455,9 +455,10 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:
     dim = model.ambient_dim(K)
     out = []
     for k in range(K + 1):
-        g = model.y_k_vector(k, dim)
+        coords = list(model.y_k_vector(k, dim).coords)
         for n in range(k + 1):
-            g = g + unit_vector(n, dim, model.norm_tag).scale(Fraction(1, (n + 2) ** k))
+            coords[n] += Fraction(1, (n + 2) ** k)
+        g = Vector(tuple(coords), model.norm_tag, Mode.EXACT)
         lhs = model.exact_distance(g)
         rhs = model.approx_error(k) + Fraction(k + 1, 2 ** k)
         if lhs > rhs:
@@ -551,10 +552,10 @@ def geometric_variant_sequence(
     out = []
     for k in range(K + 1):
         lam = schedule.lambdas[k]
-        g = model.y_k_vector(k, dim)
+        coords = list(model.y_k_vector(k, dim).coords)
         for j in range(k + 1):
-            g = g + unit_vector(j, dim, model.norm_tag).scale(lam ** (j + 1))
-        out.append(g)
+            coords[j] += lam ** (j + 1)
+        out.append(Vector(tuple(coords), model.norm_tag, Mode.EXACT))
     return out
 
 
@@ -732,14 +733,5 @@ class BiorthSystem:
         if self.size < 1:
             raise DomainError("system size must be positive")
 
-    def vector(self, i: int) -> Vector:
-        return unit_vector(i, self.size, self.norm_tag)
-
     def functional(self, i: int) -> Vector:
         return unit_vector(i, self.size, DUAL_TAG[self.norm_tag])
-
-    def support_of(self, v: Vector) -> tuple:
-        """Support relative to the system: indices with nonzero pairing."""
-        if v.dim != self.size:
-            raise DomainError("vector does not live on this system's range")
-        return v.support()

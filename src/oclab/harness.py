@@ -284,6 +284,8 @@ def _int_list(value, name: str) -> list:
 def _run_klee(params, seed):
     lambdas = _frac_list(params["lambdas"], "lambdas")
     d = params["d"]
+    if d > len(lambdas):
+        raise ConfigError(f"klee needs at least d={d} lambdas, got {len(lambdas)}")
     family = klee_vectors(lambdas, d)
     n = len(family.vectors)
     samples = params["subset_samples"]
@@ -434,9 +436,14 @@ def _make_annihilator(model, sequence, ks, seed):
     if not basis:
         raise ConfigError("no annihilator exists at this truncation; raise K")
     rng = rng_for(seed, "annihilator")
-    combo = basis[0].scale(rng.randrange(1, 17))
-    for b in basis[1:]:
-        combo = combo + b.scale(rng.randrange(1, 17))
+    weights = [rng.randrange(1, 17) for _ in basis]
+    combo = exact_vector(
+        (
+            sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
+            for i in range(dim)
+        ),
+        basis[0].norm_tag,
+    )
     return combo.scale(1 / dual_norm(combo, model.norm_tag))
 
 

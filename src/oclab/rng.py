@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 
 def split_seed(seed: int, label: str) -> int:
@@ -34,13 +33,3 @@ def sample_subset(rng: random.Random, n: int, k: int) -> tuple:
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(sorted(pool[:k]))
 
-
-def rand_fraction(rng: random.Random, bits: int = 16) -> Fraction:
-    """Dyadic rational in [0, 1) with the given resolution."""
-    return Fraction(rng.getrandbits(bits), 1 << bits)
-
-
-def rand_signed_fraction(rng: random.Random, bits: int = 16) -> Fraction:
-    """Dyadic rational in (-1, 1)."""
-    sign = -1 if rng.getrandbits(1) else 1
-    return sign * rand_fraction(rng, bits)

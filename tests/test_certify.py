@@ -457,20 +457,6 @@ def test_decay_check_records_mode_switch():
     assert kinds == [F, float]
 
 
-def test_decay_check_onset_marks_monotone_tail():
-    model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 40)
-    ks = list(range(6, 41))
-    rows = [seq[k] for k in ks] + [model.y_truncation(seq[0].dim)]
-    e = nullspace_exact(Matrix.from_rows(rows))[0]
-    report = annihilator_decay_check(model, seq, ks, [e], 5)
-    for entry in report.functionals[0].entries:
-        values = [float(b) for _, b in entry.bounds]
-        start = [k for k, _ in entry.bounds].index(entry.onset_k)
-        tail = values[start:]
-        assert all(tail[i] > tail[i + 1] for i in range(len(tail) - 1))
-
-
 # ---------------------------------------------------------------------------
 # convergence probe
 # ---------------------------------------------------------------------------

@@ -397,10 +397,4 @@ def test_biorth_system_kronecker_pairings():
     for a in range(4):
         for b in range(4):
             expected = 1 if a == b else 0
-            assert pairing(system.functional(a), system.vector(b)) == expected
-
-
-def test_biorth_support_reads_nonzero_coordinates():
-    system = BiorthSystem(5)
-    v = exact_vector([0, 2, 0, "1/3", 0])
-    assert system.support_of(v) == (1, 3)
+            assert pairing(system.functional(a), unit_vector(b, 4)) == expected

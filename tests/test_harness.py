@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -187,22 +188,52 @@ def test_unknown_format_rejected():
 # scenario smoke coverage
 # ---------------------------------------------------------------------------
 
+# name -> (config, SHA-256 of canonical_bytes()); the digests pin the report bytes
 SMOKE = {
-    "klee": parse_config(KLEE_KV),
-    "fd-dense": {"d": "3", "n": "6", "subset_samples": "5"},
-    "separated": {"d": "4"},
-    "incomplete": {"K": "14", "ks": "6,10,14", "j_max": "2"},
-    "geometric-variant": {"K": "8", "j_max": "3"},
-    "sliding-hump": {"L": "60", "m": "4", "samples": "8"},
-    "free-set": {"n": "9", "f": "chain"},
-    "cover": {"mode": "grid", "points": "9"},
-    "probe": {"variant": "basis", "K": "10", "window": "4"},
+    "klee": (
+        parse_config(KLEE_KV),
+        "e152548f3d9e7b24f9ec6c40d9b2ffc8cd206d84402050317062fddb8a35b015",
+    ),
+    "fd-dense": (
+        {"d": "3", "n": "6", "subset_samples": "5"},
+        "622f4dcd3e2d0343b6df12a9c201b7d72ff3ab134ad8c87c305272c12a003a5b",
+    ),
+    "separated": (
+        {"d": "4"},
+        "6fccfa87dd10d2a0e2032b5df1f5399c6ae86680f6bf556d252eb4ddd3e9993c",
+    ),
+    "incomplete": (
+        {"K": "14", "ks": "6,10,14", "j_max": "2"},
+        "986f417be78869cd89bd5f03f97dd3083107d37a767d2b8e29457f19119f3380",
+    ),
+    "geometric-variant": (
+        {"K": "8", "j_max": "3"},
+        "05f15bd49767f894548118aa508fa81c4a62dd2e49c6e7c64a2e5d55a578d866",
+    ),
+    "sliding-hump": (
+        {"L": "60", "m": "4", "samples": "8"},
+        "dc64b04d229ac36b025153dfc3347a61332d7b6af11485b6ec45e7d034acde58",
+    ),
+    "free-set": (
+        {"n": "9", "f": "chain"},
+        "b02fb655ebf5af059db73fd7aaa7ece39e47052194867913c99462627af7e522",
+    ),
+    "cover": (
+        {"mode": "grid", "points": "9"},
+        "fd61cadbb20497ca85f9f7dd98c81966a5de20206996c8b0b54a7d94be04f51e",
+    ),
+    "probe": (
+        {"variant": "basis", "K": "10", "window": "4"},
+        "6cd2891dd02f444e9a694491fadca2b68c84d6ab01f1ac98422430ba21e191cc",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
 def test_each_scenario_emits_valid_report(name):
-    report = run_scenario(name, dict(SMOKE[name]))
+    config, expected_digest = SMOKE[name]
+    report = run_scenario(name, dict(config))
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == expected_digest
     record = json.loads(emit_report(report, "json"))
     assert record["scenario"] == name
     assert record["constructed"]["kind"] == name
@@ -246,6 +277,20 @@ def test_cli_config_error_exits_2(tmp_path):
     result = CliRunner().invoke(main, ["klee", "--config", cfg])
     assert result.exit_code == 2
     assert "dims" in result.output
+
+
+def test_cli_klee_fewer_lambdas_than_d_sampled_exits_2(tmp_path):
+    cfg = _write(tmp_path, "lambdas = 1/10, 1/5\nd = 3\nsubset_samples = 4\n")
+    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    assert result.exit_code == 2
+    assert "lambdas" in result.output
+
+
+def test_cli_klee_fewer_lambdas_than_d_exhaustive_exits_2(tmp_path):
+    cfg = _write(tmp_path, "lambdas = 1/10, 1/5\nd = 3\n")
+    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    assert result.exit_code == 2
+    assert "lambdas" in result.output
 
 
 def test_cli_tol_on_plain_scenario_exits_2(tmp_path):

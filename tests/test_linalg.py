@@ -17,7 +17,6 @@ from oclab.linalg import (
     dual_norm,
     exact_vector,
     float_vector,
-    least_squares_residual,
     norm,
     norm_squared,
     nullspace_exact,
@@ -161,7 +160,8 @@ def test_rank_matches_rref_oracle_and_transpose():
         M = Matrix.from_rows([exact_vector(r) for r in rows])
         r1 = rank_exact(M).rank
         assert r1 == rref_rank(rows)
-        assert r1 == rank_exact(M.transpose()).rank
+        transposed = Matrix.from_rows([exact_vector(c) for c in zip(*rows)])
+        assert r1 == rank_exact(transposed).rank
 
 
 def test_det_matches_cofactor_oracle():
@@ -278,44 +278,8 @@ def test_vandermonde_zero_iff_repeated_node():
 
 
 # ---------------------------------------------------------------------------
-# least squares (float lane)
+# projection distance (exact lane)
 # ---------------------------------------------------------------------------
-
-
-def _klee_columns_float(lams, d):
-    fam = klee_vectors(lams, d)
-    return Matrix.from_columns([v.to_float() for v in fam.vectors])
-
-
-def test_least_squares_matches_normal_equations_oracle():
-    lams = [F(1, 10), F(1, 5)]
-    A = _klee_columns_float(lams, 3)
-    b = unit_vector(2, 3).to_float()
-    resid = least_squares_residual(A, b)
-    cols = [[F(1), lam, lam ** 2] for lam in lams]
-    expected_sq = normal_eq_residual_sq(cols, [F(0), F(0), F(1)])
-    assert expected_sq == F(1250, 1363)
-    assert abs(resid - float(expected_sq) ** 0.5) < 1e-10
-
-
-def test_least_squares_consistent_system_near_zero():
-    A = _klee_columns_float([F(1, 10), F(1, 5), F(3, 10)], 3)
-    # b in the column span: sum of all three columns
-    b = float_vector([sum(A.row(i).coords[j] for j in range(3)) for i in range(3)])
-    assert least_squares_residual(A, b) <= 1e-12
-
-
-def test_least_squares_single_column_unit_residual():
-    A = Matrix.from_columns([float_vector([1.0, 0.0])])
-    b = float_vector([0.0, 1.0])
-    assert abs(least_squares_residual(A, b) - 1.0) < 1e-12
-
-
-def test_least_squares_rejects_exact_mode():
-    A = Matrix.from_rows([exact_vector([1, 0])])
-    b = exact_vector([1])
-    with pytest.raises(ModeError):
-        least_squares_residual(A, b)
 
 
 def test_least_squares_agrees_with_exact_projection():
@@ -328,18 +292,10 @@ def test_least_squares_agrees_with_exact_projection():
             for _ in range(k)
         ]
         target = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(m)]
-        A = Matrix.from_columns([exact_vector(c).to_float() for c in cols])
-        b = exact_vector(target).to_float()
-        resid = least_squares_residual(A, b)
         exact_sq = projection_distance_sq(
             exact_vector(target), [exact_vector(c) for c in cols]
         )
-        assert abs(resid ** 2 - float(exact_sq)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# projection distance (exact lane)
-# ---------------------------------------------------------------------------
+        assert exact_sq == normal_eq_residual_sq(cols, target)
 
 
 def test_projection_distance_orthogonal_case():
