@@ -20,12 +20,10 @@ from .constructors import BiorthSystem, IncompleteModel, SlidingHumpData
 from .errors import (
     CertificationError,
     DomainError,
-    ModeError,
     PreconditionError,
 )
 from .linalg import (
     Matrix,
-    Mode,
     NormTag,
     PivotLog,
     Vector,
@@ -82,8 +80,6 @@ class HyperplaneFunctional:
     coeffs: Vector
 
     def __post_init__(self):
-        if self.coeffs.mode is not Mode.EXACT:
-            raise ModeError("hyperplane functionals must be exact")
         if self.coeffs.is_zero():
             raise DomainError("the zero functional does not define a hyperplane")
 
@@ -93,9 +89,10 @@ class DensityCertificate:
     """Either a full-rank proof (pivot log) or an annihilator witness.
 
     ``verdict`` is "full" when the selected vectors span the ambient
-    space, with the elimination trace attached; otherwise "proper", with
-    a nonzero exact functional whose pairings against every selected
-    vector are exactly zero.
+    space, with the elimination trace attached (and, for exactly d
+    vectors, their determinant from the same elimination); otherwise
+    "proper", with a nonzero exact functional whose pairings against
+    every selected vector are exactly zero.
     """
 
     verdict: str
@@ -105,6 +102,7 @@ class DensityCertificate:
     pivot_log: Optional[PivotLog] = None
     witness: Optional[Vector] = None
     max_abs_pairing: Optional[Fraction] = None
+    det: Optional[Fraction] = None
 
 
 def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int) -> DensityCertificate:
@@ -119,11 +117,9 @@ def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int
     for v in selected:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
-        if v.mode is not Mode.EXACT:
-            raise ModeError("density certificates need exact vectors")
     result = rank_exact(Matrix.from_rows(selected))
     if result.rank == d:
-        return DensityCertificate("Full", sel_idx, d, d, pivot_log=result.log)
+        return DensityCertificate("Full", sel_idx, d, d, pivot_log=result.log, det=result.det)
     basis = nullspace_exact(Matrix.from_rows(selected))
     witness = basis[0]
     worst = max(abs(pairing(witness, v)) for v in selected)
@@ -371,7 +367,7 @@ def support_annihilator_witness(
 
 def _distance_at_least(u: Vector, v: Vector, delta, tag: NormTag) -> bool:
     diff = u - v
-    if u.mode is Mode.EXACT and tag is NormTag.L2:
+    if tag is NormTag.L2:
         return norm_squared(diff) >= delta * delta
     return norm(diff, tag) >= delta
 
@@ -381,17 +377,13 @@ def greedy_separated_subset(points: Sequence[Vector], delta, tag: NormTag) -> tu
 
     Every selected pair is at distance >= delta; every excluded point is
     within delta of an earlier selection, which is the maximality
-    witness.  Exact arithmetic on exact points (squared comparisons for
-    L2), floats otherwise.
+    witness.  All comparisons are exact (squared comparisons for L2); a
+    float delta is taken at its exact binary value.
     """
     tag = NormTag(tag)
-    if isinstance(delta, float):
-        if delta <= 0:
-            raise DomainError("delta must be positive")
-    else:
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise DomainError("delta must be positive")
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise DomainError("delta must be positive")
     selected: list = []
     for i, p in enumerate(points):
         if all(_distance_at_least(p, points[j], delta, tag) for j in selected):
@@ -616,8 +608,6 @@ def annihilator_decay_check(
     tau = tau if isinstance(tau, float) else Fraction(tau)
     reports = []
     for e in functionals:
-        if e.mode is not Mode.EXACT:
-            raise ModeError("annihilators must be exact functionals")
         if e.dim != dim:
             raise DomainError("functional dimension mismatch")
         for k in ks:
@@ -700,8 +690,8 @@ def weak_norm_convergence_probe(
             raise DomainError("sequence members must share the limit's dimension")
         diff = v - limit
         coord_sups.append(max(abs(c) for c in diff.coords[:window]))
-        if diff.mode is Mode.EXACT and diff.norm_tag is NormTag.L2:
-            norm_gaps.append(norm(diff.to_float(), NormTag.L2))
+        if diff.norm_tag is NormTag.L2:
+            norm_gaps.append(math.sqrt(norm_squared(diff)))
         else:
             norm_gaps.append(norm(diff))
     last_gap = float(norm_gaps[-1])

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error, 3 construction error,
-4 certification failure, 5 I/O error.
+Exit codes: 0 success, 2 config error, 3 construction error (or any
+other toolkit error), 4 certification failure, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -11,17 +11,8 @@ from pathlib import Path
 
 import click
 
-from .errors import (
-    CertificationError,
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    ModeError,
-    PreconditionError,
-)
+from .errors import CertificationError, ConfigError, OclabError
 from .harness import SCENARIO_NAMES, emit_report, parse_config, run_scenario
-
-_CONSTRUCTION_ERRORS = (ConstructionError, DomainError, PreconditionError, ModeError)
 
 
 @click.command(name="oclab")
@@ -48,7 +39,7 @@ def main(scenario, config_path, seed, out_path, fmt, tol):
     except CertificationError as exc:
         click.echo(f"certification failure: {exc}", err=True)
         sys.exit(4)
-    except _CONSTRUCTION_ERRORS as exc:
+    except OclabError as exc:
         click.echo(f"construction error: {exc}", err=True)
         sys.exit(3)
     if not payload.endswith("\n"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,7 +30,6 @@ from .errors import (
 from .linalg import (
     DUAL_TAG,
     Matrix,
-    Mode,
     NormTag,
     Vector,
     exact_vector,
@@ -123,13 +122,9 @@ class OpenBall:
         object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
-        if self.center.mode is not Mode.EXACT:
-            raise ModeError("ball centers must be exact for exact membership checks")
 
     def contains(self, v: Vector) -> bool:
         """Exact membership test (strict inequality: the ball is open)."""
-        if v.mode is not Mode.EXACT:
-            raise ModeError("membership is only decided exactly")
         if v.dim != self.center.dim:
             raise DomainError("dimension mismatch in ball membership")
         diff = tuple(a - b for a, b in zip(v.coords, self.center.coords))
@@ -202,11 +197,7 @@ def fd_overcomplete(
             delta = tuple(
                 Fraction(rng.randrange(-span + 1, span), span) * step for _ in range(d)
             )
-            cand = Vector(
-                tuple(c + dl for c, dl in zip(ball.center.coords, delta)),
-                ball.norm_tag,
-                Mode.EXACT,
-            )
+            cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)), ball.norm_tag)
             if not ball.contains(cand):
                 continue
             cand_row = list(scaled_int_coords(cand))
@@ -299,7 +290,7 @@ def riesz_step(
         # functional measured in the dual (sup) norm; the best vector to
         # pair it with is a signed coordinate vector at its peak entry
         peak = max(abs(c) for c in f0)
-        f = Vector(tuple(c / peak for c in f0), NormTag.LINF, Mode.EXACT)
+        f = Vector(tuple(c / peak for c in f0), NormTag.LINF)
         j = next(i for i, c in enumerate(f.coords) if abs(c) == 1)
         x = unit_vector(j, ambient, NormTag.L1)
         if f.coords[j] < 0:
@@ -307,14 +298,14 @@ def riesz_step(
         return RieszStep(x, f, Fraction(1), tag)
     if tag is NormTag.LINF:
         total = sum(abs(c) for c in f0)
-        f = Vector(tuple(c / total for c in f0), NormTag.L1, Mode.EXACT)
+        f = Vector(tuple(c / total for c in f0), NormTag.L1)
         signs = tuple(Fraction(1) if c >= 0 else Fraction(-1) for c in f.coords)
-        x = Vector(signs, NormTag.LINF, Mode.EXACT)
+        x = Vector(signs, NormTag.LINF)
         return RieszStep(x, f, Fraction(1), tag)
     s2 = sum((c * c for c in f0), Fraction(0))
     floor = max(Fraction(1) - eps, Fraction(1) - Fraction(1, 10 ** 13))
     r = _unit_isqrt_scale(s2, floor)
-    x = Vector(tuple(r * c for c in f0), NormTag.L2, Mode.EXACT)
+    x = Vector(tuple(r * c for c in f0), NormTag.L2)
     return RieszStep(x, x, r * r * s2, tag)
 
 
@@ -425,17 +416,13 @@ class IncompleteModel:
         if t > dim:
             raise DomainError(f"ambient dimension {dim} cannot hold cutoff {t}")
         coords = [self.y_coord(n) if n < t else Fraction(0) for n in range(dim)]
-        return Vector(tuple(coords), self.norm_tag, Mode.EXACT)
+        return Vector(tuple(coords), self.norm_tag)
 
     def y_truncation(self, dim: int) -> Vector:
-        return Vector(
-            tuple(self.y_coord(n) for n in range(dim)), self.norm_tag, Mode.EXACT
-        )
+        return Vector(tuple(self.y_coord(n) for n in range(dim)), self.norm_tag)
 
     def exact_distance(self, v: Vector) -> Fraction:
         """Exact ||y - v||, the tail of y beyond v's dimension included."""
-        if v.mode is not Mode.EXACT:
-            raise ModeError("exact distances need exact vectors")
         w = v.dim
         head = (abs(self.y_coord(n) - v.coords[n]) for n in range(w))
         if self.norm_tag is NormTag.L1:
@@ -458,7 +445,7 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:
         coords = list(model.y_k_vector(k, dim).coords)
         for n in range(k + 1):
             coords[n] += Fraction(1, (n + 2) ** k)
-        g = Vector(tuple(coords), model.norm_tag, Mode.EXACT)
+        g = Vector(tuple(coords), model.norm_tag)
         lhs = model.exact_distance(g)
         rhs = model.approx_error(k) + Fraction(k + 1, 2 ** k)
         if lhs > rhs:
@@ -555,7 +542,7 @@ def geometric_variant_sequence(
         coords = list(model.y_k_vector(k, dim).coords)
         for j in range(k + 1):
             coords[j] += lam ** (j + 1)
-        out.append(Vector(tuple(coords), model.norm_tag, Mode.EXACT))
+        out.append(Vector(tuple(coords), model.norm_tag))
     return out
 
 
@@ -628,7 +615,7 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
         raise PreconditionError("empty family")
     L = members[0].dim
     for v in members:
-        if v.mode is not Mode.EXACT or v.norm_tag is not NormTag.L1:
+        if v.norm_tag is not NormTag.L1:
             raise PreconditionError("family members must be exact unit vectors, L1-tagged")
         if v.dim != L:
             raise PreconditionError("family members must share one index range")

@@ -2,8 +2,9 @@
 
 Every error raised by this package derives from :class:`OclabError`, so
 callers can catch one type at the boundary.  The subclasses map onto the
-CLI exit codes: config problems exit 2, construction/domain problems exit
-3, certification failures exit 4.
+CLI exit codes: config problems exit 2, certification failures exit 4,
+and every other toolkit error (construction, domain, precondition, mode)
+exits 3.
 """
 
 __all__ = [
@@ -28,7 +29,7 @@ class DomainError(OclabError):
 
 
 class ModeError(OclabError):
-    """Exact and floating arithmetic were mixed without conversion."""
+    """A float reached exact arithmetic, or the exact answer is irrational."""
 
 
 class PreconditionError(OclabError):

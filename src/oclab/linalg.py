@@ -1,18 +1,17 @@
-"""Exact-rational and floating-point linear algebra kernels.
+"""Exact-rational linear algebra kernels.
 
-Vectors carry a scalar mode (exact rationals or binary64 floats) and a
-norm tag (L1, L2, Linf).  Exact mode is the certification path: ranks,
-determinants, nullspaces, projection distances and L1/Linf norms are
-computed without rounding, and every rank elimination emits a pivot log
-that an independent replayer can verify.  Float mode serves only
-quantities that are irrational in general, such as L2 norms; there is
-deliberately no float rank, because a tolerance-dependent rank is not a
-certificate.
+Vectors hold :class:`fractions.Fraction` coordinates and a norm tag (L1,
+L2, Linf).  Ranks, determinants, nullspaces, projection distances and
+L1/Linf norms are computed without rounding, and every rank elimination
+emits a pivot log that an independent replayer can verify.  There is
+deliberately no float arithmetic here: a tolerance-dependent rank is not
+a certificate, and a quantity that is irrational in general, such as an
+L2 norm, raises :class:`~oclab.errors.ModeError`; use the squared form.
 
-The elimination kernel is fraction-free: each row is scaled to integers
-once, and the one-step Bareiss scheme keeps every intermediate entry an
-integer minor of the scaled matrix.  That bounds coefficient growth and
-makes the pivot sequence replayable by ordinary rational elimination.
+The rank and determinant kernel is fraction-free: each row is scaled to
+integers once, and the one-step Bareiss scheme keeps every intermediate
+entry an integer minor of the scaled matrix, which makes the pivot
+sequence replayable by ordinary rational elimination.
 """
 
 from __future__ import annotations
@@ -21,20 +20,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, ModeError
 
 __all__ = [
     "Rational",
-    "Scalar",
-    "Mode",
     "NormTag",
     "DUAL_TAG",
     "Vector",
     "Matrix",
     "exact_vector",
-    "float_vector",
     "unit_vector",
     "zero_vector",
     "pairing",
@@ -51,12 +47,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-Scalar = Union[Fraction, float]
-
-
-class Mode(str, Enum):
-    EXACT = "exact"
-    FLOAT = "float"
 
 
 class NormTag(str, Enum):
@@ -79,35 +69,24 @@ def _coerce_exact(x) -> Fraction:
     raise ModeError(f"cannot use {type(x).__name__} as an exact coordinate")
 
 
-def _coerce_float(x) -> float:
-    if isinstance(x, float):
-        return x
-    if isinstance(x, int):
-        return float(x)
-    raise ModeError(f"{type(x).__name__} coordinate in a float vector; convert explicitly")
-
-
 @dataclass(frozen=True)
 class Vector:
-    """A finite coordinate vector with a norm tag and a scalar mode.
+    """A finite exact coordinate vector with a norm tag.
 
-    Exact vectors hold :class:`fractions.Fraction` coordinates, float
-    vectors hold binary64.  The two modes never mix inside an operation;
-    the one conversion is :meth:`to_float`, which rounds.
+    Coordinates are coerced to :class:`fractions.Fraction`; a float
+    coordinate raises :class:`~oclab.errors.ModeError` rather than being
+    converted silently.
     """
 
     coords: tuple
     norm_tag: NormTag = NormTag.L1
-    mode: Mode = Mode.EXACT
 
     def __post_init__(self):
-        coerce = _coerce_exact if self.mode is Mode.EXACT else _coerce_float
-        coords = tuple(coerce(c) for c in self.coords)
+        coords = tuple(_coerce_exact(c) for c in self.coords)
         if not coords:
             raise DomainError("vector dimension must be positive")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
-        object.__setattr__(self, "mode", Mode(self.mode))
 
     @property
     def dim(self) -> int:
@@ -115,75 +94,53 @@ class Vector:
 
     def restrict(self, a: int, b: int) -> "Vector":
         """Zero every coordinate outside the index window [a, b)."""
-        zero = Fraction(0) if self.mode is Mode.EXACT else 0.0
-        return Vector(
-            tuple(c if a <= i < b else zero for i, c in enumerate(self.coords)),
-            self.norm_tag,
-            self.mode,
-        )
+        zero = Fraction(0)
+        return Vector(tuple(c if a <= i < b else zero for i, c in enumerate(self.coords)), self.norm_tag)
 
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
 
-    def to_float(self) -> "Vector":
-        return Vector(tuple(float(c) for c in self.coords), self.norm_tag, Mode.FLOAT)
-
     def _compatible(self, other: "Vector"):
-        if self.mode is not other.mode:
-            raise ModeError("mixed exact/float operands; convert explicitly")
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
         self._compatible(other)
-        return Vector(
-            tuple(a + b for a, b in zip(self.coords, other.coords)),
-            self.norm_tag,
-            self.mode,
-        )
+        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.norm_tag)
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._compatible(other)
-        return Vector(
-            tuple(a - b for a, b in zip(self.coords, other.coords)),
-            self.norm_tag,
-            self.mode,
-        )
+        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.norm_tag)
 
     def __neg__(self) -> "Vector":
         return self.scale(-1)
 
     def scale(self, c) -> "Vector":
-        c = _coerce_exact(c) if self.mode is Mode.EXACT else _coerce_float(c)
-        return Vector(tuple(c * x for x in self.coords), self.norm_tag, self.mode)
+        c = _coerce_exact(c)
+        return Vector(tuple(c * x for x in self.coords), self.norm_tag)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
 
 def exact_vector(coords: Iterable, tag: NormTag = NormTag.L1) -> Vector:
-    return Vector(tuple(coords), tag, Mode.EXACT)
+    return Vector(tuple(coords), tag)
 
 
-def float_vector(coords: Iterable, tag: NormTag = NormTag.L2) -> Vector:
-    return Vector(tuple(coords), tag, Mode.FLOAT)
-
-
-def unit_vector(i: int, dim: int, tag: NormTag = NormTag.L1, mode: Mode = Mode.EXACT) -> Vector:
+def unit_vector(i: int, dim: int, tag: NormTag = NormTag.L1) -> Vector:
     if not 0 <= i < dim:
         raise DomainError(f"unit index {i} outside dimension {dim}")
-    one, zero = (Fraction(1), Fraction(0)) if mode is Mode.EXACT else (1.0, 0.0)
-    return Vector(tuple(one if j == i else zero for j in range(dim)), tag, mode)
+    one, zero = Fraction(1), Fraction(0)
+    return Vector(tuple(one if j == i else zero for j in range(dim)), tag)
 
 
-def zero_vector(dim: int, tag: NormTag = NormTag.L1, mode: Mode = Mode.EXACT) -> Vector:
-    zero = Fraction(0) if mode is Mode.EXACT else 0.0
-    return Vector((zero,) * dim, tag, mode)
+def zero_vector(dim: int, tag: NormTag = NormTag.L1) -> Vector:
+    return Vector((Fraction(0),) * dim, tag)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """A rectangular stack of equal-dimension, equal-mode row vectors."""
+    """A rectangular stack of equal-dimension, equal-tag row vectors."""
 
     rows: tuple
 
@@ -191,12 +148,10 @@ class Matrix:
         rows = tuple(self.rows)
         if not rows:
             raise DomainError("matrix needs at least one row")
-        dim, mode, tag = rows[0].dim, rows[0].mode, rows[0].norm_tag
+        dim, tag = rows[0].dim, rows[0].norm_tag
         for r in rows[1:]:
             if r.dim != dim:
                 raise DomainError("ragged rows in matrix")
-            if r.mode is not mode:
-                raise ModeError("mixed scalar modes in matrix")
             if r.norm_tag is not tag:
                 raise DomainError("mixed norm tags in matrix")
         object.__setattr__(self, "rows", rows)
@@ -214,51 +169,36 @@ class Matrix:
         return self.rows[0].dim
 
     @property
-    def mode(self) -> Mode:
-        return self.rows[0].mode
-
-    @property
     def norm_tag(self) -> NormTag:
         return self.rows[0].norm_tag
 
-    def row(self, i: int) -> Vector:
-        return self.rows[i]
 
-
-def pairing(f: Vector, v: Vector) -> Scalar:
-    """Exact (or float) inner product <f, v> of a functional with a vector."""
+def pairing(f: Vector, v: Vector) -> Fraction:
+    """Exact inner product <f, v> of a functional with a vector."""
     f._compatible(v)
-    if f.mode is Mode.EXACT:
-        return sum((a * b for a, b in zip(f.coords, v.coords)), Fraction(0))
-    return math.fsum(a * b for a, b in zip(f.coords, v.coords))
+    return sum((a * b for a, b in zip(f.coords, v.coords)), Fraction(0))
 
 
-def norm(v: Vector, tag: Optional[NormTag] = None) -> Scalar:
+def norm(v: Vector, tag: Optional[NormTag] = None) -> Fraction:
     """p-norm of ``v`` under ``tag`` (defaults to the vector's own tag).
 
-    In exact mode the L2 norm is generally irrational, so requesting it
-    raises; use :func:`norm_squared` for the flagged squared variant.
+    The L2 norm is irrational in general, so requesting it raises; use
+    :func:`norm_squared` for the flagged squared variant.
     """
     tag = NormTag(tag) if tag is not None else v.norm_tag
     if tag is NormTag.L1:
-        if v.mode is Mode.EXACT:
-            return sum((abs(c) for c in v.coords), Fraction(0))
-        return math.fsum(abs(c) for c in v.coords)
+        return sum((abs(c) for c in v.coords), Fraction(0))
     if tag is NormTag.LINF:
         return max(abs(c) for c in v.coords)
-    if v.mode is Mode.EXACT:
-        raise ModeError("exact L2 norm is irrational in general; use norm_squared")
-    return math.sqrt(math.fsum(c * c for c in v.coords))
+    raise ModeError("exact L2 norm is irrational in general; use norm_squared")
 
 
-def norm_squared(v: Vector) -> Scalar:
-    """Squared L2 norm; exact on exact vectors (the flagged L2 variant)."""
-    if v.mode is Mode.EXACT:
-        return sum((c * c for c in v.coords), Fraction(0))
-    return math.fsum(c * c for c in v.coords)
+def norm_squared(v: Vector) -> Fraction:
+    """Squared L2 norm, exactly (the flagged L2 variant)."""
+    return sum((c * c for c in v.coords), Fraction(0))
 
 
-def dual_norm(f: Vector, tag: NormTag) -> Scalar:
+def dual_norm(f: Vector, tag: NormTag) -> Fraction:
     """Norm of ``f`` acting as a functional on a ``tag``-normed space."""
     return norm(f, DUAL_TAG[NormTag(tag)])
 
@@ -286,8 +226,12 @@ class PivotLog:
 
 @dataclass(frozen=True)
 class RankResult:
+    """Rank and pivot log; ``det`` is the determinant when the matrix is
+    square (zero when singular) and None otherwise."""
+
     rank: int
     log: PivotLog
+    det: Optional[Fraction] = None
 
 
 def _lcm_denominator(values: Iterable[Fraction]) -> int:
@@ -300,8 +244,6 @@ def scaled_int_coords(v: Vector) -> tuple:
 
     The scaling is per-vector, so ranks and zero-patterns are preserved.
     """
-    if v.mode is not Mode.EXACT:
-        raise ModeError("integer scaling requires an exact vector")
     den = _lcm_denominator(v.coords)
     return tuple(int(c * den) for c in v.coords)
 
@@ -394,26 +336,24 @@ def _int_rank(rows) -> int:
 
 
 def rank_exact(M: Matrix) -> RankResult:
-    """Rank of an exact matrix by fraction-free elimination, with pivot log."""
-    if M.mode is not Mode.EXACT:
-        raise ModeError("rank_exact requires exact entries; there is no float rank")
+    """Rank of an exact matrix by fraction-free elimination, with pivot log.
+
+    A square matrix also gets its determinant from the same elimination.
+    """
+    n = M.nrows
     rows, scales = _scaled_rows(M)
-    rank, steps, _, _ = _bareiss(rows)
-    return RankResult(rank, PivotLog((M.nrows, M.ncols), scales, steps))
+    rank, steps, sign, last = _bareiss(rows)
+    det = None
+    if M.ncols == n:
+        det = Fraction(sign * last, math.prod(scales)) if rank == n else Fraction(0)
+    return RankResult(rank, PivotLog((n, M.ncols), scales, steps), det)
 
 
 def det_exact(M: Matrix) -> Fraction:
     """Exact determinant of a square exact matrix via the Bareiss kernel."""
-    if M.mode is not Mode.EXACT:
-        raise ModeError("det_exact requires exact entries")
-    n = M.nrows
-    if M.ncols != n:
+    if M.ncols != M.nrows:
         raise DomainError("determinant of a non-square matrix")
-    rows, scales = _scaled_rows(M)
-    rank, _, sign, last = _bareiss(rows)
-    if rank < n:
-        return Fraction(0)
-    return Fraction(sign * last, math.prod(scales))
+    return rank_exact(M).det
 
 
 def _gauss_jordan(rows: list, ncols: int) -> list:
@@ -454,8 +394,6 @@ def nullspace_exact(M: Matrix) -> list:
     Empty iff the rank equals the column count.  Returned vectors carry
     the dual norm tag, since they act as functionals on the row space.
     """
-    if M.mode is not Mode.EXACT:
-        raise ModeError("nullspace_exact requires exact entries")
     n = M.ncols
     rows = [list(r.coords) for r in M.rows]
     piv_cols = _gauss_jordan(rows, n)
@@ -469,7 +407,7 @@ def nullspace_exact(M: Matrix) -> list:
         coords[free] = Fraction(1)
         for i, pc in enumerate(piv_cols):
             coords[pc] = -rows[i][free]
-        basis.append(Vector(tuple(coords), tag, Mode.EXACT))
+        basis.append(Vector(tuple(coords), tag))
     return basis
 
 
@@ -495,8 +433,6 @@ def projection_distance_sq(x: Vector, basis: Sequence[Vector]) -> Fraction:
     Solves the normal equations over the rationals; a linearly dependent
     basis is fine because every solution yields the same projection.
     """
-    if x.mode is not Mode.EXACT or any(v.mode is not Mode.EXACT for v in basis):
-        raise ModeError("projection_distance_sq requires exact inputs")
     k = len(basis)
     xx = sum((c * c for c in x.coords), Fraction(0))
     if k == 0:

@@ -1,8 +1,8 @@
 """Canonical JSON wire format and content digests.
 
 Wire rules: rationals become the ASCII string "p/q" (denominator
-omitted when it is 1, matching ``str(Fraction)``), exact vectors become
-arrays of such strings, float vectors become arrays of numbers.
+omitted when it is 1, matching ``str(Fraction)``), vectors become arrays
+of such strings, and floats (diagnostics only) stay JSON numbers.
 Canonical form sorts keys and strips whitespace, so equal objects have
 equal bytes and digests are tamper-evident.
 """
@@ -16,7 +16,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import Matrix, Mode, Vector
+from .linalg import Matrix, Vector
 
 __all__ = [
     "frac_str",
@@ -58,9 +58,7 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return frac_str(obj)
     if isinstance(obj, Vector):
-        if obj.mode is Mode.EXACT:
-            return [frac_str(c) for c in obj.coords]
-        return [float(c) for c in obj.coords]
+        return [frac_str(c) for c in obj.coords]
     if isinstance(obj, Matrix):
         return [to_jsonable(row) for row in obj.rows]
     if isinstance(obj, Enum):

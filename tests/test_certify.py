@@ -31,7 +31,6 @@ from oclab.constructors import (
 from oclab.errors import (
     CertificationError,
     DomainError,
-    ModeError,
     PreconditionError,
 )
 from oclab.linalg import (
@@ -43,6 +42,7 @@ from oclab.linalg import (
     nullspace_exact,
     pairing,
     unit_vector,
+    vandermonde_det,
     zero_vector,
 )
 
@@ -64,6 +64,8 @@ def test_klee_subsets_of_size_at_least_d_are_full():
             assert cert.verdict == "Full"
             M = Matrix.from_rows([KLEE5.vectors[i] for i in sub])
             assert replay_pivot_log(M, cert.pivot_log, 3) == 3
+            if size == 3:
+                assert cert.det == vandermonde_det([KLEE5.lambdas[i] for i in sub])
 
 
 def test_klee_small_subsets_are_proper_with_exact_witness():
@@ -483,6 +485,13 @@ def test_probe_classifies_coordinatewise_only_basis():
 def test_probe_classifies_divergence():
     seq = [exact_vector([1, 1]), exact_vector([2, 2])]
     report = weak_norm_convergence_probe(seq, zero_vector(2), 2, 1e-6)
+    assert report.classification == "divergent"
+
+
+def test_probe_l2_gap_is_the_euclidean_distance():
+    seq = [exact_vector([1, 1], NormTag.L2), exact_vector([3, 4], NormTag.L2)]
+    report = weak_norm_convergence_probe(seq, zero_vector(2, NormTag.L2), 2, 1e-6)
+    assert report.norm_gaps[-1] == 5.0
     assert report.classification == "divergent"
 
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from oclab.cli import main
-from oclab.errors import CertificationError, ConfigError, ScheduleError
+from oclab.errors import CertificationError, ConfigError, OclabError, ScheduleError
 from oclab.harness import (
     SCENARIO_NAMES,
     Report,
@@ -306,16 +306,17 @@ def test_cli_construction_error_exits_3(tmp_path):
     assert "construction error" in result.output
 
 
-def test_cli_certification_error_exits_4(tmp_path, monkeypatch):
+@pytest.mark.parametrize("error, code", [(CertificationError, 4), (OclabError, 3)])
+def test_cli_certification_error_exits_4(tmp_path, monkeypatch, error, code):
     import oclab.cli as cli_mod
 
     def boom(*args, **kwargs):
-        raise CertificationError("forced for the exit-code contract")
+        raise error("forced for the exit-code contract")
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
     cfg = _write(tmp_path, KLEE_KV)
     result = CliRunner().invoke(main, ["klee", "--config", cfg])
-    assert result.exit_code == 4
+    assert result.exit_code == code
 
 
 def test_cli_unreadable_config_exits_5(tmp_path):

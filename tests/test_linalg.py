@@ -1,22 +1,19 @@
-import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oclab.errors import CertificationError, DomainError, ModeError
 from oclab.linalg import (
     Matrix,
-    Mode,
     NormTag,
     PivotLog,
     Vector,
     det_exact,
     dual_norm,
     exact_vector,
-    float_vector,
     norm,
     norm_squared,
     nullspace_exact,
@@ -25,7 +22,6 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
-    zero_vector,
 )
 from oclab.certify import replay_pivot_log
 from oclab.constructors import klee_vectors
@@ -38,14 +34,13 @@ rationals = st.fractions(
 
 
 # ---------------------------------------------------------------------------
-# vectors, modes, norms
+# vectors and norms
 # ---------------------------------------------------------------------------
 
 
 def test_vector_coercion_from_strings_and_ints():
     v = exact_vector(["1/2", 3, F(1, 7)])
     assert v.coords == (F(1, 2), F(3), F(1, 7))
-    assert v.mode is Mode.EXACT
 
 
 def test_empty_vector_rejected():
@@ -55,12 +50,7 @@ def test_empty_vector_rejected():
 
 def test_float_in_exact_mode_rejected():
     with pytest.raises(ModeError):
-        Vector((0.5, 1.0), NormTag.L1, Mode.EXACT)
-
-
-def test_fraction_in_float_mode_rejected():
-    with pytest.raises(ModeError):
-        Vector((F(1, 2),), NormTag.L1, Mode.FLOAT)
+        Vector((0.5, 1.0), NormTag.L1)
 
 
 def test_norms_on_simple_vector():
@@ -74,11 +64,6 @@ def test_exact_l2_norm_raises_mode_error():
     v = exact_vector([3, -4], NormTag.L2)
     with pytest.raises(ModeError):
         norm(v, NormTag.L2)
-
-
-def test_float_l2_norm_allowed():
-    v = float_vector([3.0, 4.0])
-    assert norm(v, NormTag.L2) == 5.0
 
 
 def test_dual_norm_swaps_l1_and_linf():
@@ -134,12 +119,6 @@ def test_rank_deficient_matrix():
     M = Matrix.from_rows([exact_vector([1, 2]), exact_vector([2, 4]), exact_vector([3, 6])])
     assert rank_exact(M).rank == 1
     assert det_exact(Matrix.from_rows([exact_vector([1, 2]), exact_vector([2, 4])])) == 0
-
-
-def test_rank_rejects_float_mode():
-    M = Matrix.from_rows([float_vector([1.0, 2.0])])
-    with pytest.raises(ModeError):
-        rank_exact(M)
 
 
 def test_det_requires_square():

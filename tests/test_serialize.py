@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oclab.linalg import Matrix, Mode, NormTag, exact_vector, float_vector, rank_exact
+from oclab.linalg import Matrix, NormTag, exact_vector, rank_exact
 from oclab.serialize import (
     canonical_json,
     certificate,
@@ -30,8 +30,6 @@ def test_parse_rejects_garbage():
 def test_vectors_serialize_by_mode():
     v = exact_vector(["1/2", 3])
     assert to_jsonable(v) == ["1/2", "3"]
-    w = float_vector([0.5, 3.0])
-    assert to_jsonable(w) == [0.5, 3.0]
 
 
 def test_matrix_serializes_as_rows():
@@ -48,7 +46,6 @@ def test_dataclass_kind_is_kebab_case():
 
 def test_enums_serialize_to_values():
     assert to_jsonable(NormTag.LINF) == "Linf"
-    assert to_jsonable(Mode.EXACT) == "exact"
 
 
 def test_canonical_json_is_ordered_and_tight():
