@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import jsonschema
-
 from ._version import __version__
 from .certify import (
     HyperplaneFunctional,
@@ -161,11 +159,15 @@ _SCHEMAS = {
 SCENARIO_NAMES = tuple(sorted(_SCHEMAS))
 
 
-def scenario_schema(name: str) -> dict:
-    """Full JSON schema for one scenario's parameter object."""
+def _specs(name: str) -> dict:
     if name not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {name!r}; valid scenarios: {', '.join(SCENARIO_NAMES)}")
-    props = _SCHEMAS[name]
+    return _SCHEMAS[name]
+
+
+def scenario_schema(name: str) -> dict:
+    """Full JSON schema for one scenario's parameter object."""
+    props = _specs(name)
     required = [k for k, spec in props.items() if "default" not in spec]
     return {
         "type": "object",
@@ -216,41 +218,62 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def _coerce_value(raw, type_spec):
-    if not isinstance(raw, str):
-        return raw
-    first = type_spec[0] if isinstance(type_spec, list) else type_spec
-    try:
-        if first == "integer":
-            return int(raw)
-        if first == "number":
-            return float(raw)
-        if first == "boolean":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
-    except ValueError as exc:
-        raise ConfigError(f"cannot read {raw!r} as {first}") from exc
-    return raw
+_TYPE_NAMES = {"string": "a string", "integer": "an integer", "number": "a finite number"}
+
+
+def _is_type(value, type_name: str) -> bool:
+    if type_name == "string":
+        return isinstance(value, str)
+    if isinstance(value, bool):
+        return False
+    if type_name == "integer":
+        return isinstance(value, int)
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+
+
+def _check_value(name: str, key: str, raw):
+    """Coerce and check one config value against its schema entry.
+
+    A ``key = value`` string is read by the key's first type; ``integer``
+    excludes ``bool``, and ``number`` excludes NaN and the infinities.
+    """
+    spec = _SCHEMAS[name][key]
+    types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    value = raw
+    if isinstance(raw, str) and types[0] != "string":
+        try:
+            value = int(raw) if types[0] == "integer" else float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"scenario {name!r}: cannot read {key}={raw!r} as {types[0]}") from exc
+    if not any(_is_type(value, t) for t in types):
+        wanted = " or ".join(_TYPE_NAMES[t] for t in types)
+        raise ConfigError(f"scenario {name!r}: {key}={value!r} is not {wanted}")
+    if "minimum" in spec and value < spec["minimum"]:
+        raise ConfigError(
+            f"scenario {name!r}: {key}={value!r} is less than the minimum of {spec['minimum']}"
+        )
+    if "enum" in spec and value not in spec["enum"]:
+        raise ConfigError(
+            f"scenario {name!r}: {key}={value!r} is not one of {', '.join(spec['enum'])}"
+        )
+    return value
 
 
 def load_config(name: str, raw: dict) -> dict:
-    """Check keys, apply defaults, coerce strings, validate the schema."""
-    schema = scenario_schema(name)
-    props = schema["properties"]
+    """Check keys, apply defaults, coerce and check each value by its schema."""
+    props = _specs(name)
     unknown = sorted(set(raw) - set(props))
     if unknown:
         raise ConfigError(
             f"unknown key(s) for scenario {name!r}: {', '.join(unknown)}; "
             f"valid keys: {', '.join(sorted(props))}"
         )
+    missing = [k for k, spec in props.items() if "default" not in spec and k not in raw]
+    if missing:
+        raise ConfigError(f"scenario {name!r}: missing required key(s): {', '.join(missing)}")
     params = _defaults(name)
     for key, value in raw.items():
-        params[key] = _coerce_value(value, props[key]["type"])
-    try:
-        jsonschema.validate(params, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config invalid for scenario {name!r}: {exc.message}") from exc
+        params[key] = _check_value(name, key, value)
     return params
 
 
@@ -463,7 +486,7 @@ def _run_incomplete(params, seed):
         )
     e_star = _make_annihilator(model, sequence, ks, seed)
     tau = params["tau"]
-    tau = float(tau) if isinstance(tau, (int, float)) else Fraction(str(tau))
+    tau = float(tau) if isinstance(tau, (int, float)) else _frac(tau, "tau")
     report = annihilator_decay_check(model, sequence, ks, [e_star], params["j_max"], tau)
     certs.append(
         certificate(
@@ -735,9 +758,12 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
     if tol is not None:
         if "tau" not in _SCHEMAS[name]:
             raise ConfigError(f"scenario {name!r} has no tolerance parameter")
-        params["tau"] = float(tol)
+        params["tau"] = _check_value(name, "tau", float(tol))
     start = time.perf_counter()
-    extras, certs = _RUNNERS[name](params, params["seed"])
+    try:
+        extras, certs = _RUNNERS[name](params, params["seed"])
+    except ConfigError as exc:
+        raise ConfigError(f"scenario {name!r}: {exc}") from exc
     wall = time.perf_counter() - start
     constructed = {
         "kind": name,

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,17 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_cli_import_loads_no_jsonschema_or_numpy():
+    # a fresh interpreter, so modules that other tests loaded do not count
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, oclab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'numpy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"

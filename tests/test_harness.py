@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
 
 from oclab.cli import main
 from oclab.errors import CertificationError, ConfigError, OclabError, ScheduleError
@@ -78,6 +80,55 @@ def test_missing_required_key():
 def test_bad_integer_coercion():
     with pytest.raises(ConfigError):
         load_config("klee", {"lambdas": "1/10", "d": "three"})
+
+
+# JSON-shaped values of every kind a config can carry, plus strings that
+# coerce to in-range numbers or hit an enum, so that some configs load
+JSON_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(float("nan")),
+    st.booleans(),
+    st.text(alphabet="0123456789-./aefilnL ", max_size=5),
+    st.sampled_from(["0", "3", "-1", "2.0", "1/2", "nan", "inf", "auto", "L1", "grid", "basis"]),
+)
+
+
+@st.composite
+def scenario_configs(draw):
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    schema = scenario_schema(name)
+    optional = sorted(set(schema["properties"]) - set(schema["required"]))
+    keys = list(schema["required"]) + draw(st.lists(st.sampled_from(optional), unique=True))
+    return name, {key: draw(JSON_VALUES) for key in keys}
+
+
+def _conforms(value, spec) -> bool:
+    types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    is_int = type(value) is int
+    if not (
+        ("string" in types and type(value) is str)
+        or ("integer" in types and is_int)
+        or ("number" in types and (is_int or (type(value) is float and math.isfinite(value))))
+    ):
+        return False
+    if "minimum" in spec and value < spec["minimum"]:
+        return False
+    return "enum" not in spec or value in spec["enum"]
+
+
+@given(scenario_configs())
+@example(("klee", {"lambdas": "1/10, 1/5, 3/10", "d": 3.0}))
+def test_loaded_params_conform_to_the_schema(case):
+    name, raw = case
+    try:
+        params = load_config(name, raw)
+    except ConfigError:
+        return
+    props = scenario_schema(name)["properties"]
+    assert set(params) == set(props)
+    for key, value in params.items():
+        assert _conforms(value, props[key]), (name, key, value)
 
 
 def test_schema_files_match_generated():
@@ -297,6 +348,38 @@ def test_cli_tol_on_plain_scenario_exits_2(tmp_path):
     cfg = _write(tmp_path, KLEE_KV)
     result = CliRunner().invoke(main, ["klee", "--config", cfg, "--tol", "0.1"])
     assert result.exit_code == 2
+
+
+PROBE_KV = "variant = basis\nK = 10\nwindow = 4\n"
+INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
+
+
+@pytest.mark.parametrize(
+    "scenario, text, extra, key",
+    [
+        ("klee", '{"lambdas": "1/10, 1/5, 3/10", "d": 3.0}', [], "d"),
+        ("klee", '{"lambdas": "1/10, 1/5, 3/10", "d": true}', [], "d"),
+        ("incomplete", '{"K": 14, "ks": "6,10,14", "j_max": 2, "tau": NaN}', [], "tau"),
+        ("probe", PROBE_KV + "tau = nan\n", [], "tau"),
+        ("probe", PROBE_KV, ["--tol", "nan"], "tau"),
+        ("probe", PROBE_KV, ["--tol", "inf"], "tau"),
+        ("incomplete", INCOMPLETE_KV, ["--tol", "nan"], "tau"),
+        ("incomplete", INCOMPLETE_KV + "tau = abc\n", [], "tau"),
+        ("incomplete", INCOMPLETE_KV + "tau = 1/0\n", [], "tau"),
+        ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 0\n", [], "d"),
+    ],
+    ids=[
+        "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
+        "incomplete-tol-nan", "tau-abc", "tau-1/0", "d-below-minimum",
+    ],
+)
+def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
+    cfg = _write(tmp_path, text)
+    result = CliRunner().invoke(main, [scenario, "--config", cfg, *extra])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert f"scenario '{scenario}'" in result.output
+    assert f"{key}=" in result.output
 
 
 def test_cli_construction_error_exits_3(tmp_path):
