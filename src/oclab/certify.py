@@ -659,7 +659,7 @@ def annihilator_decay_check(
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Window-sup coordinate deviations vs norm deviations, per member.
+    """Window-sup coordinate deviations vs L1 norm deviations, per member.
 
     The classification looks at the final member: norm gap below tau
     means norm-convergent; otherwise a window-sup below tau means the
@@ -690,10 +690,7 @@ def weak_norm_convergence_probe(
             raise DomainError("sequence members must share the limit's dimension")
         diff = v - limit
         coord_sups.append(max(abs(c) for c in diff.coords[:window]))
-        if diff.norm_tag is NormTag.L2:
-            norm_gaps.append(math.sqrt(norm_squared(diff)))
-        else:
-            norm_gaps.append(norm(diff))
+        norm_gaps.append(norm(diff, NormTag.L1))
     last_gap = float(norm_gaps[-1])
     last_coord = float(coord_sups[-1])
     if last_gap < tau:

@@ -28,7 +28,6 @@ from .errors import (
     ScheduleError,
 )
 from .linalg import (
-    DUAL_TAG,
     Matrix,
     NormTag,
     Vector,
@@ -99,7 +98,7 @@ def klee_vectors(lambdas: Sequence, d: int) -> GeometricFamily:
     if len(set(lams)) != len(lams):
         raise DomainError("nodes must be pairwise distinct")
     vectors = tuple(
-        exact_vector((lam ** i for i in range(d)), NormTag.L1) for lam in lams
+        exact_vector(lam ** i for i in range(d)) for lam in lams
     )
     return GeometricFamily(lams, d, vectors)
 
@@ -186,7 +185,7 @@ def fd_overcomplete(
         if targets is not None:
             ball = targets[k]
         else:
-            ball = OpenBall(zero_vector(d, NormTag.L2), Fraction(1), NormTag.L2)
+            ball = OpenBall(zero_vector(d), Fraction(1), NormTag.L2)
         # offsets of sup-norm at most radius/(2d) keep the candidate inside
         # the open ball under all three norms
         step = ball.radius / (2 * d)
@@ -197,7 +196,7 @@ def fd_overcomplete(
             delta = tuple(
                 Fraction(rng.randrange(-span + 1, span), span) * step for _ in range(d)
             )
-            cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)), ball.norm_tag)
+            cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)))
             if not ball.contains(cand):
                 continue
             cand_row = list(scaled_int_coords(cand))
@@ -279,7 +278,7 @@ def riesz_step(
         if dim is None:
             raise DomainError("an empty basis needs an explicit ambient dimension")
         ambient = dim
-        null_basis = [unit_vector(i, ambient, DUAL_TAG[tag]) for i in range(ambient)]
+        null_basis = [unit_vector(i, ambient) for i in range(ambient)]
     rng = rng_for(seed, "riesz-step")
     weights = [rng.randrange(1, 17) for _ in null_basis]
     f0 = tuple(
@@ -290,22 +289,22 @@ def riesz_step(
         # functional measured in the dual (sup) norm; the best vector to
         # pair it with is a signed coordinate vector at its peak entry
         peak = max(abs(c) for c in f0)
-        f = Vector(tuple(c / peak for c in f0), NormTag.LINF)
+        f = Vector(tuple(c / peak for c in f0))
         j = next(i for i, c in enumerate(f.coords) if abs(c) == 1)
-        x = unit_vector(j, ambient, NormTag.L1)
+        x = unit_vector(j, ambient)
         if f.coords[j] < 0:
             x = -x
         return RieszStep(x, f, Fraction(1), tag)
     if tag is NormTag.LINF:
         total = sum(abs(c) for c in f0)
-        f = Vector(tuple(c / total for c in f0), NormTag.L1)
+        f = Vector(tuple(c / total for c in f0))
         signs = tuple(Fraction(1) if c >= 0 else Fraction(-1) for c in f.coords)
-        x = Vector(signs, NormTag.LINF)
+        x = Vector(signs)
         return RieszStep(x, f, Fraction(1), tag)
     s2 = sum((c * c for c in f0), Fraction(0))
     floor = max(Fraction(1) - eps, Fraction(1) - Fraction(1, 10 ** 13))
     r = _unit_isqrt_scale(s2, floor)
-    x = Vector(tuple(r * c for c in f0), NormTag.L2)
+    x = Vector(tuple(r * c for c in f0))
     return RieszStep(x, x, r * r * s2, tag)
 
 
@@ -416,10 +415,10 @@ class IncompleteModel:
         if t > dim:
             raise DomainError(f"ambient dimension {dim} cannot hold cutoff {t}")
         coords = [self.y_coord(n) if n < t else Fraction(0) for n in range(dim)]
-        return Vector(tuple(coords), self.norm_tag)
+        return Vector(tuple(coords))
 
     def y_truncation(self, dim: int) -> Vector:
-        return Vector(tuple(self.y_coord(n) for n in range(dim)), self.norm_tag)
+        return Vector(tuple(self.y_coord(n) for n in range(dim)))
 
     def exact_distance(self, v: Vector) -> Fraction:
         """Exact ||y - v||, the tail of y beyond v's dimension included."""
@@ -445,7 +444,7 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:
         coords = list(model.y_k_vector(k, dim).coords)
         for n in range(k + 1):
             coords[n] += Fraction(1, (n + 2) ** k)
-        g = Vector(tuple(coords), model.norm_tag)
+        g = Vector(tuple(coords))
         lhs = model.exact_distance(g)
         rhs = model.approx_error(k) + Fraction(k + 1, 2 ** k)
         if lhs > rhs:
@@ -507,9 +506,10 @@ def verify_schedule(model: IncompleteModel, schedule: GeometricSchedule, K: int)
         raise DomainError("horizon must be nonnegative")
     if len(schedule.lambdas) < K + 1:
         raise DomainError(f"schedule provides {len(schedule.lambdas)} rates, need {K + 1}")
+    errors = [model.approx_error(n) for n in range(K + 1)]
     onsets = []
     for j in range(schedule.j_max + 1):
-        vals = [model.approx_error(n) / schedule.lambdas[n] ** j for n in range(K + 1)]
+        vals = [err / lam ** j for err, lam in zip(errors, schedule.lambdas)]
         onset = 0
         for n in range(1, K + 1):
             if vals[n - 1] <= vals[n]:
@@ -542,7 +542,7 @@ def geometric_variant_sequence(
         coords = list(model.y_k_vector(k, dim).coords)
         for j in range(k + 1):
             coords[j] += lam ** (j + 1)
-        out.append(Vector(tuple(coords), model.norm_tag))
+        out.append(Vector(tuple(coords)))
     return out
 
 
@@ -602,7 +602,7 @@ def _prefix_norms(v: Vector) -> list:
 
 
 def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
-    """Extract a disjoint-hump subfamily from unit vectors over [0, L).
+    """Extract a disjoint-hump subfamily from L1 unit vectors over [0, L).
 
     Computes the exact left-mass floor table, locates its plateau, and
     then alternates cut advancement with member selection: each pick is
@@ -615,12 +615,10 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
         raise PreconditionError("empty family")
     L = members[0].dim
     for v in members:
-        if v.norm_tag is not NormTag.L1:
-            raise PreconditionError("family members must be exact unit vectors, L1-tagged")
         if v.dim != L:
             raise PreconditionError("family members must share one index range")
         if norm(v, NormTag.L1) != 1:
-            raise PreconditionError("family members must be exactly unit")
+            raise PreconditionError("family members must be exact L1 unit vectors")
     eps = Fraction(eps)
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -713,12 +711,10 @@ class BiorthSystem:
     """Unit coordinate vectors paired with coordinate functionals."""
 
     size: int
-    norm_tag: NormTag = NormTag.L1
 
     def __post_init__(self):
-        object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
         if self.size < 1:
             raise DomainError("system size must be positive")
 
     def functional(self, i: int) -> Vector:
-        return unit_vector(i, self.size, DUAL_TAG[self.norm_tag])
+        return unit_vector(i, self.size)

@@ -356,8 +356,7 @@ def _run_fd_dense(params, seed):
         targets = []
         for _ in range(n):
             center = exact_vector(
-                [Fraction(rng.randrange(-(1 << 8) + 1, 1 << 8), 1 << 8) for _ in range(d)],
-                NormTag.L2,
+                Fraction(rng.randrange(-(1 << 8) + 1, 1 << 8), 1 << 8) for _ in range(d)
             )
             targets.append(OpenBall(center, radius, NormTag.L2))
     else:
@@ -365,7 +364,7 @@ def _run_fd_dense(params, seed):
     vectors = fd_overcomplete(d, n, targets=targets, seed=seed)
     certs = []
     balls = targets if targets is not None else [
-        OpenBall(zero_vector(d, NormTag.L2), Fraction(1), NormTag.L2)
+        OpenBall(zero_vector(d), Fraction(1), NormTag.L2)
     ] * n
     for j, (v, ball) in enumerate(zip(vectors, balls)):
         if not ball.contains(v):
@@ -415,6 +414,8 @@ def _run_fd_dense(params, seed):
 def _run_separated(params, seed):
     d = params["d"]
     eps = _frac(params["eps"], "eps")
+    if not 0 < eps < 1:
+        raise ConfigError(f"eps={params['eps']!r} must lie in (0, 1)")
     tag = NormTag(params["tag"])
     family = separated_overcomplete_fd(d, eps, tag, seed=seed)
     n = len(family.vectors)
@@ -458,11 +459,8 @@ def _make_annihilator(model, sequence, ks, seed):
     rng = rng_for(seed, "annihilator")
     weights = [rng.randrange(1, 17) for _ in basis]
     combo = exact_vector(
-        (
-            sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
-            for i in range(dim)
-        ),
-        basis[0].norm_tag,
+        sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
+        for i in range(dim)
     )
     return combo.scale(1 / dual_norm(combo, model.norm_tag))
 
@@ -473,6 +471,13 @@ def _run_incomplete(params, seed):
     if not ks or min(ks) < 1:
         raise ConfigError("ks must list positive integers")
     K = max([params["K"]] + ks)
+    tau = params["tau"]
+    tau = float(tau) if isinstance(tau, (int, float)) else _frac(tau, "tau")
+    if tau <= 0:
+        raise ConfigError(f"tau={params['tau']!r} must be positive")
+    j_max, dim = params["j_max"], model.ambient_dim(K)
+    if j_max >= dim:
+        raise ConfigError(f"j_max={j_max} must be below the truncation dimension {dim} at K={K}")
     sequence = incomplete_space_sequence(model, K)
     certs = []
     for k, (lhs, rhs) in enumerate(convergence_gaps(model, sequence)):
@@ -485,15 +490,13 @@ def _run_incomplete(params, seed):
             )
         )
     e_star = _make_annihilator(model, sequence, ks, seed)
-    tau = params["tau"]
-    tau = float(tau) if isinstance(tau, (int, float)) else _frac(tau, "tau")
-    report = annihilator_decay_check(model, sequence, ks, [e_star], params["j_max"], tau)
+    report = annihilator_decay_check(model, sequence, ks, [e_star], j_max, tau)
     certs.append(
         certificate(
             "annihilator-decay",
             "Verified",
             witness=report,
-            inputs={"functional": e_star, "ks": ks, "j_max": params["j_max"]},
+            inputs={"functional": e_star, "ks": ks, "j_max": j_max},
         )
     )
     constructed = {
@@ -543,7 +546,7 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
             coords[i] = left_mass / lead
         for i in range(lead + j * width, lead + (j + 1) * width):
             coords[i] = tail / width
-        members.append(exact_vector(coords, NormTag.L1))
+        members.append(exact_vector(coords))
     return members
 
 
@@ -597,7 +600,7 @@ def _run_free_set(params, seed):
         coords = [Fraction(0)] * n
         for i in sorted(fmap[a]):
             coords[i] = Fraction(rng.randrange(1, 17))
-        family.append(exact_vector(coords, NormTag.L1))
+        family.append(exact_vector(coords))
     certs = [
         certificate(
             "free-set",
@@ -630,8 +633,8 @@ def _run_cover(params, seed):
         for t in range(count):
             coords = [Fraction(t + i + 1) for i in range(d)]
             coords[t % h] = Fraction(0)
-            points.append(exact_vector(coords, NormTag.L1))
-        planes = [HyperplaneFunctional(unit_vector(j, d, NormTag.LINF)) for j in range(h)]
+            points.append(exact_vector(coords))
+        planes = [HyperplaneFunctional(unit_vector(j, d)) for j in range(h)]
         cover = hyperplane_cover(points, planes)
         majority = pigeonhole_majority(points, planes)
         certs = [
@@ -682,14 +685,16 @@ def _run_cover(params, seed):
 
 def _run_probe(params, seed):
     window, tau = params["window"], float(params["tau"])
+    if tau <= 0:
+        raise ConfigError(f"tau={params['tau']!r} must be positive")
     if params["variant"] == "gk":
         model = IncompleteModel(_frac(params["c"], "c"), _frac(params["rho"], "rho"))
         sequence = incomplete_space_sequence(model, params["K"])
         limit = model.y_truncation(sequence[0].dim)
     else:
         dim = params["K"] + 1
-        sequence = [unit_vector(k, dim, NormTag.L1) for k in range(dim)]
-        limit = zero_vector(dim, NormTag.L1)
+        sequence = [unit_vector(k, dim) for k in range(dim)]
+        limit = zero_vector(dim)
     if window > limit.dim:
         raise ConfigError(f"window {window} exceeds dimension {limit.dim}")
     report = weak_norm_convergence_probe(sequence, limit, window, tau)

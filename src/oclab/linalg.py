@@ -1,6 +1,7 @@
 """Exact-rational linear algebra kernels.
 
-Vectors hold :class:`fractions.Fraction` coordinates and a norm tag (L1,
+Vectors hold :class:`fractions.Fraction` coordinates and nothing else:
+the norm belongs to the space, so every norm is asked for by its tag (L1,
 L2, Linf).  Ranks, determinants, nullspaces, projection distances and
 L1/Linf norms are computed without rounding, and every rank elimination
 emits a pivot log that an independent replayer can verify.  There is
@@ -71,7 +72,7 @@ def _coerce_exact(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Vector:
-    """A finite exact coordinate vector with a norm tag.
+    """A finite exact coordinate vector; equal coordinates, equal vectors.
 
     Coordinates are coerced to :class:`fractions.Fraction`; a float
     coordinate raises :class:`~oclab.errors.ModeError` rather than being
@@ -79,14 +80,12 @@ class Vector:
     """
 
     coords: tuple
-    norm_tag: NormTag = NormTag.L1
 
     def __post_init__(self):
         coords = tuple(_coerce_exact(c) for c in self.coords)
         if not coords:
             raise DomainError("vector dimension must be positive")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
 
     @property
     def dim(self) -> int:
@@ -95,7 +94,7 @@ class Vector:
     def restrict(self, a: int, b: int) -> "Vector":
         """Zero every coordinate outside the index window [a, b)."""
         zero = Fraction(0)
-        return Vector(tuple(c if a <= i < b else zero for i, c in enumerate(self.coords)), self.norm_tag)
+        return Vector(tuple(c if a <= i < b else zero for i, c in enumerate(self.coords)))
 
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
@@ -106,41 +105,41 @@ class Vector:
 
     def __add__(self, other: "Vector") -> "Vector":
         self._compatible(other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)), self.norm_tag)
+        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._compatible(other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)), self.norm_tag)
+        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Vector":
         return self.scale(-1)
 
     def scale(self, c) -> "Vector":
         c = _coerce_exact(c)
-        return Vector(tuple(c * x for x in self.coords), self.norm_tag)
+        return Vector(tuple(c * x for x in self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
 
-def exact_vector(coords: Iterable, tag: NormTag = NormTag.L1) -> Vector:
-    return Vector(tuple(coords), tag)
+def exact_vector(coords: Iterable) -> Vector:
+    return Vector(tuple(coords))
 
 
-def unit_vector(i: int, dim: int, tag: NormTag = NormTag.L1) -> Vector:
+def unit_vector(i: int, dim: int) -> Vector:
     if not 0 <= i < dim:
         raise DomainError(f"unit index {i} outside dimension {dim}")
     one, zero = Fraction(1), Fraction(0)
-    return Vector(tuple(one if j == i else zero for j in range(dim)), tag)
+    return Vector(tuple(one if j == i else zero for j in range(dim)))
 
 
-def zero_vector(dim: int, tag: NormTag = NormTag.L1) -> Vector:
-    return Vector((Fraction(0),) * dim, tag)
+def zero_vector(dim: int) -> Vector:
+    return Vector((Fraction(0),) * dim)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """A rectangular stack of equal-dimension, equal-tag row vectors."""
+    """A rectangular stack of equal-dimension row vectors."""
 
     rows: tuple
 
@@ -148,12 +147,9 @@ class Matrix:
         rows = tuple(self.rows)
         if not rows:
             raise DomainError("matrix needs at least one row")
-        dim, tag = rows[0].dim, rows[0].norm_tag
-        for r in rows[1:]:
-            if r.dim != dim:
-                raise DomainError("ragged rows in matrix")
-            if r.norm_tag is not tag:
-                raise DomainError("mixed norm tags in matrix")
+        dim = rows[0].dim
+        if any(r.dim != dim for r in rows[1:]):
+            raise DomainError("ragged rows in matrix")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -168,10 +164,6 @@ class Matrix:
     def ncols(self) -> int:
         return self.rows[0].dim
 
-    @property
-    def norm_tag(self) -> NormTag:
-        return self.rows[0].norm_tag
-
 
 def pairing(f: Vector, v: Vector) -> Fraction:
     """Exact inner product <f, v> of a functional with a vector."""
@@ -179,13 +171,13 @@ def pairing(f: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(f.coords, v.coords)), Fraction(0))
 
 
-def norm(v: Vector, tag: Optional[NormTag] = None) -> Fraction:
-    """p-norm of ``v`` under ``tag`` (defaults to the vector's own tag).
+def norm(v: Vector, tag: NormTag) -> Fraction:
+    """p-norm of ``v`` under ``tag``.
 
     The L2 norm is irrational in general, so requesting it raises; use
     :func:`norm_squared` for the flagged squared variant.
     """
-    tag = NormTag(tag) if tag is not None else v.norm_tag
+    tag = NormTag(tag)
     if tag is NormTag.L1:
         return sum((abs(c) for c in v.coords), Fraction(0))
     if tag is NormTag.LINF:
@@ -391,13 +383,12 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
 def nullspace_exact(M: Matrix) -> list:
     """Basis of {f : <row, f> = 0 for every row of M}, exactly.
 
-    Empty iff the rank equals the column count.  Returned vectors carry
-    the dual norm tag, since they act as functionals on the row space.
+    Empty iff the rank equals the column count.  The basis vectors act
+    as functionals on the row space; measure them with :func:`dual_norm`.
     """
     n = M.ncols
     rows = [list(r.coords) for r in M.rows]
     piv_cols = _gauss_jordan(rows, n)
-    tag = DUAL_TAG[M.norm_tag]
     basis = []
     piv_set = set(piv_cols)
     for free in range(n):
@@ -407,7 +398,7 @@ def nullspace_exact(M: Matrix) -> list:
         coords[free] = Fraction(1)
         for i, pc in enumerate(piv_cols):
             coords[pc] = -rows[i][free]
-        basis.append(Vector(tuple(coords), tag))
+        basis.append(Vector(tuple(coords)))
     return basis
 
 

@@ -76,9 +76,7 @@ def test_criterion_2_overcomplete_40_choose_4():
     rng = random.Random(40216)
     targets = []
     for _ in range(40):
-        center = exact_vector(
-            [F(rng.randrange(-255, 256), 256) for _ in range(4)], NormTag.L2
-        )
+        center = exact_vector([F(rng.randrange(-255, 256), 256) for _ in range(4)])
         targets.append(OpenBall(center, F(1, 2), NormTag.L2))
     vectors = fd_overcomplete(4, 40, targets=targets, seed=40216)
     inside = sum(1 for v, ball in zip(vectors, targets) if ball.contains(v))
@@ -169,7 +167,7 @@ def test_criterion_6_pigeonhole_quota_and_escape():
                 coords[t % h] = F(0)
                 points.append(exact_vector(coords))
             planes = [
-                HyperplaneFunctional(unit_vector(j, h, NormTag.LINF)) for j in range(h)
+                HyperplaneFunctional(unit_vector(j, h)) for j in range(h)
             ]
             result = pigeonhole_majority(points, planes)
             assert result.quota == -(-count // h)
@@ -186,7 +184,7 @@ def test_criterion_6_pigeonhole_quota_and_escape():
     assert all(p != 0 for p in escape.escape_pairings)
     diag = hyperplane_cover(
         [exact_vector([1, 1])],
-        [HyperplaneFunctional(unit_vector(j, 2, NormTag.LINF)) for j in range(2)],
+        [HyperplaneFunctional(unit_vector(j, 2)) for j in range(2)],
     )
     assert not diag.covered and all(p != 0 for p in diag.escape_pairings)
     print("criterion 6 PASS: 12 grid instances meet quota; escape pairings nonzero")
@@ -201,8 +199,7 @@ def test_criterion_7_riesz_dual_witnesses():
             k = rng.randrange(1, d)
             basis = [
                 exact_vector(
-                    [F(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(d)],
-                    tag,
+                    [F(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(d)]
                 )
                 for _ in range(k)
             ]
@@ -229,9 +226,9 @@ def test_criterion_8_convergence_probe_classifications():
     assert float(probe.norm_gaps[-1]) < 1e-6  # reached by k = 25
 
     dim = 30
-    basis_seq = [unit_vector(k, dim, NormTag.L1) for k in range(dim)]
+    basis_seq = [unit_vector(k, dim) for k in range(dim)]
     basis_probe = weak_norm_convergence_probe(
-        basis_seq, zero_vector(dim, NormTag.L1), 8, 1e-6
+        basis_seq, zero_vector(dim), 8, 1e-6
     )
     assert basis_probe.classification == "coordinatewise-only"
     assert basis_probe.norm_gaps[-1] == 1  # exactly

@@ -129,7 +129,7 @@ def test_subset_sweep_counts_and_flags_failures():
 
 
 def _coord_plane(j, d):
-    return HyperplaneFunctional(unit_vector(j, d, NormTag.LINF))
+    return HyperplaneFunctional(unit_vector(j, d))
 
 
 def test_cover_assigns_coordinate_points():
@@ -284,8 +284,8 @@ def test_greedy_packing_l1_exact():
 
 
 def test_greedy_packing_l2_uses_squared_comparisons():
-    pts = [unit_vector(i, 3, NormTag.L2) for i in range(3)]
-    pts.append(exact_vector([1, 0, 0], NormTag.L2))
+    pts = [unit_vector(i, 3) for i in range(3)]
+    pts.append(exact_vector([1, 0, 0]))
     sel = greedy_separated_subset(pts, F(1), NormTag.L2)
     assert sel == (0, 1, 2)  # distances sqrt(2) >= 1; duplicate of e0 rejected
 
@@ -303,7 +303,7 @@ def test_greedy_packing_maximality():
         if i in chosen:
             continue
         # every excluded point is blocked by an earlier selected one
-        assert any(norm(p - pts[j]) < delta for j in sel if j < i)
+        assert any(norm(p - pts[j], NormTag.L1) < delta for j in sel if j < i)
 
 
 def test_greedy_packing_rejects_bad_delta():
@@ -317,7 +317,7 @@ def test_greedy_packing_ball_cloud_respects_volume_bound():
     rng = random.Random(342)
     pts = []
     while len(pts) < 100:
-        v = exact_vector([F(rng.randrange(-16, 17), 16) for _ in range(3)], NormTag.L2)
+        v = exact_vector([F(rng.randrange(-16, 17), 16) for _ in range(3)])
         if norm_squared(v) <= 1:
             pts.append(v)
     sel = greedy_separated_subset(pts, F(1, 2), NormTag.L2)
@@ -347,7 +347,7 @@ def _blocks(L, m, left_mass):
 
 
 def test_l1_certificate_on_disjoint_family_gives_full_constant():
-    S = [unit_vector(i, 15, NormTag.L1) for i in (0, 5, 10)]
+    S = [unit_vector(i, 15) for i in (0, 5, 10)]
     data = sliding_hump_extract(S, F(1, 10))
     cert = l1_lower_bound_certificate(data, coefficient_samples(3, 50, seed=2))
     assert cert.constant == 1 - 0 - F(2, 10)
@@ -442,7 +442,7 @@ def test_decay_check_reports_bounds_and_preconditions():
 def test_decay_check_rejects_non_annihilator():
     model = IncompleteModel(F(1, 2), F(1, 2))
     seq = incomplete_space_sequence(model, 10)
-    bad = unit_vector(0, seq[0].dim, NormTag.LINF)
+    bad = unit_vector(0, seq[0].dim)
     with pytest.raises(PreconditionError):
         annihilator_decay_check(model, seq, [5, 10], [bad], 1)
 
@@ -475,8 +475,8 @@ def test_probe_classifies_norm_convergence():
 
 def test_probe_classifies_coordinatewise_only_basis():
     dim = 26
-    seq = [unit_vector(k, dim, NormTag.L1) for k in range(dim)]
-    report = weak_norm_convergence_probe(seq, zero_vector(dim, NormTag.L1), 8, 1e-6)
+    seq = [unit_vector(k, dim) for k in range(dim)]
+    report = weak_norm_convergence_probe(seq, zero_vector(dim), 8, 1e-6)
     assert report.classification == "coordinatewise-only"
     assert report.norm_gaps[-1] == 1  # exact
     assert report.coord_sups[-1] == 0
@@ -485,13 +485,6 @@ def test_probe_classifies_coordinatewise_only_basis():
 def test_probe_classifies_divergence():
     seq = [exact_vector([1, 1]), exact_vector([2, 2])]
     report = weak_norm_convergence_probe(seq, zero_vector(2), 2, 1e-6)
-    assert report.classification == "divergent"
-
-
-def test_probe_l2_gap_is_the_euclidean_distance():
-    seq = [exact_vector([1, 1], NormTag.L2), exact_vector([3, 4], NormTag.L2)]
-    report = weak_norm_convergence_probe(seq, zero_vector(2, NormTag.L2), 2, 1e-6)
-    assert report.norm_gaps[-1] == 5.0
     assert report.classification == "divergent"
 
 

@@ -56,7 +56,6 @@ def test_klee_rows_are_truncated_geometric_vectors():
         (F(1), F(1, 5), F(1, 25)),
         (F(1), F(3, 10), F(9, 100)),
     ]
-    assert all(v.norm_tag is NormTag.L1 for v in fam.vectors)
 
 
 def test_klee_single_node_long_truncation():
@@ -102,8 +101,8 @@ def test_fd_all_pairs_independent_d2():
 
 
 def test_fd_target_balls_are_respected():
-    b1 = OpenBall(exact_vector([1, 0], NormTag.L2), F(1, 10), NormTag.L2)
-    b2 = OpenBall(exact_vector([0, 1], NormTag.L2), F(1, 10), NormTag.L2)
+    b1 = OpenBall(exact_vector([1, 0]), F(1, 10), NormTag.L2)
+    b2 = OpenBall(exact_vector([0, 1]), F(1, 10), NormTag.L2)
     vs = fd_overcomplete(2, 2, targets=[b1, b2], seed=3)
     assert b1.contains(vs[0])
     assert b2.contains(vs[1])
@@ -116,13 +115,13 @@ def test_fd_needs_at_least_d_vectors():
 
 
 def test_fd_target_count_must_match():
-    ball = OpenBall(zero_vector(2, NormTag.L2), F(1), NormTag.L2)
+    ball = OpenBall(zero_vector(2), F(1), NormTag.L2)
     with pytest.raises(DomainError):
         fd_overcomplete(2, 3, targets=[ball])
 
 
 def test_open_ball_membership_is_strict():
-    ball = OpenBall(zero_vector(2, NormTag.L1), F(1), NormTag.L1)
+    ball = OpenBall(zero_vector(2), F(1), NormTag.L1)
     assert ball.contains(exact_vector(["1/2", "1/4"]))
     assert not ball.contains(exact_vector(["1/2", "1/2"]))  # boundary excluded
 
@@ -146,7 +145,7 @@ def test_riesz_l1_against_a_line():
 
 
 def test_riesz_dual_witness_contract_l1_linf():
-    basis = [exact_vector([2, 1, 1], NormTag.LINF), exact_vector([0, 1, -1], NormTag.LINF)]
+    basis = [exact_vector([2, 1, 1]), exact_vector([0, 1, -1])]
     step = riesz_step(basis, F(1, 8), NormTag.LINF, seed=9)
     assert norm(step.x, NormTag.LINF) == 1
     for y in basis:
@@ -156,7 +155,7 @@ def test_riesz_dual_witness_contract_l1_linf():
 
 
 def test_riesz_l2_near_unit_and_orthogonal():
-    basis = [unit_vector(0, 3, NormTag.L2), unit_vector(1, 3, NormTag.L2)]
+    basis = [unit_vector(0, 3), unit_vector(1, 3)]
     step = riesz_step(basis, F(1, 10), NormTag.L2, seed=5)
     s2 = norm_squared(step.x)
     assert s2 <= 1
@@ -327,7 +326,7 @@ def _blocks(L, m, left_mass):
 
 
 def test_disjoint_supports_extract_everything():
-    S = [unit_vector(i, 15, NormTag.L1) for i in (0, 5, 10)]
+    S = [unit_vector(i, 15) for i in (0, 5, 10)]
     data = sliding_hump_extract(S, F(1, 10))
     assert data.n_value == 0
     assert data.members == (0, 1, 2)
@@ -343,9 +342,9 @@ def test_shared_left_mass_instance():
     assert data.alpha0 == 3
     assert len(data.extracted) == 15
     for gamma, (x, cut) in enumerate(zip(data.extracted, data.cuts)):
-        assert norm(x.restrict(0, cut)) <= data.n_value + data.epsilon        # (i)
-        assert norm(x.restrict(cut, 200)) >= 1 - data.n_value - data.epsilon  # (iii)
-        assert norm(x.restrict(data.alpha0, cut)) <= data.epsilon             # (iv)
+        assert norm(x.restrict(0, cut), NormTag.L1) <= data.n_value + data.epsilon        # (i)
+        assert norm(x.restrict(cut, 200), NormTag.L1) >= 1 - data.n_value - data.epsilon  # (iii)
+        assert norm(x.restrict(data.alpha0, cut), NormTag.L1) <= data.epsilon             # (iv)
     for beta in range(1, len(data.extracted)):                                # (ii)
         assert max(data.extracted[beta - 1].support()) < data.cuts[beta]
 
@@ -359,7 +358,7 @@ def test_n_table_matches_double_loop_oracle_and_monotone():
 
 
 def test_family_with_all_mass_left_of_plateau_is_impossible_case():
-    S = [unit_vector(0, 10, NormTag.L1), unit_vector(1, 10, NormTag.L1)]
+    S = [unit_vector(0, 10), unit_vector(1, 10)]
     with pytest.raises(ExtractionError):
         sliding_hump_extract(S, F(1, 10))
 
@@ -382,9 +381,9 @@ def test_extraction_properties_hold_on_random_block_instances(m, L):
     S = _blocks(L, m, F(1, 4))
     data = sliding_hump_extract(S, F(1, 10))
     for x, cut in zip(data.extracted, data.cuts):
-        assert norm(x.restrict(0, cut)) <= data.n_value + data.epsilon
-        assert norm(x.restrict(cut, L)) >= 1 - data.n_value - data.epsilon
-        assert norm(x.restrict(data.alpha0, cut)) <= data.epsilon
+        assert norm(x.restrict(0, cut), NormTag.L1) <= data.n_value + data.epsilon
+        assert norm(x.restrict(cut, L), NormTag.L1) >= 1 - data.n_value - data.epsilon
+        assert norm(x.restrict(data.alpha0, cut), NormTag.L1) <= data.epsilon
 
 
 # ---------------------------------------------------------------------------

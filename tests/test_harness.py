@@ -367,10 +367,17 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("incomplete", INCOMPLETE_KV + "tau = abc\n", [], "tau"),
         ("incomplete", INCOMPLETE_KV + "tau = 1/0\n", [], "tau"),
         ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 0\n", [], "d"),
+        ("probe", "variant = basis\nK = 6\nwindow = 2\ntau = -5\n", [], "tau"),
+        ("probe", PROBE_KV, ["--tol", "0"], "tau"),
+        ("incomplete", INCOMPLETE_KV + "tau = 0\n", [], "tau"),
+        ("incomplete", "K = 2\nks = 1\n", [], "j_max"),
+        ("separated", "d = 3\neps = 2\n", [], "eps"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
         "incomplete-tol-nan", "tau-abc", "tau-1/0", "d-below-minimum",
+        "probe-negative-tau", "tol-zero", "incomplete-zero-tau", "j_max-beyond-truncation",
+        "separated-eps-above-1",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):

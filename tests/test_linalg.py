@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -50,7 +51,7 @@ def test_empty_vector_rejected():
 
 def test_float_in_exact_mode_rejected():
     with pytest.raises(ModeError):
-        Vector((0.5, 1.0), NormTag.L1)
+        Vector((0.5, 1.0))
 
 
 def test_norms_on_simple_vector():
@@ -61,7 +62,7 @@ def test_norms_on_simple_vector():
 
 
 def test_exact_l2_norm_raises_mode_error():
-    v = exact_vector([3, -4], NormTag.L2)
+    v = exact_vector([3, -4])
     with pytest.raises(ModeError):
         norm(v, NormTag.L2)
 
@@ -85,7 +86,7 @@ def test_restriction_splits_l1_norm(coords, data):
     a = data.draw(st.integers(min_value=0, max_value=len(coords)))
     left = v.restrict(0, a)
     right = v.restrict(a, v.dim)
-    assert norm(left) + norm(right) == norm(v)
+    assert norm(left, NormTag.L1) + norm(right, NormTag.L1) == norm(v, NormTag.L1)
     assert (left + right).coords == v.coords
 
 
@@ -197,7 +198,15 @@ def test_nullspace_of_coordinate_rows():
     basis = nullspace_exact(M)
     assert len(basis) == 1
     assert basis[0].coords == (F(0), F(0), F(1))
-    assert basis[0].norm_tag is NormTag.LINF  # dual side of an L1 matrix
+
+
+def test_vector_is_its_coordinates():
+    """The norm belongs to the space, not the vector: rows and their
+    annihilator witness stack into one matrix."""
+    assert [f.name for f in dataclasses.fields(Vector)] == ["coords"]
+    rows = [exact_vector([1, 2, 3]), exact_vector([0, 1, 1])]
+    witness = nullspace_exact(Matrix.from_rows(rows))[0]
+    assert rank_exact(Matrix.from_rows(rows + [witness])).rank == 3
 
 
 def test_nullspace_annihilates_and_rank_nullity():
@@ -278,19 +287,19 @@ def test_least_squares_agrees_with_exact_projection():
 
 
 def test_projection_distance_orthogonal_case():
-    x = unit_vector(2, 3, NormTag.L2)
-    basis = [unit_vector(0, 3, NormTag.L2), unit_vector(1, 3, NormTag.L2)]
+    x = unit_vector(2, 3)
+    basis = [unit_vector(0, 3), unit_vector(1, 3)]
     assert projection_distance_sq(x, basis) == 1
 
 
 def test_projection_distance_zero_for_member_of_span():
-    basis = [exact_vector([1, 1, 0], NormTag.L2)]
-    assert projection_distance_sq(exact_vector([2, 2, 0], NormTag.L2), basis) == 0
+    basis = [exact_vector([1, 1, 0])]
+    assert projection_distance_sq(exact_vector([2, 2, 0]), basis) == 0
 
 
 def test_projection_distance_handles_dependent_basis():
     basis = [
-        exact_vector([1, 0], NormTag.L2),
-        exact_vector([2, 0], NormTag.L2),
+        exact_vector([1, 0]),
+        exact_vector([2, 0]),
     ]
-    assert projection_distance_sq(exact_vector([0, 3], NormTag.L2), basis) == 9
+    assert projection_distance_sq(exact_vector([0, 3]), basis) == 9
