@@ -10,7 +10,6 @@ cannot hide in the other.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +33,9 @@ from .linalg import (
     pairing,
     rank_exact,
     scaled_int_coords,
-    _int_rank,
     _lcm_denominator,
+    _singular_subsets,
+    _wedge_rows,
 )
 from .rng import rng_for
 
@@ -195,21 +195,30 @@ def replay_pivot_log(M: Matrix, log: PivotLog, expected_rank: Optional[int] = No
 
 
 def all_subsets_full_rank(vectors: Sequence[Vector], d: int, subsets=None):
-    """Exact rank-d sweep over d-subsets; returns (checked, failures).
+    """Exact rank-d sweep over d-subsets of vectors in R^d; returns
+    (checked, failures).
 
-    Rows are integer-scaled once per vector; each subset then costs one
-    small fraction-free elimination.  ``subsets`` defaults to every
-    d-combination in index order.
+    Rows are integer-scaled once per vector, and a d-subset has rank d
+    iff the wedge (exterior product) of its rows is nonzero.  By default
+    every d-combination is checked by the depth-first wedge kernel that
+    :func:`~oclab.constructors.fd_overcomplete` also uses: each
+    (d-1)-subset is wedged once into its cofactor normal and each d-subset
+    costs one dot product, so the failures come in combinations order.
+    Given ``subsets`` are checked in their order, one wedge chain each.
     """
-    cache = [list(scaled_int_coords(v)) for v in vectors]
+    for v in vectors:
+        if v.dim != d:
+            raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
+    rows = [scaled_int_coords(v) for v in vectors]
     if subsets is None:
-        subsets = itertools.combinations(range(len(vectors)), d)
+        return math.comb(len(rows), d), list(_singular_subsets(rows, d))
     checked = 0
     failures = []
     for sub in subsets:
-        rows = [cache[i][:] for i in sub]
+        if len(sub) != d:
+            raise DomainError(f"subset {tuple(sub)} does not have {d} members")
         checked += 1
-        if _int_rank(rows) != d:
+        if not _wedge_rows([rows[i] for i in sub], d)[0]:
             failures.append(tuple(sub))
     return checked, failures
 

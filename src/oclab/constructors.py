@@ -13,7 +13,6 @@ survives that truncation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +39,8 @@ from .linalg import (
     scaled_int_coords,
     unit_vector,
     zero_vector,
-    _int_rank,
+    _singular_subsets,
+    _wedge_rows,
 )
 from .rng import rng_for, split_seed
 
@@ -134,25 +134,6 @@ class OpenBall:
         return sum(d * d for d in diff) < self.radius ** 2
 
 
-def _avoids_all_spans(int_prev: list, cand_row: list, d: int) -> bool:
-    """True iff the candidate lies outside span(T) for every subset T of the
-    previous vectors with |T| = min(#previous, d-1).
-
-    Certified by exact rank: rank(T + candidate) must exceed |T|.  This is
-    the inductive hyperplane-avoidance step, strengthened below d-1
-    previous vectors so that early picks stay independent (and nonzero).
-    """
-    t = min(len(int_prev), d - 1)
-    if t == 0:
-        return any(cand_row)
-    for subset in itertools.combinations(int_prev, t):
-        rows = [list(r) for r in subset]
-        rows.append(list(cand_row))
-        if _int_rank(rows) != t + 1:
-            return False
-    return True
-
-
 def fd_overcomplete(
     d: int,
     n: int,
@@ -163,9 +144,14 @@ def fd_overcomplete(
 
     Runs the inductive construction: at each step, sample a rational
     candidate inside the current target ball (unit ball when no targets)
-    and accept it once exact elimination certifies that it avoids the
-    span of every (d-1)-subset of the previous picks.  The dyadic grid is
-    refined on retry, so avoidance is certified, never assumed.
+    and accept it once it avoids the span of every (d-1)-subset of the
+    previous picks.  That is certified in integer arithmetic by the wedge
+    kernel shared with :func:`~oclab.certify.all_subsets_full_rank`: with
+    the candidate as head, each (d-1)-subset is one exterior product, and
+    the walk stops at the first singular one.  Below d-1 picks (and for
+    d = 1) the candidate wedged with all the picks must be nonzero.  The
+    dyadic grid is refined on retry, so avoidance is certified, never
+    assumed.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -199,9 +185,13 @@ def fd_overcomplete(
             cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)))
             if not ball.contains(cand):
                 continue
-            cand_row = list(scaled_int_coords(cand))
-            if _avoids_all_spans(int_rows, cand_row, d):
-                accepted = (cand, tuple(cand_row))
+            cand_row = scaled_int_coords(cand)
+            if len(int_rows) >= d - 1 >= 1:
+                avoids = next(_singular_subsets(int_rows, d, head=cand_row), None) is None
+            else:  # below d-1 picks, or d = 1: the candidate and the picks are independent
+                avoids = any(_wedge_rows([cand_row, *int_rows[: d - 1]], d))
+            if avoids:
+                accepted = (cand, cand_row)
                 break
         if accepted is None:
             raise ConstructionError(
@@ -531,10 +521,12 @@ def geometric_variant_sequence(
 ) -> list:
     """Geometric-coefficient variant g_k = y_k + sum of lambda_k^{j+1} e_j.
 
-    The schedule's rate condition is verified on the whole prefix before
-    any vector is built.
+    The rate condition is not re-checked here: run :func:`verify_schedule`
+    on the same inputs first, as the geometric-variant scenario does (it
+    needs the onsets anyway).
     """
-    verify_schedule(model, schedule, K)
+    if len(schedule.lambdas) < K + 1:
+        raise DomainError(f"schedule provides {len(schedule.lambdas)} rates, need {K + 1}")
     dim = model.ambient_dim(K)
     out = []
     for k in range(K + 1):

@@ -58,6 +58,7 @@ from .linalg import (
     unit_vector,
     vandermonde_det,
     zero_vector,
+    _WEDGE_MAX_DIM,
 )
 from .rng import rng_for, sample_subset
 from .serialize import canonical_json, certificate, digest, frac_str, to_jsonable
@@ -348,6 +349,8 @@ def _run_klee(params, seed):
 
 def _run_fd_dense(params, seed):
     d, n = params["d"], params["n"]
+    if d > _WEDGE_MAX_DIM:
+        raise ConfigError(f"d={d} is above {_WEDGE_MAX_DIM}, the wedge kernel's largest dimension")
     radius = _frac(params["radius"], "radius")
     if radius <= 0:
         raise ConfigError("radius must be positive")
@@ -465,8 +468,19 @@ def _make_annihilator(model, sequence, ks, seed):
     return combo.scale(1 / dual_norm(combo, model.norm_tag))
 
 
+def _incomplete_model(params) -> IncompleteModel:
+    """The model of the incomplete, geometric-variant and probe scenarios;
+    an out-of-range ``c`` or ``rho`` is a config error."""
+    c, rho = _frac(params["c"], "c"), _frac(params["rho"], "rho")
+    if c <= 0:
+        raise ConfigError(f"c={params['c']!r} must be positive")
+    if not 0 < rho < 1:
+        raise ConfigError(f"rho={params['rho']!r} must lie in (0, 1)")
+    return IncompleteModel(c, rho)
+
+
 def _run_incomplete(params, seed):
-    model = IncompleteModel(_frac(params["c"], "c"), _frac(params["rho"], "rho"))
+    model = _incomplete_model(params)
     ks = _int_list(params["ks"], "ks")
     if not ks or min(ks) < 1:
         raise ConfigError("ks must list positive integers")
@@ -507,7 +521,7 @@ def _run_incomplete(params, seed):
 
 
 def _run_geometric_variant(params, seed):
-    model = IncompleteModel(_frac(params["c"], "c"), _frac(params["rho"], "rho"))
+    model = _incomplete_model(params)
     K = params["K"]
     if params["schedule"] == "harmonic":
         lambdas = [Fraction(1, n + 2) for n in range(K + 1)]
@@ -553,6 +567,8 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
 def _run_sliding_hump(params, seed):
     L, m = params["L"], params["m"]
     eps = _frac(params["eps"], "eps")
+    if eps <= 0:
+        raise ConfigError(f"eps={params['eps']!r} must be positive")
     left = _frac(params["left_mass"], "left_mass") if params["family"] == "blocks" else Fraction(0)
     family = block_family(L, m, left)
     data = sliding_hump_extract(family, eps)
@@ -688,7 +704,7 @@ def _run_probe(params, seed):
     if tau <= 0:
         raise ConfigError(f"tau={params['tau']!r} must be positive")
     if params["variant"] == "gk":
-        model = IncompleteModel(_frac(params["c"], "c"), _frac(params["rho"], "rho"))
+        model = _incomplete_model(params)
         sequence = incomplete_space_sequence(model, params["K"])
         limit = model.y_truncation(sequence[0].dim)
     else:

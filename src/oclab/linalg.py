@@ -13,11 +13,22 @@ The rank and determinant kernel is fraction-free: each row is scaled to
 integers once, and the one-step Bareiss scheme keeps every intermediate
 entry an integer minor of the scaled matrix, which makes the pivot
 sequence replayable by ordinary rational elimination.
+
+The d-subset rank tests of the fd-dense construction and of its subset
+sweep share one integer wedge kernel instead: ``d`` rows in R^d are
+independent iff their wedge (exterior product, the vector of their
+maximal minors) is nonzero.  A depth-first walk over the combinations
+extends each prefix's wedge by one row (Laplace expansion along that
+row), turns every (d-1)-fold prefix into its cofactor normal once, and
+then decides each completing row with one dot product.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -291,42 +302,6 @@ def _bareiss(a):
     return k, tuple(steps), sign, prev
 
 
-def _int_rank(rows) -> int:
-    """Lean rank of integer rows (mutates ``rows``); hot-path variant.
-
-    Kept apart from :func:`_bareiss` on purpose: that kernel keeps the
-    original row order, records every pivot and checks every division,
-    which makes it 1.2-1.4x slower on the small subsets eliminated by the
-    subset rank sweep and the span-avoidance test, and those eliminations
-    are nearly all of an fd-dense run.
-    """
-    m, n = len(rows), len(rows[0])
-    k = 0
-    prev = 1
-    for col in range(n):
-        if k == m:
-            return m
-        piv_i = -1
-        for i in range(k, m):
-            if rows[i][col]:
-                piv_i = i
-                break
-        if piv_i < 0:
-            continue
-        rows[k], rows[piv_i] = rows[piv_i], rows[k]
-        piv_row = rows[k]
-        piv = piv_row[col]
-        for i in range(k + 1, m):
-            r = rows[i]
-            f = r[col]
-            for t in range(col + 1, n):
-                r[t] = (piv * r[t] - f * piv_row[t]) // prev
-            r[col] = 0
-        prev = piv
-        k += 1
-    return k
-
-
 def rank_exact(M: Matrix) -> RankResult:
     """Rank of an exact matrix by fraction-free elimination, with pivot log.
 
@@ -400,6 +375,93 @@ def nullspace_exact(M: Matrix) -> list:
             coords[pc] = -rows[i][free]
         basis.append(Vector(tuple(coords)))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# exterior products: the subset-rank kernel
+# ---------------------------------------------------------------------------
+
+
+#: Largest ambient dimension of the wedge kernel.  A k-fold wedge has
+#: C(d, k) entries and the plans for all k hold d * 2^(d-1) triples, so
+#: the cost doubles with each dimension: at d = 16 a plan takes tens of MB.
+_WEDGE_MAX_DIM = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_plan(d: int, k: int) -> tuple:
+    """How a k-fold wedge in R^d extends by one row (Laplace expansion).
+
+    A k-fold wedge lists the k x k minors of its rows by column subset, in
+    ``itertools.combinations`` order.  The plan has one entry per
+    (k+1)-subset S of the columns, with one (sign, minor index, column)
+    triple per column j of S: the minor on S without j times the new
+    row's entry j, signed by the position of j in S.
+    """
+    if d > _WEDGE_MAX_DIM:
+        raise DomainError(
+            f"dimension {d} is above {_WEDGE_MAX_DIM}, the largest the wedge kernel handles"
+        )
+    index = {cols: i for i, cols in enumerate(itertools.combinations(range(d), k))}
+    return tuple(
+        tuple(
+            (-1 if (k + p) % 2 else 1, index[cols[:p] + cols[p + 1 :]], j)
+            for p, j in enumerate(cols)
+        )
+        for cols in itertools.combinations(range(d), k + 1)
+    )
+
+
+def _wedge(w: list, v, d: int, k: int) -> list:
+    """The (k+1)-fold wedge of the k-fold wedge ``w`` with integer row ``v``."""
+    out = []
+    for entry in _laplace_plan(d, k):
+        t = 0  # a plain loop: twice as fast as sum() over a generator here
+        for s, i, j in entry:
+            t += s * w[i] * v[j]
+        out.append(t)
+    return out
+
+
+def _wedge_rows(rows, d: int) -> list:
+    """Wedge of integer rows in R^d: nonzero iff the rows are independent.
+
+    For exactly d rows it is the one-entry list [det].
+    """
+    w = [1]
+    for k, v in enumerate(rows):
+        w = _wedge(w, v, d, k)
+    return w
+
+
+def _singular_subsets(rows: Sequence, d: int, head=None):
+    """Yield the singular d-subsets of integer rows in R^d, depth first.
+
+    Subsets come as index tuples in ``itertools.combinations`` order.
+    Each (d-1)-fold prefix is wedged once into its cofactor normal, and
+    the determinant of the prefix with a completing row is one dot
+    product with that normal.  Given a ``head`` row (d >= 2), the walk
+    yields the (d-1)-subsets T of ``rows`` for which head and T are
+    singular together.  Nothing is stored beyond the current chain of
+    prefix wedges.
+    """
+    n = len(rows)
+    closing = _laplace_plan(d, d - 1)[0]
+
+    def walk(w, k, lo, prefix):
+        if k == d - 1:
+            normal = [s * w[i] for s, i, _ in closing]
+            for j in range(lo, n):
+                if not sum(map(operator.mul, normal, rows[j])):
+                    yield prefix + (j,)
+            return
+        for i in range(lo, n - d + k + 1):
+            yield from walk(_wedge(w, rows[i], d, k), k + 1, i + 1, prefix + (i,))
+
+    if head is None:
+        yield from walk([1], 0, 0, ())
+    else:
+        yield from walk(head, 1, 0, ())
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclab.certify import (
     HyperplaneFunctional,
@@ -24,6 +26,7 @@ from oclab.constructors import (
     BiorthSystem,
     IncompleteModel,
     SlidingHumpData,
+    fd_overcomplete,
     incomplete_space_sequence,
     klee_vectors,
     sliding_hump_extract,
@@ -41,12 +44,14 @@ from oclab.linalg import (
     norm,
     nullspace_exact,
     pairing,
+    scaled_int_coords,
     unit_vector,
     vandermonde_det,
     zero_vector,
+    _singular_subsets,
 )
 
-from oracles import brute_force_max_free_set
+from oracles import brute_force_max_free_set, cofactor_det, rref_rank
 
 
 KLEE5 = klee_vectors([F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)], 3)
@@ -121,6 +126,80 @@ def test_subset_sweep_counts_and_flags_failures():
     assert (0, 1, 5) in failures  # contains the duplicate pair
     checked2, failures2 = all_subsets_full_rank(list(KLEE5.vectors), 3)
     assert checked2 == 10 and failures2 == []
+
+
+def _planted_family(d, seed):
+    """Small rational vectors in R^d with planted dependencies: duplicates,
+    multiples, the zero vector and combinations of d-1 earlier members."""
+    rng = random.Random(seed)
+    rows = [[F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)] for _ in range(d + 2)]
+    for _ in range(4):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 1:
+            rows.append([F(-3, 2) * c for c in rng.choice(rows)])
+        elif kind == 2:
+            rows.append([F(0)] * d)
+        else:
+            picks = rng.sample(rows, max(d - 1, 1))
+            weights = [F(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in picks]
+            rows.append([sum(w * r[i] for w, r in zip(weights, picks)) for i in range(d)])
+    rng.shuffle(rows)
+    return [exact_vector(r) for r in rows]
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_subset_sweep_matches_the_cofactor_oracle(d, seed):
+    vectors = _planted_family(d, seed)
+    rows = [v.coords for v in vectors]
+    combos = list(itertools.combinations(range(len(vectors)), d))
+    expected = [sub for sub in combos if cofactor_det([rows[i] for i in sub]) == 0]
+    assert all_subsets_full_rank(vectors, d) == (len(combos), expected)
+
+    rng = random.Random(seed)
+    sample = [tuple(sorted(rng.sample(range(len(vectors)), d))) for _ in range(40)]
+    sample += sample[:3]  # a repeated subset is checked and reported again
+    expected = [sub for sub in sample if rref_rank([rows[i] for i in sub]) < d]
+    assert all_subsets_full_rank(vectors, d, sample) == (len(sample), expected)
+
+
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_headed_walk_finds_every_singular_completion(d, seed):
+    vectors = _planted_family(d, seed)
+    head, rest = vectors[0], vectors[1:]
+    scaled = [scaled_int_coords(v) for v in vectors]
+    expected = [
+        sub for sub in itertools.combinations(range(len(rest)), d - 1)
+        if rref_rank([head.coords] + [rest[i].coords for i in sub]) < d
+    ]
+    assert list(_singular_subsets(scaled[1:], d, head=scaled[0])) == expected
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=15, deadline=None)
+def test_fd_overcomplete_output_has_oracle_rank_d_on_every_subset(d, seed):
+    vectors = fd_overcomplete(d, d + 4, seed=seed)
+    for sub in itertools.combinations(vectors, d):
+        assert rref_rank([v.coords for v in sub]) == d
+
+
+def test_subset_sweep_rejects_a_dimension_or_subset_size_mismatch():
+    with pytest.raises(DomainError):
+        all_subsets_full_rank(list(KLEE5.vectors), 2)
+    with pytest.raises(DomainError):
+        all_subsets_full_rank(list(KLEE5.vectors), 3, [(0, 1)])
+
+
+def test_wedge_kernel_refuses_dimensions_above_its_limit():
+    # the wedge grows as d * 2^(d-1); both callers stop before building it
+    big = [unit_vector(i, 17) for i in range(17)]
+    with pytest.raises(DomainError):
+        all_subsets_full_rank(big, 17)
+    with pytest.raises(DomainError):
+        fd_overcomplete(17, 17)
 
 
 # ---------------------------------------------------------------------------
