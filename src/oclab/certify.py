@@ -35,7 +35,6 @@ from .linalg import (
     scaled_int_coords,
     _lcm_denominator,
     _singular_subsets,
-    _wedge_rows,
 )
 from .rng import rng_for
 
@@ -198,13 +197,14 @@ def all_subsets_full_rank(vectors: Sequence[Vector], d: int, subsets=None):
     """Exact rank-d sweep over d-subsets of vectors in R^d; returns
     (checked, failures).
 
-    Rows are integer-scaled once per vector, and a d-subset has rank d
-    iff the wedge (exterior product) of its rows is nonzero.  By default
-    every d-combination is checked by the depth-first wedge kernel that
-    :func:`~oclab.constructors.fd_overcomplete` also uses: each
-    (d-1)-subset is wedged once into its cofactor normal and each d-subset
-    costs one dot product, so the failures come in combinations order.
-    Given ``subsets`` are checked in their order, one wedge chain each.
+    Rows are integer-scaled once per vector.  By default every
+    d-combination is checked by the depth-first subset-rank kernel that
+    :func:`~oclab.constructors.fd_overcomplete` also uses
+    (:func:`~oclab.linalg._singular_subsets`): each (d-1)-subset's
+    cofactor normal is reached by fraction-free complement updates shared
+    along the walk, and each d-subset costs one dot product with it, so
+    the failures come in combinations order.  Given ``subsets`` are
+    checked in their order, one chain of complement updates each.
     """
     for v in vectors:
         if v.dim != d:
@@ -218,7 +218,7 @@ def all_subsets_full_rank(vectors: Sequence[Vector], d: int, subsets=None):
         if len(sub) != d:
             raise DomainError(f"subset {tuple(sub)} does not have {d} members")
         checked += 1
-        if not _wedge_rows([rows[i] for i in sub], d)[0]:
+        if next(_singular_subsets([rows[i] for i in sub], d), None) is not None:
             failures.append(tuple(sub))
     return checked, failures
 

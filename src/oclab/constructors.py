@@ -39,8 +39,9 @@ from .linalg import (
     scaled_int_coords,
     unit_vector,
     zero_vector,
+    _complement,
+    _extend,
     _singular_subsets,
-    _wedge_rows,
 )
 from .rng import rng_for, split_seed
 
@@ -144,14 +145,19 @@ def fd_overcomplete(
 
     Runs the inductive construction: at each step, sample a rational
     candidate inside the current target ball (unit ball when no targets)
-    and accept it once it avoids the span of every (d-1)-subset of the
-    previous picks.  That is certified in integer arithmetic by the wedge
-    kernel shared with :func:`~oclab.certify.all_subsets_full_rank`: with
-    the candidate as head, each (d-1)-subset is one exterior product, and
-    the walk stops at the first singular one.  Below d-1 picks (and for
-    d = 1) the candidate wedged with all the picks must be nonzero.  The
-    dyadic grid is refined on retry, so avoidance is certified, never
-    assumed.
+    and accept it once it lies outside span(T) for every subset T of the
+    previous picks with |T| = min(#picks, d-1): the inductive
+    hyperplane-avoidance step, strengthened below d-1 picks so that the
+    early picks stay independent (and nonzero).  Both are certified in
+    integer arithmetic by the complement kernel that
+    :func:`~oclab.certify.all_subsets_full_rank` also uses.  Up to d-1
+    picks, the one such T is all the picks: their complement is carried
+    from step to step, and the candidate must extend it (one O(d^2) call
+    of :func:`~oclab.linalg._extend`).  From d picks on, the depth-first
+    walk :func:`~oclab.linalg._singular_subsets` runs with the candidate
+    as head, ends each (d-1)-subset in one dot product with its cofactor
+    normal, and stops at the first singular one.  The dyadic grid is
+    refined on retry, so avoidance is certified, never assumed.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -167,6 +173,7 @@ def fd_overcomplete(
     rng = rng_for(seed, "fd-overcomplete")
     chosen: list = []
     int_rows: list = []
+    complement = _complement(d)  # of the picks, carried while they number below d
     for k in range(n):
         if targets is not None:
             ball = targets[k]
@@ -186,10 +193,11 @@ def fd_overcomplete(
             if not ball.contains(cand):
                 continue
             cand_row = scaled_int_coords(cand)
-            if len(int_rows) >= d - 1 >= 1:
+            if len(int_rows) < d:
+                grown = _extend(complement, cand_row)
+                avoids = grown is not None
+            else:
                 avoids = next(_singular_subsets(int_rows, d, head=cand_row), None) is None
-            else:  # below d-1 picks, or d = 1: the candidate and the picks are independent
-                avoids = any(_wedge_rows([cand_row, *int_rows[: d - 1]], d))
             if avoids:
                 accepted = (cand, cand_row)
                 break
@@ -199,6 +207,8 @@ def fd_overcomplete(
             )
         chosen.append(accepted[0])
         int_rows.append(accepted[1])
+        if len(int_rows) < d:
+            complement = grown
     return chosen
 
 
@@ -518,15 +528,15 @@ def verify_schedule(model: IncompleteModel, schedule: GeometricSchedule, K: int)
 
 def geometric_variant_sequence(
     model: IncompleteModel, schedule: GeometricSchedule, K: int
-) -> list:
+) -> tuple:
     """Geometric-coefficient variant g_k = y_k + sum of lambda_k^{j+1} e_j.
 
-    The rate condition is not re-checked here: run :func:`verify_schedule`
-    on the same inputs first, as the geometric-variant scenario does (it
-    needs the onsets anyway).
+    The schedule's rate condition is verified on the whole prefix before
+    any vector is built.  Returns (onsets, vectors): the onsets of
+    :func:`verify_schedule`, so a caller that reports them checks the
+    schedule once.
     """
-    if len(schedule.lambdas) < K + 1:
-        raise DomainError(f"schedule provides {len(schedule.lambdas)} rates, need {K + 1}")
+    onsets = verify_schedule(model, schedule, K)
     dim = model.ambient_dim(K)
     out = []
     for k in range(K + 1):
@@ -535,7 +545,7 @@ def geometric_variant_sequence(
         for j in range(k + 1):
             coords[j] += lam ** (j + 1)
         out.append(Vector(tuple(coords)))
-    return out
+    return onsets, out
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .constructors import (
     klee_vectors,
     separated_overcomplete_fd,
     sliding_hump_extract,
-    verify_schedule,
 )
 from .errors import CertificationError, ConfigError
 from .linalg import (
@@ -58,7 +57,6 @@ from .linalg import (
     unit_vector,
     vandermonde_det,
     zero_vector,
-    _WEDGE_MAX_DIM,
 )
 from .rng import rng_for, sample_subset
 from .serialize import canonical_json, certificate, digest, frac_str, to_jsonable
@@ -349,8 +347,6 @@ def _run_klee(params, seed):
 
 def _run_fd_dense(params, seed):
     d, n = params["d"], params["n"]
-    if d > _WEDGE_MAX_DIM:
-        raise ConfigError(f"d={d} is above {_WEDGE_MAX_DIM}, the wedge kernel's largest dimension")
     radius = _frac(params["radius"], "radius")
     if radius <= 0:
         raise ConfigError("radius must be positive")
@@ -530,8 +526,7 @@ def _run_geometric_variant(params, seed):
     schedule = GeometricSchedule(
         tuple(lambdas), params["j_max"], _frac(params["threshold"], "threshold")
     )
-    onsets = verify_schedule(model, schedule, K)
-    sequence = geometric_variant_sequence(model, schedule, K)
+    onsets, sequence = geometric_variant_sequence(model, schedule, K)
     certs = [
         certificate(
             "schedule-rate",

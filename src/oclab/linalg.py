@@ -15,17 +15,17 @@ entry an integer minor of the scaled matrix, which makes the pivot
 sequence replayable by ordinary rational elimination.
 
 The d-subset rank tests of the fd-dense construction and of its subset
-sweep share one integer wedge kernel instead: ``d`` rows in R^d are
-independent iff their wedge (exterior product, the vector of their
-maximal minors) is nonzero.  A depth-first walk over the combinations
-extends each prefix's wedge by one row (Laplace expansion along that
-row), turns every (d-1)-fold prefix into its cofactor normal once, and
-then decides each completing row with one dot product.
+sweep share one integer kernel instead, :func:`_singular_subsets`.  A
+depth-first walk over the combinations carries each prefix's
+fraction-free complement (the integer vectors orthogonal to it, kept by
+Bareiss steps so that every entry is a minor of the prefix), extends it
+by one row in O(d^2), and reaches at every (d-1)-fold prefix its
+cofactor normal: the Hodge dual of the rows' wedge (exterior product).
+Each completing row then costs one dot product with that normal.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -378,90 +378,80 @@ def nullspace_exact(M: Matrix) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exterior products: the subset-rank kernel
+# the subset-rank kernel: fraction-free complements along a depth-first walk
 # ---------------------------------------------------------------------------
 
 
-#: Largest ambient dimension of the wedge kernel.  A k-fold wedge has
-#: C(d, k) entries and the plans for all k hold d * 2^(d-1) triples, so
-#: the cost doubles with each dimension: at d = 16 a plan takes tens of MB.
-_WEDGE_MAX_DIM = 16
+def _complement(d: int) -> tuple:
+    """The complement state of the empty prefix in R^d: the identity."""
+    return 1, [], [(i, []) for i in range(d)]
 
 
-@functools.lru_cache(maxsize=None)
-def _laplace_plan(d: int, k: int) -> tuple:
-    """How a k-fold wedge in R^d extends by one row (Laplace expansion).
+def _extend(state: tuple, v):
+    """Extend a prefix's integer complement by the integer row ``v``.
 
-    A k-fold wedge lists the k x k minors of its rows by column subset, in
-    ``itertools.combinations`` order.  The plan has one entry per
-    (k+1)-subset S of the columns, with one (sign, minor index, column)
-    triple per column j of S: the minor on S without j times the new
-    row's entry j, signed by the position of j in S.
+    ``state`` is (pivot, cols, rest): ``cols`` lists the prefix's pivot
+    coordinates and ``rest`` pairs each other coordinate i with m_i, so
+    that the vectors pivot * e_i + sum_t m_i[t] * e_cols[t] span the
+    integer vectors orthogonal to every prefix row.  One step is a Bareiss
+    step on the prefix rows transposed beside the identity, so the
+    division is exact and every entry stays a minor of the prefix: at d-1
+    rows the one vector left is their cofactor normal, up to sign.  It
+    costs O(d * len(cols)).  Returns the state of the prefix with ``v``,
+    or ``None`` when ``v`` lies in the span of the prefix.
     """
-    if d > _WEDGE_MAX_DIM:
-        raise DomainError(
-            f"dimension {d} is above {_WEDGE_MAX_DIM}, the largest the wedge kernel handles"
-        )
-    index = {cols: i for i, cols in enumerate(itertools.combinations(range(d), k))}
-    return tuple(
-        tuple(
-            (-1 if (k + p) % 2 else 1, index[cols[:p] + cols[p + 1 :]], j)
-            for p, j in enumerate(cols)
-        )
-        for cols in itertools.combinations(range(d), k + 1)
-    )
-
-
-def _wedge(w: list, v, d: int, k: int) -> list:
-    """The (k+1)-fold wedge of the k-fold wedge ``w`` with integer row ``v``."""
-    out = []
-    for entry in _laplace_plan(d, k):
-        t = 0  # a plain loop: twice as fast as sum() over a generator here
-        for s, i, j in entry:
-            t += s * w[i] * v[j]
-        out.append(t)
-    return out
-
-
-def _wedge_rows(rows, d: int) -> list:
-    """Wedge of integer rows in R^d: nonzero iff the rows are independent.
-
-    For exactly d rows it is the one-entry list [det].
-    """
-    w = [1]
-    for k, v in enumerate(rows):
-        w = _wedge(w, v, d, k)
-    return w
+    pivot, cols, rest = state
+    vc = [v[q] for q in cols]
+    dots = [pivot * v[i] + sum(map(operator.mul, m, vc)) for i, m in rest]
+    for p, piv in enumerate(dots):
+        if piv:
+            break
+    else:
+        return None
+    i_p, m_p = rest[p]
+    return piv, cols + [i_p], [
+        (i, [(piv * x - c * y) // pivot for x, y in zip(m, m_p)] + [-c])
+        for k, ((i, m), c) in enumerate(zip(rest, dots))
+        if k != p
+    ]
 
 
 def _singular_subsets(rows: Sequence, d: int, head=None):
     """Yield the singular d-subsets of integer rows in R^d, depth first.
 
-    Subsets come as index tuples in ``itertools.combinations`` order.
-    Each (d-1)-fold prefix is wedged once into its cofactor normal, and
-    the determinant of the prefix with a completing row is one dot
-    product with that normal.  Given a ``head`` row (d >= 2), the walk
-    yields the (d-1)-subsets T of ``rows`` for which head and T are
-    singular together.  Nothing is stored beyond the current chain of
-    prefix wedges.
+    Subsets come as index tuples in ``itertools.combinations`` order.  The
+    walk carries each prefix's complement (:func:`_extend`), so a
+    prefix's work is shared by every subset that extends it; at d-1 rows
+    the complement is the prefix's cofactor normal, and each completing
+    row costs one dot product with it.  A dependent prefix makes every
+    extension singular, and those are yielded without more work.  Given a
+    ``head`` row, the walk yields the (d-1)-subsets T of ``rows`` for
+    which head and T are singular together.  Nothing is stored beyond the
+    current chain of prefix complements.
     """
     n = len(rows)
-    closing = _laplace_plan(d, d - 1)[0]
+    size = d if head is None else d - 1
+    state = _complement(d) if head is None else _extend(_complement(d), head)
 
-    def walk(w, k, lo, prefix):
-        if k == d - 1:
-            normal = [s * w[i] for s, i, _ in closing]
+    def walk(state, lo, prefix):
+        k = len(prefix)
+        if state is None:  # a dependent prefix
+            for rest in itertools.combinations(range(lo, n), size - k):
+                yield prefix + rest
+        elif k == size - 1:
+            pivot, cols, ((f, m),) = state
+            normal = [0] * d
+            normal[f] = pivot
+            for q, x in zip(cols, m):
+                normal[q] = x
             for j in range(lo, n):
                 if not sum(map(operator.mul, normal, rows[j])):
                     yield prefix + (j,)
-            return
-        for i in range(lo, n - d + k + 1):
-            yield from walk(_wedge(w, rows[i], d, k), k + 1, i + 1, prefix + (i,))
+        elif k < size:
+            for i in range(lo, n - size + k + 1):
+                yield from walk(_extend(state, rows[i]), i + 1, prefix + (i,))
 
-    if head is None:
-        yield from walk([1], 0, 0, ())
-    else:
-        yield from walk(head, 1, 0, ())
+    yield from walk(state, 0, ())
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

@@ -48,6 +48,8 @@ from oclab.linalg import (
     unit_vector,
     vandermonde_det,
     zero_vector,
+    _complement,
+    _extend,
     _singular_subsets,
 )
 
@@ -165,7 +167,7 @@ def test_subset_sweep_matches_the_cofactor_oracle(d, seed):
     assert all_subsets_full_rank(vectors, d, sample) == (len(sample), expected)
 
 
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2**32))
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=25, deadline=None)
 def test_headed_walk_finds_every_singular_completion(d, seed):
     vectors = _planted_family(d, seed)
@@ -176,6 +178,26 @@ def test_headed_walk_finds_every_singular_completion(d, seed):
         if rref_rank([head.coords] + [rest[i].coords for i in sub]) < d
     ]
     assert list(_singular_subsets(scaled[1:], d, head=scaled[0])) == expected
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, deadline=None)
+def test_complement_updates_end_in_the_cofactor_normal(d, seed):
+    # exact Bareiss divisions: the last vector's pairing with a completing row
+    # is the determinant itself, up to sign, so entries never outgrow minors
+    rng = random.Random(seed)
+    rows = [tuple(rng.randrange(-9, 10) for _ in range(d)) for _ in range(d)]
+    state = _complement(d)
+    for k, row in enumerate(rows[:-1]):
+        state = _extend(state, row)
+        if state is None:
+            assert rref_rank([list(r) for r in rows[: k + 1]]) == k
+            return
+        assert len(state[2]) == d - k - 1
+    pivot, cols, ((f, m),) = state
+    normal = {**dict(zip(cols, m)), f: pivot}
+    det = cofactor_det([[F(x) for x in r] for r in rows])
+    assert abs(sum(normal[j] * rows[-1][j] for j in range(d))) == abs(det)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
@@ -193,13 +215,17 @@ def test_subset_sweep_rejects_a_dimension_or_subset_size_mismatch():
         all_subsets_full_rank(list(KLEE5.vectors), 3, [(0, 1)])
 
 
-def test_wedge_kernel_refuses_dimensions_above_its_limit():
-    # the wedge grows as d * 2^(d-1); both callers stop before building it
-    big = [unit_vector(i, 17) for i in range(17)]
-    with pytest.raises(DomainError):
-        all_subsets_full_rank(big, 17)
-    with pytest.raises(DomainError):
-        fd_overcomplete(17, 17)
+def test_subset_kernel_has_no_dimension_limit():
+    # d = 24, n = 25: every 24-subset of the construction has oracle rank 24,
+    # and a planted duplicate is found in every subset that holds both copies
+    vectors = fd_overcomplete(24, 25, seed=3)
+    assert all_subsets_full_rank(vectors, 24) == (25, [])
+    sub = [v.coords for v in vectors[1:]]
+    assert rref_rank(sub) == 24
+    family = vectors[:24] + [vectors[5]]
+    checked, failures = all_subsets_full_rank(family, 24)
+    assert checked == 25
+    assert failures == [s for s in itertools.combinations(range(25), 24) if 5 in s and 24 in s]
 
 
 # ---------------------------------------------------------------------------

@@ -276,7 +276,7 @@ def test_linf_model_tail_rule():
 def test_variant_dyadic_expansion_at_k1():
     model = IncompleteModel(F(1, 2), F(1, 2))
     sch = GeometricSchedule(tuple(F(1, 2 ** (n + 1)) for n in range(3)), 0)
-    seq = geometric_variant_sequence(model, sch, 2)
+    _, seq = geometric_variant_sequence(model, sch, 2)
     g1, y1 = seq[1], model.y_k_vector(1, seq[1].dim)
     assert (g1 - y1).coords[:2] == (F(1, 4), F(1, 16))
     g0, y0 = seq[0], model.y_k_vector(0, seq[0].dim)
@@ -297,6 +297,16 @@ def test_dyadic_schedule_fails_fast_decay_with_named_indices():
     with pytest.raises(ScheduleError) as err:
         verify_schedule(model, sch, 8)
     assert "n=" in str(err.value) and "j=" in str(err.value)
+
+
+def test_variant_builder_checks_the_schedule_and_returns_its_onsets():
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    harmonic = GeometricSchedule(tuple(F(1, n + 2) for n in range(9)), 3)
+    onsets, seq = geometric_variant_sequence(model, harmonic, 8)
+    assert onsets == verify_schedule(model, harmonic, 8) and len(seq) == 9
+    dyadic = GeometricSchedule(tuple(F(1, 2 ** (n + 1)) for n in range(9)), 3)
+    with pytest.raises(ScheduleError):
+        geometric_variant_sequence(model, dyadic, 8)
 
 
 def test_schedule_must_decrease():

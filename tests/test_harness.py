@@ -376,14 +376,13 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("probe", "rho = 1\n", [], "rho"),
         ("geometric-variant", "rho = 1\n", [], "rho"),
         ("sliding-hump", "eps = 0\n", [], "eps"),
-        ("fd-dense", "d = 17\nn = 17\n", [], "d"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
         "incomplete-tol-nan", "tau-abc", "tau-1/0", "d-below-minimum",
         "probe-negative-tau", "tol-zero", "incomplete-zero-tau", "j_max-beyond-truncation",
         "separated-eps-above-1", "incomplete-zero-c", "probe-rho-1", "geometric-variant-rho-1",
-        "sliding-hump-zero-eps", "fd-dense-d-above-wedge-limit",
+        "sliding-hump-zero-eps",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -397,7 +396,6 @@ def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text,
 
 def test_geometric_variant_checks_its_schedule_once(monkeypatch):
     import oclab.constructors as constructors_mod
-    import oclab.harness as harness_mod
 
     calls = []
     original = constructors_mod.verify_schedule
@@ -407,7 +405,6 @@ def test_geometric_variant_checks_its_schedule_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(constructors_mod, "verify_schedule", counted)
-    monkeypatch.setattr(harness_mod, "verify_schedule", counted)
     run_scenario("geometric-variant", {})
     assert len(calls) == 1
 
