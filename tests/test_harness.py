@@ -396,6 +396,7 @@ def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text,
 
 def test_geometric_variant_checks_its_schedule_once(monkeypatch):
     import oclab.constructors as constructors_mod
+    import oclab.harness as harness_mod
 
     calls = []
     original = constructors_mod.verify_schedule
@@ -404,7 +405,9 @@ def test_geometric_variant_checks_its_schedule_once(monkeypatch):
         calls.append(args)
         return original(*args)
 
+    # the runner may hold its own binding of the checker: count that too
     monkeypatch.setattr(constructors_mod, "verify_schedule", counted)
+    monkeypatch.setattr(harness_mod, "verify_schedule", counted, raising=False)
     run_scenario("geometric-variant", {})
     assert len(calls) == 1
 
