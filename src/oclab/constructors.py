@@ -205,10 +205,10 @@ def fd_overcomplete(
             raise ConstructionError(
                 f"candidate budget exhausted at step {k} after 64 grid refinements"
             )
+        if len(int_rows) < d:
+            complement = grown  # as tested above, now with the accepted candidate
         chosen.append(accepted[0])
         int_rows.append(accepted[1])
-        if len(int_rows) < d:
-            complement = grown
     return chosen
 
 
