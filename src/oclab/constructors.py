@@ -271,9 +271,9 @@ def riesz_step(
     basis = list(Y_basis)
     if basis:
         ambient = basis[0].dim
-        if rank_exact(Matrix.from_rows(basis)).rank == ambient:
-            raise PreconditionError("the given basis already spans the space")
         null_basis = nullspace_exact(Matrix.from_rows(basis))
+        if not null_basis:
+            raise PreconditionError("the given basis already spans the space")
     else:
         if dim is None:
             raise DomainError("an empty basis needs an explicit ambient dimension")

@@ -9,19 +9,23 @@ deliberately no float arithmetic here: a tolerance-dependent rank is not
 a certificate, and a quantity that is irrational in general, such as an
 L2 norm, raises :class:`~oclab.errors.ModeError`; use the squared form.
 
-The rank and determinant kernel is fraction-free: each row is scaled to
-integers once, and the one-step Bareiss scheme keeps every intermediate
-entry an integer minor of the scaled matrix, which makes the pivot
-sequence replayable by ordinary rational elimination.
+Every rank question is decided in integers by one fraction-free step,
+:func:`_extend`.  It carries the integer complement of a list of integer
+vectors (the integer vectors orthogonal to all of them) and extends it
+by one more vector with a Bareiss step, so every entry stays a minor and
+every division is exact, which it checks.  :func:`rank_exact` and
+:func:`det_exact` feed it the columns of the row-scaled matrix, one at a
+time: its pivots are the Bareiss pivots of the pivot log, which plain
+rational elimination can replay.  The d-subset rank tests of the
+fd-dense construction and of its subset sweep feed it the rows along a
+depth-first walk over the combinations (:func:`_singular_subsets`), which
+shares each prefix's complement among the subsets that extend it and
+reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
+the rows' wedge (exterior product).  Each completing row then costs one
+dot product with that normal.
 
-The d-subset rank tests of the fd-dense construction and of its subset
-sweep share one integer kernel instead, :func:`_singular_subsets`.  A
-depth-first walk over the combinations carries each prefix's
-fraction-free complement (the integer vectors orthogonal to it, kept by
-Bareiss steps so that every entry is a minor of the prefix), extends it
-by one row in O(d^2), and reaches at every (d-1)-fold prefix its
-cofactor normal: the Hodge dual of the rows' wedge (exterior product).
-Each completing row then costs one dot product with that normal.
+Only nullspaces and projection distances use rational Gauss-Jordan
+elimination (:func:`_gauss_jordan`).
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, ModeError
+from .errors import CertificationError, DomainError, ModeError
 
 __all__ = [
-    "Rational",
     "NormTag",
     "DUAL_TAG",
     "Vector",
@@ -57,8 +60,6 @@ __all__ = [
     "projection_distance_sq",
     "scaled_int_coords",
 ]
-
-Rational = Fraction
 
 
 class NormTag(str, Enum):
@@ -248,76 +249,52 @@ def scaled_int_coords(v: Vector) -> tuple:
     The scaling is per-vector, so ranks and zero-patterns are preserved.
     """
     den = _lcm_denominator(v.coords)
-    return tuple(int(c * den) for c in v.coords)
+    return tuple(c.numerator * (den // c.denominator) for c in v.coords)
 
 
 def _scaled_rows(M: Matrix):
     scales = tuple(_lcm_denominator(r.coords) for r in M.rows)
-    rows = [[int(c * den) for c in r.coords] for r, den in zip(M.rows, scales)]
+    rows = [
+        [c.numerator * (den // c.denominator) for c in r.coords]
+        for r, den in zip(M.rows, scales)
+    ]
     return rows, scales
-
-
-def _bareiss(a):
-    """One-step Bareiss elimination on integer rows (mutates ``a``).
-
-    Returns (rank, steps, swap sign, last pivot).  ``steps`` holds
-    (original row index, column, pivot) triples.  Divisions are checked:
-    Sylvester's identity guarantees exactness, and a nonzero remainder
-    would mean the kernel itself is broken.
-    """
-    m, n = len(a), len(a[0])
-    order = list(range(m))  # unprocessed tail stays in ascending order
-    steps = []
-    sign = 1
-    prev = 1
-    k = 0
-    for col in range(n):
-        if k == m:
-            break
-        pick = -1
-        for j in range(k, m):
-            if a[order[j]][col] != 0:
-                pick = j
-                break
-        if pick < 0:
-            continue
-        src = order.pop(pick)
-        order.insert(k, src)
-        if (pick - k) % 2:
-            sign = -sign
-        piv_row = a[src]
-        piv = piv_row[col]
-        steps.append((src, col, piv))
-        for j in range(k + 1, m):
-            r = a[order[j]]
-            f = r[col]
-            for t in range(col + 1, n):
-                q, rem = divmod(piv * r[t] - f * piv_row[t], prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                r[t] = q
-            r[col] = 0
-        prev = piv
-        k += 1
-    return k, tuple(steps), sign, prev
 
 
 def rank_exact(M: Matrix) -> RankResult:
     """Rank of an exact matrix by fraction-free elimination, with pivot log.
 
-    A square matrix also gets its determinant from the same elimination.
+    The columns of the row-scaled integer matrix extend, one at a time,
+    the complement of the columns before them (:func:`_extend`, whose
+    coordinates are the rows).  A column's pivot is its lowest
+    unprocessed row with a nonzero reduced entry, the new complement's
+    pivot is the Bareiss minor that gets logged, and a dependent column
+    is skipped.  A square matrix also gets its determinant: the last
+    pivot is the minor of the rows in pivot order.
     """
-    n = M.nrows
+    m, n = M.nrows, M.ncols
     rows, scales = _scaled_rows(M)
-    rank, steps, sign, last = _bareiss(rows)
+    state = _complement(m)
+    steps = []
+    for col, column in enumerate(zip(*rows)):
+        if len(steps) == m:
+            break
+        grown = _extend(state, column)
+        if grown is not None:
+            state = grown
+            steps.append((state[1][-1], col, state[0]))
     det = None
-    if M.ncols == n:
-        det = Fraction(sign * last, math.prod(scales)) if rank == n else Fraction(0)
-    return RankResult(rank, PivotLog((n, M.ncols), scales, steps), det)
+    if n == m:
+        det = Fraction(0)
+        if len(steps) == m:
+            order = state[1]
+            odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+            det = Fraction(-state[0] if odd else state[0], math.prod(scales))
+    return RankResult(len(steps), PivotLog((m, n), scales, tuple(steps)), det)
 
 
 def det_exact(M: Matrix) -> Fraction:
-    """Exact determinant of a square exact matrix via the Bareiss kernel."""
+    """Exact determinant of a square exact matrix via :func:`rank_exact`."""
     if M.ncols != M.nrows:
         raise DomainError("determinant of a non-square matrix")
     return rank_exact(M).det
@@ -378,7 +355,7 @@ def nullspace_exact(M: Matrix) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the subset-rank kernel: fraction-free complements along a depth-first walk
+# the fraction-free complement step and the subset walk built on it
 # ---------------------------------------------------------------------------
 
 
@@ -388,17 +365,21 @@ def _complement(d: int) -> tuple:
 
 
 def _extend(state: tuple, v):
-    """Extend a prefix's integer complement by the integer row ``v``.
+    """Extend a prefix's integer complement by the integer vector ``v``.
 
     ``state`` is (pivot, cols, rest): ``cols`` lists the prefix's pivot
     coordinates and ``rest`` pairs each other coordinate i with m_i, so
     that the vectors pivot * e_i + sum_t m_i[t] * e_cols[t] span the
-    integer vectors orthogonal to every prefix row.  One step is a Bareiss
-    step on the prefix rows transposed beside the identity, so the
-    division is exact and every entry stays a minor of the prefix: at d-1
-    rows the one vector left is their cofactor normal, up to sign.  It
-    costs O(d * len(cols)).  Returns the state of the prefix with ``v``,
-    or ``None`` when ``v`` lies in the span of the prefix.
+    integer vectors orthogonal to every prefix vector.  ``v``'s pivot is
+    its lowest remaining coordinate with a nonzero reduced entry (its
+    pairing with that coordinate's vector).  One step is a Bareiss step
+    on the prefix transposed beside the identity, so every entry stays a
+    minor of the prefix and every division is exact; a nonzero remainder
+    means the state is broken and raises
+    :class:`~oclab.errors.CertificationError`.  At d-1 prefix vectors the
+    one vector left is their cofactor normal, up to sign.  It costs
+    O(d * len(cols)).  Returns the state of the prefix with ``v``, or
+    ``None`` when ``v`` lies in the span of the prefix.
     """
     pivot, cols, rest = state
     vc = [v[q] for q in cols]
@@ -409,11 +390,19 @@ def _extend(state: tuple, v):
     else:
         return None
     i_p, m_p = rest[p]
-    return piv, cols + [i_p], [
-        (i, [(piv * x - c * y) // pivot for x, y in zip(m, m_p)] + [-c])
-        for k, ((i, m), c) in enumerate(zip(rest, dots))
-        if k != p
-    ]
+    grown = []
+    for k, ((i, m), c) in enumerate(zip(rest, dots)):
+        if k == p:
+            continue
+        row = []
+        for x, y in zip(m, m_p):
+            q, r = divmod(piv * x - c * y, pivot)
+            if r:
+                raise CertificationError("fraction-free elimination lost exactness")
+            row.append(q)
+        row.append(-c)
+        grown.append((i, row))
+    return piv, cols + [i_p], grown
 
 
 def _singular_subsets(rows: Sequence, d: int, head=None):

@@ -23,6 +23,7 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
+    _extend,
 )
 from oclab.certify import replay_pivot_log
 from oclab.constructors import klee_vectors
@@ -158,16 +159,45 @@ def test_det_matches_cofactor_oracle():
 
 def test_pivot_log_replay_accepts_genuine_runs():
     rng = random.Random(5150)
-    for _ in range(100):
+    for _ in range(300):
         m = rng.randrange(1, 6)
-        n = rng.randrange(1, 6)
+        n = rng.randrange(1, 11)
         rows = [
             [F(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(n)]
             for _ in range(m)
         ]
+        if rng.random() < 0.5:  # rank-deficient: append a combination of two rows
+            rows.append([a - 3 * b for a, b in zip(rows[0], rows[-1])])
         M = Matrix.from_rows([exact_vector(r) for r in rows])
         result = rank_exact(M)
+        assert result.rank == rref_rank(rows)
         assert replay_pivot_log(M, result.log, result.rank) == result.rank
+
+
+@pytest.mark.parametrize(
+    "rows, scales, steps, det",
+    [
+        ([[0, 1], [1, 0]], (1, 1), ((1, 0, 1), (0, 1, 1)), F(-1)),
+        ([[1, 2, 3], [2, 4, 7]], (1, 1), ((0, 0, 1), (1, 2, 1)), None),
+        ([[0, 0, 1], [0, 2, 0], [3, 0, 0]], (1, 1, 1), ((2, 0, 3), (1, 1, 6), (0, 2, 6)), F(-6)),
+        ([[1, F(1, 2)], [F(1, 3), 1]], (2, 3), ((0, 0, 2), (1, 1, 5)), F(5, 6)),
+    ],
+)
+def test_pinned_pivot_logs(rows, scales, steps, det):
+    # pivot rows, skipped columns, Bareiss pivots and determinant signs
+    M = Matrix.from_rows([exact_vector(r) for r in rows])
+    result = rank_exact(M)
+    assert result.log.row_scales == scales
+    assert result.log.steps == steps
+    assert result.det == det
+    assert replay_pivot_log(M, result.log, len(steps)) == len(steps)
+
+
+def test_broken_complement_state_raises_certification_error():
+    # pivot 2 does not divide the update (1*0 - 1*1) of coordinate 3
+    state = (2, [0, 1], [(2, [1, 0]), (3, [0, 1])])
+    with pytest.raises(CertificationError):
+        _extend(state, (1, 1, 0, 0))
 
 
 def test_pivot_log_replay_rejects_tampered_pivot():
