@@ -624,7 +624,7 @@ def annihilator_decay_check(
                 raise PreconditionError(
                     f"functional does not annihilate the subsequence member at k={k}"
                 )
-        e_norm = dual_norm(e, model.norm_tag)
+        e_norm = dual_norm(e, NormTag.L1)
         hits_target = pairing(e, model.y_truncation(dim)) == 0
         entries = []
         for j in range(j_max + 1):

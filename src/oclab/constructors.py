@@ -22,7 +22,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     ExtractionError,
-    ModeError,
     PreconditionError,
     ScheduleError,
 )
@@ -111,27 +110,21 @@ def klee_vectors(lambdas: Sequence, d: int) -> GeometricFamily:
 
 @dataclass(frozen=True)
 class OpenBall:
-    """Open metric ball under the given norm tag; radius strictly positive."""
+    """Open Euclidean ball; radius strictly positive."""
 
     center: Vector
     radius: Fraction
-    norm_tag: NormTag
 
     def __post_init__(self):
         object.__setattr__(self, "radius", Fraction(self.radius))
-        object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
         if self.radius <= 0:
             raise DomainError("ball radius must be positive")
 
     def contains(self, v: Vector) -> bool:
-        """Exact membership test (strict inequality: the ball is open)."""
+        """Exact membership test by squared distance (strict: the ball is open)."""
         if v.dim != self.center.dim:
             raise DomainError("dimension mismatch in ball membership")
         diff = tuple(a - b for a, b in zip(v.coords, self.center.coords))
-        if self.norm_tag is NormTag.L1:
-            return sum(map(abs, diff)) < self.radius
-        if self.norm_tag is NormTag.LINF:
-            return max(map(abs, diff)) < self.radius
         return sum(d * d for d in diff) < self.radius ** 2
 
 
@@ -178,9 +171,9 @@ def fd_overcomplete(
         if targets is not None:
             ball = targets[k]
         else:
-            ball = OpenBall(zero_vector(d), Fraction(1), NormTag.L2)
-        # offsets of sup-norm at most radius/(2d) keep the candidate inside
-        # the open ball under all three norms
+            ball = OpenBall(zero_vector(d), Fraction(1))
+        # offsets of sup-norm at most radius/(2d) have Euclidean length at
+        # most radius/(2*sqrt(d)), so the candidate stays inside the open ball
         step = ball.radius / (2 * d)
         accepted = None
         for attempt in range(64):
@@ -365,33 +358,26 @@ class IncompleteModel:
     coordinates y(n) = c * rho^n, whose tails sum in closed form, so the
     approximation bound ||y_k - y|| < 1/k! can be checked exactly.  The
     k-th approximant y_k truncates the target at the smallest cutoff
-    meeting that bound.  Only L1 and Linf tags are supported: their tail
-    norms stay rational.
+    meeting that bound.  The norm is L1, whose tail norms stay rational.
     """
 
     c: Fraction
     rho: Fraction
-    norm_tag: NormTag = NormTag.L1
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(self.c))
         object.__setattr__(self, "rho", Fraction(self.rho))
-        object.__setattr__(self, "norm_tag", NormTag(self.norm_tag))
         if self.c <= 0:
             raise DomainError("target scale c must be positive")
         if not 0 < self.rho < 1:
             raise DomainError("target ratio rho must lie in (0, 1)")
-        if self.norm_tag is NormTag.L2:
-            raise ModeError("the L2 tail norm is irrational; use L1 or Linf")
 
     def y_coord(self, n: int) -> Fraction:
         return self.c * self.rho ** n
 
     def tail(self, t: int) -> Fraction:
-        """Exact norm of the target restricted to [t, infinity)."""
-        if self.norm_tag is NormTag.L1:
-            return self.c * self.rho ** t / (1 - self.rho)
-        return self.c * self.rho ** t
+        """Exact L1 norm of the target restricted to [t, infinity)."""
+        return self.c * self.rho ** t / (1 - self.rho)
 
     def cutoff(self, k: int) -> int:
         """Smallest t with tail(t) < 1/k! (the approximation schedule)."""
@@ -421,12 +407,10 @@ class IncompleteModel:
         return Vector(tuple(self.y_coord(n) for n in range(dim)))
 
     def exact_distance(self, v: Vector) -> Fraction:
-        """Exact ||y - v||, the tail of y beyond v's dimension included."""
+        """Exact ||y - v||_1, the tail of y beyond v's dimension included."""
         w = v.dim
         head = (abs(self.y_coord(n) - v.coords[n]) for n in range(w))
-        if self.norm_tag is NormTag.L1:
-            return sum(head, Fraction(0)) + self.tail(w)
-        return max(max(head), self.tail(w))
+        return sum(head, Fraction(0)) + self.tail(w)
 
 
 def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:

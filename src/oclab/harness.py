@@ -47,7 +47,7 @@ from .constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
 )
-from .errors import CertificationError, ConfigError
+from .errors import CertificationError, ConfigError, OclabError
 from .linalg import (
     Matrix,
     NormTag,
@@ -357,13 +357,13 @@ def _run_fd_dense(params, seed):
             center = exact_vector(
                 Fraction(rng.randrange(-(1 << 8) + 1, 1 << 8), 1 << 8) for _ in range(d)
             )
-            targets.append(OpenBall(center, radius, NormTag.L2))
+            targets.append(OpenBall(center, radius))
     else:
         targets = None
     vectors = fd_overcomplete(d, n, targets=targets, seed=seed)
     certs = []
     balls = targets if targets is not None else [
-        OpenBall(zero_vector(d), Fraction(1), NormTag.L2)
+        OpenBall(zero_vector(d), Fraction(1))
     ] * n
     for j, (v, ball) in enumerate(zip(vectors, balls)):
         if not ball.contains(v):
@@ -461,7 +461,7 @@ def _make_annihilator(model, sequence, ks, seed):
         sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
         for i in range(dim)
     )
-    return combo.scale(1 / dual_norm(combo, model.norm_tag))
+    return combo.scale(1 / dual_norm(combo, NormTag.L1))
 
 
 def _incomplete_model(params) -> IncompleteModel:
@@ -765,9 +765,11 @@ class Report:
 
 
 def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: Optional[float] = None) -> Report:
-    """Validate the config, run the scenario, assemble the report."""
-    if name not in _RUNNERS:
-        raise ConfigError(f"unknown scenario {name!r}; valid scenarios: {', '.join(SCENARIO_NAMES)}")
+    """Validate the config, run the scenario, assemble the report.
+
+    A toolkit error raised inside the runner is re-raised as the same
+    type, its message prefixed with the scenario's name.
+    """
     params = load_config(name, raw_config)
     if seed is not None:
         params["seed"] = seed
@@ -778,8 +780,8 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
     start = time.perf_counter()
     try:
         extras, certs = _RUNNERS[name](params, params["seed"])
-    except ConfigError as exc:
-        raise ConfigError(f"scenario {name!r}: {exc}") from exc
+    except OclabError as exc:
+        raise type(exc)(f"scenario {name!r}: {exc}") from exc
     wall = time.perf_counter() - start
     constructed = {
         "kind": name,

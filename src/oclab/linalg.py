@@ -2,12 +2,12 @@
 
 Vectors hold :class:`fractions.Fraction` coordinates and nothing else:
 the norm belongs to the space, so every norm is asked for by its tag (L1,
-L2, Linf).  Ranks, determinants, nullspaces, projection distances and
-L1/Linf norms are computed without rounding, and every rank elimination
-emits a pivot log that an independent replayer can verify.  There is
-deliberately no float arithmetic here: a tolerance-dependent rank is not
-a certificate, and a quantity that is irrational in general, such as an
-L2 norm, raises :class:`~oclab.errors.ModeError`; use the squared form.
+L2, Linf).  Ranks, determinants, nullspaces and L1/Linf norms are
+computed without rounding, and every rank elimination emits a pivot log
+that an independent replayer can verify.  There is deliberately no
+float arithmetic here: a tolerance-dependent rank is not a certificate,
+and a quantity that is irrational in general, such as an L2 norm,
+raises :class:`~oclab.errors.ModeError`; use the squared form.
 
 Every rank question is decided in integers by one fraction-free step,
 :func:`_extend`.  It carries the integer complement of a list of integer
@@ -24,8 +24,7 @@ reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
 the rows' wedge (exterior product).  Each completing row then costs one
 dot product with that normal.
 
-Only nullspaces and projection distances use rational Gauss-Jordan
-elimination (:func:`_gauss_jordan`).
+Only :func:`nullspace_exact` uses rational Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "det_exact",
     "nullspace_exact",
     "vandermonde_det",
-    "projection_distance_sq",
     "scaled_int_coords",
 ]
 
@@ -300,17 +298,21 @@ def det_exact(M: Matrix) -> Fraction:
     return rank_exact(M).det
 
 
-def _gauss_jordan(rows: list, ncols: int) -> list:
-    """Reduce rational rows in place to reduced row echelon form on their
-    first ``ncols`` columns; returns the pivot columns in order.
+def nullspace_exact(M: Matrix) -> list:
+    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
 
-    The pivot of each column is the first row at or below the current
-    one with a nonzero entry there, so the result is fixed by row order.
+    Empty iff the rank equals the column count.  The basis vectors act
+    as functionals on the row space; measure them with :func:`dual_norm`.
+    Rational Gauss-Jordan elimination: the pivot of each column is the
+    first row at or below the current one with a nonzero entry there, so
+    the basis is fixed by row order.
     """
+    n = M.ncols
+    rows = [list(r.coords) for r in M.rows]
     m = len(rows)
     piv_cols = []
     r = 0
-    for col in range(ncols):
+    for col in range(n):
         if r == m:
             break
         piv_i = -1
@@ -329,18 +331,6 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         piv_cols.append(col)
         r += 1
-    return piv_cols
-
-
-def nullspace_exact(M: Matrix) -> list:
-    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
-
-    Empty iff the rank equals the column count.  The basis vectors act
-    as functionals on the row space; measure them with :func:`dual_norm`.
-    """
-    n = M.ncols
-    rows = [list(r.coords) for r in M.rows]
-    piv_cols = _gauss_jordan(rows, n)
     basis = []
     piv_set = set(piv_cols)
     for free in range(n):
@@ -457,22 +447,3 @@ def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:
         for i in range(j):
             out *= lams[j] - lams[i]
     return out
-
-
-def projection_distance_sq(x: Vector, basis: Sequence[Vector]) -> Fraction:
-    """Exact squared Euclidean distance from ``x`` to span(basis).
-
-    Solves the normal equations over the rationals; a linearly dependent
-    basis is fine because every solution yields the same projection.
-    """
-    k = len(basis)
-    xx = sum((c * c for c in x.coords), Fraction(0))
-    if k == 0:
-        return xx
-    G = [[pairing(basis[i], basis[j]) for j in range(k)] + [pairing(basis[i], x)] for i in range(k)]
-    piv_cols = _gauss_jordan(G, k)
-    coeffs = [Fraction(0)] * k
-    for i, pc in enumerate(piv_cols):
-        coeffs[pc] = G[i][k]
-    proj = sum((coeffs[j] * pairing(basis[j], x) for j in range(k)), Fraction(0))
-    return xx - proj

@@ -24,7 +24,6 @@ from oclab.errors import (
     ConstructionError,
     DomainError,
     ExtractionError,
-    ModeError,
     PreconditionError,
     ScheduleError,
 )
@@ -101,8 +100,8 @@ def test_fd_all_pairs_independent_d2():
 
 
 def test_fd_target_balls_are_respected():
-    b1 = OpenBall(exact_vector([1, 0]), F(1, 10), NormTag.L2)
-    b2 = OpenBall(exact_vector([0, 1]), F(1, 10), NormTag.L2)
+    b1 = OpenBall(exact_vector([1, 0]), F(1, 10))
+    b2 = OpenBall(exact_vector([0, 1]), F(1, 10))
     vs = fd_overcomplete(2, 2, targets=[b1, b2], seed=3)
     assert b1.contains(vs[0])
     assert b2.contains(vs[1])
@@ -115,20 +114,20 @@ def test_fd_needs_at_least_d_vectors():
 
 
 def test_fd_target_count_must_match():
-    ball = OpenBall(zero_vector(2), F(1), NormTag.L2)
+    ball = OpenBall(zero_vector(2), F(1))
     with pytest.raises(DomainError):
         fd_overcomplete(2, 3, targets=[ball])
 
 
 def test_open_ball_membership_is_strict():
-    ball = OpenBall(zero_vector(2), F(1), NormTag.L1)
-    assert ball.contains(exact_vector(["1/2", "1/4"]))
-    assert not ball.contains(exact_vector(["1/2", "1/2"]))  # boundary excluded
+    ball = OpenBall(zero_vector(2), F(1))
+    assert ball.contains(exact_vector(["1/2", "1/2"]))
+    assert not ball.contains(exact_vector(["3/5", "4/5"]))  # boundary excluded
 
 
 def test_open_ball_rejects_nonpositive_radius():
     with pytest.raises(DomainError):
-        OpenBall(zero_vector(2), F(0), NormTag.L1)
+        OpenBall(zero_vector(2), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +217,6 @@ def test_model_tail_bound_defines_cutoffs():
 
 
 def test_model_rejects_l2_and_bad_rho():
-    with pytest.raises(ModeError):
-        IncompleteModel(F(1, 2), F(1, 2), NormTag.L2)
     with pytest.raises(DomainError):
         IncompleteModel(F(1, 2), F(1))
     with pytest.raises(DomainError):
@@ -258,14 +255,6 @@ def test_sequence_supports_contain_prefix():
     seq = incomplete_space_sequence(model, 6)
     for k, g in enumerate(seq):
         assert set(range(k + 1)) <= set(g.support())
-
-
-def test_linf_model_tail_rule():
-    model = IncompleteModel(F(1, 2), F(1, 3), NormTag.LINF)
-    # sup tail = c * rho^t
-    assert model.tail(2) == F(1, 2) * F(1, 9)
-    seq = incomplete_space_sequence(model, 5)
-    assert all(l <= r for l, r in convergence_gaps(model, seq))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, strategies as st
 
 from oclab.cli import main
@@ -298,6 +303,17 @@ def test_each_scenario_emits_valid_report(name):
 # ---------------------------------------------------------------------------
 
 
+def _invoke(argv):
+    """Run the CLI in this process; its exit code and its stdout plus stderr."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue())
+
+
 def _write(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text, encoding="utf-8")
@@ -305,7 +321,7 @@ def _write(tmp_path, text):
 
 
 def test_cli_success_to_stdout(tmp_path):
-    result = CliRunner().invoke(main, ["klee", "--config", _write(tmp_path, KLEE_KV)])
+    result = _invoke(["klee", "--config", _write(tmp_path, KLEE_KV)])
     assert result.exit_code == 0
     record = json.loads(result.output)
     assert record["scenario"] == "klee"
@@ -313,8 +329,7 @@ def test_cli_success_to_stdout(tmp_path):
 
 def test_cli_csv_to_file(tmp_path):
     out = tmp_path / "report.csv"
-    result = CliRunner().invoke(
-        main,
+    result = _invoke(
         ["klee", "--config", _write(tmp_path, KLEE_KV), "--format", "csv", "--out", str(out)],
     )
     assert result.exit_code == 0
@@ -325,28 +340,28 @@ def test_cli_csv_to_file(tmp_path):
 
 def test_cli_config_error_exits_2(tmp_path):
     cfg = _write(tmp_path, "lambdas = 1/10\nd = 3\ndims = 3\n")
-    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    result = _invoke(["klee", "--config", cfg])
     assert result.exit_code == 2
     assert "dims" in result.output
 
 
 def test_cli_klee_fewer_lambdas_than_d_sampled_exits_2(tmp_path):
     cfg = _write(tmp_path, "lambdas = 1/10, 1/5\nd = 3\nsubset_samples = 4\n")
-    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    result = _invoke(["klee", "--config", cfg])
     assert result.exit_code == 2
     assert "lambdas" in result.output
 
 
 def test_cli_klee_fewer_lambdas_than_d_exhaustive_exits_2(tmp_path):
     cfg = _write(tmp_path, "lambdas = 1/10, 1/5\nd = 3\n")
-    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    result = _invoke(["klee", "--config", cfg])
     assert result.exit_code == 2
     assert "lambdas" in result.output
 
 
 def test_cli_tol_on_plain_scenario_exits_2(tmp_path):
     cfg = _write(tmp_path, KLEE_KV)
-    result = CliRunner().invoke(main, ["klee", "--config", cfg, "--tol", "0.1"])
+    result = _invoke(["klee", "--config", cfg, "--tol", "0.1"])
     assert result.exit_code == 2
 
 
@@ -387,7 +402,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
     cfg = _write(tmp_path, text)
-    result = CliRunner().invoke(main, [scenario, "--config", cfg, *extra])
+    result = _invoke([scenario, "--config", cfg, *extra])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert f"scenario '{scenario}'" in result.output
@@ -414,7 +429,7 @@ def test_geometric_variant_checks_its_schedule_once(monkeypatch):
 
 def test_cli_construction_error_exits_3(tmp_path):
     cfg = _write(tmp_path, "schedule = dyadic\nj_max = 3\nK = 8\n")
-    result = CliRunner().invoke(main, ["geometric-variant", "--config", cfg])
+    result = _invoke(["geometric-variant", "--config", cfg])
     assert result.exit_code == 3
     assert "construction error" in result.output
 
@@ -428,15 +443,43 @@ def test_cli_certification_error_exits_4(tmp_path, monkeypatch, error, code):
 
     monkeypatch.setattr(cli_mod, "run_scenario", boom)
     cfg = _write(tmp_path, KLEE_KV)
-    result = CliRunner().invoke(main, ["klee", "--config", cfg])
+    result = _invoke(["klee", "--config", cfg])
     assert result.exit_code == code
 
 
+def test_cli_fault_inside_a_runner_names_the_scenario(tmp_path, monkeypatch):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise CertificationError("forced inside the runner")
+
+    monkeypatch.setattr(harness_mod, "density_certificate", boom)
+    result = _invoke(["klee", "--config", _write(tmp_path, KLEE_KV)])
+    assert result.exit_code == 4
+    assert "scenario 'klee'" in result.output
+
+
+def test_cli_integer_string_limit_exits_3_without_traceback(tmp_path):
+    # separated L2 at d = 12 builds an integer past the interpreter's
+    # decimal-conversion limit; run the module as a script, as a user would
+    cfg = _write(tmp_path, "d = 12\ntag = L2\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "oclab.cli", "separated", "--config", cfg],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert "scenario 'separated'" in result.stderr
+    assert "digits" in result.stderr
+
+
 def test_cli_unreadable_config_exits_5(tmp_path):
-    result = CliRunner().invoke(main, ["klee", "--config", str(tmp_path / "absent.cfg")])
+    result = _invoke(["klee", "--config", str(tmp_path / "absent.cfg")])
     assert result.exit_code == 5
 
 
 def test_cli_rejects_unknown_scenario(tmp_path):
-    result = CliRunner().invoke(main, ["klee2", "--config", _write(tmp_path, KLEE_KV)])
+    result = _invoke(["klee2", "--config", _write(tmp_path, KLEE_KV)])
     assert result.exit_code != 0

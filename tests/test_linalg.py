@@ -19,7 +19,6 @@ from oclab.linalg import (
     norm_squared,
     nullspace_exact,
     pairing,
-    projection_distance_sq,
     rank_exact,
     unit_vector,
     vandermonde_det,
@@ -28,7 +27,7 @@ from oclab.linalg import (
 from oclab.certify import replay_pivot_log
 from oclab.constructors import klee_vectors
 
-from oracles import cofactor_det, normal_eq_residual_sq, rref_rank
+from oracles import cofactor_det, rref_rank
 
 rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=40
@@ -293,43 +292,3 @@ def test_vandermonde_matches_elimination_on_random_nodes():
 def test_vandermonde_zero_iff_repeated_node():
     assert vandermonde_det([F(1, 3), F(1, 3)]) == 0
     assert vandermonde_det([F(1, 3), F(1, 4)]) != 0
-
-
-# ---------------------------------------------------------------------------
-# projection distance (exact lane)
-# ---------------------------------------------------------------------------
-
-
-def test_least_squares_agrees_with_exact_projection():
-    rng = random.Random(31337)
-    for _ in range(50):
-        m = rng.randrange(2, 6)
-        k = rng.randrange(1, m)
-        cols = [
-            [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(m)]
-            for _ in range(k)
-        ]
-        target = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(m)]
-        exact_sq = projection_distance_sq(
-            exact_vector(target), [exact_vector(c) for c in cols]
-        )
-        assert exact_sq == normal_eq_residual_sq(cols, target)
-
-
-def test_projection_distance_orthogonal_case():
-    x = unit_vector(2, 3)
-    basis = [unit_vector(0, 3), unit_vector(1, 3)]
-    assert projection_distance_sq(x, basis) == 1
-
-
-def test_projection_distance_zero_for_member_of_span():
-    basis = [exact_vector([1, 1, 0])]
-    assert projection_distance_sq(exact_vector([2, 2, 0]), basis) == 0
-
-
-def test_projection_distance_handles_dependent_basis():
-    basis = [
-        exact_vector([1, 0]),
-        exact_vector([2, 0]),
-    ]
-    assert projection_distance_sq(exact_vector([0, 3]), basis) == 9
