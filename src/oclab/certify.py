@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .constructors import BiorthSystem, IncompleteModel, SlidingHumpData
+from .constructors import IncompleteModel, SlidingHumpData
 from .errors import (
     CertificationError,
     DomainError,
@@ -43,7 +43,6 @@ __all__ = [
     "DensityCertificate",
     "CoverResult",
     "MajorityResult",
-    "FreeSetInstance",
     "WitnessRecord",
     "SplitEntry",
     "L1EquivalenceCertificate",
@@ -79,7 +78,7 @@ class HyperplaneFunctional:
     coeffs: Vector
 
     def __post_init__(self):
-        if self.coeffs.is_zero():
+        if not any(self.coeffs.coords):
             raise DomainError("the zero functional does not define a hyperplane")
 
 
@@ -91,16 +90,13 @@ class DensityCertificate:
     space, with the elimination trace attached (and, for exactly d
     vectors, their determinant from the same elimination); otherwise
     "proper", with a nonzero exact functional whose pairings against
-    every selected vector are exactly zero.
+    every selected vector are exactly zero (checked before it is returned).
     """
 
     verdict: str
-    subset: tuple
-    ambient_dim: int
     rank: int
     pivot_log: Optional[PivotLog] = None
     witness: Optional[Vector] = None
-    max_abs_pairing: Optional[Fraction] = None
     det: Optional[Fraction] = None
 
 
@@ -118,15 +114,11 @@ def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
     result = rank_exact(Matrix.from_rows(selected))
     if result.rank == d:
-        return DensityCertificate("Full", sel_idx, d, d, pivot_log=result.log, det=result.det)
-    basis = nullspace_exact(Matrix.from_rows(selected))
-    witness = basis[0]
-    worst = max(abs(pairing(witness, v)) for v in selected)
-    if worst != 0:
+        return DensityCertificate("Full", d, pivot_log=result.log, det=result.det)
+    witness = nullspace_exact(Matrix.from_rows(selected))[0]
+    if any(pairing(witness, v) for v in selected):
         raise CertificationError("annihilator witness failed to annihilate")
-    return DensityCertificate(
-        "Proper", sel_idx, d, result.rank, witness=witness, max_abs_pairing=worst
-    )
+    return DensityCertificate("Proper", result.rank, witness=witness)
 
 
 def replay_pivot_log(M: Matrix, log: PivotLog, expected_rank: Optional[int] = None) -> int:
@@ -292,19 +284,9 @@ def pigeonhole_majority(S: Sequence[Vector], H: Sequence[HyperplaneFunctional]) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeSetInstance:
-    """A set mapping f on [n] together with an extracted free set H:
-    for every a in H, f(a) minus {a} misses H entirely.
-    """
-
-    n: int
-    f: tuple
-    H: tuple
-
-
-def free_set_extract(n: int, f: Sequence[Iterable[int]]) -> FreeSetInstance:
-    """Greedy free set, scanning indices in ascending order.
+def free_set_extract(n: int, f: Sequence[Iterable[int]]) -> tuple:
+    """Greedy free set H of a set mapping f on [n], scanning indices in
+    ascending order: for every a in H, f(a) minus {a} misses H entirely.
 
     An index joins H when its image avoids the current H and no earlier
     member's image contains it.  Optimality is not claimed; freeness is
@@ -332,7 +314,7 @@ def free_set_extract(n: int, f: Sequence[Iterable[int]]) -> FreeSetInstance:
     for a in chosen:
         if (fsets[a] - {a}) & chosen_set:
             raise CertificationError("greedy output violates the free-set property")
-    return FreeSetInstance(n, tuple(fsets), tuple(chosen))
+    return tuple(chosen)
 
 
 @dataclass(frozen=True)
@@ -342,25 +324,28 @@ class WitnessRecord:
     vacuous: bool
 
 
-def support_annihilator_witness(
-    system: BiorthSystem, family: Sequence[Vector], H: Iterable[int], gamma: int
-) -> WitnessRecord:
+def support_annihilator_witness(family: Sequence[Vector], H: Iterable[int], gamma: int) -> WitnessRecord:
     """Verify that the gamma-th coordinate functional kills the rest of H.
 
     This is the density-killing step: when H is free for the support map
     of the family, every other member's support misses gamma, so the
-    pairings must vanish exactly.  A nonzero pairing means the free set
-    was broken and raises.
+    pairings must vanish exactly.  The pairing of that functional with a
+    member is the member's gamma-th coordinate.  A nonzero pairing means
+    the free set was broken and raises.
     """
     H = tuple(H)
     if gamma not in H:
         raise PreconditionError(f"gamma={gamma} is not a member of H")
-    f_gamma = system.functional(gamma)
+    dim = family[0].dim
+    if not 0 <= gamma < dim:
+        raise DomainError(f"unit index {gamma} outside dimension {dim}")
     checked = []
     for a in H:
         if a == gamma:
             continue
-        p = pairing(f_gamma, family[a])
+        if family[a].dim != dim:
+            raise DomainError(f"dimension mismatch: {dim} vs {family[a].dim}")
+        p = family[a].coords[gamma]
         if p != 0:
             raise CertificationError(
                 f"functional {gamma} pairs to {p} with member {a}; the free set is broken"
@@ -460,20 +445,22 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     a sampled violation is a hard error, not a statistic.
     """
     n_value, eps, alpha0 = data.n_value, data.epsilon, data.alpha0
-    L = data.source[0].dim
+    L = data.extracted[0].dim
     splits = []
-    tails = []
+    tail_supports = []
     for g, x in enumerate(data.extracted):
         cut = data.cuts[g]
-        y = x - x.restrict(alpha0, cut)
-        gap = norm(x - y, NormTag.L1)
+        # the middle strip [alpha0, cut) is removed; the tail is what lies
+        # right of both the strip and alpha0
+        gap = sum((abs(c) for c in x.coords[alpha0:cut]), Fraction(0))
         if gap > eps:
             raise CertificationError(
                 f'chain step "middle strip within eps" failed at pick {g}: {gap} > {eps}'
             )
-        tail = y.restrict(alpha0, L)
-        tails.append(tail)
-        tail_mass = norm(tail, NormTag.L1)
+        start = max(alpha0, cut)
+        tail = x.coords[start:]
+        tail_supports.append({start + i for i, c in enumerate(tail) if c})
+        tail_mass = sum((abs(c) for c in tail), Fraction(0))
         if tail_mass < 1 - n_value - 2 * eps:
             raise CertificationError(
                 f'chain step "tail mass at least 1-N-2*eps" failed at pick {g}'
@@ -484,8 +471,7 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
             )
         splits.append(SplitEntry(data.members[g], cut, gap, tail_mass))
     seen: set = set()
-    for g, t in enumerate(tails):
-        sup = set(t.support())
+    for g, sup in enumerate(tail_supports):
         if sup & seen:
             raise CertificationError(f'chain step "disjoint tails" failed at pick {g}')
         seen |= sup

@@ -1,10 +1,11 @@
 """Constructions of overcomplete families in finite-truncation models.
 
-Each builder here emits exact data plus enough structure for the certify
-module to re-check every claimed property independently: geometric node
-families, hyperplane-avoiding sequences in R^d, Riesz-step separated
-families, the convergent sequences living in an incomplete-model ambient
-space, and the sliding-hump extraction over a finite index range.
+Each builder here returns checked exact vectors (the sliding-hump
+extraction adds the cuts its certificate replays), and the certify module
+re-checks every claimed property independently: geometric node families,
+hyperplane-avoiding sequences in R^d, Riesz-step separated families, the
+convergent sequences living in an incomplete-model ambient space, and the
+sliding-hump extraction over a finite index range.
 
 Index ranges [0, L) stand in for ordinal ranges; cut ordinals become
 integer cut indices.  Everything order-theoretic in the source arguments
@@ -33,7 +34,6 @@ from .linalg import (
     norm,
     norm_squared,
     nullspace_exact,
-    pairing,
     rank_exact,
     scaled_int_coords,
     unit_vector,
@@ -45,15 +45,11 @@ from .linalg import (
 from .rng import rng_for, split_seed
 
 __all__ = [
-    "GeometricFamily",
     "OpenBall",
     "IncompleteModel",
     "GeometricSchedule",
     "SlidingHumpData",
-    "PropertyFlags",
-    "BiorthSystem",
     "RieszStep",
-    "SeparatedFamily",
     "klee_vectors",
     "fd_overcomplete",
     "riesz_step",
@@ -71,17 +67,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometricFamily:
-    """Truncated geometric vectors (1, l, l^2, ..., l^{d-1}), one per node."""
-
-    lambdas: tuple
-    dim: int
-    vectors: tuple
-
-
-def klee_vectors(lambdas: Sequence, d: int) -> GeometricFamily:
-    """Exact geometric vectors for distinct nodes strictly inside (0, 1/2).
+def klee_vectors(lambdas: Sequence, d: int) -> tuple:
+    """Exact geometric vectors (1, l, l^2, ..., l^{d-1}), one per node, for
+    distinct nodes strictly inside (0, 1/2).
 
     Any d of them form a nonsingular node matrix, which is what makes
     every equinumerous subfamily linearly dense at truncation scale.
@@ -97,10 +85,7 @@ def klee_vectors(lambdas: Sequence, d: int) -> GeometricFamily:
             raise DomainError(f"node {lam} outside the open interval (0, 1/2)")
     if len(set(lams)) != len(lams):
         raise DomainError("nodes must be pairwise distinct")
-    vectors = tuple(
-        exact_vector(lam ** i for i in range(d)) for lam in lams
-    )
-    return GeometricFamily(lams, d, vectors)
+    return tuple(exact_vector(lam ** i for i in range(d)) for lam in lams)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +206,6 @@ class RieszStep:
     x: Vector
     functional: Vector
     pairing: Fraction
-    tag: NormTag
-
-    def __iter__(self):
-        """Unpack as the bare pair (x, dual witness)."""
-        return iter((self.x, self.functional))
 
 
 def _unit_isqrt_scale(s2: Fraction, floor: Fraction) -> Fraction:
@@ -280,39 +260,27 @@ def riesz_step(
     )
     if tag is NormTag.L1:
         # functional measured in the dual (sup) norm; the best vector to
-        # pair it with is a signed coordinate vector at its peak entry
+        # pair it with is a signed coordinate vector at a peak entry, where
+        # f is +1 or -1: keep that entry of f and zero the rest
         peak = max(abs(c) for c in f0)
         f = Vector(tuple(c / peak for c in f0))
         j = next(i for i, c in enumerate(f.coords) if abs(c) == 1)
-        x = unit_vector(j, ambient)
-        if f.coords[j] < 0:
-            x = -x
-        return RieszStep(x, f, Fraction(1), tag)
+        x = Vector(tuple(c if i == j else Fraction(0) for i, c in enumerate(f.coords)))
+        return RieszStep(x, f, Fraction(1))
     if tag is NormTag.LINF:
         total = sum(abs(c) for c in f0)
         f = Vector(tuple(c / total for c in f0))
         signs = tuple(Fraction(1) if c >= 0 else Fraction(-1) for c in f.coords)
         x = Vector(signs)
-        return RieszStep(x, f, Fraction(1), tag)
+        return RieszStep(x, f, Fraction(1))
     s2 = sum((c * c for c in f0), Fraction(0))
     floor = max(Fraction(1) - eps, Fraction(1) - Fraction(1, 10 ** 13))
     r = _unit_isqrt_scale(s2, floor)
     x = Vector(tuple(r * c for c in f0))
-    return RieszStep(x, x, r * r * s2, tag)
+    return RieszStep(x, x, r * r * s2)
 
 
-@dataclass(frozen=True)
-class SeparatedFamily:
-    vectors: tuple
-    steps: tuple
-    eps: Fraction
-    tag: NormTag
-    span_rank: int
-
-
-def separated_overcomplete_fd(
-    d: int, eps: Fraction, tag: NormTag, seed: int = 0
-) -> SeparatedFamily:
+def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0) -> tuple:
     """d unit vectors with pairwise distances above 1 - eps, spanning R^d.
 
     Iterates the separation step against the span of the prefix; each
@@ -324,11 +292,9 @@ def separated_overcomplete_fd(
     eps = Fraction(eps)
     tag = NormTag(tag)
     vectors: list = []
-    steps: list = []
     for k in range(d):
         step = riesz_step(vectors, eps, tag, seed=split_seed(seed, f"step:{k}"), dim=d)
         vectors.append(step.x)
-        steps.append(step)
     lower = Fraction(1) - eps
     for i in range(d):
         for j in range(i + 1, d):
@@ -339,10 +305,9 @@ def separated_overcomplete_fd(
                 ok = norm(diff, tag) > lower
             if not ok:
                 raise ConstructionError(f"separation failed for pair ({i}, {j})")
-    span_rank = rank_exact(Matrix.from_rows(vectors)).rank
-    if span_rank != d:
+    if rank_exact(Matrix.from_rows(vectors)).rank != d:
         raise ConstructionError("separated family does not span the space")
-    return SeparatedFamily(tuple(vectors), tuple(steps), eps, tag, span_rank)
+    return tuple(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -538,26 +503,8 @@ def geometric_variant_sequence(
 
 
 @dataclass(frozen=True)
-class PropertyFlags:
-    """Exact verification results for one extracted member."""
-
-    left_mass_small: bool      # (i)   ||x restricted to [0, cut)|| <= N + eps
-    past_supports: bool        # (ii)  earlier supports end below this cut
-    tail_mass_large: bool      # (iii) ||x restricted to [cut, L)|| >= 1 - N - eps
-    middle_mass_tiny: bool     # (iv)  ||x restricted to [alpha0, cut)|| <= eps
-
-    def all_hold(self) -> bool:
-        return (
-            self.left_mass_small
-            and self.past_supports
-            and self.tail_mass_large
-            and self.middle_mass_tiny
-        )
-
-
-@dataclass(frozen=True)
 class SlidingHumpData:
-    """Everything the extraction produced, plus the data to re-check it.
+    """What the extraction produced, plus the data to re-check it.
 
     ``n_table[a]`` is the exact minimum of ||x restricted to [0, a)||
     over the family, for a = 0..L.  ``alpha0`` is the onset of the
@@ -566,7 +513,6 @@ class SlidingHumpData:
     since it is a modeling choice, not a theorem.
     """
 
-    source: tuple
     epsilon: Fraction
     n_value: Fraction
     alpha0: int
@@ -574,7 +520,6 @@ class SlidingHumpData:
     members: tuple
     cuts: tuple
     extracted: tuple
-    flags: tuple
     alpha0_rule: str = "longest-plateau-onset"
 
 
@@ -594,7 +539,9 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     then alternates cut advancement with member selection: each pick is
     an unused member whose mass left of the current cut stays within
     eps of the floor, and the next cut clears the pick's support.  The
-    four extraction properties are re-verified exactly on the output.
+    four extraction properties are re-verified exactly from each pick's
+    prefix masses p and cut a: (i) p[a] <= N + eps, (ii) earlier supports
+    end below a, (iii) p[L] - p[a] >= 1 - N - eps, (iv) p[a] - p[alpha0] <= eps.
     """
     members = list(S)
     if not members:
@@ -654,28 +601,17 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     if not picked:
         raise ExtractionError("no member admissible at the plateau onset")
 
-    flags = []
-    for g, i in enumerate(picked):
-        x = members[i]
-        a_g = cuts[g]
-        left = norm(x.restrict(0, a_g), NormTag.L1)
-        tail = norm(x.restrict(a_g, L), NormTag.L1)
-        middle = norm(x.restrict(alpha0, a_g), NormTag.L1)
-        past = all(
-            max(members[picked[b]].support()) < a_g for b in range(g)
-        )
-        fl = PropertyFlags(
-            left_mass_small=left <= n_value + eps,
-            past_supports=past,
-            tail_mass_large=tail >= 1 - n_value - eps,
-            middle_mass_tiny=middle <= eps,
-        )
-        if not fl.all_hold():
+    for g, (i, a) in enumerate(zip(picked, cuts)):
+        p = prefixes[i]
+        if not (
+            p[a] <= n_value + eps
+            and all(max(members[b].support()) < a for b in picked[:g])
+            and p[L] - p[a] >= 1 - n_value - eps
+            and p[a] - p[alpha0] <= eps
+        ):
             raise ConstructionError(f"extraction property failed at pick {g}")
-        flags.append(fl)
 
     return SlidingHumpData(
-        source=tuple(members),
         epsilon=eps,
         n_value=n_value,
         alpha0=alpha0,
@@ -683,24 +619,4 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
         members=tuple(picked),
         cuts=tuple(cuts),
         extracted=tuple(members[i] for i in picked),
-        flags=tuple(flags),
     )
-
-
-# ---------------------------------------------------------------------------
-# coordinate biorthogonal system
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BiorthSystem:
-    """Unit coordinate vectors paired with coordinate functionals."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise DomainError("system size must be positive")
-
-    def functional(self, i: int) -> Vector:
-        return unit_vector(i, self.size)

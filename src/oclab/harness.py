@@ -35,7 +35,6 @@ from .certify import (
     weak_norm_convergence_probe,
 )
 from .constructors import (
-    BiorthSystem,
     GeometricSchedule,
     IncompleteModel,
     OpenBall,
@@ -47,7 +46,7 @@ from .constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
 )
-from .errors import CertificationError, ConfigError, OclabError
+from .errors import CertificationError, ConfigError, DomainError, OclabError
 from .linalg import (
     Matrix,
     NormTag,
@@ -189,12 +188,13 @@ def parse_config(text: str) -> dict:
     """Parse a config document: a JSON object or "key = value" lines.
 
     In the line-oriented form, blank lines and lines starting with '#'
-    are skipped and values stay strings until schema coercion.
+    are skipped and values stay strings until schema coercion.  In both
+    forms a repeated key is an error.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -213,6 +213,15 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r} in the JSON config")
         out[key] = value
     return out
 
@@ -302,13 +311,22 @@ def _int_list(value, name: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _klee_vectors(params, lambdas, d) -> tuple:
+    """:func:`klee_vectors` of the config's lambdas; a node outside
+    (0, 1/2) or a repeated one is a config error."""
+    try:
+        return klee_vectors(lambdas, d)
+    except DomainError as exc:
+        raise ConfigError(f"lambdas={params['lambdas']!r}: {exc}") from exc
+
+
 def _run_klee(params, seed):
     lambdas = _frac_list(params["lambdas"], "lambdas")
     d = params["d"]
     if d > len(lambdas):
         raise ConfigError(f"klee needs at least d={d} lambdas, got {len(lambdas)}")
-    family = klee_vectors(lambdas, d)
-    n = len(family.vectors)
+    vectors = _klee_vectors(params, lambdas, d)
+    n = len(vectors)
     samples = params["subset_samples"]
     if samples == 0:
         if math.comb(n, d) > _EXHAUSTIVE_GUARD:
@@ -321,7 +339,7 @@ def _run_klee(params, seed):
         subsets = [sample_subset(rng, n, d) for _ in range(samples)]
     certs = []
     for sub in subsets:
-        cert = density_certificate(family.vectors, sub, d)
+        cert = density_certificate(vectors, sub, d)
         if cert.verdict == "Full":
             prod = vandermonde_det([lambdas[i] for i in sub])
             if cert.det != prod:
@@ -341,12 +359,14 @@ def _run_klee(params, seed):
                 subset=sub,
             )
         )
-    constructed = {"vectors": to_jsonable(list(family.vectors))}
+    constructed = {"vectors": to_jsonable(list(vectors))}
     return constructed, certs
 
 
 def _run_fd_dense(params, seed):
     d, n = params["d"], params["n"]
+    if n < d:
+        raise ConfigError(f"n={n} must be at least d={d}")
     radius = _frac(params["radius"], "radius")
     if radius <= 0:
         raise ConfigError("radius must be positive")
@@ -416,10 +436,10 @@ def _run_separated(params, seed):
     if not 0 < eps < 1:
         raise ConfigError(f"eps={params['eps']!r} must lie in (0, 1)")
     tag = NormTag(params["tag"])
-    family = separated_overcomplete_fd(d, eps, tag, seed=seed)
-    n = len(family.vectors)
+    vectors = separated_overcomplete_fd(d, eps, tag, seed=seed)
+    n = len(vectors)
     delta = 1 - eps
-    greedy = greedy_separated_subset(family.vectors, delta, tag)
+    greedy = greedy_separated_subset(vectors, delta, tag)
     if list(greedy) != list(range(n)):
         raise CertificationError("greedy packing rejected a member of a separated family")
     certs = [
@@ -434,7 +454,7 @@ def _run_separated(params, seed):
             inputs={"d": d, "eps": eps, "tag": tag.value},
         )
     ]
-    spot = density_certificate(family.vectors, range(n), d)
+    spot = density_certificate(vectors, range(n), d)
     certs.append(
         certificate(
             "density",
@@ -445,7 +465,7 @@ def _run_separated(params, seed):
             subset=range(n),
         )
     )
-    constructed = {"vectors": to_jsonable(list(family.vectors))}
+    constructed = {"vectors": to_jsonable(list(vectors))}
     return constructed, certs
 
 
@@ -461,7 +481,8 @@ def _make_annihilator(model, sequence, ks, seed):
         sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
         for i in range(dim)
     )
-    return combo.scale(1 / dual_norm(combo, NormTag.L1))
+    scale = dual_norm(combo, NormTag.L1)
+    return exact_vector(c / scale for c in combo.coords)
 
 
 def _incomplete_model(params) -> IncompleteModel:
@@ -523,9 +544,10 @@ def _run_geometric_variant(params, seed):
         lambdas = [Fraction(1, n + 2) for n in range(K + 1)]
     else:
         lambdas = [Fraction(1, 2 ** (n + 1)) for n in range(K + 1)]
-    schedule = GeometricSchedule(
-        tuple(lambdas), params["j_max"], _frac(params["threshold"], "threshold")
-    )
+    threshold = _frac(params["threshold"], "threshold")
+    if threshold <= 0:
+        raise ConfigError(f"threshold={params['threshold']!r} must be positive")
+    schedule = GeometricSchedule(tuple(lambdas), params["j_max"], threshold)
     onsets, sequence = geometric_variant_sequence(model, schedule, K)
     certs = [
         certificate(
@@ -603,8 +625,7 @@ def _free_map(n: int, kind: str, max_deg: int, seed: int) -> list:
 def _run_free_set(params, seed):
     n = params["n"]
     fmap = _free_map(n, params["f"], params["max_deg"], seed)
-    instance = free_set_extract(n, fmap)
-    system = BiorthSystem(n)
+    H = free_set_extract(n, fmap)
     rng = rng_for(seed, "free-weights")
     family = []
     for a in range(n):
@@ -616,21 +637,21 @@ def _run_free_set(params, seed):
         certificate(
             "free-set",
             "Free",
-            witness={"H": list(instance.H), "n": n},
+            witness={"H": list(H), "n": n},
             inputs={"f": [sorted(s) for s in fmap]},
         )
     ]
-    for gamma in instance.H:
-        record = support_annihilator_witness(system, family, instance.H, gamma)
+    for gamma in H:
+        record = support_annihilator_witness(family, H, gamma)
         certs.append(
             certificate(
                 "support-witness",
                 "Verified",
                 witness=record,
-                inputs={"gamma": gamma, "H": list(instance.H)},
+                inputs={"gamma": gamma, "H": list(H)},
             )
         )
-    constructed = {"vectors": to_jsonable(family), "H": list(instance.H)}
+    constructed = {"vectors": to_jsonable(family), "H": list(H)}
     return constructed, certs
 
 
@@ -669,8 +690,7 @@ def _run_cover(params, seed):
     else:
         lambdas = _frac_list(params["lambdas"], "lambdas")
         d = 3
-        family = klee_vectors(lambdas, d)
-        points = list(family.vectors)
+        points = list(_klee_vectors(params, lambdas, d))
         if len(points) < 3:
             raise ConfigError("escape mode needs at least three lambdas")
         span_two = Matrix.from_rows(points[:2])

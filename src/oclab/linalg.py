@@ -2,9 +2,10 @@
 
 Vectors hold :class:`fractions.Fraction` coordinates and nothing else:
 the norm belongs to the space, so every norm is asked for by its tag (L1,
-L2, Linf).  Ranks, determinants, nullspaces and L1/Linf norms are
-computed without rounding, and every rank elimination emits a pivot log
-that an independent replayer can verify.  There is deliberately no
+L2, Linf).  Callers build vectors from coordinates; subtraction is the
+only vector arithmetic.  Ranks, determinants, nullspaces and L1/Linf
+norms are computed without rounding, and every rank elimination emits a
+pivot log that an independent replayer can verify.  There is deliberately no
 float arithmetic here: a tolerance-dependent rank is not a certificate,
 and a quantity that is irrational in general, such as an L2 norm,
 raises :class:`~oclab.errors.ModeError`; use the squared form.
@@ -101,11 +102,6 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
-    def restrict(self, a: int, b: int) -> "Vector":
-        """Zero every coordinate outside the index window [a, b)."""
-        zero = Fraction(0)
-        return Vector(tuple(c if a <= i < b else zero for i, c in enumerate(self.coords)))
-
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
 
@@ -113,23 +109,9 @@ class Vector:
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "Vector") -> "Vector":
-        self._compatible(other)
-        return Vector(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "Vector") -> "Vector":
         self._compatible(other)
         return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Vector":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Vector":
-        c = _coerce_exact(c)
-        return Vector(tuple(c * x for x in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 def exact_vector(coords: Iterable) -> Vector:

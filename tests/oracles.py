@@ -89,6 +89,11 @@ def brute_force_max_free_set(n, f):
     return best
 
 
+def window_mass(coords, a, b):
+    """L1 mass of the coordinates with index in [a, b)."""
+    return sum((abs(c) for c in coords[a:b]), Fraction(0))
+
+
 def prefix_min_table(members, length):
     """N_alpha for alpha in [0, length] as a plain double loop."""
     table = []

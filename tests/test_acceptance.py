@@ -26,7 +26,6 @@ from oclab.certify import (
     weak_norm_convergence_probe,
 )
 from oclab.constructors import (
-    BiorthSystem,
     IncompleteModel,
     OpenBall,
     fd_overcomplete,
@@ -49,7 +48,7 @@ from oclab.linalg import (
     zero_vector,
 )
 
-from oracles import brute_force_max_free_set, normal_eq_residual_sq
+from oracles import brute_force_max_free_set, normal_eq_residual_sq, window_mass
 
 
 def test_criterion_1_identity_principle_at_scale():
@@ -117,7 +116,12 @@ def test_criterion_4_sliding_hump_ten_thousand_samples():
     start = time.perf_counter()
     family = block_family(200, 15, F(3, 10))
     data = sliding_hump_extract(family, F(1, 20))
-    assert all(fl.all_hold() for fl in data.flags)
+    n_value, eps = data.n_value, data.epsilon
+    for g, (x, cut) in enumerate(zip(data.extracted, data.cuts)):
+        assert window_mass(x.coords, 0, cut) <= n_value + eps                # (i)
+        assert all(max(y.support()) < cut for y in data.extracted[:g])      # (ii)
+        assert window_mass(x.coords, cut, 200) >= 1 - n_value - eps          # (iii)
+        assert window_mass(x.coords, data.alpha0, cut) <= eps               # (iv)
     samples = coefficient_samples(15, 10_000, seed=2026)
     assert all(sum(abs(a) for a in s) == 1 for s in samples)
     cert = l1_lower_bound_certificate(data, samples)
@@ -138,21 +142,20 @@ def test_criterion_5_free_sets_versus_optimum():
             frozenset(rng.randrange(n) for _ in range(rng.randrange(0, 3)))
             for _ in range(n)
         ]
-        inst = free_set_extract(n, fmap)
-        chosen = set(inst.H)
-        for a in inst.H:  # freeness, re-derived from the raw map
+        H = free_set_extract(n, fmap)
+        chosen = set(H)
+        for a in H:  # freeness, re-derived from the raw map
             assert not (set(fmap[a]) - {a}) & (chosen - {a})
-        assert 3 * len(inst.H) >= brute_force_max_free_set(n, fmap)
+        assert 3 * len(H) >= brute_force_max_free_set(n, fmap)
 
-        system = BiorthSystem(n)
         family = []
         for a in range(n):
             coords = [F(0)] * n
             for i in fmap[a] - {a}:
                 coords[i] = F(rng.randrange(1, 9), rng.randrange(1, 5))
             family.append(exact_vector(coords))
-        for gamma in inst.H:
-            record = support_annihilator_witness(system, family, inst.H, gamma)
+        for gamma in H:
+            record = support_annihilator_witness(family, H, gamma)
             assert record.gamma == gamma
     print("criterion 5 PASS: 200 instances free, within 3x of optimum, witnesses exact")
 
@@ -176,9 +179,9 @@ def test_criterion_6_pigeonhole_quota_and_escape():
 
     klee = klee_vectors([F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)], 3)
     plane = HyperplaneFunctional(
-        nullspace_exact(Matrix.from_rows(list(klee.vectors[:2])))[0]
+        nullspace_exact(Matrix.from_rows(list(klee[:2])))[0]
     )
-    escape = hyperplane_cover(list(klee.vectors), [plane])
+    escape = hyperplane_cover(list(klee), [plane])
     assert not escape.covered
     assert all(p != 0 for p in escape.escape_pairings)
     diag = hyperplane_cover(
@@ -203,7 +206,7 @@ def test_criterion_7_riesz_dual_witnesses():
                 for _ in range(k)
             ]
             step = riesz_step(basis, eps, tag, seed=trial)
-            x, f = step
+            x, f = step.x, step.functional
             assert all(pairing(f, y) == 0 for y in basis)
             if tag is NormTag.L2:
                 assert norm_squared(f) <= 1  # the exact L2 norm is irrational

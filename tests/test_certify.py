@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -23,9 +24,7 @@ from oclab.certify import (
     weak_norm_convergence_probe,
 )
 from oclab.constructors import (
-    BiorthSystem,
     IncompleteModel,
-    SlidingHumpData,
     fd_overcomplete,
     incomplete_space_sequence,
     klee_vectors,
@@ -56,7 +55,8 @@ from oclab.linalg import (
 from oracles import brute_force_max_free_set, cofactor_det, rref_rank
 
 
-KLEE5 = klee_vectors([F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)], 3)
+KLEE5_LAMBDAS = [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
+KLEE5 = klee_vectors(KLEE5_LAMBDAS, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -67,21 +67,21 @@ KLEE5 = klee_vectors([F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)], 3)
 def test_klee_subsets_of_size_at_least_d_are_full():
     for size in (3, 4, 5):
         for sub in itertools.combinations(range(5), size):
-            cert = density_certificate(KLEE5.vectors, sub, 3)
+            cert = density_certificate(KLEE5, sub, 3)
             assert cert.verdict == "Full"
-            M = Matrix.from_rows([KLEE5.vectors[i] for i in sub])
+            M = Matrix.from_rows([KLEE5[i] for i in sub])
             assert replay_pivot_log(M, cert.pivot_log, 3) == 3
             if size == 3:
-                assert cert.det == vandermonde_det([KLEE5.lambdas[i] for i in sub])
+                assert cert.det == vandermonde_det([KLEE5_LAMBDAS[i] for i in sub])
 
 
 def test_klee_small_subsets_are_proper_with_exact_witness():
     for size in (1, 2):
         for sub in itertools.combinations(range(5), size):
-            cert = density_certificate(KLEE5.vectors, sub, 3)
+            cert = density_certificate(KLEE5, sub, 3)
             assert cert.verdict == "Proper"
-            assert cert.max_abs_pairing == 0
-            assert not cert.witness.is_zero()
+            assert all(pairing(cert.witness, KLEE5[i]) == 0 for i in sub)
+            assert any(cert.witness.coords)
 
 
 def test_coordinate_rows_yield_coordinate_witness():
@@ -98,7 +98,7 @@ def test_zero_vector_in_dimension_one():
 
 def test_empty_subset_rejected():
     with pytest.raises(DomainError):
-        density_certificate(KLEE5.vectors, (), 3)
+        density_certificate(KLEE5, (), 3)
 
 
 def test_replay_rejects_forged_row_scale():
@@ -122,11 +122,11 @@ def test_replay_rejects_dropped_step():
 
 
 def test_subset_sweep_counts_and_flags_failures():
-    vectors = list(KLEE5.vectors) + [KLEE5.vectors[0]]  # duplicate breaks some triples
+    vectors = list(KLEE5) + [KLEE5[0]]  # duplicate breaks some triples
     checked, failures = all_subsets_full_rank(vectors, 3)
     assert checked == 20
     assert (0, 1, 5) in failures  # contains the duplicate pair
-    checked2, failures2 = all_subsets_full_rank(list(KLEE5.vectors), 3)
+    checked2, failures2 = all_subsets_full_rank(list(KLEE5), 3)
     assert checked2 == 10 and failures2 == []
 
 
@@ -210,9 +210,9 @@ def test_fd_overcomplete_output_has_oracle_rank_d_on_every_subset(d, seed):
 
 def test_subset_sweep_rejects_a_dimension_or_subset_size_mismatch():
     with pytest.raises(DomainError):
-        all_subsets_full_rank(list(KLEE5.vectors), 2)
+        all_subsets_full_rank(list(KLEE5), 2)
     with pytest.raises(DomainError):
-        all_subsets_full_rank(list(KLEE5.vectors), 3, [(0, 1)])
+        all_subsets_full_rank(list(KLEE5), 3, [(0, 1)])
 
 
 def test_subset_kernel_has_no_dimension_limit():
@@ -254,9 +254,9 @@ def test_escape_point_has_all_pairings_nonzero():
 
 def test_klee_points_escape_any_single_hyperplane():
     plane = HyperplaneFunctional(
-        nullspace_exact(Matrix.from_rows(list(KLEE5.vectors[:2])))[0]
+        nullspace_exact(Matrix.from_rows(list(KLEE5[:2])))[0]
     )
-    result = hyperplane_cover(list(KLEE5.vectors), [plane])
+    result = hyperplane_cover(list(KLEE5), [plane])
     assert not result.covered
     assert result.escape_index == 2  # first two lie in the plane by construction
 
@@ -291,18 +291,15 @@ def test_pigeonhole_requires_covered_input():
 
 
 def test_chain_map_free_set():
-    inst = free_set_extract(6, [{1}, {2}, {3}, {4}, {5}, {5}])
-    assert inst.H == (0, 2, 4)
+    assert free_set_extract(6, [{1}, {2}, {3}, {4}, {5}, {5}]) == (0, 2, 4)
 
 
 def test_identity_map_everything_free():
-    inst = free_set_extract(4, [{i} for i in range(4)])
-    assert inst.H == (0, 1, 2, 3)
+    assert free_set_extract(4, [{i} for i in range(4)]) == (0, 1, 2, 3)
 
 
 def test_total_map_single_member():
-    inst = free_set_extract(4, [set(range(4))] * 4)
-    assert inst.H == (0,)
+    assert free_set_extract(4, [set(range(4))] * 4) == (0,)
 
 
 def test_map_must_be_total_with_values_in_range():
@@ -320,9 +317,9 @@ def test_greedy_output_free_on_ten_thousand_instances():
             {rng.randrange(n) for _ in range(rng.randrange(0, 5))}
             for _ in range(n)
         ]
-        inst = free_set_extract(n, fmap)
-        chosen = set(inst.H)
-        for a in inst.H:
+        H = free_set_extract(n, fmap)
+        chosen = set(H)
+        for a in H:
             assert not (set(fmap[a]) - {a}) & chosen
 
 
@@ -334,13 +331,12 @@ def test_greedy_within_factor_three_of_bitmask_optimum():
             {rng.randrange(n) for _ in range(rng.randrange(0, 3))}
             for _ in range(n)
         ]
-        inst = free_set_extract(n, fmap)
+        H = free_set_extract(n, fmap)
         best = brute_force_max_free_set(n, fmap)
-        assert 3 * len(inst.H) >= best
+        assert 3 * len(H) >= best
 
 
 def test_witness_verifies_and_detects_breakage():
-    system = BiorthSystem(6)
     fmap = [frozenset(s) for s in ({1}, {2}, {3}, {4}, {5}, {5})]
     family = []
     for a in range(6):
@@ -348,27 +344,32 @@ def test_witness_verifies_and_detects_breakage():
         for i in fmap[a]:
             coords[i] = F(3)
         family.append(exact_vector(coords))
-    inst = free_set_extract(6, fmap)
-    for gamma in inst.H:
-        record = support_annihilator_witness(system, family, inst.H, gamma)
-        assert record.checked == tuple(a for a in inst.H if a != gamma)
+    H = free_set_extract(6, fmap)
+    for gamma in H:
+        record = support_annihilator_witness(family, H, gamma)
+        assert record.checked == tuple(a for a in H if a != gamma)
         assert not record.vacuous
     # (4, 5) is not free: 5 lies in f(4), so functional 5 sees member 4
     with pytest.raises(CertificationError):
-        support_annihilator_witness(system, family, (4, 5), 5)
+        support_annihilator_witness(family, (4, 5), 5)
 
 
 def test_witness_requires_membership():
-    system = BiorthSystem(3)
     family = [unit_vector(i, 3) for i in range(3)]
     with pytest.raises(PreconditionError):
-        support_annihilator_witness(system, family, (0, 1), 2)
+        support_annihilator_witness(family, (0, 1), 2)
+
+
+def test_witness_rejects_gamma_outside_the_dimension():
+    family = [unit_vector(i, 3) for i in range(3)]
+    for gamma in (3, -1):
+        with pytest.raises(DomainError):
+            support_annihilator_witness(family, (gamma,), gamma)
 
 
 def test_witness_single_member_is_vacuous():
-    system = BiorthSystem(3)
     family = [unit_vector(i, 3) for i in range(3)]
-    record = support_annihilator_witness(system, family, (1,), 1)
+    record = support_annihilator_witness(family, (1,), 1)
     assert record.vacuous
 
 
@@ -474,17 +475,7 @@ def test_l1_certificate_blocks_instance():
 def test_l1_certificate_rejects_forged_extraction():
     data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
     # claim a later cut for the first member: the middle strip then holds mass
-    forged = SlidingHumpData(
-        source=data.source,
-        epsilon=data.epsilon,
-        n_value=data.n_value,
-        alpha0=data.alpha0,
-        n_table=data.n_table,
-        members=data.members,
-        cuts=(data.cuts[0] + 25,) + data.cuts[1:],
-        extracted=data.extracted,
-        flags=data.flags,
-    )
+    forged = dataclasses.replace(data, cuts=(data.cuts[0] + 25,) + data.cuts[1:])
     with pytest.raises(CertificationError) as err:
         l1_lower_bound_certificate(forged, coefficient_samples(5, 10, seed=1))
     assert "middle strip" in str(err.value)
@@ -533,7 +524,7 @@ def test_decay_check_reports_bounds_and_preconditions():
     ks = [10, 20, 30, 40]
     rows = [seq[k] for k in ks] + [model.y_truncation(seq[0].dim)]
     e = nullspace_exact(Matrix.from_rows(rows))[0]
-    e = e.scale(1 / dual_norm(e, NormTag.L1))
+    e = exact_vector(c / dual_norm(e, NormTag.L1) for c in e.coords)
     report = annihilator_decay_check(model, seq, ks, [e], 3)
     decay = report.functionals[0]
     assert decay.functional_norm == 1

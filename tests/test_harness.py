@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oclab.cli import main
 from oclab.errors import CertificationError, ConfigError, OclabError, ScheduleError
@@ -53,6 +54,8 @@ def test_kv_rejects_duplicates_and_bare_lines():
         parse_config("d = 3\nnonsense\n")
     with pytest.raises(ConfigError, match="empty key"):
         parse_config(" = 3\n")
+    with pytest.raises(ConfigError, match="duplicate key 'd'"):
+        parse_config('{"d": 3, "d": 4, "n": 5}')
 
 
 def test_json_config_must_be_object():
@@ -359,6 +362,12 @@ def test_cli_klee_fewer_lambdas_than_d_exhaustive_exits_2(tmp_path):
     assert "lambdas" in result.output
 
 
+def test_cli_json_duplicate_key_exits_2(tmp_path):
+    result = _invoke(["fd-dense", "--config", _write(tmp_path, '{"d": 3, "d": 4, "n": 5}')])
+    assert result.exit_code == 2
+    assert "duplicate key 'd'" in result.output
+
+
 def test_cli_tol_on_plain_scenario_exits_2(tmp_path):
     cfg = _write(tmp_path, KLEE_KV)
     result = _invoke(["klee", "--config", cfg, "--tol", "0.1"])
@@ -391,13 +400,18 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("probe", "rho = 1\n", [], "rho"),
         ("geometric-variant", "rho = 1\n", [], "rho"),
         ("sliding-hump", "eps = 0\n", [], "eps"),
+        ("fd-dense", "d = 2\nn = 1\n", [], "n"),
+        ("geometric-variant", "threshold = 0\n", [], "threshold"),
+        ("klee", "lambdas = 1/10, 1/2, 1/5\nd = 2\n", [], "lambdas"),
+        ("cover", "mode = escape\nlambdas = 1/10, 1/10, 1/5\n", [], "lambdas"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
         "incomplete-tol-nan", "tau-abc", "tau-1/0", "d-below-minimum",
         "probe-negative-tau", "tol-zero", "incomplete-zero-tau", "j_max-beyond-truncation",
         "separated-eps-above-1", "incomplete-zero-c", "probe-rho-1", "geometric-variant-rho-1",
-        "sliding-hump-zero-eps",
+        "sliding-hump-zero-eps", "fd-dense-n-below-d", "geometric-variant-zero-threshold",
+        "klee-node-at-1/2", "cover-escape-repeated-node",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -407,6 +421,110 @@ def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text,
     assert "Traceback" not in result.output
     assert f"scenario '{scenario}'" in result.output
     assert f"{key}=" in result.output
+
+
+def _vals(valid, edge):
+    """A value from ``valid`` seven times in eight, else one from ``edge``."""
+    return st.integers(0, 7).flatmap(lambda i: st.sampled_from(edge if i == 0 else valid))
+
+
+def _ints(lo, hi, edge=("0", "-1", "x")):
+    return _vals([str(i) for i in range(lo, hi + 1)], list(edge))
+
+
+# small configs, mostly in range, with values on and past each boundary
+_RATIONAL_EDGES = ["0", "-1/4", "abc", "1/0", ""]
+_NODES = st.tuples(
+    st.lists(st.sampled_from(["1/10", "1/5", "3/10", "2/5", "9/20", "1/3", "1/7"]), unique=True, max_size=6),
+    _vals([[]], [["0"], ["1/2"], ["1"], ["-1/4"], ["1/10", "1/10"], ["abc"]]),
+).map(lambda parts: ", ".join(parts[0] + parts[1]))
+_MODEL = {
+    "c": _vals(["1/2", "1", "2", "1/3"], _RATIONAL_EDGES),
+    "rho": _vals(["1/2", "1/3", "1/5"], ["1", "2"] + _RATIONAL_EDGES),
+    "K": _ints(1, 8),
+}
+_J_MAX = _ints(0, 2, ("-1", "9"))
+# per scenario: (keys always given, keys given or left to their defaults)
+_FUZZ_KEYS = {
+    "klee": ({"lambdas": _NODES, "d": _ints(1, 3)}, {"subset_samples": _ints(0, 4, ("-1",))}),
+    "fd-dense": (
+        {"d": _ints(1, 3), "n": _ints(1, 6)},
+        {
+            "radius": _vals(["1/2", "1/5", "1"], _RATIONAL_EDGES),
+            "targets": _vals(["auto", "none"], ["all"]),
+            "subset_samples": _ints(0, 4, ("-1",)),
+        },
+    ),
+    "separated": (
+        {"d": _ints(1, 3)},
+        {"eps": _vals(["1/20", "1/10", "1/4"], ["1", "2"] + _RATIONAL_EDGES), "tag": _vals(["L1", "L2", "Linf"], ["L3"])},
+    ),
+    # ks is always given: its default reaches K = 40
+    "incomplete": (
+        {"ks": st.lists(_ints(1, 8), max_size=4).map(",".join)},
+        {**_MODEL, "j_max": _J_MAX, "tau": _vals(["1/1000", "0.5"], ["0", "-1", "nan", "x"])},
+    ),
+    "geometric-variant": (
+        {},
+        {
+            **_MODEL,
+            "j_max": _J_MAX,
+            "threshold": _vals(["1", "1/2", "2"], _RATIONAL_EDGES),
+            "schedule": _vals(["harmonic", "dyadic"], ["none"]),
+        },
+    ),
+    "sliding-hump": (
+        {},
+        {
+            "family": _vals(["blocks", "disjoint"], ["x"]),
+            "L": _ints(2, 30, ("1", "-1")),
+            "m": _ints(1, 8),
+            "left_mass": _vals(["3/10", "1/5", "0"], ["1", "-1/4", "abc"]),
+            "eps": _vals(["1/20", "1/10"], ["1/2"] + _RATIONAL_EDGES),
+            "samples": _ints(1, 8),
+        },
+    ),
+    "free-set": (
+        {"n": _ints(1, 6)},
+        {"f": _vals(["chain", "self", "full", "random"], ["x"]), "max_deg": _ints(0, 3, ("-1",))},
+    ),
+    "cover": (
+        {},
+        {
+            "mode": _vals(["grid", "escape"], ["x"]),
+            "h": _ints(1, 3),
+            "points": _ints(1, 6),
+            "d": _ints(1, 3),
+            "lambdas": _NODES,
+        },
+    ),
+    "probe": (
+        {},
+        {
+            **_MODEL,
+            "variant": _vals(["gk", "basis"], ["x"]),
+            "window": _ints(1, 9),
+            "tau": _vals(["1e-6", "0.5"], ["0", "-1", "nan", "inf"]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_cli_small_random_configs_exit_with_a_documented_code(name, data):
+    given_keys, optional = _FUZZ_KEYS[name]
+    assert set(given_keys) | set(optional) == set(scenario_schema(name)["properties"]) - {"seed"}
+    config = data.draw(st.fixed_dictionaries(given_keys, optional=optional))
+    config["seed"] = data.draw(_ints(0, 3, ("-1", "x")))
+    extra = data.draw(_vals([[]], [["--tol", "0.1"], ["--tol", "0"], ["--tol", "nan"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+        result = _invoke([name, "--config", str(cfg), *extra])
+    assert result.exit_code in (0, 2, 3, 4), (config, extra, result.output)
+    assert "Traceback" not in result.output
 
 
 def test_geometric_variant_checks_its_schedule_once(monkeypatch):
