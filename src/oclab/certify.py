@@ -29,7 +29,7 @@ from .linalg import (
     dual_norm,
     norm,
     norm_squared,
-    nullspace_exact,
+    null_vector,
     pairing,
     rank_exact,
     scaled_int_coords,
@@ -115,7 +115,7 @@ def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int
     result = rank_exact(Matrix.from_rows(selected))
     if result.rank == d:
         return DensityCertificate("Full", d, pivot_log=result.log, det=result.det)
-    witness = nullspace_exact(Matrix.from_rows(selected))[0]
+    witness = null_vector(Matrix.from_rows(selected), (1,))
     if any(pairing(witness, v) for v in selected):
         raise CertificationError("annihilator witness failed to annihilate")
     return DensityCertificate("Proper", result.rank, witness=witness)

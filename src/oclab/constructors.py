@@ -33,10 +33,9 @@ from .linalg import (
     exact_vector,
     norm,
     norm_squared,
-    nullspace_exact,
+    null_vector,
     rank_exact,
     scaled_int_coords,
-    unit_vector,
     zero_vector,
     _complement,
     _extend,
@@ -235,29 +234,27 @@ def riesz_step(
     Returns a unit vector (exact for L1/Linf; within 1e-12 of unit for
     L2, kept exact with a certified squared norm) together with its dual
     witness.  The witness makes the distance claim checkable by three
-    exact verifications instead of an optimization.
+    exact verifications instead of an optimization.  It is built from the
+    null vector of ``Y_basis`` (:func:`~oclab.linalg.null_vector`) whose
+    free coordinates are seeded integers in [1, 16], one drawn per column.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     tag = NormTag(tag)
     basis = list(Y_basis)
-    if basis:
-        ambient = basis[0].dim
-        null_basis = nullspace_exact(Matrix.from_rows(basis))
-        if not null_basis:
-            raise PreconditionError("the given basis already spans the space")
-    else:
-        if dim is None:
-            raise DomainError("an empty basis needs an explicit ambient dimension")
-        ambient = dim
-        null_basis = [unit_vector(i, ambient) for i in range(ambient)]
+    if not basis and dim is None:
+        raise DomainError("an empty basis needs an explicit ambient dimension")
+    ambient = basis[0].dim if basis else dim
     rng = rng_for(seed, "riesz-step")
-    weights = [rng.randrange(1, 17) for _ in null_basis]
-    f0 = tuple(
-        sum((w * b.coords[i] for w, b in zip(weights, null_basis)), Fraction(0))
-        for i in range(ambient)
-    )
+    weights = [rng.randrange(1, 17) for _ in range(ambient)]
+    if basis:
+        annihilator = null_vector(Matrix.from_rows(basis), weights)
+        if annihilator is None:
+            raise PreconditionError("the given basis already spans the space")
+        f0 = annihilator.coords
+    else:
+        f0 = tuple(Fraction(w) for w in weights)
     if tag is NormTag.L1:
         # functional measured in the dual (sup) norm; the best vector to
         # pair it with is a signed coordinate vector at a peak entry, where

@@ -52,7 +52,7 @@ from .linalg import (
     NormTag,
     dual_norm,
     exact_vector,
-    nullspace_exact,
+    null_vector,
     unit_vector,
     vandermonde_det,
     zero_vector,
@@ -243,7 +243,9 @@ def _check_value(name: str, key: str, raw):
     """Coerce and check one config value against its schema entry.
 
     A ``key = value`` string is read by the key's first type; ``integer``
-    excludes ``bool``, and ``number`` excludes NaN and the infinities.
+    excludes ``bool``, and ``number`` excludes NaN and the infinities.  A
+    string value of a rational key is parsed too, whether or not the
+    scenario's mode reads it, and kept as written.
     """
     spec = _SCHEMAS[name][key]
     types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
@@ -264,6 +266,11 @@ def _check_value(name: str, key: str, raw):
         raise ConfigError(
             f"scenario {name!r}: {key}={value!r} is not one of {', '.join(spec['enum'])}"
         )
+    if key in _RATIONAL_KEYS and isinstance(value, str):
+        try:
+            _RATIONAL_KEYS[key](value, key)
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {name!r}: {exc}") from exc
     return value
 
 
@@ -295,7 +302,7 @@ def _frac(value, name: str) -> Fraction:
 def _frac_list(value, name: str) -> list:
     items = [p.strip() for p in str(value).split(",") if p.strip()]
     if not items:
-        raise ConfigError(f"{name} must list at least one rational")
+        raise ConfigError(f"{name}={value!r} must list at least one rational")
     return [_frac(p, name) for p in items]
 
 
@@ -304,6 +311,13 @@ def _int_list(value, name: str) -> list:
         return [int(p.strip()) for p in str(value).split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"{name} must be a comma-separated integer list") from exc
+
+
+#: The string keys that runners read as rationals, with their parsers.
+_RATIONAL_KEYS = {
+    **dict.fromkeys(("c", "rho", "eps", "radius", "threshold", "left_mass", "tau"), _frac),
+    "lambdas": _frac_list,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +486,11 @@ def _run_separated(params, seed):
 def _make_annihilator(model, sequence, ks, seed):
     dim = sequence[0].dim
     rows = [sequence[k] for k in ks] + [model.y_truncation(dim)]
-    basis = nullspace_exact(Matrix.from_rows(rows))
-    if not basis:
-        raise ConfigError("no annihilator exists at this truncation; raise K")
     rng = rng_for(seed, "annihilator")
-    weights = [rng.randrange(1, 17) for _ in basis]
-    combo = exact_vector(
-        sum((w * b.coords[i] for w, b in zip(weights, basis)), Fraction(0))
-        for i in range(dim)
-    )
+    weights = [rng.randrange(1, 17) for _ in range(dim)]
+    combo = null_vector(Matrix.from_rows(rows), weights)
+    if combo is None:
+        raise ConfigError("no annihilator exists at this truncation; raise K")
     scale = dual_norm(combo, NormTag.L1)
     return exact_vector(c / scale for c in combo.coords)
 
@@ -694,7 +704,7 @@ def _run_cover(params, seed):
         if len(points) < 3:
             raise ConfigError("escape mode needs at least three lambdas")
         span_two = Matrix.from_rows(points[:2])
-        witness_fn = nullspace_exact(span_two)[0]
+        witness_fn = null_vector(span_two, (1,))
         planes = [HyperplaneFunctional(witness_fn)]
         cover = hyperplane_cover(points, planes)
         if cover.covered:
@@ -792,7 +802,7 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
     """
     params = load_config(name, raw_config)
     if seed is not None:
-        params["seed"] = seed
+        params["seed"] = _check_value(name, "seed", seed)
     if tol is not None:
         if "tau" not in _SCHEMAS[name]:
             raise ConfigError(f"scenario {name!r} has no tolerance parameter")

@@ -25,7 +25,12 @@ reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
 the rows' wedge (exterior product).  Each completing row then costs one
 dot product with that normal.
 
-Only :func:`nullspace_exact` uses rational Gauss-Jordan elimination.
+Nullspaces use the one rational Gauss-Jordan loop, :func:`_gauss_jordan`.
+:func:`nullspace_exact` reduces the whole matrix to a basis.
+:func:`null_vector`, which every annihilator in the toolkit comes from,
+finds the pivot columns and rows mod the prime 2^61 - 1, solves only the
+square pivot block exactly, checks every other row exactly, and falls
+back to the basis when the prime hid part of the rank.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ __all__ = [
     "rank_exact",
     "det_exact",
     "nullspace_exact",
+    "null_vector",
     "vandermonde_det",
     "scaled_int_coords",
 ]
@@ -280,21 +286,18 @@ def det_exact(M: Matrix) -> Fraction:
     return rank_exact(M).det
 
 
-def nullspace_exact(M: Matrix) -> list:
-    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
+def _gauss_jordan(rows: list, ncols: int) -> list:
+    """Reduce ``rows`` (lists of Fractions) in place to reduced row echelon
+    form over their first ``ncols`` entries; return the pivot columns.
 
-    Empty iff the rank equals the column count.  The basis vectors act
-    as functionals on the row space; measure them with :func:`dual_norm`.
-    Rational Gauss-Jordan elimination: the pivot of each column is the
-    first row at or below the current one with a nonzero entry there, so
-    the basis is fixed by row order.
+    Entries past ``ncols`` (a right-hand side) are carried along.  The
+    pivot of each column is the first row at or below the current one
+    with a nonzero entry there, so the result is fixed by row order.
     """
-    n = M.ncols
-    rows = [list(r.coords) for r in M.rows]
     m = len(rows)
     piv_cols = []
     r = 0
-    for col in range(n):
+    for col in range(ncols):
         if r == m:
             break
         piv_i = -1
@@ -313,6 +316,20 @@ def nullspace_exact(M: Matrix) -> list:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         piv_cols.append(col)
         r += 1
+    return piv_cols
+
+
+def nullspace_exact(M: Matrix) -> list:
+    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
+
+    Empty iff the rank equals the column count.  The basis vectors act
+    as functionals on the row space; measure them with :func:`dual_norm`.
+    Rational Gauss-Jordan elimination (:func:`_gauss_jordan`); basis
+    vector i is 1 at the i-th free column and 0 at the other free ones.
+    """
+    n = M.ncols
+    rows = [list(r.coords) for r in M.rows]
+    piv_cols = _gauss_jordan(rows, n)
     basis = []
     piv_set = set(piv_cols)
     for free in range(n):
@@ -324,6 +341,97 @@ def nullspace_exact(M: Matrix) -> list:
             coords[pc] = -rows[i][free]
         basis.append(Vector(tuple(coords)))
     return basis
+
+
+#: The fixed prime of the pivot search in :func:`null_vector`.
+_PRIME = (1 << 61) - 1
+
+
+def _pivots_mod_p(rows: list, ncols: int) -> tuple:
+    """Pivot columns and pivot rows of integer rows, eliminated mod
+    :data:`_PRIME`; also the rows left over.
+
+    Columns are scanned in order and each pivot row is the lowest-index
+    unused row with a nonzero reduced entry.  Over GF(p) the rank can
+    only be lower than over Q, never higher.
+    """
+    red = [[x % _PRIME for x in row] for row in rows]
+    pivots, pivot_rows = [], []
+    rest = list(range(len(rows)))
+    for col in range(ncols):
+        if not rest:
+            break
+        k = next((k for k, i in enumerate(rest) if red[i][col]), None)
+        if k is None:
+            continue
+        i_p = rest.pop(k)
+        prow = red[i_p]
+        inv = pow(prow[col], -1, _PRIME)
+        for i in rest:
+            c = red[i][col]
+            if c:
+                f = c * inv % _PRIME
+                red[i] = [(x - f * y) % _PRIME for x, y in zip(red[i], prow)]
+        pivots.append(col)
+        pivot_rows.append(i_p)
+    return pivots, pivot_rows, rest
+
+
+def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
+    """The null vector of M whose i-th free coordinate is ``weights[i]``.
+
+    Free columns count in ascending order.  Entries of ``weights`` past
+    the nullity are ignored and missing ones count as 0; ``None`` means
+    the nullity is 0.  With the pivot columns of the reduced row echelon
+    form this is ``sum(w * b for w, b in zip(weights, nullspace_exact(M)))``,
+    found without the basis:
+
+    1. eliminate the row-scaled integer rows mod the prime 2^61 - 1 for
+       the pivot columns P and pivot rows R (milliseconds);
+    2. set x_F = weights on the free columns F and solve the square
+       system A[R,P] x_P = -A[R,F] x_F by rational Gauss-Jordan
+       (:func:`_gauss_jordan`).  A block that is nonsingular mod p is
+       nonsingular over Q, so every row in R holds by construction;
+    3. check every row outside R exactly with :func:`pairing`;
+    4. if one fails, the rank mod p was below the rank over Q: combine
+       the :func:`nullspace_exact` basis with the same weights instead.
+
+    When p divides a pivot minor without lowering the rank, the pivot
+    columns mod p can differ from the exact ones.  The vector returned
+    is then another null vector: still exact, and the same one for the
+    same matrix and weights every time.  A weight vector of zeros gives
+    the zero vector only when the nullity is positive.
+    """
+    n = M.ncols
+    rows, _ = _scaled_rows(M)
+    pivots, pivot_rows, rest = _pivots_mod_p(rows, n)
+    r = len(pivots)
+    if r == n:
+        return None
+    piv_set = set(pivots)
+    free = [j for j in range(n) if j not in piv_set]
+    w = [_coerce_exact(x) for x in weights[: len(free)]]
+    w += [Fraction(0)] * (len(free) - len(w))
+    block = [
+        [Fraction(rows[i][j]) for j in pivots] + [-sum(rows[i][j] * x for j, x in zip(free, w))]
+        for i in pivot_rows
+    ]
+    if len(_gauss_jordan(block, r)) < r:
+        raise CertificationError("pivot block nonsingular mod p is singular over Q")
+    coords = [Fraction(0)] * n
+    for j, x in zip(free, w):
+        coords[j] = x
+    for j, row in zip(pivots, block):
+        coords[j] = row[r]
+    v = Vector(tuple(coords))
+    if any(w) and not any(pairing(M.rows[i], v) for i in rest):
+        return v
+    basis = nullspace_exact(M)
+    if not basis:
+        return None
+    return Vector(tuple(
+        sum((x * b.coords[k] for x, b in zip(w, basis)), Fraction(0)) for k in range(n)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from oclab.linalg import (
     dual_norm,
     exact_vector,
     norm_squared,
+    null_vector,
     nullspace_exact,
     pairing,
     unit_vector,
@@ -99,7 +100,8 @@ def test_criterion_3_approximation_bound_and_decay():
     long_seq = incomplete_space_sequence(model, 40)
     ks = list(range(6, 41))
     rows = [long_seq[k] for k in ks] + [model.y_truncation(long_seq[0].dim)]
-    e_star = nullspace_exact(Matrix.from_rows(rows))[0]
+    n = rows[0].dim
+    e_star = null_vector(Matrix.from_rows(rows), (1,) + (0,) * (n - 1))
     report = annihilator_decay_check(model, long_seq, ks, [e_star], 5)
     decay = report.functionals[0]
     entry0 = decay.entries[0]

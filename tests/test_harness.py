@@ -404,6 +404,9 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("geometric-variant", "threshold = 0\n", [], "threshold"),
         ("klee", "lambdas = 1/10, 1/2, 1/5\nd = 2\n", [], "lambdas"),
         ("cover", "mode = escape\nlambdas = 1/10, 1/10, 1/5\n", [], "lambdas"),
+        ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 3\n", ["--seed", "-1"], "seed"),
+        ("cover", "mode = grid\nlambdas = abc\n", [], "lambdas"),
+        ("sliding-hump", "family = disjoint\nleft_mass = abc\n", [], "left_mass"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -411,7 +414,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "probe-negative-tau", "tol-zero", "incomplete-zero-tau", "j_max-beyond-truncation",
         "separated-eps-above-1", "incomplete-zero-c", "probe-rho-1", "geometric-variant-rho-1",
         "sliding-hump-zero-eps", "fd-dense-n-below-d", "geometric-variant-zero-threshold",
-        "klee-node-at-1/2", "cover-escape-repeated-node",
+        "klee-node-at-1/2", "cover-escape-repeated-node", "seed-override-negative",
+        "cover-grid-unread-lambdas", "sliding-hump-disjoint-unread-left_mass",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):

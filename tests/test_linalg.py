@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclab.errors import CertificationError, DomainError, ModeError
 from oclab.linalg import (
@@ -15,6 +17,7 @@ from oclab.linalg import (
     exact_vector,
     norm,
     norm_squared,
+    null_vector,
     nullspace_exact,
     pairing,
     rank_exact,
@@ -23,7 +26,7 @@ from oclab.linalg import (
     _extend,
 )
 from oclab.certify import replay_pivot_log
-from oclab.constructors import klee_vectors
+from oclab.constructors import IncompleteModel, incomplete_space_sequence, klee_vectors
 
 from oracles import cofactor_det, rref_rank
 
@@ -237,6 +240,87 @@ def test_nullspace_annihilates_and_rank_nullity():
 def test_full_rank_square_has_trivial_nullspace():
     M = Matrix.from_rows([exact_vector([2, 1]), exact_vector([1, 1])])
     assert nullspace_exact(M) == []
+
+
+# ---------------------------------------------------------------------------
+# one null vector from the pivot block
+# ---------------------------------------------------------------------------
+
+P61 = (1 << 61) - 1
+
+
+def _combination(weights, basis):
+    n = basis[0].dim
+    return tuple(sum((w * b.coords[k] for w, b in zip(weights, basis)), F(0)) for k in range(n))
+
+
+def test_null_vector_is_the_seeded_combination_of_the_basis():
+    """The incomplete K=28 matrix: 24 rows, 98 columns, nullity 74."""
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    sequence = incomplete_space_sequence(model, 28)
+    rows = [sequence[k] for k in range(6, 29)] + [model.y_truncation(sequence[0].dim)]
+    M = Matrix.from_rows(rows)
+    rng = random.Random(2026)
+    weights = [rng.randrange(1, 17) for _ in range(M.ncols)]
+    basis = nullspace_exact(M)
+    assert len(basis) == 74
+    assert null_vector(M, weights).coords == _combination(weights, basis)
+
+
+def test_null_vector_first_weight_only_is_the_first_basis_vector():
+    M = Matrix.from_rows([exact_vector([1, 2, 3, 4]), exact_vector([0, 1, 1, 5])])
+    first = nullspace_exact(M)[0]
+    assert null_vector(M, (1, 0, 0, 0)) == first
+    assert null_vector(M, (1,)) == first  # missing weights count as 0
+
+
+def test_null_vector_is_none_at_full_column_rank():
+    M = Matrix.from_rows([exact_vector([2, 1]), exact_vector([1, 1]), exact_vector([3, 5])])
+    assert null_vector(M, (1, 1)) is None
+    assert null_vector(Matrix.from_rows([exact_vector([P61])]), (1,)) is None
+
+
+def test_null_vector_falls_back_when_the_prime_hides_rank():
+    """Mod p the first row vanishes, so the block misses its pivot; the
+    exact check of that row fails and the RREF basis decides."""
+    M = Matrix.from_rows([exact_vector([P61, 0, 0]), exact_vector([0, 1, 0])])
+    weights = (5, 7, 11)
+    v = null_vector(M, weights)
+    assert v.coords == _combination(weights, nullspace_exact(M)) == (F(0), F(0), F(5))
+
+
+def test_null_vector_when_the_prime_moves_the_pivot_column():
+    """Mod p the pivot is column 1, not column 0: another exact null vector."""
+    M = Matrix.from_rows([exact_vector([P61, 1])])
+    v = null_vector(M, (3,))
+    assert v.coords == (F(3), F(-3 * P61))
+    assert pairing(M.rows[0], v) == 0
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([P61, -P61, 2 * P61, P61 + 1]))
+
+
+@st.composite
+def _matrices(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):  # a dependent row
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    return Matrix.from_rows([exact_vector(r) for r in rows]), weights
+
+
+@given(_matrices())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_null_vector_annihilates_every_row(case):
+    M, weights = case
+    v = null_vector(M, weights)
+    if rank_exact(M).rank == M.ncols:
+        assert v is None
+        return
+    assert any(v.coords)
+    assert all(pairing(row, v) == 0 for row in M.rows)
 
 
 # ---------------------------------------------------------------------------
