@@ -618,17 +618,13 @@ def annihilator_decay_check(
             bounds = tuple((k, decay_bound(j, k, e_norm, exact_limit)) for k in usable)
             pair_j = e.coords[j]
             if bounds:
-                min_bound = min((b for _, b in bounds), key=float)
-                if isinstance(min_bound, Fraction):
-                    holds = abs(pair_j) <= min_bound
-                    forced = min_bound < tau
-                else:
-                    holds = float(abs(pair_j)) <= min_bound
-                    forced = min_bound < float(tau)
-                onset_pos = 0
                 vals = [b for _, b in bounds]
+                min_bound = min(vals)
+                holds = abs(pair_j) <= min_bound
+                forced = min_bound < tau
+                onset_pos = 0
                 for idx in range(1, len(vals)):
-                    if float(vals[idx - 1]) <= float(vals[idx]):
+                    if vals[idx - 1] <= vals[idx]:
                         onset_pos = idx
                 onset_k = usable[onset_pos]
             else:
@@ -686,11 +682,9 @@ def weak_norm_convergence_probe(
         diff = v - limit
         coord_sups.append(max(abs(c) for c in diff.coords[:window]))
         norm_gaps.append(norm(diff, NormTag.L1))
-    last_gap = float(norm_gaps[-1])
-    last_coord = float(coord_sups[-1])
-    if last_gap < tau:
+    if norm_gaps[-1] < tau:
         classification = "norm-convergent"
-    elif last_coord < tau:
+    elif coord_sups[-1] < tau:
         classification = "coordinatewise-only"
     else:
         classification = "divergent"

@@ -58,7 +58,7 @@ from .linalg import (
     zero_vector,
 )
 from .rng import rng_for, sample_subset
-from .serialize import canonical_json, certificate, digest, frac_str, to_jsonable
+from .serialize import canonical_json, certificate, digest, to_jsonable
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -257,6 +257,8 @@ def _check_value(name: str, key: str, raw):
             raise ConfigError(f"scenario {name!r}: cannot read {key}={raw!r} as {types[0]}") from exc
     if not any(_is_type(value, t) for t in types):
         wanted = " or ".join(_TYPE_NAMES[t] for t in types)
+        if key in _RATIONAL_KEYS and "string" in types:
+            wanted += '; rationals are written as strings, such as "1/2"'
         raise ConfigError(f"scenario {name!r}: {key}={value!r} is not {wanted}")
     if "minimum" in spec and value < spec["minimum"]:
         raise ConfigError(
@@ -373,7 +375,7 @@ def _run_klee(params, seed):
                 subset=sub,
             )
         )
-    constructed = {"vectors": to_jsonable(list(vectors))}
+    constructed = {"vectors": vectors}
     return constructed, certs
 
 
@@ -440,7 +442,7 @@ def _run_fd_dense(params, seed):
             subset=range(d),
         )
     )
-    constructed = {"vectors": to_jsonable(list(vectors))}
+    constructed = {"vectors": vectors}
     return constructed, certs
 
 
@@ -479,7 +481,7 @@ def _run_separated(params, seed):
             subset=range(n),
         )
     )
-    constructed = {"vectors": to_jsonable(list(vectors))}
+    constructed = {"vectors": vectors}
     return constructed, certs
 
 
@@ -540,10 +542,7 @@ def _run_incomplete(params, seed):
             inputs={"functional": e_star, "ks": ks, "j_max": j_max},
         )
     )
-    constructed = {
-        "vectors": to_jsonable(list(sequence)),
-        "annihilator": to_jsonable(e_star),
-    }
+    constructed = {"vectors": sequence, "annihilator": e_star}
     return constructed, certs
 
 
@@ -563,11 +562,11 @@ def _run_geometric_variant(params, seed):
         certificate(
             "schedule-rate",
             "Verified",
-            witness={"onsets": list(onsets), "j_max": params["j_max"]},
+            witness={"onsets": onsets, "j_max": params["j_max"]},
             inputs={"lambdas": lambdas, "c": model.c, "rho": model.rho},
         )
     ]
-    constructed = {"vectors": to_jsonable(list(sequence))}
+    constructed = {"vectors": sequence}
     return constructed, certs
 
 
@@ -610,13 +609,13 @@ def _run_sliding_hump(params, seed):
         )
     ]
     constructed = {
-        "vectors": to_jsonable(list(data.extracted)),
-        "n_table": [frac_str(v) for v in data.n_table],
-        "n_value": frac_str(data.n_value),
+        "vectors": data.extracted,
+        "n_table": data.n_table,
+        "n_value": data.n_value,
         "alpha0": data.alpha0,
         "alpha0_rule": data.alpha0_rule,
-        "members": list(data.members),
-        "cuts": list(data.cuts),
+        "members": data.members,
+        "cuts": data.cuts,
     }
     return constructed, certs
 
@@ -647,7 +646,7 @@ def _run_free_set(params, seed):
         certificate(
             "free-set",
             "Free",
-            witness={"H": list(H), "n": n},
+            witness={"H": H, "n": n},
             inputs={"f": [sorted(s) for s in fmap]},
         )
     ]
@@ -658,10 +657,10 @@ def _run_free_set(params, seed):
                 "support-witness",
                 "Verified",
                 witness=record,
-                inputs={"gamma": gamma, "H": list(H)},
+                inputs={"gamma": gamma, "H": H},
             )
         )
-    constructed = {"vectors": to_jsonable(family), "H": list(H)}
+    constructed = {"vectors": family, "H": H}
     return constructed, certs
 
 
@@ -683,7 +682,7 @@ def _run_cover(params, seed):
             certificate(
                 "hyperplane-cover",
                 cover.verdict,
-                witness={"assignment": list(cover.assignment)},
+                witness={"assignment": cover.assignment},
                 inputs={"points": points, "h": h},
             ),
             certificate(
@@ -691,7 +690,7 @@ def _run_cover(params, seed):
                 "Quota",
                 witness={
                     "hyperplane": majority.hyperplane_index,
-                    "members": list(majority.members),
+                    "members": majority.members,
                     "quota": majority.quota,
                 },
                 inputs={"points": points, "h": h},
@@ -715,12 +714,12 @@ def _run_cover(params, seed):
                 cover.verdict,
                 witness={
                     "escape_index": cover.escape_index,
-                    "pairings": list(cover.escape_pairings),
+                    "pairings": cover.escape_pairings,
                 },
                 inputs={"points": points, "plane": witness_fn},
             )
         ]
-    constructed = {"vectors": to_jsonable(points)}
+    constructed = {"vectors": points}
     return constructed, certs
 
 
@@ -747,7 +746,7 @@ def _run_probe(params, seed):
             inputs={"window": window, "tau": tau, "variant": params["variant"]},
         )
     ]
-    constructed = {"vectors": to_jsonable(list(sequence))}
+    constructed = {"vectors": sequence}
     return constructed, certs
 
 
@@ -779,19 +778,23 @@ class Report:
     certificates: tuple
     wall_time_s: float
 
-    def canonical_form(self) -> dict:
-        """Everything but the wall time; the byte-reproducible record."""
+    def _record(self) -> dict:
+        """Everything but the wall time, as toolkit objects."""
         return {
             "scenario": self.scenario,
-            "params": to_jsonable(self.params),
+            "params": self.params,
             "seed": self.seed,
             "toolkit_version": self.toolkit_version,
             "constructed": self.constructed,
-            "certificates": list(self.certificates),
+            "certificates": self.certificates,
         }
 
+    def canonical_form(self) -> dict:
+        """The byte-reproducible record as JSON data."""
+        return to_jsonable(self._record())
+
     def canonical_bytes(self) -> bytes:
-        return canonical_json(self.canonical_form()).encode("utf-8")
+        return canonical_json(self._record()).encode("utf-8")
 
 
 def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: Optional[float] = None) -> Report:
@@ -815,7 +818,7 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
     wall = time.perf_counter() - start
     constructed = {
         "kind": name,
-        "params": to_jsonable(params),
+        "params": params,
         "seed": params["seed"],
         "certificate_refs": [digest(c) for c in certs],
     }
@@ -834,9 +837,7 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
 def emit_report(report: Report, fmt: str = "json") -> str:
     """Render a report: canonical JSON plus wall time, or flat CSV."""
     if fmt == "json":
-        record = report.canonical_form()
-        record["wall_time_s"] = report.wall_time_s
-        return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return canonical_json({**report._record(), "wall_time_s": report.wall_time_s})
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

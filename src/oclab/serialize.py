@@ -1,8 +1,12 @@
-"""Canonical JSON wire format and content digests.
+"""Canonical JSON wire format and content digests: the one module that
+knows how a value is written.
 
-Wire rules: rationals become the ASCII string "p/q" (denominator
-omitted when it is 1, matching ``str(Fraction)``), vectors become arrays
-of such strings, and floats (diagnostics only) stay JSON numbers.
+Callers hand over toolkit objects as they are; the standard JSON encoder
+writes every byte and asks the hook ``_encode`` to convert, one level at
+a time, what it does not know.  Rationals become the ASCII string "p/q"
+(denominator omitted when it is 1, matching ``str(Fraction)``), vectors
+arrays of such strings, dataclasses objects with a kebab-case ``kind``,
+sets sorted arrays; floats (diagnostics only) stay JSON numbers.
 Canonical form sorts keys and strips whitespace, so equal objects have
 equal bytes and digests are tamper-evident.
 """
@@ -45,42 +49,37 @@ def parse_frac(text: str) -> Fraction:
 _KEBAB = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
-def _kind_name(cls) -> str:
-    return _KEBAB.sub("-", cls.__name__).lower()
-
-
-def to_jsonable(obj):
-    """Recursively convert toolkit objects to JSON-serializable data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return frac_str(obj)
-    if isinstance(obj, Vector):
-        return [frac_str(c) for c in obj.coords]
-    if isinstance(obj, Matrix):
-        return [to_jsonable(row) for row in obj.rows]
+def _encode(obj):
+    """Convert one level of an object the JSON encoder does not know."""
+    cls = type(obj)
+    if cls is Fraction:
+        return str(obj)
+    if cls is Vector:
+        return [str(c) for c in obj.coords]
+    if cls is Matrix:
+        return obj.rows
     if isinstance(obj, Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {"kind": _kind_name(type(obj))}
-        for f in dataclasses.fields(obj):
-            out[f.name] = to_jsonable(getattr(obj, f.name))
+    if dataclasses.is_dataclass(cls):
+        out = {"kind": _KEBAB.sub("-", cls.__name__).lower()}  # a field named kind wins
+        for f in dataclasses.fields(cls):
+            out[f.name] = getattr(obj, f.name)
         return out
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (frozenset, set)):
-        return [to_jsonable(v) for v in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"cannot serialize {cls.__name__}")
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(
-        to_jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(obj)
+
+
+def to_jsonable(obj):
+    """The JSON data that ``canonical_json`` writes for ``obj``."""
+    return json.loads(canonical_json(obj))
 
 
 def digest(obj) -> str:
@@ -88,17 +87,16 @@ def digest(obj) -> str:
 
 
 def certificate(kind: str, verdict: str, witness=None, pivot_log=None, inputs=None, subset=None) -> dict:
-    """Assemble the standard certificate record.
-
-    ``inputs_digest`` hashes the canonical serialization of whatever the
-    certificate was computed from, so a report edited after the fact no
-    longer matches its own digests.
+    """Assemble the standard certificate record; ``witness`` and
+    ``pivot_log`` are kept as given.  ``inputs_digest`` hashes the canonical serialization of
+    whatever the certificate was computed from, so a report edited after
+    the fact no longer matches its own digests.
     """
     record = {
         "kind": kind,
         "verdict": verdict,
-        "witness": to_jsonable(witness),
-        "pivot_log": to_jsonable(pivot_log),
+        "witness": witness,
+        "pivot_log": pivot_log,
         "inputs_digest": digest(inputs),
     }
     if subset is not None:

@@ -578,6 +578,16 @@ def test_probe_classifies_coordinatewise_only_basis():
     assert report.coord_sups[-1] == 0
 
 
+def test_probe_compares_the_exact_gap_with_tau():
+    # the last gap is just below tau, but rounds to tau as a float
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    seq = incomplete_space_sequence(model, 10)
+    tau = 0.00099457511325436
+    report = weak_norm_convergence_probe(seq, model.y_truncation(seq[0].dim), 4, tau)
+    assert report.norm_gaps[-1] < tau and float(report.norm_gaps[-1]) == tau
+    assert report.classification == "norm-convergent"
+
+
 def test_probe_classifies_divergence():
     seq = [exact_vector([1, 1]), exact_vector([2, 2])]
     report = weak_norm_convergence_probe(seq, zero_vector(2), 2, 1e-6)

@@ -90,6 +90,11 @@ def test_bad_integer_coercion():
         load_config("klee", {"lambdas": "1/10", "d": "three"})
 
 
+def test_rational_given_as_a_number_names_the_string_form():
+    with pytest.raises(ConfigError, match='radius=0.5 is not a string; rationals are written as strings, such as "1/2"'):
+        load_config("fd-dense", {"d": 2, "n": 3, "radius": 0.5})
+
+
 # JSON-shaped values of every kind a config can carry, plus strings that
 # coerce to in-range numbers or hit an enum, so that some configs load
 JSON_VALUES = st.one_of(
@@ -294,6 +299,9 @@ def test_each_scenario_emits_valid_report(name):
     report = run_scenario(name, dict(config))
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == expected_digest
     record = json.loads(emit_report(report, "json"))
+    assert isinstance(record.pop("wall_time_s"), float)
+    redumped = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert redumped == report.canonical_bytes()
     assert record["scenario"] == name
     assert record["constructed"]["kind"] == name
     assert record["certificates"], "every scenario must certify something"
@@ -407,6 +415,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 3\n", ["--seed", "-1"], "seed"),
         ("cover", "mode = grid\nlambdas = abc\n", [], "lambdas"),
         ("sliding-hump", "family = disjoint\nleft_mass = abc\n", [], "left_mass"),
+        ("fd-dense", '{"d": 2, "n": 3, "radius": 0.5}', [], "radius"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -416,6 +425,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "sliding-hump-zero-eps", "fd-dense-n-below-d", "geometric-variant-zero-threshold",
         "klee-node-at-1/2", "cover-escape-repeated-node", "seed-override-negative",
         "cover-grid-unread-lambdas", "sliding-hump-disjoint-unread-left_mass",
+        "json-number-radius",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):

@@ -53,6 +53,15 @@ def test_canonical_json_is_ordered_and_tight():
     assert s == '{"a":["1/2"],"b":1}'
 
 
+def test_canonical_json_sorts_sets():
+    assert canonical_json({"s": {3, 1, 2}, "f": frozenset({F(1, 2), F(-1)})}) == '{"f":["-1","1/2"],"s":[1,2,3]}'
+
+
+def test_canonical_json_rejects_unsupported_types():
+    with pytest.raises(TypeError, match="cannot serialize complex"):
+        canonical_json({"z": 1j})
+
+
 def test_canonical_json_rejects_nan():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
