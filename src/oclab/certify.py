@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .constructors import IncompleteModel, SlidingHumpData
@@ -410,8 +411,11 @@ class L1EquivalenceCertificate:
 
 
 def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
-    """Coefficient vectors of exact total mass one: the 2m signed unit
-    vectors first, then seeded random points of the same mass."""
+    """Coefficient vectors of exact total mass one, each an integer pair
+    ``(numerators, total)`` standing for ``numerators / total`` with
+    ``sum(|numerators|) == total``: the 2m signed unit vectors
+    ``((0, ..., ±1, ..., 0), 1)`` first, then seeded random points of the
+    same mass, their numerators signed draws over the draws' sum."""
     if m < 1:
         raise DomainError("need at least one coefficient slot")
     if count < 1:
@@ -419,9 +423,9 @@ def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
     samples = []
     for j in range(m):
         for sgn in (1, -1):
-            vec = [Fraction(0)] * m
-            vec[j] = Fraction(sgn)
-            samples.append(tuple(vec))
+            vec = [0] * m
+            vec[j] = sgn
+            samples.append((tuple(vec), 1))
             if len(samples) == count:
                 return samples
     rng = rng_for(seed, "l1-samples")
@@ -431,7 +435,7 @@ def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
         if total == 0:
             continue
         signs = [1 if rng.getrandbits(1) else -1 for _ in range(m)]
-        samples.append(tuple(Fraction(s * r, total) for s, r in zip(signs, raw)))
+        samples.append((tuple(s * r for s, r in zip(signs, raw)), total))
     return samples
 
 
@@ -442,10 +446,12 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     eps), observe the remaining tails are disjointly supported, bound
     each tail's mass from below, and emit c = 1 - N - 2*eps.  Every
     sampled combination of total mass one must then have L1 norm >= c;
-    a sampled violation is a hard error, not a statistic.
+    a sampled violation is a hard error, not a statistic.  Samples are
+    the ``(numerators, total)`` pairs of :func:`coefficient_samples`;
+    each is checked in integers, with every member's exclusive mass
+    summed once and only the shared coordinates summed per sample.
     """
     n_value, eps, alpha0 = data.n_value, data.epsilon, data.alpha0
-    L = data.extracted[0].dim
     splits = []
     tail_supports = []
     for g, x in enumerate(data.extracted):
@@ -480,37 +486,43 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     if constant < floor:
         raise CertificationError("the certified constant fell below its floor")
 
-    # integer fast path for the sampled combinations
+    # the sampled combinations, in integers over the common denominator den:
+    # a coordinate where one member alone is nonzero adds |n_j|*|r_ji| to
+    # every sample's total, so those masses are summed once per member
     m = len(data.extracted)
     den = _lcm_denominator(c for x in data.extracted for c in x.coords)
-    int_rows = [[int(c * den) for c in x.coords] for x in data.extracted]
-    supports = [x.support() for x in data.extracted]
-    sampled_min = None
-    for a in samples:
-        if len(a) != m:
-            raise DomainError(f"sample of length {len(a)}, expected {m}")
-        coeffs = [Fraction(v) for v in a]
-        if sum(map(abs, coeffs)) != 1:
-            raise DomainError("samples must have exact total mass one")
-        d_a = _lcm_denominator(coeffs)
-        nums = [int(v * d_a) for v in coeffs]
-        acc = [0] * L
-        for j in range(m):
-            aj = nums[j]
-            if aj == 0:
-                continue
-            row = int_rows[j]
-            for idx in supports[j]:
-                acc[idx] += aj * row[idx]
-        total = sum(abs(v) for v in acc)
+    rows = [[c.numerator * (den // c.denominator) for c in x.coords] for x in data.extracted]
+    exclusive = [0] * m
+    shared = []
+    for column in zip(*rows):
+        members = [j for j, r in enumerate(column) if r]
+        if len(members) == 1:
+            exclusive[members[0]] += abs(column[members[0]])
+        elif members:
+            shared.append((members, [column[j] for j in members]))
+    best = None
+    for k, (nums, d_a) in enumerate(samples):
+        if len(nums) != m:
+            raise DomainError(f"sample {k} has length {len(nums)}, expected {m}")
+        mass = sum(map(abs, nums))
+        if d_a <= 0 or mass != d_a:
+            raise DomainError(
+                f"sample {k} does not have exact total mass one: "
+                f"numerator mass {mass} over total {d_a}"
+            )
+        total = sum(map(mul, map(abs, nums), exclusive))
+        for members, entries in shared:
+            total += abs(sum(map(mul, map(nums.__getitem__, members), entries)))
         # total/(d_a*den) >= constant, cross-multiplied to stay integral
         if total * constant.denominator < constant.numerator * d_a * den:
-            raise CertificationError("sampled combination fell below the certified constant")
-        value = Fraction(total, d_a * den)
-        if sampled_min is None or value < sampled_min:
-            sampled_min = value
-    if sampled_min is None:
+            raise CertificationError(
+                f"sampled combination {k} fell below the certified constant"
+            )
+        if best is None or total * best[1] < best[0] * d_a:
+            best = (total, d_a)
+    if best is None:
         raise DomainError("need at least one coefficient sample")
+    sampled_min = Fraction(best[0], best[1] * den)
     return L1EquivalenceCertificate(
         constant=constant,
         floor=floor,

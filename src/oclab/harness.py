@@ -592,6 +592,12 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
 
 def _run_sliding_hump(params, seed):
     L, m = params["L"], params["m"]
+    for key in ("L", "samples"):
+        if params[key] * m > _EXHAUSTIVE_GUARD:
+            raise ConfigError(
+                f"{key}={params[key]} times m={m} is {params[key] * m}, "
+                f"above the limit of {_EXHAUSTIVE_GUARD}"
+            )
     eps = _frac(params["eps"], "eps")
     if eps <= 0:
         raise ConfigError(f"eps={params['eps']!r} must be positive")

@@ -94,6 +94,16 @@ def window_mass(coords, a, b):
     return sum((abs(c) for c in coords[a:b]), Fraction(0))
 
 
+def l1_combination_norm(rows, coeffs):
+    """L1 norm of sum_j coeffs[j] * rows[j], summed coordinate by coordinate."""
+    acc = [Fraction(0)] * len(rows[0])
+    for a, row in zip(coeffs, rows):
+        for i, c in enumerate(row):
+            if a and c:
+                acc[i] += Fraction(a) * c
+    return sum((abs(v) for v in acc), Fraction(0))
+
+
 def prefix_min_table(members, length):
     """N_alpha for alpha in [0, length] as a plain double loop."""
     table = []

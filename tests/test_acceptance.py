@@ -125,7 +125,7 @@ def test_criterion_4_sliding_hump_ten_thousand_samples():
         assert window_mass(x.coords, cut, 200) >= 1 - n_value - eps          # (iii)
         assert window_mass(x.coords, data.alpha0, cut) <= eps               # (iv)
     samples = coefficient_samples(15, 10_000, seed=2026)
-    assert all(sum(abs(a) for a in s) == 1 for s in samples)
+    assert all(total > 0 and sum(abs(n) for n in nums) == total for nums, total in samples)
     cert = l1_lower_bound_certificate(data, samples)
     elapsed = time.perf_counter() - start
     assert cert.constant == F(3, 5)

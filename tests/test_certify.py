@@ -25,6 +25,7 @@ from oclab.certify import (
 )
 from oclab.constructors import (
     IncompleteModel,
+    SlidingHumpData,
     fd_overcomplete,
     incomplete_space_sequence,
     klee_vectors,
@@ -35,6 +36,7 @@ from oclab.errors import (
     DomainError,
     PreconditionError,
 )
+from oclab.harness import block_family
 from oclab.linalg import (
     Matrix,
     NormTag,
@@ -52,7 +54,7 @@ from oclab.linalg import (
     _singular_subsets,
 )
 
-from oracles import brute_force_max_free_set, cofactor_det, rref_rank
+from oracles import brute_force_max_free_set, cofactor_det, l1_combination_norm, rref_rank
 
 
 KLEE5_LAMBDAS = [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
@@ -484,17 +486,129 @@ def test_l1_certificate_rejects_forged_extraction():
 def test_l1_certificate_rejects_nonunit_mass_samples():
     data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
     with pytest.raises(DomainError):
-        l1_lower_bound_certificate(data, [(F(1, 2),) * 5])
+        l1_lower_bound_certificate(data, [((1,) * 5, 2)])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((1, 0, 0, 0), 1),         # one slot short
+        ((1, 0, 0, 0, 0, 0), 1),   # one slot too many
+        ((0, 0, 0, 0, 0), 0),      # zero total
+        ((-1, 0, 0, 0, 0), -1),    # negative total
+        ((1, -1, 0, 0, 0), 3),     # total is not the numerators' mass
+        ((1, 1, 0, 0, 0), 1),
+    ],
+    ids=["short", "long", "zero-total", "negative-total", "mass-below-total", "mass-above-total"],
+)
+def test_l1_certificate_rejects_malformed_samples_naming_the_index(bad):
+    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    good = coefficient_samples(5, 4, seed=1)
+    with pytest.raises(DomainError) as err:
+        l1_lower_bound_certificate(data, good + [bad])
+    assert "sample 4 " in str(err.value)
+
+
+def test_l1_certificate_names_the_sample_below_the_constant(monkeypatch):
+    # the chain makes a violation impossible, so plant a fault: every
+    # product in the sample check loses 30%.  The unit vector still clears
+    # 3/5 at 7/10; the balanced combination, exactly 7/10, drops to about 49/100.
+    import oclab.certify as certify_mod
+
+    monkeypatch.setattr(certify_mod, "mul", lambda a, b: a * b * 7 // 10)
+    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    with pytest.raises(CertificationError) as err:
+        l1_lower_bound_certificate(data, [((1, 0, 0, 0, 0), 1), ((1, -1, 0, 0, 0), 2)])
+    assert "combination 1 fell below" in str(err.value)
 
 
 def test_coefficient_samples_exact_mass_and_vertices():
     samples = coefficient_samples(4, 30, seed=9)
     assert len(samples) == 30
-    for a in samples:
-        assert sum(abs(x) for x in a) == 1
+    for nums, total in samples:
+        assert all(isinstance(n, int) for n in nums)
+        assert total > 0 and sum(abs(n) for n in nums) == total
     # the first 2m entries are the signed unit coefficient vectors
-    assert samples[0] == (F(1), F(0), F(0), F(0))
-    assert samples[1] == (F(-1), F(0), F(0), F(0))
+    assert samples[0] == ((1, 0, 0, 0), 1)
+    assert samples[1] == ((-1, 0, 0, 0), 1)
+
+
+def _oracle_min(data, samples):
+    rows = [x.coords for x in data.extracted]
+    return min(l1_combination_norm(rows, [F(n, total) for n in nums]) for nums, total in samples)
+
+
+# sampled_min of the sliding-hump item at L = 200 and 3,000 samples, as the
+# per-coordinate Fraction loop gave it before the exclusive/shared split
+@pytest.mark.parametrize(
+    "left_mass, m, seed, pinned",
+    [
+        (F(3, 10), 15, 2026, F(1817624, 2596535)),
+        (F(0), 15, 7, F(1)),
+        (F(3, 10), 8, 3, F(1014491, 1449215)),
+        (F(0), 8, 11, F(1)),
+    ],
+    ids=["blocks-m15-seed2026", "disjoint-m15-seed7", "blocks-m8-seed3", "disjoint-m8-seed11"],
+)
+def test_l1_sampled_min_is_pinned_and_matches_the_oracle(left_mass, m, seed, pinned):
+    data = sliding_hump_extract(block_family(200, m, left_mass), F(1, 20))
+    samples = coefficient_samples(m, 3000, seed)
+    assert l1_lower_bound_certificate(data, samples).sampled_min == pinned
+    # the oracle's direct sum is slow: compare on a prefix that passes the
+    # unit vectors and reaches the random draws
+    head = samples[:120]
+    assert l1_lower_bound_certificate(data, head).sampled_min == _oracle_min(data, head)
+
+
+@st.composite
+def _overlapping_humps(draw):
+    """Chain-valid extractions whose supports overlap: coordinate 0 is
+    nonzero in every member, and member 1's middle strip covers member
+    0's tail, so member 0 has no exclusive coordinate."""
+    m = draw(st.integers(2, 4))
+    head = draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    starts = [head + sum(widths[:g]) for g in range(m)]
+    L = head + sum(widths)
+    small = st.integers(-2, 2)
+    members = []
+    for g in range(m):
+        coords = [F(0)] * L
+        coords[0] = F(draw(st.sampled_from([-3, -1, 2, 5])), 7)
+        if g > 0:
+            for i in range(1, head):
+                coords[i] = F(draw(small), 7)
+        for i in range(head, starts[g]):
+            r = draw(small)
+            if g == 1 and r == 0:
+                r = 1
+            coords[i] = F(r, 40 * L)
+        block = draw(st.lists(st.integers(1, 5), min_size=widths[g], max_size=widths[g]))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=widths[g], max_size=widths[g]))
+        for k, (r, s) in enumerate(zip(block, signs)):
+            coords[starts[g] + k] = F(s * r, 2 * sum(block))
+        members.append(exact_vector(coords))
+    # tails of mass 1/2 >= 1 - N - eps, middle strips of mass <= 1/20 <= eps
+    data = SlidingHumpData(
+        epsilon=F(1, 10), n_value=F(1, 2), alpha0=head, n_table=(),
+        members=tuple(range(m)), cuts=tuple(starts), extracted=tuple(members),
+    )
+    drawn = draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), max_size=6))
+    extra = []
+    for nums in drawn:
+        nums[draw(st.integers(0, m - 1))] = 0
+        if any(nums):
+            extra.append((tuple(nums), sum(map(abs, nums))))
+    return data, coefficient_samples(m, 2 * m + 3, draw(st.integers(0, 99))) + extra
+
+
+@given(case=_overlapping_humps())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_l1_sampled_min_equals_the_oracle_on_overlapping_supports(case):
+    data, samples = case
+    cert = l1_lower_bound_certificate(data, samples)
+    assert cert.sampled_min == _oracle_min(data, samples)
+    assert cert.sampled_min >= cert.constant
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("cover", "mode = grid\nlambdas = abc\n", [], "lambdas"),
         ("sliding-hump", "family = disjoint\nleft_mass = abc\n", [], "left_mass"),
         ("fd-dense", '{"d": 2, "n": 3, "radius": 0.5}', [], "radius"),
+        ("sliding-hump", "L = 20000\nm = 11\n", [], "L"),
+        ("sliding-hump", "m = 11\nsamples = 20000\n", [], "samples"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -425,7 +427,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "sliding-hump-zero-eps", "fd-dense-n-below-d", "geometric-variant-zero-threshold",
         "klee-node-at-1/2", "cover-escape-repeated-node", "seed-override-negative",
         "cover-grid-unread-lambdas", "sliding-hump-disjoint-unread-left_mass",
-        "json-number-radius",
+        "json-number-radius", "sliding-hump-L-times-m-above-guard",
+        "sliding-hump-samples-times-m-above-guard",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
