@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .constructors import IncompleteModel, SlidingHumpData
+from .constructors import IncompleteModel, SlidingHumpData, _onset
 from .errors import (
     CertificationError,
     DomainError,
@@ -29,11 +29,11 @@ from .linalg import (
     Vector,
     dual_norm,
     norm,
-    norm_squared,
     null_vector,
     pairing,
     rank_exact,
     scaled_int_coords,
+    _distance_sign,
     _lcm_denominator,
     _singular_subsets,
 )
@@ -259,9 +259,13 @@ def hyperplane_cover(S: Sequence[Vector], H: Sequence[HyperplaneFunctional]) -> 
 
 @dataclass(frozen=True)
 class MajorityResult:
+    """The majority hyperplane, the points it contains and their quota,
+    with the cover they were counted from."""
+
     hyperplane_index: int
     members: tuple
     quota: int
+    cover: CoverResult
 
 
 def pigeonhole_majority(S: Sequence[Vector], H: Sequence[HyperplaneFunctional]) -> MajorityResult:
@@ -277,7 +281,7 @@ def pigeonhole_majority(S: Sequence[Vector], H: Sequence[HyperplaneFunctional]) 
     members = tuple(i for i, s in enumerate(S) if pairing(H[best].coeffs, s) == 0)
     if len(members) < quota:
         raise CertificationError("pigeonhole count fell below the quota")
-    return MajorityResult(best, members, quota)
+    return MajorityResult(best, members, quota, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +364,6 @@ def support_annihilator_witness(family: Sequence[Vector], H: Iterable[int], gamm
 # ---------------------------------------------------------------------------
 
 
-def _distance_at_least(u: Vector, v: Vector, delta, tag: NormTag) -> bool:
-    diff = u - v
-    if tag is NormTag.L2:
-        return norm_squared(diff) >= delta * delta
-    return norm(diff, tag) >= delta
-
-
 def greedy_separated_subset(points: Sequence[Vector], delta, tag: NormTag) -> tuple:
     """Maximal delta-separated subset, greedy by ascending index.
 
@@ -381,7 +378,7 @@ def greedy_separated_subset(points: Sequence[Vector], delta, tag: NormTag) -> tu
         raise DomainError("delta must be positive")
     selected: list = []
     for i, p in enumerate(points):
-        if all(_distance_at_least(p, points[j], delta, tag) for j in selected):
+        if all(_distance_sign(p, points[j], delta, tag) >= 0 for j in selected):
             selected.append(i)
     return tuple(selected)
 
@@ -634,11 +631,7 @@ def annihilator_decay_check(
                 min_bound = min(vals)
                 holds = abs(pair_j) <= min_bound
                 forced = min_bound < tau
-                onset_pos = 0
-                for idx in range(1, len(vals)):
-                    if vals[idx - 1] <= vals[idx]:
-                        onset_pos = idx
-                onset_k = usable[onset_pos]
+                onset_k = usable[_onset(vals)]
             else:
                 min_bound, holds, forced, onset_k = None, None, None, None
             entries.append(

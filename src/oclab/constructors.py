@@ -1,11 +1,14 @@
 """Constructions of overcomplete families in finite-truncation models.
 
-Each builder here returns checked exact vectors (the sliding-hump
-extraction adds the cuts its certificate replays), and the certify module
-re-checks every claimed property independently: geometric node families,
-hyperplane-avoiding sequences in R^d, Riesz-step separated families, the
-convergent sequences living in an incomplete-model ambient space, and the
-sliding-hump extraction over a finite index range.
+Each builder here returns checked exact vectors, plus the checked values
+a report needs, so none is computed twice: the incomplete-model sequence
+returns its (distance, bound) gaps, the geometric variant its schedule
+onsets, and the sliding-hump extraction the cuts its certificate replays.
+The certify module re-checks every claimed property independently:
+geometric node families, hyperplane-avoiding sequences in R^d, Riesz-step
+separated families, the convergent sequences living in an
+incomplete-model ambient space, and the sliding-hump extraction over a
+finite index range.
 
 Index ranges [0, L) stand in for ordinal ranges; cut ordinals become
 integer cut indices.  Everything order-theoretic in the source arguments
@@ -32,12 +35,12 @@ from .linalg import (
     Vector,
     exact_vector,
     norm,
-    norm_squared,
     null_vector,
     rank_exact,
     scaled_int_coords,
     zero_vector,
     _complement,
+    _distance_sign,
     _extend,
     _singular_subsets,
 )
@@ -108,8 +111,7 @@ class OpenBall:
         """Exact membership test by squared distance (strict: the ball is open)."""
         if v.dim != self.center.dim:
             raise DomainError("dimension mismatch in ball membership")
-        diff = tuple(a - b for a, b in zip(v.coords, self.center.coords))
-        return sum(d * d for d in diff) < self.radius ** 2
+        return _distance_sign(v, self.center, self.radius, NormTag.L2) < 0
 
 
 def fd_overcomplete(
@@ -295,12 +297,7 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
     lower = Fraction(1) - eps
     for i in range(d):
         for j in range(i + 1, d):
-            diff = vectors[j] - vectors[i]
-            if tag is NormTag.L2:
-                ok = norm_squared(diff) > lower * lower
-            else:
-                ok = norm(diff, tag) > lower
-            if not ok:
+            if _distance_sign(vectors[j], vectors[i], lower, tag) <= 0:
                 raise ConstructionError(f"separation failed for pair ({i}, {j})")
     if rank_exact(Matrix.from_rows(vectors)).rank != d:
         raise ConstructionError("separated family does not span the space")
@@ -375,12 +372,14 @@ class IncompleteModel:
         return sum(head, Fraction(0)) + self.tail(w)
 
 
-def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:
+def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:
     """The convergent-but-spanning sequence g_k = y_k + sum of (n+2)^{-k} e_n.
 
     All members live in one ambient dimension.  The convergence estimate
-    ||y - g_k|| <= ||y_k - y|| + (k+1)/2^k is re-checked exactly for each
-    k, with the target's tail handled symbolically.
+    ||y - g_k|| <= ||y_k - y|| + (k+1)/2^k is checked exactly for each k,
+    with the target's tail handled symbolically.  Returns (gaps, vectors):
+    the checked (distance, bound) pairs of :func:`convergence_gaps`, so a
+    caller that reports them computes them once.
     """
     if K < 0:
         raise DomainError("sequence horizon must be nonnegative")
@@ -390,13 +389,12 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> list:
         coords = list(model.y_k_vector(k, dim).coords)
         for n in range(k + 1):
             coords[n] += Fraction(1, (n + 2) ** k)
-        g = Vector(tuple(coords))
-        lhs = model.exact_distance(g)
-        rhs = model.approx_error(k) + Fraction(k + 1, 2 ** k)
+        out.append(Vector(tuple(coords)))
+    gaps = convergence_gaps(model, out)
+    for k, (lhs, rhs) in enumerate(gaps):
         if lhs > rhs:
             raise ConstructionError(f"convergence bound violated at k={k}")
-        out.append(g)
-    return out
+    return gaps, out
 
 
 def convergence_gaps(model: IncompleteModel, sequence: Sequence[Vector]) -> list:
@@ -440,6 +438,12 @@ class GeometricSchedule:
             raise DomainError("threshold must be positive")
 
 
+def _onset(vals: Sequence) -> int:
+    """Index from which ``vals`` decrease strictly to the end: the last i
+    with vals[i-1] <= vals[i], else 0."""
+    return max((i for i in range(1, len(vals)) if vals[i - 1] <= vals[i]), default=0)
+
+
 def verify_schedule(model: IncompleteModel, schedule: GeometricSchedule, K: int) -> tuple:
     """Check the rate condition on the prefix n = 0..K for each j <= j_max.
 
@@ -456,10 +460,7 @@ def verify_schedule(model: IncompleteModel, schedule: GeometricSchedule, K: int)
     onsets = []
     for j in range(schedule.j_max + 1):
         vals = [err / lam ** j for err, lam in zip(errors, schedule.lambdas)]
-        onset = 0
-        for n in range(1, K + 1):
-            if vals[n - 1] <= vals[n]:
-                onset = n
+        onset = _onset(vals)
         if onset == K and K > 0:
             raise ScheduleError(
                 f"scaled error still rising at the horizon (n={K}, j={j})"

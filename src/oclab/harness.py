@@ -38,7 +38,6 @@ from .constructors import (
     GeometricSchedule,
     IncompleteModel,
     OpenBall,
-    convergence_gaps,
     fd_overcomplete,
     geometric_variant_sequence,
     incomplete_space_sequence,
@@ -195,8 +194,8 @@ def parse_config(text: str) -> dict:
     if stripped.startswith("{"):
         try:
             data = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # invalid JSON, or an integer past the digit limit
+            raise ConfigError(f"cannot read the JSON config: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON config must be a single object")
         return data
@@ -336,6 +335,33 @@ def _klee_vectors(params, lambdas, d) -> tuple:
         raise ConfigError(f"lambdas={params['lambdas']!r}: {exc}") from exc
 
 
+def _d_subsets(params, seed, n: int, d: int, stream: str):
+    """The d-subsets of n vectors that a sweep checks, from the config's
+    ``subset_samples``: ``None`` for all C(n, d) of them, refused as a
+    config error above ``_EXHAUSTIVE_GUARD``, or that many seeded draws
+    from the rng stream ``stream``."""
+    samples = params["subset_samples"]
+    if samples == 0:
+        if math.comb(n, d) > _EXHAUSTIVE_GUARD:
+            raise ConfigError(f"C({n},{d}) subsets is too many to enumerate; set subset_samples")
+        return None
+    rng = rng_for(seed, stream)
+    return [sample_subset(rng, n, d) for _ in range(samples)]
+
+
+def _spot_density(vectors, d: int) -> dict:
+    """The density certificate of the first d vectors."""
+    spot = density_certificate(vectors, range(d), d)
+    return certificate(
+        "density",
+        spot.verdict,
+        witness=spot.witness,
+        pivot_log=spot.pivot_log,
+        inputs={"subset": list(range(d))},
+        subset=range(d),
+    )
+
+
 def _run_klee(params, seed):
     lambdas = _frac_list(params["lambdas"], "lambdas")
     d = params["d"]
@@ -343,18 +369,9 @@ def _run_klee(params, seed):
         raise ConfigError(f"klee needs at least d={d} lambdas, got {len(lambdas)}")
     vectors = _klee_vectors(params, lambdas, d)
     n = len(vectors)
-    samples = params["subset_samples"]
-    if samples == 0:
-        if math.comb(n, d) > _EXHAUSTIVE_GUARD:
-            raise ConfigError(
-                f"C({n},{d}) subsets is too many to enumerate; set subset_samples"
-            )
-        subsets = list(itertools.combinations(range(n), d))
-    else:
-        rng = rng_for(seed, "klee-subsets")
-        subsets = [sample_subset(rng, n, d) for _ in range(samples)]
+    subsets = _d_subsets(params, seed, n, d, "klee-subsets")
     certs = []
-    for sub in subsets:
+    for sub in subsets or itertools.combinations(range(n), d):
         cert = density_certificate(vectors, sub, d)
         if cert.verdict == "Full":
             prod = vandermonde_det([lambdas[i] for i in sub])
@@ -386,6 +403,7 @@ def _run_fd_dense(params, seed):
     radius = _frac(params["radius"], "radius")
     if radius <= 0:
         raise ConfigError("radius must be positive")
+    subsets = _d_subsets(params, seed, n, d, "fd-subsets")
     if params["targets"] == "auto":
         rng = rng_for(seed, "fd-targets")
         targets = []
@@ -412,16 +430,6 @@ def _run_fd_dense(params, seed):
                 inputs={"vector": v, "center": ball.center, "radius": ball.radius},
             )
         )
-    samples = params["subset_samples"]
-    if samples == 0:
-        if math.comb(n, d) > _EXHAUSTIVE_GUARD:
-            raise ConfigError(
-                f"C({n},{d}) subsets is too many to enumerate; set subset_samples"
-            )
-        subsets = None
-    else:
-        rng = rng_for(seed, "fd-subsets")
-        subsets = [sample_subset(rng, n, d) for _ in range(samples)]
     checked, failures = all_subsets_full_rank(vectors, d, subsets)
     certs.append(
         certificate(
@@ -431,17 +439,7 @@ def _run_fd_dense(params, seed):
             inputs={"d": d, "n": n, "seed": seed},
         )
     )
-    spot = density_certificate(vectors, range(d), d)
-    certs.append(
-        certificate(
-            "density",
-            spot.verdict,
-            witness=spot.witness,
-            pivot_log=spot.pivot_log,
-            inputs={"subset": list(range(d))},
-            subset=range(d),
-        )
-    )
+    certs.append(_spot_density(vectors, d))
     constructed = {"vectors": vectors}
     return constructed, certs
 
@@ -470,17 +468,7 @@ def _run_separated(params, seed):
             inputs={"d": d, "eps": eps, "tag": tag.value},
         )
     ]
-    spot = density_certificate(vectors, range(n), d)
-    certs.append(
-        certificate(
-            "density",
-            spot.verdict,
-            witness=spot.witness,
-            pivot_log=spot.pivot_log,
-            inputs={"subset": list(range(n))},
-            subset=range(n),
-        )
-    )
+    certs.append(_spot_density(vectors, d))
     constructed = {"vectors": vectors}
     return constructed, certs
 
@@ -521,9 +509,9 @@ def _run_incomplete(params, seed):
     j_max, dim = params["j_max"], model.ambient_dim(K)
     if j_max >= dim:
         raise ConfigError(f"j_max={j_max} must be below the truncation dimension {dim} at K={K}")
-    sequence = incomplete_space_sequence(model, K)
+    gaps, sequence = incomplete_space_sequence(model, K)
     certs = []
-    for k, (lhs, rhs) in enumerate(convergence_gaps(model, sequence)):
+    for k, (lhs, rhs) in enumerate(gaps):
         certs.append(
             certificate(
                 "approximation-bound",
@@ -682,13 +670,12 @@ def _run_cover(params, seed):
             coords[t % h] = Fraction(0)
             points.append(exact_vector(coords))
         planes = [HyperplaneFunctional(unit_vector(j, d)) for j in range(h)]
-        cover = hyperplane_cover(points, planes)
         majority = pigeonhole_majority(points, planes)
         certs = [
             certificate(
                 "hyperplane-cover",
-                cover.verdict,
-                witness={"assignment": cover.assignment},
+                majority.cover.verdict,
+                witness={"assignment": majority.cover.assignment},
                 inputs={"points": points, "h": h},
             ),
             certificate(
@@ -735,7 +722,7 @@ def _run_probe(params, seed):
         raise ConfigError(f"tau={params['tau']!r} must be positive")
     if params["variant"] == "gk":
         model = _incomplete_model(params)
-        sequence = incomplete_space_sequence(model, params["K"])
+        _, sequence = incomplete_space_sequence(model, params["K"])
         limit = model.y_truncation(sequence[0].dim)
     else:
         dim = params["K"] + 1

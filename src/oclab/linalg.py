@@ -193,6 +193,21 @@ def dual_norm(f: Vector, tag: NormTag) -> Fraction:
     return norm(f, DUAL_TAG[NormTag(tag)])
 
 
+def _distance_sign(u: Vector, v: Vector, delta: Fraction, tag: NormTag) -> int:
+    """Sign of ||u - v|| - delta under ``tag`` (-1, 0 or 1), exactly.
+
+    L2 compares the squares, which keeps the irrational norm out and
+    needs ``delta >= 0``.  Each caller applies its own inequality to the
+    sign.
+    """
+    diff = u - v
+    if tag is NormTag.L2:
+        dist, delta = norm_squared(diff), delta * delta
+    else:
+        dist = norm(diff, tag)
+    return (dist > delta) - (dist < delta)
+
+
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 # ---------------------------------------------------------------------------

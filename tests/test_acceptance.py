@@ -91,13 +91,13 @@ def test_criterion_2_overcomplete_40_choose_4():
 def test_criterion_3_approximation_bound_and_decay():
     model = IncompleteModel(F(1, 2), F(1, 2))
     assert all(model.y_coord(n) == F(1, 2 ** (n + 1)) for n in range(8))
-    sequence = incomplete_space_sequence(model, 12)
+    _, sequence = incomplete_space_sequence(model, 12)
     for k, (distance, bound) in enumerate(convergence_gaps(model, sequence)):
         assert distance <= bound  # exact rational comparison
         assert bound == model.approx_error(k) + F(k + 1, 2 ** k)
     assert decay_bound(0, 40) < F(1, 1000)
 
-    long_seq = incomplete_space_sequence(model, 40)
+    _, long_seq = incomplete_space_sequence(model, 40)
     ks = list(range(6, 41))
     rows = [long_seq[k] for k in ks] + [model.y_truncation(long_seq[0].dim)]
     n = rows[0].dim
@@ -225,7 +225,7 @@ def test_criterion_7_riesz_dual_witnesses():
 
 def test_criterion_8_convergence_probe_classifications():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    sequence = incomplete_space_sequence(model, 25)
+    _, sequence = incomplete_space_sequence(model, 25)
     limit = model.y_truncation(sequence[0].dim)
     probe = weak_norm_convergence_probe(sequence, limit, 8, 1e-6)
     assert probe.classification == "norm-convergent"

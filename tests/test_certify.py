@@ -634,7 +634,7 @@ def test_decay_bound_switches_to_float_beyond_limit():
 
 def test_decay_check_reports_bounds_and_preconditions():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 40)
+    _, seq = incomplete_space_sequence(model, 40)
     ks = [10, 20, 30, 40]
     rows = [seq[k] for k in ks] + [model.y_truncation(seq[0].dim)]
     e = nullspace_exact(Matrix.from_rows(rows))[0]
@@ -651,7 +651,7 @@ def test_decay_check_reports_bounds_and_preconditions():
 
 def test_decay_check_rejects_non_annihilator():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 10)
+    _, seq = incomplete_space_sequence(model, 10)
     bad = unit_vector(0, seq[0].dim)
     with pytest.raises(PreconditionError):
         annihilator_decay_check(model, seq, [5, 10], [bad], 1)
@@ -659,7 +659,7 @@ def test_decay_check_rejects_non_annihilator():
 
 def test_decay_check_records_mode_switch():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 70)
+    _, seq = incomplete_space_sequence(model, 70)
     ks = [50, 70]
     rows = [seq[k] for k in ks] + [model.y_truncation(seq[0].dim)]
     e = nullspace_exact(Matrix.from_rows(rows))[0]
@@ -676,7 +676,7 @@ def test_decay_check_records_mode_switch():
 
 def test_probe_classifies_norm_convergence():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 25)
+    _, seq = incomplete_space_sequence(model, 25)
     limit = model.y_truncation(seq[0].dim)
     report = weak_norm_convergence_probe(seq, limit, 8, 1e-6)
     assert report.classification == "norm-convergent"
@@ -695,7 +695,7 @@ def test_probe_classifies_coordinatewise_only_basis():
 def test_probe_compares_the_exact_gap_with_tau():
     # the last gap is just below tau, but rounds to tau as a float
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 10)
+    _, seq = incomplete_space_sequence(model, 10)
     tau = 0.00099457511325436
     report = weak_norm_convergence_probe(seq, model.y_truncation(seq[0].dim), 4, tau)
     assert report.norm_gaps[-1] < tau and float(report.norm_gaps[-1]) == tau

@@ -18,6 +18,7 @@ from oclab.constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
     verify_schedule,
+    _onset,
 )
 from oclab.errors import (
     ConstructionError,
@@ -225,7 +226,7 @@ def test_model_rejects_l2_and_bad_rho():
 
 def test_first_term_uses_unit_coefficient():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 2)
+    _, seq = incomplete_space_sequence(model, 2)
     g0 = seq[0]
     y0 = model.y_k_vector(0, g0.dim)
     assert (g0 - y0).coords[0] == 1  # coefficient (0+2)^0 on the first member
@@ -233,7 +234,7 @@ def test_first_term_uses_unit_coefficient():
 
 def test_k2_coefficients_match_hand_expansion():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 2)
+    _, seq = incomplete_space_sequence(model, 2)
     g2 = seq[2]
     y2 = model.y_k_vector(2, g2.dim)
     coeffs = (g2 - y2).coords[:3]
@@ -242,8 +243,8 @@ def test_k2_coefficients_match_hand_expansion():
 
 def test_convergence_bound_exact_up_to_k12():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 12)
-    gaps = convergence_gaps(model, seq)
+    gaps, seq = incomplete_space_sequence(model, 12)
+    assert gaps == convergence_gaps(model, seq)
     assert len(gaps) == 13
     for k, (lhs, rhs) in enumerate(gaps):
         assert lhs <= rhs
@@ -252,14 +253,36 @@ def test_convergence_bound_exact_up_to_k12():
 
 def test_sequence_supports_contain_prefix():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    seq = incomplete_space_sequence(model, 6)
+    _, seq = incomplete_space_sequence(model, 6)
     for k, g in enumerate(seq):
         assert set(range(k + 1)) <= set(g.support())
+
+
+def test_sequence_builder_refuses_the_first_violated_bound(monkeypatch):
+    import oclab.constructors as constructors_mod
+
+    def planted(model, sequence):
+        gaps = convergence_gaps(model, sequence)
+        for k in (3, 5):
+            gaps[k] = (gaps[k][1] + 1, gaps[k][1])
+        return gaps
+
+    monkeypatch.setattr(constructors_mod, "convergence_gaps", planted)
+    with pytest.raises(ConstructionError, match="k=3"):
+        incomplete_space_sequence(IncompleteModel(F(1, 2), F(1, 2)), 6)
 
 
 # ---------------------------------------------------------------------------
 # geometric variant and schedules
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "vals, onset",
+    [([], 0), ([5], 0), ([3, 2, 1], 0), ([1, 2, 1], 1), ([2, 2, 1], 1), ([2, 1, 3, 2], 2), ([1, 2, 3], 2)],
+)
+def test_onset_is_the_last_non_decrease(vals, onset):
+    assert _onset(vals) == onset
 
 
 def test_variant_dyadic_expansion_at_k1():

@@ -65,6 +65,13 @@ def test_json_config_must_be_object():
         parse_config('{"d": }')
 
 
+def test_json_integer_past_the_digit_limit_is_a_config_error():
+    # json.loads raises a plain ValueError for an integer literal past the
+    # interpreter's decimal-conversion limit, not a JSONDecodeError
+    with pytest.raises(ConfigError, match="cannot read the JSON config"):
+        parse_config('{"d": ' + "9" * 5000 + "}")
+
+
 def test_unknown_key_lists_valid_ones():
     with pytest.raises(ConfigError) as err:
         load_config("klee", {"lambdas": "1/2", "dims": "3"})
@@ -291,6 +298,58 @@ SMOKE = {
         "6cd2891dd02f444e9a694491fadca2b68c84d6ab01f1ac98422430ba21e191cc",
     ),
 }
+
+
+# more pinned inputs: the L1/Linf Riesz steps, an exhaustive fd-dense sweep,
+# sampled klee subsets and an incomplete run whose decay bounds rise at first
+PINNED = {
+    "separated-L1": (
+        "separated",
+        {"d": "5", "tag": "L1"},
+        "fe06e8276597192265c405c9d5b34aa9cb2c12448f305fb9272f81580e18b132",
+    ),
+    "separated-Linf": (
+        "separated",
+        {"d": "5", "tag": "Linf"},
+        "58002a963dcbd124077ae8082f8311212bc5603d96a3aced4192b5711d2b42c0",
+    ),
+    "fd-dense-exhaustive": (
+        "fd-dense",
+        {"d": "3", "n": "6"},
+        "ec7b1fd0af0e0d432326b6d92aec3df544f26999a49219f7e7ee24f7db713679",
+    ),
+    "klee-sampled": (
+        "klee",
+        {**parse_config(KLEE_KV), "subset_samples": "7"},
+        "b2206868d598c992c090a5552bcbcf0fca9154d8cf8a594f8a9cfad3f6ac8cb4",
+    ),
+    "incomplete-rising-bounds": (
+        "incomplete",
+        {"K": "14", "ks": "1,2,3,4,5,6,7,8,10,14"},
+        "b532c4f243af66f43f16e040c5a2fb8d1430f7723ed5851765d432facecaf2be",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED))
+def test_pinned_report_bytes(label):
+    name, config, expected_digest = PINNED[label]
+    report = run_scenario(name, dict(config))
+    assert hashlib.sha256(report.canonical_bytes()).hexdigest() == expected_digest
+
+
+@pytest.mark.parametrize(
+    "config, onsets",
+    [
+        ({"K": "14", "ks": "1,2,3,4,5,6,7,8,10,14"}, [2, 3, 4, 5, 6, 7]),
+        # past k = 60 the bounds are floats from libm, so pin the onsets only
+        ({"K": "70", "ks": "10,30,50,62,66"}, [10] * 6),
+    ],
+)
+def test_incomplete_decay_onsets_are_pinned(config, onsets):
+    report = run_scenario("incomplete", config)
+    decay = report.certificates[-1]["witness"]
+    assert [e.onset_k for f in decay.functionals for e in f.entries] == onsets
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
@@ -544,22 +603,59 @@ def test_cli_small_random_configs_exit_with_a_documented_code(name, data):
     assert "Traceback" not in result.output
 
 
-def test_geometric_variant_checks_its_schedule_once(monkeypatch):
-    import oclab.constructors as constructors_mod
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``, through the harness's binding too."""
     import oclab.harness as harness_mod
 
     calls = []
-    original = constructors_mod.verify_schedule
+    original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    # the runner may hold its own binding of the checker: count that too
-    monkeypatch.setattr(constructors_mod, "verify_schedule", counted)
-    monkeypatch.setattr(harness_mod, "verify_schedule", counted, raising=False)
+    monkeypatch.setattr(module, name, counted)
+    if getattr(harness_mod, name, None) is original:
+        monkeypatch.setattr(harness_mod, name, counted)
+    return calls
+
+
+def test_geometric_variant_checks_its_schedule_once(monkeypatch):
+    import oclab.constructors as constructors_mod
+
+    calls = _count_calls(monkeypatch, constructors_mod, "verify_schedule")
     run_scenario("geometric-variant", {})
     assert len(calls) == 1
+
+
+def test_incomplete_computes_its_convergence_gaps_once(monkeypatch):
+    import oclab.constructors as constructors_mod
+
+    calls = _count_calls(monkeypatch, constructors_mod, "convergence_gaps")
+    distances = _count_calls(monkeypatch, constructors_mod.IncompleteModel, "exact_distance")
+    run_scenario("incomplete", dict(SMOKE["incomplete"][0]))  # K = 14
+    assert len(calls) == 1
+    assert len(distances) == 15
+
+
+def test_cover_grid_computes_its_cover_once(monkeypatch):
+    import oclab.certify as certify_mod
+
+    calls = _count_calls(monkeypatch, certify_mod, "hyperplane_cover")
+    run_scenario("cover", dict(SMOKE["cover"][0]))
+    assert len(calls) == 1
+
+
+def test_fd_dense_refuses_too_many_subsets_before_construction(monkeypatch):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("fd_overcomplete ran on a config the guard refuses")
+
+    monkeypatch.setattr(harness_mod, "fd_overcomplete", boom)
+    # C(60, 5) = 5,461,512 subsets, above the exhaustive limit
+    with pytest.raises(ConfigError, match=r"C\(60,5\) subsets is too many"):
+        run_scenario("fd-dense", {"d": "5", "n": "60"})
 
 
 def test_cli_construction_error_exits_3(tmp_path):
@@ -608,6 +704,14 @@ def test_cli_integer_string_limit_exits_3_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
     assert "scenario 'separated'" in result.stderr
     assert "digits" in result.stderr
+
+
+def test_cli_json_integer_past_the_digit_limit_exits_2(tmp_path):
+    cfg = _write(tmp_path, '{"lambdas": "1/10, 1/5, 3/10", "d": ' + "9" * 5000 + "}")
+    result = _invoke(["klee", "--config", cfg])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cli_unreadable_config_exits_5(tmp_path):

@@ -23,6 +23,7 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
+    _distance_sign,
     _extend,
 )
 from oclab.certify import replay_pivot_log
@@ -56,6 +57,15 @@ def test_norms_on_simple_vector():
     assert norm(v, NormTag.L1) == 7
     assert norm(v, NormTag.LINF) == 4
     assert norm_squared(v) == 25
+
+
+def test_distance_sign_compares_exactly_under_each_tag():
+    u, origin = exact_vector(["3/5", "4/5"]), exact_vector([0, 0])
+    assert _distance_sign(u, origin, F(1), NormTag.L2) == 0  # by squares: 1 == 1
+    assert _distance_sign(u, origin, F(1), NormTag.L1) == 1  # 7/5
+    assert _distance_sign(u, origin, F(1), NormTag.LINF) == -1  # 4/5
+    assert _distance_sign(origin, u, F(99, 100), NormTag.L2) == 1
+    assert _distance_sign(u, origin, F(7, 5), NormTag.L1) == 0
 
 
 def test_exact_l2_norm_raises_mode_error():
@@ -257,7 +267,7 @@ def _combination(weights, basis):
 def test_null_vector_is_the_seeded_combination_of_the_basis():
     """The incomplete K=28 matrix: 24 rows, 98 columns, nullity 74."""
     model = IncompleteModel(F(1, 2), F(1, 2))
-    sequence = incomplete_space_sequence(model, 28)
+    _, sequence = incomplete_space_sequence(model, 28)
     rows = [sequence[k] for k in range(6, 29)] + [model.y_truncation(sequence[0].dim)]
     M = Matrix.from_rows(rows)
     rng = random.Random(2026)
