@@ -42,6 +42,7 @@ from .linalg import (
     _complement,
     _distance_sign,
     _extend,
+    _int_numerators,
     _singular_subsets,
 )
 from .rng import rng_for, split_seed
@@ -114,6 +115,11 @@ class OpenBall:
         return _distance_sign(v, self.center, self.radius, NormTag.L2) < 0
 
 
+def _unit_balls(d: int, n: int) -> list:
+    """n open unit balls about the origin: fd_overcomplete's default targets."""
+    return [OpenBall(zero_vector(d), Fraction(1))] * n
+
+
 def fd_overcomplete(
     d: int,
     n: int,
@@ -142,22 +148,17 @@ def fd_overcomplete(
         raise DomainError("ambient dimension must be positive")
     if n < d:
         raise DomainError(f"need at least d={d} vectors, got n={n}")
-    if targets is not None:
-        targets = list(targets)
-        if len(targets) != n:
-            raise DomainError(f"expected {n} target balls, got {len(targets)}")
-        for ball in targets:
-            if ball.center.dim != d:
-                raise DomainError("target ball dimension mismatch")
+    targets = _unit_balls(d, n) if targets is None else list(targets)
+    if len(targets) != n:
+        raise DomainError(f"expected {n} target balls, got {len(targets)}")
+    for ball in targets:
+        if ball.center.dim != d:
+            raise DomainError("target ball dimension mismatch")
     rng = rng_for(seed, "fd-overcomplete")
     chosen: list = []
     int_rows: list = []
     complement = _complement(d)  # of the picks, carried while they number below d
-    for k in range(n):
-        if targets is not None:
-            ball = targets[k]
-        else:
-            ball = OpenBall(zero_vector(d), Fraction(1))
+    for k, ball in enumerate(targets):
         # offsets of sup-norm at most radius/(2d) have Euclidean length at
         # most radius/(2*sqrt(d)), so the candidate stays inside the open ball
         step = ball.radius / (2 * d)
@@ -318,6 +319,11 @@ class IncompleteModel:
     approximation bound ||y_k - y|| < 1/k! can be checked exactly.  The
     k-th approximant y_k truncates the target at the smallest cutoff
     meeting that bound.  The norm is L1, whose tail norms stay rational.
+
+    Each y(n) and tail(n) is computed once per model, one multiplication
+    by rho from the last, and each cutoff once, its scan resuming from the
+    largest cutoff known below k (cutoffs are nondecreasing in k).  These
+    tables are attributes, not fields: ==, hash and bytes see c and rho.
     """
 
     c: Fraction
@@ -330,23 +336,36 @@ class IncompleteModel:
             raise DomainError("target scale c must be positive")
         if not 0 < self.rho < 1:
             raise DomainError("target ratio rho must lie in (0, 1)")
+        object.__setattr__(self, "_table", [(self.c, self.c / (1 - self.rho))])
+        object.__setattr__(self, "_cutoffs", {})
+
+    def _grown(self, n: int) -> list:
+        """The (y(t), tail(t)) table, grown through t = n."""
+        if n < 0:
+            raise DomainError("coordinate index must be nonnegative")
+        table = self._table
+        while len(table) <= n:
+            table.append(tuple(x * self.rho for x in table[-1]))
+        return table
 
     def y_coord(self, n: int) -> Fraction:
-        return self.c * self.rho ** n
+        return self._grown(n)[n][0]
 
     def tail(self, t: int) -> Fraction:
         """Exact L1 norm of the target restricted to [t, infinity)."""
-        return self.c * self.rho ** t / (1 - self.rho)
+        return self._grown(t)[t][1]
 
     def cutoff(self, k: int) -> int:
         """Smallest t with tail(t) < 1/k! (the approximation schedule)."""
         if k < 0:
             raise DomainError("cutoff index must be nonnegative")
-        bound = Fraction(1, math.factorial(k))
-        t = 0
-        while self.tail(t) >= bound:
-            t += 1
-        return t
+        if k not in self._cutoffs:
+            bound = Fraction(1, math.factorial(k))
+            t = max((s for j, s in self._cutoffs.items() if j < k), default=0)
+            while self.tail(t) >= bound:
+                t += 1
+            self._cutoffs[k] = t
+        return self._cutoffs[k]
 
     def approx_error(self, k: int) -> Fraction:
         """Exact distance ||y_k - y|| of the k-th approximant to the target."""
@@ -359,17 +378,19 @@ class IncompleteModel:
         t = self.cutoff(k)
         if t > dim:
             raise DomainError(f"ambient dimension {dim} cannot hold cutoff {t}")
-        coords = [self.y_coord(n) if n < t else Fraction(0) for n in range(dim)]
-        return Vector(tuple(coords))
+        head = [y for y, _ in self._grown(t)[:t]]
+        return Vector(tuple(head + [Fraction(0)] * (dim - t)))
 
     def y_truncation(self, dim: int) -> Vector:
-        return Vector(tuple(self.y_coord(n) for n in range(dim)))
+        return Vector(tuple(y for y, _ in self._grown(dim)[:dim]))
 
     def exact_distance(self, v: Vector) -> Fraction:
         """Exact ||y - v||_1, the tail of y beyond v's dimension included."""
         w = v.dim
-        head = (abs(self.y_coord(n) - v.coords[n]) for n in range(w))
-        return sum(head, Fraction(0)) + self.tail(w)
+        table = self._grown(w)
+        ints, den = _int_numerators([y for y, _ in table[:w]] + list(v.coords))
+        head = sum(abs(a - b) for a, b in zip(ints[:w], ints[w:]))
+        return Fraction(head, den) + table[w][1]
 
 
 def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:

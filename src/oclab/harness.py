@@ -44,6 +44,7 @@ from .constructors import (
     klee_vectors,
     separated_overcomplete_fd,
     sliding_hump_extract,
+    _unit_balls,
 )
 from .errors import CertificationError, ConfigError, DomainError, OclabError
 from .linalg import (
@@ -413,13 +414,10 @@ def _run_fd_dense(params, seed):
             )
             targets.append(OpenBall(center, radius))
     else:
-        targets = None
+        targets = _unit_balls(d, n)
     vectors = fd_overcomplete(d, n, targets=targets, seed=seed)
     certs = []
-    balls = targets if targets is not None else [
-        OpenBall(zero_vector(d), Fraction(1))
-    ] * n
-    for j, (v, ball) in enumerate(zip(vectors, balls)):
+    for j, (v, ball) in enumerate(zip(vectors, targets)):
         if not ball.contains(v):
             raise CertificationError(f"vector {j} landed outside its target ball")
         certs.append(

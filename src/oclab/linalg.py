@@ -25,12 +25,15 @@ reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
 the rows' wedge (exterior product).  Each completing row then costs one
 dot product with that normal.
 
-Nullspaces use the one rational Gauss-Jordan loop, :func:`_gauss_jordan`.
-:func:`nullspace_exact` reduces the whole matrix to a basis.
-:func:`null_vector`, which every annihilator in the toolkit comes from,
-finds the pivot columns and rows mod the prime 2^61 - 1, solves only the
-square pivot block exactly, checks every other row exactly, and falls
-back to the basis when the prime hid part of the rank.
+Nullspaces use the one Gauss-Jordan loop, :func:`_gauss_jordan`, on
+integer rows kept primitive.  :func:`nullspace_exact` reduces the whole
+matrix to a basis.  :func:`null_vector`, which every annihilator in the
+toolkit comes from, finds the pivot columns and rows mod the prime
+2^61 - 1, solves only the square pivot block exactly, checks every other
+row exactly, and falls back to the basis when the prime hid part of the
+rank.  Exact sums (:func:`pairing`, the L1 norm, :func:`norm_squared`)
+add integer numerators over the lcm of the denominators and build one
+Fraction at the end, the same canonical Fraction as a per-term sum.
 """
 
 from __future__ import annotations
@@ -166,7 +169,9 @@ class Matrix:
 def pairing(f: Vector, v: Vector) -> Fraction:
     """Exact inner product <f, v> of a functional with a vector."""
     f._compatible(v)
-    return sum((a * b for a, b in zip(f.coords, v.coords)), Fraction(0))
+    fs, df = _int_numerators(f.coords)
+    vs, dv = _int_numerators(v.coords)
+    return Fraction(sum(map(operator.mul, fs, vs)), df * dv)
 
 
 def norm(v: Vector, tag: NormTag) -> Fraction:
@@ -177,7 +182,8 @@ def norm(v: Vector, tag: NormTag) -> Fraction:
     """
     tag = NormTag(tag)
     if tag is NormTag.L1:
-        return sum((abs(c) for c in v.coords), Fraction(0))
+        xs, den = _int_numerators(v.coords)
+        return Fraction(sum(map(abs, xs)), den)
     if tag is NormTag.LINF:
         return max(abs(c) for c in v.coords)
     raise ModeError("exact L2 norm is irrational in general; use norm_squared")
@@ -185,7 +191,8 @@ def norm(v: Vector, tag: NormTag) -> Fraction:
 
 def norm_squared(v: Vector) -> Fraction:
     """Squared L2 norm, exactly (the flagged L2 variant)."""
-    return sum((c * c for c in v.coords), Fraction(0))
+    xs, den = _int_numerators(v.coords)
+    return Fraction(sum(x * x for x in xs), den * den)
 
 
 def dual_norm(f: Vector, tag: NormTag) -> Fraction:
@@ -244,22 +251,24 @@ def _lcm_denominator(values: Iterable[Fraction]) -> int:
     return math.lcm(*(c.denominator for c in values))
 
 
+def _int_numerators(coords) -> tuple:
+    """The numerators of ``coords`` over the lcm of their denominators, and
+    that lcm, so that sums run in integers."""
+    den = _lcm_denominator(coords)
+    return [c.numerator * (den // c.denominator) for c in coords], den
+
+
 def scaled_int_coords(v: Vector) -> tuple:
     """Integer coordinates of an exact vector after clearing denominators.
 
     The scaling is per-vector, so ranks and zero-patterns are preserved.
     """
-    den = _lcm_denominator(v.coords)
-    return tuple(c.numerator * (den // c.denominator) for c in v.coords)
+    return tuple(_int_numerators(v.coords)[0])
 
 
 def _scaled_rows(M: Matrix):
-    scales = tuple(_lcm_denominator(r.coords) for r in M.rows)
-    rows = [
-        [c.numerator * (den // c.denominator) for c in r.coords]
-        for r, den in zip(M.rows, scales)
-    ]
-    return rows, scales
+    rows, scales = zip(*(_int_numerators(r.coords) for r in M.rows))
+    return list(rows), scales
 
 
 def rank_exact(M: Matrix) -> RankResult:
@@ -302,12 +311,13 @@ def det_exact(M: Matrix) -> Fraction:
 
 
 def _gauss_jordan(rows: list, ncols: int) -> list:
-    """Reduce ``rows`` (lists of Fractions) in place to reduced row echelon
-    form over their first ``ncols`` entries; return the pivot columns.
-
-    Entries past ``ncols`` (a right-hand side) are carried along.  The
-    pivot of each column is the first row at or below the current one
-    with a nonzero entry there, so the result is fixed by row order.
+    """Reduce integer ``rows`` in place so that row i is a multiple of row
+    i of the reduced row echelon form (entry ``rows[i][j] / rows[i][p]``
+    at the i-th pivot column p) over the first ``ncols`` entries; the rest
+    are carried along.  Return the pivot columns.  A column's pivot is the
+    first row at or below the current one with a nonzero entry there.
+    Each update a*row - b*pivot_row is divided by the gcd of its entries,
+    so entries stay the rational row's over its common denominator.
     """
     m = len(rows)
     piv_cols = []
@@ -315,20 +325,20 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     for col in range(ncols):
         if r == m:
             break
-        piv_i = -1
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                piv_i = i
-                break
-        if piv_i < 0:
+        piv_i = next((i for i in range(r, m) if rows[i][col]), None)
+        if piv_i is None:
             continue
         rows[r], rows[piv_i] = rows[piv_i], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[col]
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            c = rows[i][col]
+            if i != r and c:
+                g = math.gcd(p, c)
+                a, b = p // g, c // g
+                row = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         piv_cols.append(col)
         r += 1
     return piv_cols
@@ -339,21 +349,19 @@ def nullspace_exact(M: Matrix) -> list:
 
     Empty iff the rank equals the column count.  The basis vectors act
     as functionals on the row space; measure them with :func:`dual_norm`.
-    Rational Gauss-Jordan elimination (:func:`_gauss_jordan`); basis
-    vector i is 1 at the i-th free column and 0 at the other free ones.
+    Integer Gauss-Jordan elimination of the row-scaled matrix
+    (:func:`_gauss_jordan`); basis vector i is 1 at the i-th free column
+    and 0 at the other free ones.
     """
     n = M.ncols
-    rows = [list(r.coords) for r in M.rows]
+    rows, _ = _scaled_rows(M)
     piv_cols = _gauss_jordan(rows, n)
     basis = []
-    piv_set = set(piv_cols)
-    for free in range(n):
-        if free in piv_set:
-            continue
+    for free in (j for j in range(n) if j not in piv_cols):
         coords = [Fraction(0)] * n
         coords[free] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            coords[pc] = -rows[i][free]
+        for row, pc in zip(rows, piv_cols):
+            coords[pc] = Fraction(-row[free], row[pc])
         basis.append(Vector(tuple(coords)))
     return basis
 
@@ -404,9 +412,11 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     1. eliminate the row-scaled integer rows mod the prime 2^61 - 1 for
        the pivot columns P and pivot rows R (milliseconds);
     2. set x_F = weights on the free columns F and solve the square
-       system A[R,P] x_P = -A[R,F] x_F by rational Gauss-Jordan
-       (:func:`_gauss_jordan`).  A block that is nonsingular mod p is
-       nonsingular over Q, so every row in R holds by construction;
+       system A[R,P] x_P = -A[R,F] x_F by integer Gauss-Jordan
+       (:func:`_gauss_jordan`) on the row-scaled integers, the right-hand
+       side scaled by the lcm s of the weights' denominators: x_P[i] is
+       then rhs_i / (diagonal_i * s).  A block that is nonsingular mod p
+       is nonsingular over Q, so every row in R holds by construction;
     3. check every row outside R exactly with :func:`pairing`;
     4. if one fails, the rank mod p was below the rank over Q: combine
        the :func:`nullspace_exact` basis with the same weights instead.
@@ -423,12 +433,12 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     r = len(pivots)
     if r == n:
         return None
-    piv_set = set(pivots)
-    free = [j for j in range(n) if j not in piv_set]
+    free = [j for j in range(n) if j not in pivots]
     w = [_coerce_exact(x) for x in weights[: len(free)]]
     w += [Fraction(0)] * (len(free) - len(w))
+    ws, scale = _int_numerators(w)
     block = [
-        [Fraction(rows[i][j]) for j in pivots] + [-sum(rows[i][j] * x for j, x in zip(free, w))]
+        [rows[i][j] for j in pivots] + [-sum(rows[i][j] * x for j, x in zip(free, ws))]
         for i in pivot_rows
     ]
     if len(_gauss_jordan(block, r)) < r:
@@ -436,8 +446,8 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     coords = [Fraction(0)] * n
     for j, x in zip(free, w):
         coords[j] = x
-    for j, row in zip(pivots, block):
-        coords[j] = row[r]
+    for k, (j, row) in enumerate(zip(pivots, block)):
+        coords[j] = Fraction(row[r], row[k] * scale)
     v = Vector(tuple(coords))
     if any(w) and not any(pairing(M.rows[i], v) for i in rest):
         return v

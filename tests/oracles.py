@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: cofactor expansion instead of
 elimination, textbook normal equations instead of QR, bitmask
-enumeration instead of greedy search.  Slow is fine; different is the
+enumeration instead of greedy search, Fraction sums term by term and
+Fraction row reduction instead of integers over a common denominator.  Slow is fine; different is the
 point.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 
 def cofactor_det(rows):
@@ -25,14 +27,17 @@ def cofactor_det(rows):
     return total
 
 
-def rref_rank(rows):
-    """Rank via plain reduced row echelon form over Fractions."""
+def rref(rows):
+    """Plain reduced row echelon form over Fractions, and its pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
     if not m:
-        return 0
+        return m, pivots
     nrows, ncols = len(m), len(m[0])
-    rank = 0
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
         pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
         if pivot is None:
             continue
@@ -43,10 +48,58 @@ def rref_rank(rows):
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def rref_rank(rows):
+    """Rank via plain reduced row echelon form over Fractions."""
+    return len(rref(rows)[1])
+
+
+def rref_nullspace(rows):
+    """Nullspace basis read off the plain Fraction RREF: basis vector i is 1
+    at the i-th free column, 0 at the other free ones."""
+    m, pivots = rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        coords = [Fraction(0)] * ncols
+        coords[free] = Fraction(1)
+        for row, p in zip(m, pivots):
+            coords[p] = -row[free]
+        basis.append(tuple(coords))
+    return basis
+
+
+def weighted_combination(weights, basis):
+    """sum_i weights[i] * basis[i], coordinate by coordinate in Fractions."""
+    return tuple(
+        sum((Fraction(w) * b[k] for w, b in zip(weights, basis)), Fraction(0))
+        for k in range(len(basis[0]))
+    )
+
+
+def termwise_pairing(f, v):
+    """<f, v> as a running sum of Fraction products, one Fraction per term."""
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(f, v)), Fraction(0))
+
+
+def termwise_l1(coords):
+    return sum((abs(Fraction(c)) for c in coords), Fraction(0))
+
+
+def termwise_norm_squared(coords):
+    return sum((Fraction(c) * Fraction(c) for c in coords), Fraction(0))
+
+
+def scan_cutoff(c, rho, k):
+    """Smallest t with c * rho^t / (1 - rho) < 1/k!, scanning t up from 0
+    with a fresh power at every step."""
+    t = 0
+    while c * rho ** t / (1 - rho) >= Fraction(1, factorial(k)):
+        t += 1
+    return t
 
 
 def normal_eq_residual_sq(cols, b):

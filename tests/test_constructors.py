@@ -39,8 +39,9 @@ from oclab.linalg import (
     unit_vector,
     zero_vector,
 )
+from oclab.serialize import digest
 
-from oracles import prefix_min_table, window_mass
+from oracles import prefix_min_table, scan_cutoff, window_mass
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,50 @@ def test_model_tail_bound_defines_cutoffs():
     assert [model.cutoff(k) for k in range(7)] == [1, 1, 2, 3, 5, 7, 10]
     for k in range(13):
         assert model.approx_error(k) < F(1, 1) / __import__("math").factorial(k)
+
+
+_MODEL_QUERIES = st.lists(
+    st.tuples(st.sampled_from(["cutoff", "tail", "y_coord"]), st.integers(0, 10)),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(
+    st.builds(F, st.integers(1, 50), st.integers(1, 50)),
+    st.builds(F, st.integers(1, 9), st.just(10)),
+    _MODEL_QUERIES,
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_model_tables_equal_the_closed_form_in_any_query_order(c, rho, queries):
+    """One model answers every query from its tables; each answer equals
+    the closed form, and each cutoff the naive upward scan."""
+    model = IncompleteModel(c, rho)
+    for kind, i in queries:
+        got = getattr(model, kind)(i)
+        if kind == "cutoff":
+            assert got == scan_cutoff(c, rho, i)
+        elif kind == "tail":
+            assert got == c * rho ** i / (1 - rho)
+        else:
+            assert got == c * rho ** i
+
+
+def test_model_cutoffs_agree_when_asked_in_descending_order():
+    c, rho = F(3, 7), F(5, 6)
+    down, up = IncompleteModel(c, rho), IncompleteModel(c, rho)
+    descending = [down.cutoff(k) for k in range(12, -1, -1)]
+    assert descending[::-1] == [up.cutoff(k) for k in range(13)]
+    assert descending[::-1] == [scan_cutoff(c, rho, k) for k in range(13)]
+
+
+def test_model_tables_stay_out_of_equality_hash_and_bytes():
+    fresh, used = IncompleteModel(F(1, 2), F(1, 3)), IncompleteModel(F(1, 2), F(1, 3))
+    used.ambient_dim(12)
+    assert fresh == used and hash(fresh) == hash(used)
+    assert digest(fresh) == digest(used)
+    with pytest.raises(DomainError):
+        used.tail(-1)
 
 
 def test_model_rejects_l2_and_bad_rho():

@@ -29,7 +29,15 @@ from oclab.linalg import (
 from oclab.certify import replay_pivot_log
 from oclab.constructors import IncompleteModel, incomplete_space_sequence, klee_vectors
 
-from oracles import cofactor_det, rref_rank
+from oracles import (
+    cofactor_det,
+    rref_nullspace,
+    rref_rank,
+    termwise_l1,
+    termwise_norm_squared,
+    termwise_pairing,
+    weighted_combination,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -363,3 +371,70 @@ def test_vandermonde_matches_elimination_on_random_nodes():
 def test_vandermonde_zero_iff_repeated_node():
     assert vandermonde_det([F(1, 3), F(1, 3)]) == 0
     assert vandermonde_det([F(1, 3), F(1, 4)]) != 0
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against per-term Fraction oracles
+# ---------------------------------------------------------------------------
+
+_BIG = 1 << 200
+
+#: zeros, small rationals and rationals whose denominators exceed 2^200
+_RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(-(_BIG << 60), _BIG << 60), st.integers(_BIG + 1, _BIG << 60)),
+)
+
+
+@st.composite
+def _vector_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(_RATIONALS, min_size=n, max_size=n)) for _ in range(2)]
+
+
+@given(_vector_pairs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_sums_equal_the_termwise_fraction_sums(pair):
+    f, v = pair
+    fv, vv = exact_vector(f), exact_vector(v)
+    for got, want in [
+        (pairing(fv, vv), termwise_pairing(f, v)),
+        (norm(vv, NormTag.L1), termwise_l1(v)),
+        (norm_squared(vv), termwise_norm_squared(v)),
+    ]:
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@st.composite
+def _deficient_rows(draw):
+    """m rows over n columns, the rows past the first r built from those r,
+    so the rank is at most r < m; entries carry denominators above 2^200."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    r = draw(st.integers(1, m - 1))
+    base = [draw(st.lists(_RATIONALS, min_size=n, max_size=n)) for _ in range(r)]
+    rows = list(base)
+    for _ in range(m - r):
+        coeffs = draw(st.lists(_RATIONALS, min_size=r, max_size=r))
+        rows.append([sum((a * row[j] for a, row in zip(coeffs, base)), F(0)) for j in range(n)])
+    return draw(st.permutations(rows))
+
+
+@given(_deficient_rows())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_nullspace_equals_the_fraction_rref_nullspace(rows):
+    basis = nullspace_exact(Matrix.from_rows([exact_vector(r) for r in rows]))
+    assert [b.coords for b in basis] == rref_nullspace(rows)
+
+
+@given(_deficient_rows(), st.lists(_RATIONALS, min_size=6, max_size=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_null_vector_with_fraction_weights_is_the_weighted_basis_combination(rows, weights):
+    M = Matrix.from_rows([exact_vector(r) for r in rows])
+    basis = rref_nullspace(rows)
+    v = null_vector(M, weights)
+    if not basis:
+        assert v is None
+        return
+    assert v.coords == weighted_combination(weights, basis)
