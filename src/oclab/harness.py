@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,9 +82,15 @@ _COMMON = {
     "seed": {"type": "integer", "minimum": 0, "default": 0},
 }
 
+# the target y(n) = c*rho^n of the incomplete, geometric-variant and probe scenarios
+_MODEL = {
+    "c": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "default": "1/2"},
+    "rho": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": "1/2"},
+}
+
 _SCHEMAS = {
     "klee": {
-        "lambdas": {"type": "string"},
+        "lambdas": {"type": "string", "format": "rationals"},
         "d": {"type": "integer", "minimum": 1},
         "subset_samples": {"type": "integer", "minimum": 0, "default": 0},
         **_COMMON,
@@ -91,32 +98,30 @@ _SCHEMAS = {
     "fd-dense": {
         "d": {"type": "integer", "minimum": 1},
         "n": {"type": "integer", "minimum": 1},
-        "radius": {"type": "string", "default": "1/2"},
+        "radius": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "default": "1/2"},
         "targets": {"type": "string", "enum": ["auto", "none"], "default": "auto"},
         "subset_samples": {"type": "integer", "minimum": 0, "default": 0},
         **_COMMON,
     },
     "separated": {
         "d": {"type": "integer", "minimum": 1},
-        "eps": {"type": "string", "default": "1/20"},
+        "eps": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": "1/20"},
         "tag": {"type": "string", "enum": ["L1", "L2", "Linf"], "default": "L2"},
         **_COMMON,
     },
     "incomplete": {
-        "c": {"type": "string", "default": "1/2"},
-        "rho": {"type": "string", "default": "1/2"},
+        **_MODEL,
         "K": {"type": "integer", "minimum": 1, "default": 12},
-        "ks": {"type": "string", "default": "10,20,30,40"},
+        "ks": {"type": "string", "format": "integers", "minimum": 1, "default": "10,20,30,40"},
         "j_max": {"type": "integer", "minimum": 0, "default": 5},
-        "tau": {"type": ["string", "number"], "default": "1/1000"},
+        "tau": {"type": ["string", "number"], "format": "rational", "exclusiveMinimum": 0, "default": "1/1000"},
         **_COMMON,
     },
     "geometric-variant": {
-        "c": {"type": "string", "default": "1/2"},
-        "rho": {"type": "string", "default": "1/2"},
+        **_MODEL,
         "K": {"type": "integer", "minimum": 1, "default": 8},
         "j_max": {"type": "integer", "minimum": 0, "default": 3},
-        "threshold": {"type": "string", "default": "1"},
+        "threshold": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "default": "1"},
         "schedule": {"type": "string", "enum": ["harmonic", "dyadic"], "default": "harmonic"},
         **_COMMON,
     },
@@ -124,8 +129,8 @@ _SCHEMAS = {
         "family": {"type": "string", "enum": ["blocks", "disjoint"], "default": "blocks"},
         "L": {"type": "integer", "minimum": 2, "default": 200},
         "m": {"type": "integer", "minimum": 1, "default": 15},
-        "left_mass": {"type": "string", "default": "3/10"},
-        "eps": {"type": "string", "default": "1/20"},
+        "left_mass": {"type": "string", "format": "rational", "minimum": 0, "exclusiveMaximum": 1, "default": "3/10"},
+        "eps": {"type": "string", "format": "rational", "exclusiveMinimum": 0, "default": "1/20"},
         "samples": {"type": "integer", "minimum": 1, "default": 64},
         **_COMMON,
     },
@@ -140,16 +145,15 @@ _SCHEMAS = {
         "h": {"type": "integer", "minimum": 1, "default": 3},
         "points": {"type": "integer", "minimum": 1, "default": 12},
         "d": {"type": "integer", "minimum": 1, "default": 4},
-        "lambdas": {"type": "string", "default": "1/10,1/5,3/10,2/5,9/20"},
+        "lambdas": {"type": "string", "format": "rationals", "default": "1/10,1/5,3/10,2/5,9/20"},
         **_COMMON,
     },
     "probe": {
         "variant": {"type": "string", "enum": ["gk", "basis"], "default": "gk"},
-        "c": {"type": "string", "default": "1/2"},
-        "rho": {"type": "string", "default": "1/2"},
+        **_MODEL,
         "K": {"type": "integer", "minimum": 1, "default": 25},
         "window": {"type": "integer", "minimum": 1, "default": 8},
-        "tau": {"type": "number", "default": 1e-6},
+        "tau": {"type": "number", "exclusiveMinimum": 0, "default": 1e-6},
         **_COMMON,
     },
 }
@@ -173,10 +177,6 @@ def scenario_schema(name: str) -> dict:
         "required": required,
         "additionalProperties": False,
     }
-
-
-def _defaults(name: str) -> dict:
-    return {k: spec["default"] for k, spec in _SCHEMAS[name].items() if "default" in spec}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +226,34 @@ def _unique_keys(pairs) -> dict:
     return out
 
 
+def _frac(text: str, key: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot read {key}={text!r} as a rational") from exc
+
+
+def _frac_list(text: str, key: str) -> list:
+    return [_frac(p.strip(), key) for p in text.split(",") if p.strip()]
+
+
+def _int_list(text: str, key: str) -> list:
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{key}={text!r} must be a comma-separated integer list") from exc
+
+
+#: The readers of a string value by its schema ``format``.
+_FORMATS = {"rational": _frac, "rationals": _frac_list, "integers": _int_list}
+
+#: The numeric bounds of a schema entry, with the test each read value must pass.
+_BOUNDS = (
+    ("minimum", "at least", operator.ge),
+    ("exclusiveMinimum", "above", operator.gt),
+    ("exclusiveMaximum", "below", operator.lt),
+)
+
 _TYPE_NAMES = {"string": "a string", "integer": "an integer", "number": "a finite number"}
 
 
@@ -239,45 +267,51 @@ def _is_type(value, type_name: str) -> bool:
     return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
-def _check_value(name: str, key: str, raw):
-    """Coerce and check one config value against its schema entry.
+def _check_value(spec: dict, key: str, raw) -> tuple:
+    """Coerce, read and check one config value against its schema entry.
 
-    A ``key = value`` string is read by the key's first type; ``integer``
+    A ``key = value`` string is coerced to the key's first type; ``integer``
     excludes ``bool``, and ``number`` excludes NaN and the infinities.  A
-    string value of a rational key is parsed too, whether or not the
-    scenario's mode reads it, and kept as written.
+    string is then read by the key's ``format`` and a number as a float.
+    A list read has at least one item, and the bounds hold on the value
+    read, on each item of a list.  Returns the coerced value, as the
+    report echoes it, and the value read.
     """
-    spec = _SCHEMAS[name][key]
     types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
     value = raw
     if isinstance(raw, str) and types[0] != "string":
         try:
             value = int(raw) if types[0] == "integer" else float(raw)
         except ValueError as exc:
-            raise ConfigError(f"scenario {name!r}: cannot read {key}={raw!r} as {types[0]}") from exc
+            raise ConfigError(f"cannot read {key}={raw!r} as {types[0]}") from exc
     if not any(_is_type(value, t) for t in types):
         wanted = " or ".join(_TYPE_NAMES[t] for t in types)
-        if key in _RATIONAL_KEYS and "string" in types:
+        if spec.get("format", "").startswith("rational") and "string" in types:
             wanted += '; rationals are written as strings, such as "1/2"'
-        raise ConfigError(f"scenario {name!r}: {key}={value!r} is not {wanted}")
-    if "minimum" in spec and value < spec["minimum"]:
-        raise ConfigError(
-            f"scenario {name!r}: {key}={value!r} is less than the minimum of {spec['minimum']}"
-        )
+        raise ConfigError(f"{key}={value!r} is not {wanted}")
     if "enum" in spec and value not in spec["enum"]:
-        raise ConfigError(
-            f"scenario {name!r}: {key}={value!r} is not one of {', '.join(spec['enum'])}"
-        )
-    if key in _RATIONAL_KEYS and isinstance(value, str):
-        try:
-            _RATIONAL_KEYS[key](value, key)
-        except ConfigError as exc:
-            raise ConfigError(f"scenario {name!r}: {exc}") from exc
-    return value
+        raise ConfigError(f"{key}={value!r} is not one of {', '.join(spec['enum'])}")
+    if isinstance(value, str):
+        read = _FORMATS[spec["format"]](value, key) if "format" in spec else value
+    else:
+        read = float(value) if "number" in types else value
+    items = read if isinstance(read, list) else [read]
+    if not items:
+        raise ConfigError(f"{key}={value!r} must list at least one item")
+    for keyword, relation, holds in _BOUNDS:
+        if keyword in spec and not all(holds(x, spec[keyword]) for x in items):
+            each = "each item of " if isinstance(read, list) else ""
+            raise ConfigError(f"{each}{key}={value!r} must be {relation} {spec[keyword]}")
+    return value, read
 
 
-def load_config(name: str, raw: dict) -> dict:
-    """Check keys, apply defaults, coerce and check each value by its schema."""
+def load_config(name: str, raw: dict) -> tuple:
+    """Check the keys, then coerce, read and check every value, defaults too.
+
+    Returns ``(params, values)``: ``params`` maps each key to its value as
+    written, after coercion (the report echoes it), and ``values`` to the
+    value read, a ``Fraction`` or a list where the key has a ``format``.
+    """
     props = _specs(name)
     unknown = sorted(set(raw) - set(props))
     if unknown:
@@ -288,38 +322,13 @@ def load_config(name: str, raw: dict) -> dict:
     missing = [k for k, spec in props.items() if "default" not in spec and k not in raw]
     if missing:
         raise ConfigError(f"scenario {name!r}: missing required key(s): {', '.join(missing)}")
-    params = _defaults(name)
-    for key, value in raw.items():
-        params[key] = _check_value(name, key, value)
-    return params
-
-
-def _frac(value, name: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot read {name}={value!r} as a rational") from exc
-
-
-def _frac_list(value, name: str) -> list:
-    items = [p.strip() for p in str(value).split(",") if p.strip()]
-    if not items:
-        raise ConfigError(f"{name}={value!r} must list at least one rational")
-    return [_frac(p, name) for p in items]
-
-
-def _int_list(value, name: str) -> list:
-    try:
-        return [int(p.strip()) for p in str(value).split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a comma-separated integer list") from exc
-
-
-#: The string keys that runners read as rationals, with their parsers.
-_RATIONAL_KEYS = {
-    **dict.fromkeys(("c", "rho", "eps", "radius", "threshold", "left_mass", "tau"), _frac),
-    "lambdas": _frac_list,
-}
+    params, values = {}, {}
+    for key, spec in props.items():
+        try:
+            params[key], values[key] = _check_value(spec, key, raw[key] if key in raw else spec["default"])
+        except ConfigError as exc:
+            raise ConfigError(f"scenario {name!r}: {exc}") from exc
+    return params, values
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +336,26 @@ _RATIONAL_KEYS = {
 # ---------------------------------------------------------------------------
 
 
-def _klee_vectors(params, lambdas, d) -> tuple:
+def _klee_vectors(lambdas, d) -> tuple:
     """:func:`klee_vectors` of the config's lambdas; a node outside
     (0, 1/2) or a repeated one is a config error."""
     try:
         return klee_vectors(lambdas, d)
     except DomainError as exc:
-        raise ConfigError(f"lambdas={params['lambdas']!r}: {exc}") from exc
+        raise ConfigError(f"lambdas={_written(lambdas)!r}: {exc}") from exc
 
 
-def _d_subsets(params, seed, n: int, d: int, stream: str):
+def _written(items) -> str:
+    """A list of rationals as a config writes it."""
+    return ", ".join(map(str, items))
+
+
+def _d_subsets(values, seed, n: int, d: int, stream: str):
     """The d-subsets of n vectors that a sweep checks, from the config's
     ``subset_samples``: ``None`` for all C(n, d) of them, refused as a
     config error above ``_EXHAUSTIVE_GUARD``, or that many seeded draws
     from the rng stream ``stream``."""
-    samples = params["subset_samples"]
+    samples = values["subset_samples"]
     if samples == 0:
         if math.comb(n, d) > _EXHAUSTIVE_GUARD:
             raise ConfigError(f"C({n},{d}) subsets is too many to enumerate; set subset_samples")
@@ -363,14 +377,13 @@ def _spot_density(vectors, d: int) -> dict:
     )
 
 
-def _run_klee(params, seed):
-    lambdas = _frac_list(params["lambdas"], "lambdas")
-    d = params["d"]
+def _run_klee(values, seed):
+    lambdas, d = values["lambdas"], values["d"]
     if d > len(lambdas):
         raise ConfigError(f"klee needs at least d={d} lambdas, got {len(lambdas)}")
-    vectors = _klee_vectors(params, lambdas, d)
+    vectors = _klee_vectors(lambdas, d)
     n = len(vectors)
-    subsets = _d_subsets(params, seed, n, d, "klee-subsets")
+    subsets = _d_subsets(values, seed, n, d, "klee-subsets")
     certs = []
     for sub in subsets or itertools.combinations(range(n), d):
         cert = density_certificate(vectors, sub, d)
@@ -397,22 +410,19 @@ def _run_klee(params, seed):
     return constructed, certs
 
 
-def _run_fd_dense(params, seed):
-    d, n = params["d"], params["n"]
+def _run_fd_dense(values, seed):
+    d, n = values["d"], values["n"]
     if n < d:
         raise ConfigError(f"n={n} must be at least d={d}")
-    radius = _frac(params["radius"], "radius")
-    if radius <= 0:
-        raise ConfigError("radius must be positive")
-    subsets = _d_subsets(params, seed, n, d, "fd-subsets")
-    if params["targets"] == "auto":
+    subsets = _d_subsets(values, seed, n, d, "fd-subsets")
+    if values["targets"] == "auto":
         rng = rng_for(seed, "fd-targets")
         targets = []
         for _ in range(n):
             center = exact_vector(
                 Fraction(rng.randrange(-(1 << 8) + 1, 1 << 8), 1 << 8) for _ in range(d)
             )
-            targets.append(OpenBall(center, radius))
+            targets.append(OpenBall(center, values["radius"]))
     else:
         targets = _unit_balls(d, n)
     vectors = fd_overcomplete(d, n, targets=targets, seed=seed)
@@ -442,12 +452,8 @@ def _run_fd_dense(params, seed):
     return constructed, certs
 
 
-def _run_separated(params, seed):
-    d = params["d"]
-    eps = _frac(params["eps"], "eps")
-    if not 0 < eps < 1:
-        raise ConfigError(f"eps={params['eps']!r} must lie in (0, 1)")
-    tag = NormTag(params["tag"])
+def _run_separated(values, seed):
+    d, eps, tag = values["d"], values["eps"], NormTag(values["tag"])
     vectors = separated_overcomplete_fd(d, eps, tag, seed=seed)
     n = len(vectors)
     delta = 1 - eps
@@ -483,28 +489,11 @@ def _make_annihilator(model, sequence, ks, seed):
     return exact_vector(c / scale for c in combo.coords)
 
 
-def _incomplete_model(params) -> IncompleteModel:
-    """The model of the incomplete, geometric-variant and probe scenarios;
-    an out-of-range ``c`` or ``rho`` is a config error."""
-    c, rho = _frac(params["c"], "c"), _frac(params["rho"], "rho")
-    if c <= 0:
-        raise ConfigError(f"c={params['c']!r} must be positive")
-    if not 0 < rho < 1:
-        raise ConfigError(f"rho={params['rho']!r} must lie in (0, 1)")
-    return IncompleteModel(c, rho)
-
-
-def _run_incomplete(params, seed):
-    model = _incomplete_model(params)
-    ks = _int_list(params["ks"], "ks")
-    if not ks or min(ks) < 1:
-        raise ConfigError("ks must list positive integers")
-    K = max([params["K"]] + ks)
-    tau = params["tau"]
-    tau = float(tau) if isinstance(tau, (int, float)) else _frac(tau, "tau")
-    if tau <= 0:
-        raise ConfigError(f"tau={params['tau']!r} must be positive")
-    j_max, dim = params["j_max"], model.ambient_dim(K)
+def _run_incomplete(values, seed):
+    model = IncompleteModel(values["c"], values["rho"])
+    ks, tau = values["ks"], values["tau"]
+    K = max([values["K"]] + ks)
+    j_max, dim = values["j_max"], model.ambient_dim(K)
     if j_max >= dim:
         raise ConfigError(f"j_max={j_max} must be below the truncation dimension {dim} at K={K}")
     gaps, sequence = incomplete_space_sequence(model, K)
@@ -532,23 +521,20 @@ def _run_incomplete(params, seed):
     return constructed, certs
 
 
-def _run_geometric_variant(params, seed):
-    model = _incomplete_model(params)
-    K = params["K"]
-    if params["schedule"] == "harmonic":
+def _run_geometric_variant(values, seed):
+    model = IncompleteModel(values["c"], values["rho"])
+    K = values["K"]
+    if values["schedule"] == "harmonic":
         lambdas = [Fraction(1, n + 2) for n in range(K + 1)]
     else:
         lambdas = [Fraction(1, 2 ** (n + 1)) for n in range(K + 1)]
-    threshold = _frac(params["threshold"], "threshold")
-    if threshold <= 0:
-        raise ConfigError(f"threshold={params['threshold']!r} must be positive")
-    schedule = GeometricSchedule(tuple(lambdas), params["j_max"], threshold)
+    schedule = GeometricSchedule(tuple(lambdas), values["j_max"], values["threshold"])
     onsets, sequence = geometric_variant_sequence(model, schedule, K)
     certs = [
         certificate(
             "schedule-rate",
             "Verified",
-            witness={"onsets": onsets, "j_max": params["j_max"]},
+            witness={"onsets": onsets, "j_max": values["j_max"]},
             inputs={"lambdas": lambdas, "c": model.c, "rho": model.rho},
         )
     ]
@@ -576,21 +562,18 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
     return members
 
 
-def _run_sliding_hump(params, seed):
-    L, m = params["L"], params["m"]
+def _run_sliding_hump(values, seed):
+    L, m, eps = values["L"], values["m"], values["eps"]
     for key in ("L", "samples"):
-        if params[key] * m > _EXHAUSTIVE_GUARD:
+        if values[key] * m > _EXHAUSTIVE_GUARD:
             raise ConfigError(
-                f"{key}={params[key]} times m={m} is {params[key] * m}, "
+                f"{key}={values[key]} times m={m} is {values[key] * m}, "
                 f"above the limit of {_EXHAUSTIVE_GUARD}"
             )
-    eps = _frac(params["eps"], "eps")
-    if eps <= 0:
-        raise ConfigError(f"eps={params['eps']!r} must be positive")
-    left = _frac(params["left_mass"], "left_mass") if params["family"] == "blocks" else Fraction(0)
+    left = values["left_mass"] if values["family"] == "blocks" else Fraction(0)
     family = block_family(L, m, left)
     data = sliding_hump_extract(family, eps)
-    samples = coefficient_samples(len(data.extracted), params["samples"], seed)
+    samples = coefficient_samples(len(data.extracted), values["samples"], seed)
     cert = l1_lower_bound_certificate(data, samples)
     certs = [
         certificate(
@@ -623,9 +606,9 @@ def _free_map(n: int, kind: str, max_deg: int, seed: int) -> list:
     return [{rng.randrange(n) for _ in range(max_deg)} for _ in range(n)]
 
 
-def _run_free_set(params, seed):
-    n = params["n"]
-    fmap = _free_map(n, params["f"], params["max_deg"], seed)
+def _run_free_set(values, seed):
+    n = values["n"]
+    fmap = _free_map(n, values["f"], values["max_deg"], seed)
     H = free_set_extract(n, fmap)
     rng = rng_for(seed, "free-weights")
     family = []
@@ -656,12 +639,11 @@ def _run_free_set(params, seed):
     return constructed, certs
 
 
-def _run_cover(params, seed):
-    mode = params["mode"]
-    if mode == "grid":
-        h, count, d = params["h"], params["points"], params["d"]
+def _run_cover(values, seed):
+    if values["mode"] == "grid":
+        h, count, d = values["h"], values["points"], values["d"]
         if h > d:
-            raise ConfigError("grid mode needs h <= d coordinate hyperplanes")
+            raise ConfigError(f"grid mode needs h={h} to be at most d={d} coordinate hyperplanes")
         points = []
         for t in range(count):
             coords = [Fraction(t + i + 1) for i in range(d)]
@@ -688,11 +670,10 @@ def _run_cover(params, seed):
             ),
         ]
     else:
-        lambdas = _frac_list(params["lambdas"], "lambdas")
-        d = 3
-        points = list(_klee_vectors(params, lambdas, d))
+        lambdas = values["lambdas"]
+        points = list(_klee_vectors(lambdas, 3))
         if len(points) < 3:
-            raise ConfigError("escape mode needs at least three lambdas")
+            raise ConfigError(f"escape mode needs at least three lambdas, got lambdas={_written(lambdas)!r}")
         span_two = Matrix.from_rows(points[:2])
         witness_fn = null_vector(span_two, (1,))
         planes = [HyperplaneFunctional(witness_fn)]
@@ -714,27 +695,25 @@ def _run_cover(params, seed):
     return constructed, certs
 
 
-def _run_probe(params, seed):
-    window, tau = params["window"], float(params["tau"])
-    if tau <= 0:
-        raise ConfigError(f"tau={params['tau']!r} must be positive")
-    if params["variant"] == "gk":
-        model = _incomplete_model(params)
-        _, sequence = incomplete_space_sequence(model, params["K"])
-        limit = model.y_truncation(sequence[0].dim)
+def _run_probe(values, seed):
+    window, tau, K, gk = values["window"], values["tau"], values["K"], values["variant"] == "gk"
+    model = IncompleteModel(values["c"], values["rho"])
+    dim = model.ambient_dim(K) if gk else K + 1
+    if window > dim:
+        raise ConfigError(f"window={window} exceeds the dimension {dim} at K={K}")
+    if gk:
+        _, sequence = incomplete_space_sequence(model, K)
+        limit = model.y_truncation(dim)
     else:
-        dim = params["K"] + 1
         sequence = [unit_vector(k, dim) for k in range(dim)]
         limit = zero_vector(dim)
-    if window > limit.dim:
-        raise ConfigError(f"window {window} exceeds dimension {limit.dim}")
     report = weak_norm_convergence_probe(sequence, limit, window, tau)
     certs = [
         certificate(
             "convergence-probe",
             report.classification,
             witness=report,
-            inputs={"window": window, "tau": tau, "variant": params["variant"]},
+            inputs={"window": window, "tau": tau, "variant": values["variant"]},
         )
     ]
     constructed = {"vectors": sequence}
@@ -789,21 +768,23 @@ class Report:
 
 
 def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: Optional[float] = None) -> Report:
-    """Validate the config, run the scenario, assemble the report.
+    """Load the config, with ``seed`` and ``tol`` taking the place of its
+    ``seed`` and ``tau``, run the scenario and assemble the report.
 
     A toolkit error raised inside the runner is re-raised as the same
     type, its message prefixed with the scenario's name.
     """
-    params = load_config(name, raw_config)
+    raw = dict(raw_config)
     if seed is not None:
-        params["seed"] = _check_value(name, "seed", seed)
+        raw["seed"] = seed
     if tol is not None:
-        if "tau" not in _SCHEMAS[name]:
+        if "tau" not in _specs(name):
             raise ConfigError(f"scenario {name!r} has no tolerance parameter")
-        params["tau"] = _check_value(name, "tau", float(tol))
+        raw["tau"] = float(tol)
+    params, values = load_config(name, raw)
     start = time.perf_counter()
     try:
-        extras, certs = _RUNNERS[name](params, params["seed"])
+        extras, certs = _RUNNERS[name](values, params["seed"])
     except OclabError as exc:
         raise type(exc)(f"scenario {name!r}: {exc}") from exc
     wall = time.perf_counter() - start

@@ -42,9 +42,10 @@ KLEE_JSON = '{"lambdas": "1/10, 1/5, 3/10, 2/5, 9/20", "d": 3}'
 
 def test_kv_and_json_configs_agree():
     # kv values stay strings until coercion; both land on the same params
-    kv = load_config("klee", parse_config(KLEE_KV))
-    js = load_config("klee", parse_config(KLEE_JSON))
-    assert kv == js
+    kv_params, kv_values = load_config("klee", parse_config(KLEE_KV))
+    js_params, js_values = load_config("klee", parse_config(KLEE_JSON))
+    assert kv_params == js_params
+    assert kv_values == js_values
 
 
 def test_kv_rejects_duplicates_and_bare_lines():
@@ -81,10 +82,13 @@ def test_unknown_key_lists_valid_ones():
 
 
 def test_defaults_and_coercion():
-    params = load_config("klee", parse_config(KLEE_KV))
+    params, values = load_config("klee", parse_config(KLEE_KV))
     assert params["d"] == 3
     assert params["subset_samples"] == 0
     assert params["seed"] == 0
+    # params echo the config as written; values hold what was read
+    assert params["lambdas"] == "1/10, 1/5, 3/10, 2/5, 9/20"
+    assert values["lambdas"] == [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
 
 
 def test_missing_required_key():
@@ -123,32 +127,73 @@ def scenario_configs(draw):
     return name, {key: draw(JSON_VALUES) for key in keys}
 
 
+_BOUNDS = {
+    "minimum": lambda x, b: x >= b,
+    "exclusiveMinimum": lambda x, b: x > b,
+    "exclusiveMaximum": lambda x, b: x < b,
+}
+
+
+def _within(value, spec) -> bool:
+    return all(holds(value, spec[k]) for k, holds in _BOUNDS.items() if k in spec)
+
+
+def _types(spec) -> list:
+    return spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+
+
 def _conforms(value, spec) -> bool:
-    types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+    # as JSON Schema does, the numeric keywords apply to numbers only
+    types = _types(spec)
     is_int = type(value) is int
+    is_number = is_int or (type(value) is float and math.isfinite(value))
     if not (
         ("string" in types and type(value) is str)
         or ("integer" in types and is_int)
-        or ("number" in types and (is_int or (type(value) is float and math.isfinite(value))))
+        or ("number" in types and is_number)
     ):
         return False
-    if "minimum" in spec and value < spec["minimum"]:
+    if is_number and not _within(value, spec):
         return False
     return "enum" not in spec or value in spec["enum"]
 
 
+# the type of each item read by a format; "rational" reads one item
+_READ_ITEMS = {"rational": F, "rationals": F, "integers": int}
+
+
 @given(scenario_configs())
 @example(("klee", {"lambdas": "1/10, 1/5, 3/10", "d": 3.0}))
+@example(("sliding-hump", {"family": "disjoint", "left_mass": "1"}))
+@example(("incomplete", {"ks": "0, 3", "tau": 0}))
+@example(("klee", {"lambdas": ",", "d": 1}))
 def test_loaded_params_conform_to_the_schema(case):
     name, raw = case
     try:
-        params = load_config(name, raw)
+        params, values = load_config(name, raw)
     except ConfigError:
         return
     props = scenario_schema(name)["properties"]
     assert set(params) == set(props)
     for key, value in params.items():
         assert _conforms(value, props[key]), (name, key, value)
+    assert set(values) == set(props)
+    for key, read in values.items():
+        spec, written = props[key], params[key]
+        if not isinstance(written, str):
+            # a number is read as a float, an integer as itself
+            assert read == written, (name, key, read)
+            assert type(read) is (float if "number" in _types(spec) else int), (name, key, read)
+            items = [read]
+        elif "format" in spec:
+            items = [read] if spec["format"] == "rational" else read
+            assert type(items) is list and items, (name, key, read)
+            assert all(type(x) is _READ_ITEMS[spec["format"]] for x in items), (name, key, read)
+        else:
+            assert read == written, (name, key, read)
+            items = []
+        # every bound holds on the value read, rational strings included
+        assert all(_within(x, spec) for x in items), (name, key, read)
 
 
 def test_schema_files_match_generated():
@@ -477,6 +522,12 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("fd-dense", '{"d": 2, "n": 3, "radius": 0.5}', [], "radius"),
         ("sliding-hump", "L = 20000\nm = 11\n", [], "L"),
         ("sliding-hump", "m = 11\nsamples = 20000\n", [], "samples"),
+        ("probe", "variant = basis\nrho = 1\n", [], "rho"),
+        ("probe", "variant = basis\nc = 0\n", [], "c"),
+        ("sliding-hump", "family = disjoint\nleft_mass = 1\n", [], "left_mass"),
+        ("cover", "mode = grid\nh = 3\nd = 2\n", [], "h"),
+        ("cover", "mode = escape\nlambdas = 1/10, 1/5\n", [], "lambdas"),
+        ("probe", "variant = basis\nK = 6\nwindow = 9\n", [], "window"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -487,7 +538,9 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "klee-node-at-1/2", "cover-escape-repeated-node", "seed-override-negative",
         "cover-grid-unread-lambdas", "sliding-hump-disjoint-unread-left_mass",
         "json-number-radius", "sliding-hump-L-times-m-above-guard",
-        "sliding-hump-samples-times-m-above-guard",
+        "sliding-hump-samples-times-m-above-guard", "probe-basis-unread-rho-1",
+        "probe-basis-unread-zero-c", "sliding-hump-disjoint-unread-left_mass-1",
+        "cover-grid-h-above-d", "cover-escape-two-lambdas", "probe-window-past-dimension",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -656,6 +709,18 @@ def test_fd_dense_refuses_too_many_subsets_before_construction(monkeypatch):
     # C(60, 5) = 5,461,512 subsets, above the exhaustive limit
     with pytest.raises(ConfigError, match=r"C\(60,5\) subsets is too many"):
         run_scenario("fd-dense", {"d": "5", "n": "60"})
+
+
+@pytest.mark.parametrize("variant, builder", [("gk", "incomplete_space_sequence"), ("basis", "unit_vector")])
+def test_probe_refuses_a_window_past_the_dimension_before_construction(monkeypatch, variant, builder):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{builder} ran on a config the window check refuses")
+
+    monkeypatch.setattr(harness_mod, builder, boom)
+    with pytest.raises(ConfigError, match=r"window=100000 exceeds the dimension"):
+        run_scenario("probe", {"variant": variant, "K": "150", "window": "100000"})
 
 
 def test_cli_construction_error_exits_3(tmp_path):
