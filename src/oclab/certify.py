@@ -34,6 +34,7 @@ from .linalg import (
     rank_exact,
     scaled_int_coords,
     _distance_sign,
+    _int_numerators,
     _lcm_denominator,
     _singular_subsets,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "DecayReport",
     "ProbeReport",
     "density_certificate",
+    "density_certificates",
     "replay_pivot_log",
     "all_subsets_full_rank",
     "hyperplane_cover",
@@ -102,24 +104,42 @@ class DensityCertificate:
 
 
 def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int) -> DensityCertificate:
-    """Decide whether the selected vectors span R^d, with a checkable proof."""
-    sel_idx = tuple(subset)
-    if not sel_idx:
-        raise DomainError("subset must be nonempty")
-    for i in sel_idx:
-        if not 0 <= i < len(vectors):
-            raise DomainError(f"subset index {i} out of range")
-    selected = [vectors[i] for i in sel_idx]
-    for v in selected:
+    """Decide whether the selected vectors span R^d, with a checkable proof.
+
+    The one-subset case of :func:`density_certificates`, so a single
+    certificate and a family's many take the same path.
+    """
+    return density_certificates(vectors, (subset,), d)[0]
+
+
+def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -> list:
+    """The :func:`density_certificate` of each subset of ``vectors``, in
+    order.
+
+    The vectors form one matrix, so each row is scaled to integers once
+    for the whole family, and each subset is the submatrix of its rows
+    (:func:`~oclab.linalg.rank_exact`); the pivot log is the one that
+    subset's own matrix gives.
+    """
+    for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
-    result = rank_exact(Matrix.from_rows(selected))
-    if result.rank == d:
-        return DensityCertificate("Full", d, pivot_log=result.log, det=result.det)
-    witness = null_vector(Matrix.from_rows(selected), (1,))
-    if any(pairing(witness, v) for v in selected):
-        raise CertificationError("annihilator witness failed to annihilate")
-    return DensityCertificate("Proper", result.rank, witness=witness)
+    family = Matrix.from_rows(vectors)
+    out = []
+    for subset in subsets:
+        sel_idx = tuple(subset)
+        if not sel_idx:
+            raise DomainError("subset must be nonempty")
+        result = rank_exact(family, sel_idx)
+        if result.rank == d:
+            out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
+        else:
+            selected = Matrix.from_rows(vectors[i] for i in sel_idx)
+            witness = null_vector(selected, (1,))
+            if any(pairing(witness, v) for v in selected.rows):
+                raise CertificationError("annihilator witness failed to annihilate")
+            out.append(DensityCertificate("Proper", result.rank, witness=witness))
+    return out
 
 
 def replay_pivot_log(M: Matrix, log: PivotLog, expected_rank: Optional[int] = None) -> int:
@@ -581,6 +601,14 @@ class DecayReport:
     functionals: tuple
 
 
+def _annihilates(fs: list, v: Vector) -> bool:
+    """Whether the functional with integer numerators ``fs`` (over any
+    positive scale) pairs to exactly zero with ``v``."""
+    if len(fs) != v.dim:
+        raise DomainError(f"dimension mismatch: {len(fs)} vs {v.dim}")
+    return not sum(map(mul, fs, _int_numerators(v.coords)[0]))
+
+
 def annihilator_decay_check(
     model: IncompleteModel,
     sequence: Sequence[Vector],
@@ -614,13 +642,14 @@ def annihilator_decay_check(
     for e in functionals:
         if e.dim != dim:
             raise DomainError("functional dimension mismatch")
+        es, _ = _int_numerators(e.coords)
         for k in ks:
-            if pairing(e, sequence[k]) != 0:
+            if not _annihilates(es, sequence[k]):
                 raise PreconditionError(
                     f"functional does not annihilate the subsequence member at k={k}"
                 )
         e_norm = dual_norm(e, NormTag.L1)
-        hits_target = pairing(e, model.y_truncation(dim)) == 0
+        hits_target = _annihilates(es, model.y_truncation(dim))
         entries = []
         for j in range(j_max + 1):
             usable = [k for k in ks if k > j]

@@ -18,6 +18,7 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from ._version import __version__
@@ -27,6 +28,7 @@ from .certify import (
     annihilator_decay_check,
     coefficient_samples,
     density_certificate,
+    density_certificates,
     greedy_separated_subset,
     hyperplane_cover,
     l1_lower_bound_certificate,
@@ -59,7 +61,15 @@ from .linalg import (
     zero_vector,
 )
 from .rng import rng_for, sample_subset
-from .serialize import canonical_json, certificate, digest, to_jsonable
+from .serialize import (
+    canonical_json,
+    canonical_json_spliced,
+    certificate,
+    digest,
+    digest_text,
+    prefix_digest,
+    to_jsonable,
+)
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -383,10 +393,10 @@ def _run_klee(values, seed):
         raise ConfigError(f"klee needs at least d={d} lambdas, got {len(lambdas)}")
     vectors = _klee_vectors(lambdas, d)
     n = len(vectors)
-    subsets = _d_subsets(values, seed, n, d, "klee-subsets")
+    subsets = _d_subsets(values, seed, n, d, "klee-subsets") or list(itertools.combinations(range(n), d))
+    inputs_digest = prefix_digest({"lambdas": lambdas, "d": d}, "subset")
     certs = []
-    for sub in subsets or itertools.combinations(range(n), d):
-        cert = density_certificate(vectors, sub, d)
+    for sub, cert in zip(subsets, density_certificates(vectors, subsets, d)):
         if cert.verdict == "Full":
             prod = vandermonde_det([lambdas[i] for i in sub])
             if cert.det != prod:
@@ -402,7 +412,7 @@ def _run_klee(values, seed):
                 cert.verdict,
                 witness=witness,
                 pivot_log=cert.pivot_log,
-                inputs={"lambdas": lambdas, "d": d, "subset": sub},
+                inputs_digest=inputs_digest(sub),
                 subset=sub,
             )
         )
@@ -571,6 +581,10 @@ def _run_sliding_hump(values, seed):
                 f"above the limit of {_EXHAUSTIVE_GUARD}"
             )
     left = values["left_mass"] if values["family"] == "blocks" else Fraction(0)
+    if eps > (1 - left) / 4:
+        raise ConfigError(
+            f"eps={eps} must be at most (1-N)/4 = {(1 - left) / 4} for the left-mass floor N={left}"
+        )
     family = block_family(L, m, left)
     data = sliding_hump_extract(family, eps)
     samples = coefficient_samples(len(data.extracted), values["samples"], seed)
@@ -759,12 +773,22 @@ class Report:
             "certificates": self.certificates,
         }
 
+    @cached_property
+    def certificate_texts(self) -> tuple:
+        """The canonical text of each certificate, written once per report."""
+        return tuple(map(canonical_json, self.certificates))
+
+    def _text(self, **extra) -> str:
+        """The canonical JSON of the record and ``extra``, with each
+        certificate spliced in from its text."""
+        return canonical_json_spliced({**self._record(), **extra}, "certificates", self.certificate_texts)
+
     def canonical_form(self) -> dict:
         """The byte-reproducible record as JSON data."""
         return to_jsonable(self._record())
 
     def canonical_bytes(self) -> bytes:
-        return canonical_json(self._record()).encode("utf-8")
+        return self._text().encode("utf-8")
 
 
 def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: Optional[float] = None) -> Report:
@@ -788,14 +812,8 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
     except OclabError as exc:
         raise type(exc)(f"scenario {name!r}: {exc}") from exc
     wall = time.perf_counter() - start
-    constructed = {
-        "kind": name,
-        "params": params,
-        "seed": params["seed"],
-        "certificate_refs": [digest(c) for c in certs],
-    }
-    constructed.update(extras)
-    return Report(
+    constructed = {"kind": name, "params": params, "seed": params["seed"]}
+    report = Report(
         scenario=name,
         params=params,
         seed=params["seed"],
@@ -804,12 +822,15 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
         certificates=tuple(certs),
         wall_time_s=wall,
     )
+    constructed["certificate_refs"] = [digest_text(t) for t in report.certificate_texts]
+    constructed.update(extras)
+    return report
 
 
 def emit_report(report: Report, fmt: str = "json") -> str:
     """Render a report: canonical JSON plus wall time, or flat CSV."""
     if fmt == "json":
-        return canonical_json({**report._record(), "wall_time_s": report.wall_time_s})
+        return report._text(wall_time_s=report.wall_time_s)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -17,7 +17,9 @@ by one more vector with a Bareiss step, so every entry stays a minor and
 every division is exact, which it checks.  :func:`rank_exact` and
 :func:`det_exact` feed it the columns of the row-scaled matrix, one at a
 time: its pivots are the Bareiss pivots of the pivot log, which plain
-rational elimination can replay.  The d-subset rank tests of the
+rational elimination can replay.  A matrix scales its rows once, so the
+submatrices of one family that :func:`rank_exact` is asked for share
+that scaling.  The d-subset rank tests of the
 fd-dense construction and of its subset sweep feed it the rows along a
 depth-first walk over the combinations (:func:`_singular_subsets`), which
 shares each prefix's complement among the subsets that extend it and
@@ -44,6 +46,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CertificationError, DomainError, ModeError
@@ -156,6 +159,11 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Vector]) -> "Matrix":
         return cls(tuple(rows))
+
+    @cached_property
+    def _int_rows(self) -> tuple:
+        """Each row's integer numerators and their scale, computed once."""
+        return tuple(_int_numerators(r.coords) for r in self.rows)
 
     @property
     def nrows(self) -> int:
@@ -271,19 +279,41 @@ def _scaled_rows(M: Matrix):
     return list(rows), scales
 
 
-def rank_exact(M: Matrix) -> RankResult:
+def rank_exact(M: Matrix, rows: Optional[Sequence[int]] = None) -> RankResult:
     """Rank of an exact matrix by fraction-free elimination, with pivot log.
 
-    The columns of the row-scaled integer matrix extend, one at a time,
-    the complement of the columns before them (:func:`_extend`, whose
-    coordinates are the rows).  A column's pivot is its lowest
-    unprocessed row with a nonzero reduced entry, the new complement's
-    pivot is the Bareiss minor that gets logged, and a dependent column
-    is skipped.  A square matrix also gets its determinant: the last
-    pivot is the minor of the rows in pivot order.
+    With ``rows``, the rank of the submatrix of those rows of M, in that
+    order; the pivot log then numbers them 0, 1, ... as that submatrix.
+    A matrix scales each row to integers once, however many submatrices
+    are asked of it, and the elimination itself is :func:`_rank_int`.
     """
-    m, n = M.nrows, M.ncols
-    rows, scales = _scaled_rows(M)
+    if rows is None:
+        scaled = M._int_rows
+    else:
+        scaled = []
+        for i in rows:
+            if not 0 <= i < M.nrows:
+                raise DomainError(f"row index {i} out of range")
+            scaled.append(M._int_rows[i])
+        if not scaled:
+            raise DomainError("matrix needs at least one row")
+    ints, scales = zip(*scaled)
+    return _rank_int(ints, scales)
+
+
+def _rank_int(rows: Sequence, scales: tuple) -> RankResult:
+    """Rank of the integer ``rows`` (rational rows times their ``scales``),
+    with pivot log.
+
+    The columns extend, one at a time, the complement of the columns
+    before them (:func:`_extend`, whose coordinates are the rows).  A
+    column's pivot is its lowest unprocessed row with a nonzero reduced
+    entry, the new complement's pivot is the Bareiss minor that gets
+    logged, and a dependent column is skipped.  A square matrix also
+    gets the determinant of the rational rows: the last pivot is the
+    minor of the rows in pivot order.
+    """
+    m, n = len(rows), len(rows[0])
     state = _complement(m)
     steps = []
     for col, column in enumerate(zip(*rows)):
@@ -552,13 +582,14 @@ def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:
     """Product formula det = prod_{i<j} (l_j - l_i) for the matrix whose
     i-th row is (1, l_i, l_i^2, ..., l_i^{k-1}).
 
+    The nodes are written as integers over the lcm D of their
+    denominators, so the product of the k(k-1)/2 integer differences over
+    D^(k(k-1)/2) is the determinant, built as one Fraction at the end.
     A singleton gives 1 (empty product); a repeated node gives 0.
     """
-    lams = [Fraction(x) for x in lambdas]
+    lams = [x if type(x) is Fraction else Fraction(x) for x in lambdas]
     if not lams:
         raise DomainError("vandermonde_det needs at least one node")
-    out = Fraction(1)
-    for j in range(len(lams)):
-        for i in range(j):
-            out *= lams[j] - lams[i]
-    return out
+    xs, den = _int_numerators(lams)
+    prod = math.prod(xj - xi for j, xj in enumerate(xs) for xi in xs[:j])
+    return Fraction(prod, den ** math.comb(len(xs), 2))

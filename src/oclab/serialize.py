@@ -9,11 +9,18 @@ arrays of such strings, dataclasses objects with a kebab-case ``kind``,
 sets sorted arrays; floats (diagnostics only) stay JSON numbers.
 Canonical form sorts keys and strips whitespace, so equal objects have
 equal bytes and digests are tamper-evident.
+
+Many certificates, each written once: a canonical text can be hashed as
+it is (:func:`digest_text`) and spliced into a larger record
+(:func:`canonical_json_spliced`) without encoding it again, and a family
+of inputs that differ only in their last key is digested from one hashed
+prefix (:func:`prefix_digest`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -27,7 +34,10 @@ __all__ = [
     "parse_frac",
     "to_jsonable",
     "canonical_json",
+    "canonical_json_spliced",
     "digest",
+    "digest_text",
+    "prefix_digest",
     "certificate",
 ]
 
@@ -49,6 +59,12 @@ def parse_frac(text: str) -> Fraction:
 _KEBAB = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(cls) -> tuple:
+    """A dataclass's kebab-case kind and its field names, read once."""
+    return _KEBAB.sub("-", cls.__name__).lower(), tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _encode(obj):
     """Convert one level of an object the JSON encoder does not know."""
     cls = type(obj)
@@ -61,9 +77,10 @@ def _encode(obj):
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(cls):
-        out = {"kind": _KEBAB.sub("-", cls.__name__).lower()}  # a field named kind wins
-        for f in dataclasses.fields(cls):
-            out[f.name] = getattr(obj, f.name)
+        kind, names = _layout(cls)
+        out = {"kind": kind}  # a field named kind wins
+        for name in names:
+            out[name] = getattr(obj, name)
         return out
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
@@ -82,22 +99,66 @@ def to_jsonable(obj):
     return json.loads(canonical_json(obj))
 
 
+def canonical_json_spliced(record: dict, key: str, texts) -> str:
+    """``canonical_json(record)`` with ``record[key]`` written as the list
+    of the canonical ``texts`` of its items, which are not encoded again.
+
+    ``key`` must sort before every other key of ``record``, so that the
+    texts go at the head of what the encoder writes for the rest.
+    """
+    rest = canonical_json({**record, key: []})
+    head = canonical_json({key: []})[:-2]
+    if not rest.startswith(head):
+        raise ValueError(f"{key!r} does not sort before every other key")
+    return head + ",".join(texts) + rest[len(head):]
+
+
+def digest_text(text: str) -> str:
+    """SHA-256 of a canonical text, as :func:`digest` takes it."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return digest_text(canonical_json(obj))
 
 
-def certificate(kind: str, verdict: str, witness=None, pivot_log=None, inputs=None, subset=None) -> dict:
+def prefix_digest(shared: dict, key: str):
+    """``value -> digest({**shared, key: value})`` for a family of inputs
+    that share every key but ``key``.
+
+    ``key`` must sort after every shared key, so the canonical text up to
+    its value is the same for every value: that prefix is hashed once, and
+    each value costs a copy of the hash state and its own encoding.
+    """
+    if any(k >= key for k in shared):
+        raise ValueError(f"{key!r} does not sort after every shared key")
+    opened = canonical_json(shared)[:-1] + ("," if shared else "")
+    state = hashlib.sha256((opened + canonical_json(key) + ":").encode("utf-8"))
+
+    def value_digest(value) -> str:
+        h = state.copy()
+        h.update((canonical_json(value) + "}").encode("utf-8"))
+        return h.hexdigest()
+
+    return value_digest
+
+
+def certificate(
+    kind: str, verdict: str, witness=None, pivot_log=None, inputs=None, subset=None, inputs_digest=None
+) -> dict:
     """Assemble the standard certificate record; ``witness`` and
     ``pivot_log`` are kept as given.  ``inputs_digest`` hashes the canonical serialization of
     whatever the certificate was computed from, so a report edited after
-    the fact no longer matches its own digests.
+    the fact no longer matches its own digests; a caller that has that
+    digest already (from :func:`prefix_digest`) passes it instead of
+    ``inputs``.
     """
     record = {
         "kind": kind,
         "verdict": verdict,
         "witness": witness,
         "pivot_log": pivot_log,
-        "inputs_digest": digest(inputs),
+        "inputs_digest": digest(inputs) if inputs_digest is None else inputs_digest,
     }
     if subset is not None:
         record["subset"] = [int(i) for i in subset]

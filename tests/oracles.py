@@ -93,6 +93,15 @@ def termwise_norm_squared(coords):
     return sum((Fraction(c) * Fraction(c) for c in coords), Fraction(0))
 
 
+def termwise_vandermonde(nodes):
+    """prod_{i<j} (l_j - l_i) as a running product of Fraction factors."""
+    out = Fraction(1)
+    for j in range(len(nodes)):
+        for i in range(j):
+            out *= Fraction(nodes[j]) - Fraction(nodes[i])
+    return out
+
+
 def scan_cutoff(c, rho, k):
     """Smallest t with c * rho^t / (1 - rho) < 1/k!, scanning t up from 0
     with a fresh power at every step."""

@@ -25,6 +25,7 @@ from oclab.harness import (
     run_scenario,
     scenario_schema,
 )
+from oclab.serialize import canonical_json, digest
 
 KLEE_KV = """
 # five Klee directions in R^3
@@ -376,6 +377,38 @@ PINNED = {
 }
 
 
+def _one_shot(report):
+    """The report's canonical JSON written in one pass of the encoder."""
+    return canonical_json(report._record())
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_spliced_reports_equal_the_one_shot_encoding(name):
+    report = run_scenario(name, dict(SMOKE[name][0]))
+    payload = emit_report(report)
+    assert payload == canonical_json({**report._record(), "wall_time_s": report.wall_time_s})
+    record = json.loads(payload)
+    record.pop("wall_time_s")
+    assert canonical_json(record) == _one_shot(report)
+    assert report.canonical_bytes() == _one_shot(report).encode("utf-8")
+    assert report.constructed["certificate_refs"] == [digest(c) for c in report.certificates]
+
+
+def test_a_report_without_certificates_splices_an_empty_list():
+    empty = Report(
+        scenario="klee",
+        params={"d": 2},
+        seed=0,
+        toolkit_version="0",
+        constructed={"vectors": []},
+        certificates=(),
+        wall_time_s=0.5,
+    )
+    assert empty.canonical_bytes() == _one_shot(empty).encode("utf-8")
+    assert emit_report(empty) == canonical_json({**empty._record(), "wall_time_s": 0.5})
+    assert json.loads(empty.canonical_bytes())["certificates"] == []
+
+
 @pytest.mark.parametrize("label", sorted(PINNED))
 def test_pinned_report_bytes(label):
     name, config, expected_digest = PINNED[label]
@@ -528,6 +561,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("cover", "mode = grid\nh = 3\nd = 2\n", [], "h"),
         ("cover", "mode = escape\nlambdas = 1/10, 1/5\n", [], "lambdas"),
         ("probe", "variant = basis\nK = 6\nwindow = 9\n", [], "window"),
+        ("sliding-hump", "eps = 1/2\n", [], "eps"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -541,6 +575,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "sliding-hump-samples-times-m-above-guard", "probe-basis-unread-rho-1",
         "probe-basis-unread-zero-c", "sliding-hump-disjoint-unread-left_mass-1",
         "cover-grid-h-above-d", "cover-escape-two-lambdas", "probe-window-past-dimension",
+        "sliding-hump-eps-half",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -550,6 +585,20 @@ def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text,
     assert "Traceback" not in result.output
     assert f"scenario '{scenario}'" in result.output
     assert f"{key}=" in result.output
+
+
+@pytest.mark.parametrize(
+    "family, bound, past",
+    [("blocks", "7/40", "71/400"), ("disjoint", "1/4", "251/1000")],
+)
+def test_sliding_hump_refuses_eps_past_a_quarter_of_the_free_mass(tmp_path, family, bound, past):
+    # (1 - N)/4 with N = left_mass = 3/10 (the default) for blocks, 0 for disjoint
+    at = _invoke(["sliding-hump", "--config", _write(tmp_path, f"family = {family}\neps = {bound}\n")])
+    assert at.exit_code == 0, at.output
+    result = _invoke(["sliding-hump", "--config", _write(tmp_path, f"family = {family}\neps = {past}\n")])
+    assert result.exit_code == 2, result.output
+    assert "scenario 'sliding-hump'" in result.output
+    assert f"eps={past} must be at most (1-N)/4 = {bound}" in result.output
 
 
 def _vals(valid, edge):
@@ -749,7 +798,7 @@ def test_cli_fault_inside_a_runner_names_the_scenario(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise CertificationError("forced inside the runner")
 
-    monkeypatch.setattr(harness_mod, "density_certificate", boom)
+    monkeypatch.setattr(harness_mod, "density_certificates", boom)
     result = _invoke(["klee", "--config", _write(tmp_path, KLEE_KV)])
     assert result.exit_code == 4
     assert "scenario 'klee'" in result.output

@@ -36,6 +36,7 @@ from oracles import (
     termwise_l1,
     termwise_norm_squared,
     termwise_pairing,
+    termwise_vandermonde,
     weighted_combination,
 )
 
@@ -405,6 +406,34 @@ def test_integer_sums_equal_the_termwise_fraction_sums(pair):
     ]:
         assert type(got) is F
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@given(st.lists(_RATIONALS, min_size=1, max_size=7).flatmap(
+    lambda nodes: st.permutations(nodes + nodes[:1]).map(lambda rep: (nodes, rep))
+))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_vandermonde_equals_the_termwise_fraction_product(case):
+    nodes, repeated = case
+    for lams in (nodes, repeated, nodes[:1]):
+        got, want = vandermonde_det(lams), termwise_vandermonde(lams)
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert vandermonde_det(repeated) == 0
+    assert vandermonde_det(nodes[:1]) == 1
+
+
+@given(_vector_pairs(), st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_submatrix_rank_equals_the_rank_of_the_submatrix_built_alone(pair, data):
+    rows = [exact_vector(r) for r in pair]
+    rows += [exact_vector([a - b for a, b in zip(*pair)])]
+    M = Matrix.from_rows(rows)
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
+    assert rank_exact(M, picks) == rank_exact(Matrix.from_rows([rows[i] for i in picks]))
+    assert rank_exact(M, picks) == rank_exact(M, picks)  # the matrix's cached scaling
+    for bad in ([], [len(rows)], [-1]):
+        with pytest.raises(DomainError):
+            rank_exact(M, bad)
 
 
 @st.composite

@@ -2,12 +2,17 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oclab.linalg import Matrix, NormTag, exact_vector, rank_exact
 from oclab.serialize import (
     canonical_json,
+    canonical_json_spliced,
     certificate,
     digest,
+    digest_text,
+    prefix_digest,
     frac_str,
     parse_frac,
     to_jsonable,
@@ -80,3 +85,46 @@ def test_certificate_shape():
     assert cert["inputs_digest"] == digest({"d": 3})
     # canonical form is valid JSON
     json.loads(canonical_json(cert))
+
+
+_KEYS = st.text(st.sampled_from("abdz\u00e9\"\\"), min_size=1, max_size=4)
+_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-(1 << 70), 1 << 70),
+        st.builds(F, st.integers(-99, 99), st.integers(1, 99)), st.text(max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.tuples(inner, inner), st.dictionaries(_KEYS, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(_KEYS, _VALUES, max_size=4), _KEYS, st.lists(_VALUES, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_prefix_digest_equals_the_digest_of_each_whole_input(shared, key, values):
+    if any(k >= key for k in shared):
+        with pytest.raises(ValueError, match="does not sort after every shared key"):
+            prefix_digest(shared, key)
+        key = max(shared) + "~"
+    value_digest = prefix_digest(shared, key)
+    for value in values:
+        assert value_digest(value) == digest({**shared, key: value})
+
+
+def test_prefix_digest_refuses_a_key_that_does_not_sort_last():
+    for key in ("d", "lambdas", "a"):
+        with pytest.raises(ValueError):
+            prefix_digest({"d": 3, "lambdas": [F(1, 10)]}, key)
+    assert prefix_digest({}, "subset")((0, 1)) == digest({"subset": [0, 1]})
+
+
+def test_spliced_json_equals_the_one_shot_encoding():
+    items = [{"b": F(1, 3), "a": [1, 2]}, None, "x"]
+    record = {"z": {"q": 1}, "items": items, "m": [F(-1, 2)]}
+    texts = [canonical_json(item) for item in items]
+    assert canonical_json_spliced(record, "items", texts) == canonical_json(record)
+    assert canonical_json_spliced({"items": ()}, "items", ()) == canonical_json({"items": []})
+    assert digest_text(canonical_json(record)) == digest(record)
+    with pytest.raises(ValueError, match="does not sort before every other key"):
+        canonical_json_spliced({**record, "a": 1}, "items", texts)
