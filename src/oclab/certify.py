@@ -206,34 +206,25 @@ def replay_pivot_log(M: Matrix, log: PivotLog, expected_rank: Optional[int] = No
     return step_pos
 
 
-def all_subsets_full_rank(vectors: Sequence[Vector], d: int, subsets=None):
-    """Exact rank-d sweep over d-subsets of vectors in R^d; returns
-    (checked, failures).
+def all_subsets_full_rank(vectors: Sequence[Vector], d: int):
+    """Exact rank-d sweep over every d-subset of vectors in R^d; returns
+    (checked, failures), with checked = C(n, d).
 
-    Rows are integer-scaled once per vector.  By default every
-    d-combination is checked by the depth-first subset-rank kernel that
-    :func:`~oclab.constructors.fd_overcomplete` also uses
-    (:func:`~oclab.linalg._singular_subsets`): each (d-1)-subset's
-    cofactor normal is reached by fraction-free complement updates shared
-    along the walk, and each d-subset costs one dot product with it, so
-    the failures come in combinations order.  Given ``subsets`` are
-    checked in their order, one chain of complement updates each.
+    The reference sweep of tests and verifiers: a family built by
+    :func:`~oclab.constructors.fd_overcomplete` has already had each of
+    its d-subsets decided, by the same kernel, while it was built, so a
+    run does not sweep it again.  Rows are integer-scaled once per
+    vector, and the depth-first subset-rank kernel
+    :func:`~oclab.linalg._singular_subsets` reaches each (d-1)-subset's
+    cofactor normal by fraction-free complement updates shared along the
+    walk; each d-subset costs one dot product with it, so the failures
+    come in combinations order.
     """
     for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
     rows = [scaled_int_coords(v) for v in vectors]
-    if subsets is None:
-        return math.comb(len(rows), d), list(_singular_subsets(rows, d))
-    checked = 0
-    failures = []
-    for sub in subsets:
-        if len(sub) != d:
-            raise DomainError(f"subset {tuple(sub)} does not have {d} members")
-        checked += 1
-        if next(_singular_subsets([rows[i] for i in sub], d), None) is not None:
-            failures.append(tuple(sub))
-    return checked, failures
+    return math.comb(len(rows), d), list(_singular_subsets(rows, d))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .linalg import (
     Vector,
     exact_vector,
     norm,
+    norm_squared,
     null_vector,
     rank_exact,
     scaled_int_coords,
@@ -134,15 +135,18 @@ def fd_overcomplete(
     previous picks with |T| = min(#picks, d-1): the inductive
     hyperplane-avoidance step, strengthened below d-1 picks so that the
     early picks stay independent (and nonzero).  Both are certified in
-    integer arithmetic by the complement kernel that
-    :func:`~oclab.certify.all_subsets_full_rank` also uses.  Up to d-1
-    picks, the one such T is all the picks: their complement is carried
-    from step to step, and the candidate must extend it (one O(d^2) call
-    of :func:`~oclab.linalg._extend`).  From d picks on, the depth-first
+    integer arithmetic by the complement kernel.  Up to d-1 picks, the
+    one such T is all the picks: their complement is carried from step
+    to step, and the candidate must extend it (one O(d^2) call of
+    :func:`~oclab.linalg._extend`).  From d picks on, the depth-first
     walk :func:`~oclab.linalg._singular_subsets` runs with the candidate
     as head, ends each (d-1)-subset in one dot product with its cofactor
     normal, and stops at the first singular one.  The dyadic grid is
-    refined on retry, so avoidance is certified, never assumed.
+    refined on retry, so avoidance is certified, never assumed.  So each
+    d-subset is decided nonsingular once, at its last member, before the
+    family is returned (else :class:`~oclab.errors.ConstructionError`):
+    this walk is a run's subset-rank sweep, and the tests check it against
+    :func:`~oclab.certify.all_subsets_full_rank`.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -252,28 +256,28 @@ def riesz_step(
     rng = rng_for(seed, "riesz-step")
     weights = [rng.randrange(1, 17) for _ in range(ambient)]
     if basis:
-        annihilator = null_vector(Matrix.from_rows(basis), weights)
-        if annihilator is None:
+        functional = null_vector(Matrix.from_rows(basis), weights)
+        if functional is None:
             raise PreconditionError("the given basis already spans the space")
-        f0 = annihilator.coords
     else:
-        f0 = tuple(Fraction(w) for w in weights)
+        functional = exact_vector(weights)
+    f0 = functional.coords
     if tag is NormTag.L1:
         # functional measured in the dual (sup) norm; the best vector to
         # pair it with is a signed coordinate vector at a peak entry, where
         # f is +1 or -1: keep that entry of f and zero the rest
-        peak = max(abs(c) for c in f0)
+        peak = norm(functional, NormTag.LINF)
         f = Vector(tuple(c / peak for c in f0))
         j = next(i for i, c in enumerate(f.coords) if abs(c) == 1)
         x = Vector(tuple(c if i == j else Fraction(0) for i, c in enumerate(f.coords)))
         return RieszStep(x, f, Fraction(1))
     if tag is NormTag.LINF:
-        total = sum(abs(c) for c in f0)
+        total = norm(functional, NormTag.L1)
         f = Vector(tuple(c / total for c in f0))
         signs = tuple(Fraction(1) if c >= 0 else Fraction(-1) for c in f.coords)
         x = Vector(signs)
         return RieszStep(x, f, Fraction(1))
-    s2 = sum((c * c for c in f0), Fraction(0))
+    s2 = norm_squared(functional)
     floor = max(Fraction(1) - eps, Fraction(1) - Fraction(1, 10 ** 13))
     r = _unit_isqrt_scale(s2, floor)
     x = Vector(tuple(r * c for c in f0))

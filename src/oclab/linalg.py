@@ -19,8 +19,8 @@ every division is exact, which it checks.  :func:`rank_exact` and
 time: its pivots are the Bareiss pivots of the pivot log, which plain
 rational elimination can replay.  A matrix scales its rows once, so the
 submatrices of one family that :func:`rank_exact` is asked for share
-that scaling.  The d-subset rank tests of the
-fd-dense construction and of its subset sweep feed it the rows along a
+that scaling.  The d-subset rank tests of the fd-dense construction
+and of the reference subset sweep feed it the rows along a
 depth-first walk over the combinations (:func:`_singular_subsets`), which
 shares each prefix's complement among the subsets that extend it and
 reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
@@ -274,11 +274,6 @@ def scaled_int_coords(v: Vector) -> tuple:
     return tuple(_int_numerators(v.coords)[0])
 
 
-def _scaled_rows(M: Matrix):
-    rows, scales = zip(*(_int_numerators(r.coords) for r in M.rows))
-    return list(rows), scales
-
-
 def rank_exact(M: Matrix, rows: Optional[Sequence[int]] = None) -> RankResult:
     """Rank of an exact matrix by fraction-free elimination, with pivot log.
 
@@ -347,7 +342,9 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     are carried along.  Return the pivot columns.  A column's pivot is the
     first row at or below the current one with a nonzero entry there.
     Each update a*row - b*pivot_row is divided by the gcd of its entries,
-    so entries stay the rational row's over its common denominator.
+    so entries stay the rational row's over its common denominator.  Rows
+    are swapped and rebound, never edited in place, so callers may pass
+    rows shared with a matrix's cached scaling (``Matrix._int_rows``).
     """
     m = len(rows)
     piv_cols = []
@@ -384,7 +381,7 @@ def nullspace_exact(M: Matrix) -> list:
     and 0 at the other free ones.
     """
     n = M.ncols
-    rows, _ = _scaled_rows(M)
+    rows = [row for row, _ in M._int_rows]
     piv_cols = _gauss_jordan(rows, n)
     basis = []
     for free in (j for j in range(n) if j not in piv_cols):
@@ -458,7 +455,7 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     the zero vector only when the nullity is positive.
     """
     n = M.ncols
-    rows, _ = _scaled_rows(M)
+    rows = [row for row, _ in M._int_rows]
     pivots, pivot_rows, rest = _pivots_mod_p(rows, n)
     r = len(pivots)
     if r == n:
@@ -585,9 +582,10 @@ def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:
     The nodes are written as integers over the lcm D of their
     denominators, so the product of the k(k-1)/2 integer differences over
     D^(k(k-1)/2) is the determinant, built as one Fraction at the end.
-    A singleton gives 1 (empty product); a repeated node gives 0.
+    A singleton gives 1 (empty product); a repeated node gives 0; a float
+    node raises :class:`~oclab.errors.ModeError`, as in a :class:`Vector`.
     """
-    lams = [x if type(x) is Fraction else Fraction(x) for x in lambdas]
+    lams = [_coerce_exact(x) for x in lambdas]
     if not lams:
         raise DomainError("vandermonde_det needs at least one node")
     xs, den = _int_numerators(lams)

@@ -760,6 +760,46 @@ def test_fd_dense_refuses_too_many_subsets_before_construction(monkeypatch):
         run_scenario("fd-dense", {"d": "5", "n": "60"})
 
 
+def test_fd_dense_refuses_too_many_subsets_even_when_sampled(monkeypatch):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("fd_overcomplete ran on a config the guard refuses")
+
+    monkeypatch.setattr(harness_mod, "fd_overcomplete", boom)
+    # the construction decides all C(60, 6) = 50,063,860 subsets whatever
+    # subset_samples says, so sampling is no way around the guard
+    with pytest.raises(ConfigError, match=r"C\(60,6\) subsets is too many") as err:
+        run_scenario("fd-dense", {"d": "6", "n": "60", "subset_samples": "100"})
+    assert "set subset_samples" not in str(err.value)
+
+
+def test_cli_fd_dense_sampled_past_the_guard_exits_2(tmp_path):
+    cfg = _write(tmp_path, "d = 6\nn = 60\nsubset_samples = 100\n")
+    result = _invoke(["fd-dense", "--config", cfg])
+    assert result.exit_code == 2
+    assert "scenario 'fd-dense'" in result.output and "C(60,6)" in result.output
+    assert "set subset_samples" not in result.output
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"d": "3", "n": "9", "targets": "none"}, {"d": "4", "n": "10", "targets": "auto", "radius": "1/2", "seed": "5"}],
+)
+def test_fd_dense_sweep_certificate_is_the_construction_walk(monkeypatch, config):
+    import oclab.certify as certify_mod
+    from oclab.certify import all_subsets_full_rank
+
+    calls = _count_calls(monkeypatch, certify_mod, "all_subsets_full_rank")
+    report = run_scenario("fd-dense", config)
+    assert calls == []
+    (sweep,) = [c for c in report.certificates if c["kind"] == "subset-rank-sweep"]
+    d = int(config["d"])
+    checked, failures = all_subsets_full_rank(report.constructed["vectors"], d)
+    assert sweep["verdict"] == "Full"
+    assert sweep["witness"] == {"subsets_checked": checked, "failures": failures}
+
+
 @pytest.mark.parametrize("variant, builder", [("gk", "incomplete_space_sequence"), ("basis", "unit_vector")])
 def test_probe_refuses_a_window_past_the_dimension_before_construction(monkeypatch, variant, builder):
     import oclab.harness as harness_mod

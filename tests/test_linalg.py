@@ -299,6 +299,23 @@ def test_null_vector_is_none_at_full_column_rank():
     assert null_vector(Matrix.from_rows([exact_vector([P61])]), (1,)) is None
 
 
+def test_eliminations_leave_the_cached_row_scaling_as_it_was():
+    # nullspace_exact and null_vector eliminate the rows a matrix scaled
+    # once; an elimination that edited one of them in place would change
+    # every later answer about the same matrix
+    rows = [[F(1, 2), F(1, 3), F(2)], [F(1), F(2, 3), F(4)], [F(3), F(-1, 5), F(0)]]
+
+    def fresh():
+        return Matrix.from_rows(exact_vector(r) for r in rows)
+
+    M = fresh()
+    before = [list(r) for r, _ in M._int_rows]
+    assert nullspace_exact(M) == nullspace_exact(fresh())
+    assert null_vector(M, [3]) == null_vector(fresh(), [3])
+    assert [list(r) for r, _ in M._int_rows] == before
+    assert rank_exact(M) == rank_exact(fresh())
+
+
 def test_null_vector_falls_back_when_the_prime_hides_rank():
     """Mod p the first row vanishes, so the block misses its pivot; the
     exact check of that row fails and the RREF basis decides."""
@@ -354,6 +371,16 @@ def test_vandermonde_singleton_is_one():
 def test_vandermonde_empty_rejected():
     with pytest.raises(DomainError):
         vandermonde_det([])
+
+
+def test_vandermonde_rejects_a_float_node_as_a_vector_does():
+    with pytest.raises(ModeError):
+        exact_vector([0.1])
+    with pytest.raises(ModeError):
+        vandermonde_det([0.1, 0.2])
+    with pytest.raises(ModeError):
+        vandermonde_det([F(1, 10), 0.2])
+    assert vandermonde_det([1, "1/2"]) == F(-1, 2)
 
 
 def test_vandermonde_matches_elimination_on_random_nodes():
