@@ -130,9 +130,9 @@ def fd_overcomplete(
     """n exact vectors in R^d, every d of which have exact rank d.
 
     Runs the inductive construction: at each step, sample a rational
-    candidate inside the current target ball (unit ball when no targets)
-    and accept it once it lies outside span(T) for every subset T of the
-    previous picks with |T| = min(#picks, d-1): the inductive
+    candidate that the current target ball (unit ball when no targets)
+    contains, and accept it once it lies outside span(T) for every subset T
+    of the previous picks with |T| = min(#picks, d-1): the inductive
     hyperplane-avoidance step, strengthened below d-1 picks so that the
     early picks stay independent (and nonzero).  Both are certified in
     integer arithmetic by the complement kernel.  Up to d-1 picks, the
@@ -146,7 +146,8 @@ def fd_overcomplete(
     d-subset is decided nonsingular once, at its last member, before the
     family is returned (else :class:`~oclab.errors.ConstructionError`):
     this walk is a run's subset-rank sweep, and the tests check it against
-    :func:`~oclab.certify.all_subsets_full_rank`.
+    :func:`~oclab.certify.all_subsets_full_rank`.  Likewise each vector
+    is decided inside its ball (:meth:`OpenBall.contains`) once, here.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -290,6 +291,9 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
     Iterates the separation step against the span of the prefix; each
     step's dual witness kills the whole prefix, which is exactly what
     turns the pairwise distance claims into one-line verifications.
+    Returns only after deciding each pair strictly above 1 - eps, once,
+    so :func:`~oclab.certify.greedy_separated_subset` at delta = 1 - eps,
+    the tests' reference, selects every member.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")

@@ -17,8 +17,9 @@ by one more vector with a Bareiss step, so every entry stays a minor and
 every division is exact, which it checks.  :func:`rank_exact` and
 :func:`det_exact` feed it the columns of the row-scaled matrix, one at a
 time: its pivots are the Bareiss pivots of the pivot log, which plain
-rational elimination can replay.  A matrix scales its rows once, so the
-submatrices of one family that :func:`rank_exact` is asked for share
+rational elimination can replay.  A vector scales itself to integers
+once (:attr:`Vector._ints`), so every kernel that reads it, and every
+submatrix of one family that :func:`rank_exact` is asked for, shares
 that scaling.  The d-subset rank tests of the fd-dense construction
 and of the reference subset sweep feed it the rows along a
 depth-first walk over the combinations (:func:`_singular_subsets`), which
@@ -34,8 +35,8 @@ toolkit comes from, finds the pivot columns and rows mod the prime
 2^61 - 1, solves only the square pivot block exactly, checks every other
 row exactly, and falls back to the basis when the prime hid part of the
 rank.  Exact sums (:func:`pairing`, the L1 norm, :func:`norm_squared`)
-add integer numerators over the lcm of the denominators and build one
-Fraction at the end, the same canonical Fraction as a per-term sum.
+add a vector's cached integer numerators and build one Fraction at the
+end, the same canonical Fraction as a per-term sum.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ class Vector:
 
     Coordinates are coerced to :class:`fractions.Fraction`; a float
     coordinate raises :class:`~oclab.errors.ModeError` rather than being
-    converted silently.
+    converted silently.  The integer form every exact kernel reads,
+    :attr:`_ints`, is computed once per vector and cached; it is not a
+    field, so ``==``, ``hash`` and the report bytes see only ``coords``.
     """
 
     coords: tuple
@@ -113,6 +116,11 @@ class Vector:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """The numerators over the lcm of the denominators, and that lcm."""
+        return _int_numerators(self.coords)
 
     def support(self) -> tuple:
         return tuple(i for i, c in enumerate(self.coords) if c != 0)
@@ -143,7 +151,8 @@ def zero_vector(dim: int) -> Vector:
 
 @dataclass(frozen=True)
 class Matrix:
-    """A rectangular stack of equal-dimension row vectors."""
+    """A rectangular stack of equal-dimension row vectors, each of which
+    caches its own integer form (:attr:`Vector._ints`)."""
 
     rows: tuple
 
@@ -160,11 +169,6 @@ class Matrix:
     def from_rows(cls, rows: Iterable[Vector]) -> "Matrix":
         return cls(tuple(rows))
 
-    @cached_property
-    def _int_rows(self) -> tuple:
-        """Each row's integer numerators and their scale, computed once."""
-        return tuple(_int_numerators(r.coords) for r in self.rows)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -177,8 +181,8 @@ class Matrix:
 def pairing(f: Vector, v: Vector) -> Fraction:
     """Exact inner product <f, v> of a functional with a vector."""
     f._compatible(v)
-    fs, df = _int_numerators(f.coords)
-    vs, dv = _int_numerators(v.coords)
+    fs, df = f._ints
+    vs, dv = v._ints
     return Fraction(sum(map(operator.mul, fs, vs)), df * dv)
 
 
@@ -190,7 +194,7 @@ def norm(v: Vector, tag: NormTag) -> Fraction:
     """
     tag = NormTag(tag)
     if tag is NormTag.L1:
-        xs, den = _int_numerators(v.coords)
+        xs, den = v._ints
         return Fraction(sum(map(abs, xs)), den)
     if tag is NormTag.LINF:
         return max(abs(c) for c in v.coords)
@@ -199,7 +203,7 @@ def norm(v: Vector, tag: NormTag) -> Fraction:
 
 def norm_squared(v: Vector) -> Fraction:
     """Squared L2 norm, exactly (the flagged L2 variant)."""
-    xs, den = _int_numerators(v.coords)
+    xs, den = v._ints
     return Fraction(sum(x * x for x in xs), den * den)
 
 
@@ -263,15 +267,16 @@ def _int_numerators(coords) -> tuple:
     """The numerators of ``coords`` over the lcm of their denominators, and
     that lcm, so that sums run in integers."""
     den = _lcm_denominator(coords)
-    return [c.numerator * (den // c.denominator) for c in coords], den
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
 def scaled_int_coords(v: Vector) -> tuple:
     """Integer coordinates of an exact vector after clearing denominators.
 
-    The scaling is per-vector, so ranks and zero-patterns are preserved.
+    The scaling is per-vector (:attr:`Vector._ints`), so ranks and
+    zero-patterns are preserved.
     """
-    return tuple(_int_numerators(v.coords)[0])
+    return v._ints[0]
 
 
 def rank_exact(M: Matrix, rows: Optional[Sequence[int]] = None) -> RankResult:
@@ -279,20 +284,20 @@ def rank_exact(M: Matrix, rows: Optional[Sequence[int]] = None) -> RankResult:
 
     With ``rows``, the rank of the submatrix of those rows of M, in that
     order; the pivot log then numbers them 0, 1, ... as that submatrix.
-    A matrix scales each row to integers once, however many submatrices
-    are asked of it, and the elimination itself is :func:`_rank_int`.
+    Each row is read in its cached integer form (:attr:`Vector._ints`),
+    and the elimination itself is :func:`_rank_int`.
     """
     if rows is None:
-        scaled = M._int_rows
+        picked = M.rows
     else:
-        scaled = []
+        picked = []
         for i in rows:
             if not 0 <= i < M.nrows:
                 raise DomainError(f"row index {i} out of range")
-            scaled.append(M._int_rows[i])
-        if not scaled:
+            picked.append(M.rows[i])
+        if not picked:
             raise DomainError("matrix needs at least one row")
-    ints, scales = zip(*scaled)
+    ints, scales = zip(*(r._ints for r in picked))
     return _rank_int(ints, scales)
 
 
@@ -343,8 +348,8 @@ def _gauss_jordan(rows: list, ncols: int) -> list:
     first row at or below the current one with a nonzero entry there.
     Each update a*row - b*pivot_row is divided by the gcd of its entries,
     so entries stay the rational row's over its common denominator.  Rows
-    are swapped and rebound, never edited in place, so callers may pass
-    rows shared with a matrix's cached scaling (``Matrix._int_rows``).
+    are swapped and rebound, never edited in place, so a row may be a
+    vector's cached numerator tuple (:attr:`Vector._ints`).
     """
     m = len(rows)
     piv_cols = []
@@ -381,7 +386,7 @@ def nullspace_exact(M: Matrix) -> list:
     and 0 at the other free ones.
     """
     n = M.ncols
-    rows = [row for row, _ in M._int_rows]
+    rows = [r._ints[0] for r in M.rows]
     piv_cols = _gauss_jordan(rows, n)
     basis = []
     for free in (j for j in range(n) if j not in piv_cols):
@@ -455,7 +460,7 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     the zero vector only when the nullity is positive.
     """
     n = M.ncols
-    rows = [row for row, _ in M._int_rows]
+    rows = [r._ints[0] for r in M.rows]
     pivots, pivot_rows, rest = _pivots_mod_p(rows, n)
     r = len(pivots)
     if r == n:

@@ -494,6 +494,18 @@ def test_l1_certificate_rejects_forged_extraction():
     assert "middle strip" in str(err.value)
 
 
+def test_l1_certificate_rejects_a_too_light_tail_naming_the_pick():
+    # pick 1's middle strip is empty and its tail holds 1/2, below even
+    # 1 - N - 2*eps = 4/5: the one tail-mass step must name it
+    data = SlidingHumpData(
+        epsilon=F(1, 10), n_value=F(0), alpha0=0, n_table=(), members=(0, 1), cuts=(0, 1),
+        extracted=(unit_vector(0, 4), exact_vector([0, F(1, 2), 0, 0])),
+    )
+    with pytest.raises(CertificationError) as err:
+        l1_lower_bound_certificate(data, coefficient_samples(2, 4, seed=0))
+    assert str(err.value) == 'chain step "tail mass at least 1-N-eps" failed at pick 1'
+
+
 def test_l1_certificate_rejects_nonunit_mass_samples():
     data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
     with pytest.raises(DomainError):
@@ -666,6 +678,15 @@ def test_decay_check_rejects_non_annihilator():
     bad = unit_vector(0, seq[0].dim)
     with pytest.raises(PreconditionError):
         annihilator_decay_check(model, seq, [5, 10], [bad], 1)
+
+
+def test_decay_check_names_a_member_of_another_dimension():
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    _, seq = incomplete_space_sequence(model, 10)
+    dim = seq[0].dim
+    e = unit_vector(dim - 1, dim)
+    with pytest.raises(DomainError, match=f"dimension mismatch: {dim} vs {dim + 1}"):
+        annihilator_decay_check(model, seq[:5] + [zero_vector(dim + 1)], [5], [e], 1)
 
 
 def test_decay_check_records_mode_switch():

@@ -267,7 +267,7 @@ def test_json_emission_round_trips():
     record = json.loads(emit_report(report, "json"))
     wall = record.pop("wall_time_s")
     assert isinstance(wall, float)
-    assert record == report.canonical_form()
+    assert record == json.loads(report.canonical_bytes())
 
 
 def test_csv_emission_shape():
@@ -562,6 +562,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("cover", "mode = escape\nlambdas = 1/10, 1/5\n", [], "lambdas"),
         ("probe", "variant = basis\nK = 6\nwindow = 9\n", [], "window"),
         ("sliding-hump", "eps = 1/2\n", [], "eps"),
+        ("free-set", "n = 2000\nf = full\n", [], "n"),
+        ("free-set", "n = 3\nf = random\nmax_deg = 100000000\n", [], "max_deg"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -575,7 +577,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "sliding-hump-samples-times-m-above-guard", "probe-basis-unread-rho-1",
         "probe-basis-unread-zero-c", "sliding-hump-disjoint-unread-left_mass-1",
         "cover-grid-h-above-d", "cover-escape-two-lambdas", "probe-window-past-dimension",
-        "sliding-hump-eps-half",
+        "sliding-hump-eps-half", "free-set-n-times-n-above-guard",
+        "free-set-random-n-times-max_deg-above-guard",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -798,6 +801,64 @@ def test_fd_dense_sweep_certificate_is_the_construction_walk(monkeypatch, config
     checked, failures = all_subsets_full_rank(report.constructed["vectors"], d)
     assert sweep["verdict"] == "Full"
     assert sweep["witness"] == {"subsets_checked": checked, "failures": failures}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # n*n exact entries in the family, whichever map
+        ({"n": "2000", "f": "full"}, "n=2000 times n=2000 is 4000000"),
+        ({"n": "448", "f": "chain"}, "n=448 times n=448 is 200704"),
+        # n*max_deg draws of the random map
+        ({"n": "3", "f": "random", "max_deg": "100000000"}, "n=3 times max_deg=100000000 is 300000000"),
+    ],
+)
+def test_free_set_refuses_a_costly_config_before_building(monkeypatch, config, message):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("_free_map ran on a config the guard refuses")
+
+    monkeypatch.setattr(harness_mod, "_free_map", boom)
+    with pytest.raises(ConfigError, match=message + ", above the limit of 200000") as err:
+        run_scenario("free-set", config)
+    assert "scenario 'free-set'" in str(err.value)
+
+
+def test_free_set_guard_ignores_max_deg_when_the_map_does_not_draw():
+    report = run_scenario("free-set", {"n": "4", "f": "self", "max_deg": "100000000"})
+    assert report.constructed["H"] == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("tag", ["L1", "L2", "Linf"])
+def test_separated_packs_nothing_again_and_the_witness_holds(monkeypatch, tag):
+    import oclab.certify as certify_mod
+    from oclab.certify import greedy_separated_subset
+
+    calls = _count_calls(monkeypatch, certify_mod, "greedy_separated_subset")
+    report = run_scenario("separated", {"d": "5", "eps": "1/10", "tag": tag})
+    assert calls == []
+    (sep,) = [c for c in report.certificates if c["kind"] == "separation"]
+    vectors = report.constructed["vectors"]
+    assert sep["witness"] == {"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True}
+    assert greedy_separated_subset(vectors, F(9, 10), tag) == tuple(range(len(vectors)))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"d": "3", "n": "7", "targets": "none"}, {"d": "3", "n": "7", "targets": "auto", "radius": "1/4", "seed": "2"}],
+)
+def test_fd_dense_decides_each_ball_membership_once(monkeypatch, config):
+    from oclab.constructors import OpenBall
+
+    calls = _count_calls(monkeypatch, OpenBall, "contains")
+    report = run_scenario("fd-dense", config)
+    vectors = report.constructed["vectors"]
+    assert [sum(args[1] is v for args in calls) for v in vectors] == [1] * len(vectors)
+    balls = [c["witness"] for c in report.certificates if c["kind"] == "ball-membership"]
+    assert [b["index"] for b in balls] == list(range(len(vectors)))
+    for v, b in zip(vectors, balls):
+        assert OpenBall(b["center"], b["radius"]).contains(v)
 
 
 @pytest.mark.parametrize("variant, builder", [("gk", "incomplete_space_sequence"), ("basis", "unit_vector")])

@@ -25,7 +25,9 @@ from oclab.linalg import (
     vandermonde_det,
     _distance_sign,
     _extend,
+    _int_numerators,
 )
+from oclab.serialize import canonical_json
 from oclab.certify import replay_pivot_log
 from oclab.constructors import IncompleteModel, incomplete_space_sequence, klee_vectors
 
@@ -300,20 +302,21 @@ def test_null_vector_is_none_at_full_column_rank():
 
 
 def test_eliminations_leave_the_cached_row_scaling_as_it_was():
-    # nullspace_exact and null_vector eliminate the rows a matrix scaled
-    # once; an elimination that edited one of them in place would change
-    # every later answer about the same matrix
+    # nullspace_exact and null_vector eliminate the integer rows each
+    # vector scaled once; an elimination that edited one of them in place
+    # would change every later answer about the same vectors
     rows = [[F(1, 2), F(1, 3), F(2)], [F(1), F(2, 3), F(4)], [F(3), F(-1, 5), F(0)]]
 
     def fresh():
         return Matrix.from_rows(exact_vector(r) for r in rows)
 
     M = fresh()
-    before = [list(r) for r, _ in M._int_rows]
+    before = [(list(r), s) for r, s in (v._ints for v in M.rows)]
     assert nullspace_exact(M) == nullspace_exact(fresh())
     assert null_vector(M, [3]) == null_vector(fresh(), [3])
-    assert [list(r) for r, _ in M._int_rows] == before
+    assert [(list(r), s) for r, s in (v._ints for v in M.rows)] == before
     assert rank_exact(M) == rank_exact(fresh())
+
 
 
 def test_null_vector_falls_back_when_the_prime_hides_rank():
@@ -457,10 +460,25 @@ def test_submatrix_rank_equals_the_rank_of_the_submatrix_built_alone(pair, data)
     M = Matrix.from_rows(rows)
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
     assert rank_exact(M, picks) == rank_exact(Matrix.from_rows([rows[i] for i in picks]))
-    assert rank_exact(M, picks) == rank_exact(M, picks)  # the matrix's cached scaling
+    assert rank_exact(M, picks) == rank_exact(M, picks)  # the rows' cached integer forms
     for bad in ([], [len(rows)], [-1]):
         with pytest.raises(DomainError):
             rank_exact(M, bad)
+
+
+@given(_vector_pairs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_a_vector_caches_its_integer_form_outside_its_fields(pair):
+    u, w = (exact_vector(c) for c in pair)
+    twin = exact_vector(pair[0])
+    assert "_ints" not in vars(u) and "_ints" not in vars(twin)
+    assert u._ints == _int_numerators(u.coords)
+    assert "_ints" in vars(u) and u._ints is u._ints  # computed once
+    # equality, hash and bytes see the coordinates, cached or not
+    assert u == twin and hash(u) == hash(twin)
+    assert canonical_json(u) == canonical_json(twin)
+    assert (u == w) == (u.coords == w.coords)
+    assert pairing(u, w) == pairing(twin, exact_vector(pair[1]))
 
 
 @st.composite
