@@ -564,14 +564,21 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
     return members
 
 
-def _run_sliding_hump(values, seed):
-    L, m, eps = values["L"], values["m"], values["eps"]
-    for key in ("L", "samples"):
-        if values[key] * m > _EXHAUSTIVE_GUARD:
+def _guard_products(values, pairs):
+    """Refuse a config where ``values[a] * values[b]`` exceeds the
+    enumeration guard for some ``(a, b)`` in ``pairs``."""
+    for a, b in pairs:
+        product = values[a] * values[b]
+        if product > _EXHAUSTIVE_GUARD:
             raise ConfigError(
-                f"{key}={values[key]} times m={m} is {values[key] * m}, "
+                f"{a}={values[a]} times {b}={values[b]} is {product}, "
                 f"above the limit of {_EXHAUSTIVE_GUARD}"
             )
+
+
+def _run_sliding_hump(values, seed):
+    L, m, eps = values["L"], values["m"], values["eps"]
+    _guard_products(values, (("L", "m"), ("samples", "m")))
     left = values["left_mass"] if values["family"] == "blocks" else Fraction(0)
     if eps > (1 - left) / 4:
         raise ConfigError(
@@ -615,12 +622,8 @@ def _free_map(n: int, kind: str, max_deg: int, seed: int) -> list:
 def _run_free_set(values, seed):
     n = values["n"]
     # the family holds n*n exact entries, and a random map draws n*max_deg times
-    for key in ("n", "max_deg") if values["f"] == "random" else ("n",):
-        if n * values[key] > _EXHAUSTIVE_GUARD:
-            raise ConfigError(
-                f"n={n} times {key}={values[key]} is {n * values[key]}, "
-                f"above the limit of {_EXHAUSTIVE_GUARD}"
-            )
+    pairs = (("n", "n"), ("n", "max_deg")) if values["f"] == "random" else (("n", "n"),)
+    _guard_products(values, pairs)
     fmap = _free_map(n, values["f"], values["max_deg"], seed)
     H = free_set_extract(n, fmap)
     rng = rng_for(seed, "free-weights")

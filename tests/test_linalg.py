@@ -318,7 +318,6 @@ def test_eliminations_leave_the_cached_row_scaling_as_it_was():
     assert rank_exact(M) == rank_exact(fresh())
 
 
-
 def test_null_vector_falls_back_when_the_prime_hides_rank():
     """Mod p the first row vanishes, so the block misses its pivot; the
     exact check of that row fails and the RREF basis decides."""
