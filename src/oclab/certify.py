@@ -211,13 +211,15 @@ def all_subsets_full_rank(vectors: Sequence[Vector], d: int):
 
     The reference sweep of tests and verifiers: a family built by
     :func:`~oclab.constructors.fd_overcomplete` has already had each of
-    its d-subsets decided, by the same kernel, while it was built, so a
-    run does not sweep it again.  Rows are integer-scaled once per
-    vector, and the depth-first subset-rank kernel
-    :func:`~oclab.linalg._singular_subsets` reaches each (d-1)-subset's
-    cofactor normal by fraction-free complement updates shared along the
-    walk; each d-subset costs one dot product with it, so the failures
-    come in combinations order.
+    its d-subsets decided while it was built, so a run does not sweep it
+    again.  This sweep is an independent check of that decision: the
+    construction compares 2-D projections onto the plane of each
+    (d-2)-subset, while this sweep takes each d-subset's determinant.
+    Rows are integer-scaled once per vector, and the depth-first
+    subset-rank kernel :func:`~oclab.linalg._singular_subsets` reaches
+    each (d-1)-subset's cofactor normal by fraction-free complement
+    updates shared along the walk; each d-subset costs one dot product
+    with it, so the failures come in combinations order.
     """
     for v in vectors:
         if v.dim != d:

@@ -18,6 +18,7 @@ survives that truncation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,10 +42,11 @@ from .linalg import (
     scaled_int_coords,
     zero_vector,
     _complement,
+    _complement_vectors,
     _distance_sign,
     _extend,
     _int_numerators,
-    _singular_subsets,
+    _subset_states,
 )
 from .rng import rng_for, split_seed
 
@@ -121,6 +123,83 @@ def _unit_balls(d: int, n: int) -> list:
     return [OpenBall(zero_vector(d), Fraction(1))] * n
 
 
+def _direction(a: int, b: int):
+    """The primitive direction of (a, b) with its first nonzero entry
+    positive, or ``None`` at (0, 0)."""
+    g = math.gcd(a, b)
+    if not g:
+        return None
+    a, b = a // g, b // g
+    return (a, b) if a > 0 or (not a and b > 0) else (-a, -b)
+
+
+class _GeneralPosition:
+    """The picks of :func:`fd_overcomplete` so far, out of n in all, and
+    the check that admits the next one.
+
+    A row is admitted when it lies outside span(T) for every subset T of
+    the picks with |T| = min(#picks, d-1).  Any d picks are independent,
+    so for T = T' + {j}, with T' its first d-2 picks and j its last, the
+    row r and T are singular together exactly when the projections of r
+    and j onto the plane of T' (their pairings with two integer vectors
+    spanning the complement of T') are parallel, or r's is zero.  So each
+    (d-2)-subset T' of the picks keeps its two vectors (u1, u2) and the
+    set of primitive directions of the later picks, and a row costs two
+    dot products and one set lookup per T'.
+
+    - d = 1: the one T is empty, so a row is admitted when it is nonzero.
+    - d = 2: the one T' is empty, with the identity as (u1, u2).
+    - d >= 3: before d-2 picks there is no T', and a row must extend the
+      picks' complement, carried from pick to pick (:func:`_extend`).
+      Each new pick m adds the planes of T' = S + {m}, one for each
+      (d-3)-subset S of the earlier picks, by a depth-first walk
+      (:func:`~oclab.linalg._subset_states`).
+
+    A plane whose last pick is m is built only while m <= n-3, and the
+    last pick's directions are not kept: no later pick and candidate could
+    read them.  So at most C(n-2, d-2) planes and C(n-1, d-1) directions
+    are held.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.rows = []
+        self.complement = _complement(d)  # of the picks, while there is no plane
+        # (u1, u2, directions of the later picks) per (d-2)-subset T' of the picks
+        self.planes = [(*_complement_vectors(_complement(2)), set())] if d == 2 else []
+
+    def admit(self, row) -> bool:
+        """Decide ``row`` against the picks; an admitted row becomes a pick."""
+        d, k = self.d, len(self.rows)
+        if d == 1:
+            if not any(row):
+                return False
+        elif k < d - 2:
+            grown = _extend(self.complement, row)
+            if grown is None:
+                return False
+            self.complement = grown
+        else:
+            mul = operator.mul
+            keys = []
+            for u1, u2, seen in self.planes:
+                key = _direction(sum(map(mul, u1, row)), sum(map(mul, u2, row)))
+                if key is None or key in seen:
+                    return False
+                keys.append(key)
+            if k < self.n - 1:
+                for (_, _, seen), key in zip(self.planes, keys):
+                    seen.add(key)
+        if d >= 3 and k <= self.n - 3:
+            head = _extend(_complement(d), row)
+            for _, state in _subset_states(self.rows, d - 3, head):
+                if state is None:
+                    raise ConstructionError(f"picks dependent at pick {k}")
+                self.planes.append((*_complement_vectors(state), set()))
+        self.rows.append(row)
+        return True
+
+
 def fd_overcomplete(
     d: int,
     n: int,
@@ -134,20 +213,16 @@ def fd_overcomplete(
     contains, and accept it once it lies outside span(T) for every subset T
     of the previous picks with |T| = min(#picks, d-1): the inductive
     hyperplane-avoidance step, strengthened below d-1 picks so that the
-    early picks stay independent (and nonzero).  Both are certified in
-    integer arithmetic by the complement kernel.  Up to d-1 picks, the
-    one such T is all the picks: their complement is carried from step
-    to step, and the candidate must extend it (one O(d^2) call of
-    :func:`~oclab.linalg._extend`).  From d picks on, the depth-first
-    walk :func:`~oclab.linalg._singular_subsets` runs with the candidate
-    as head, ends each (d-1)-subset in one dot product with its cofactor
-    normal, and stops at the first singular one.  The dyadic grid is
-    refined on retry, so avoidance is certified, never assumed.  So each
-    d-subset is decided nonsingular once, at its last member, before the
-    family is returned (else :class:`~oclab.errors.ConstructionError`):
-    this walk is a run's subset-rank sweep, and the tests check it against
-    :func:`~oclab.certify.all_subsets_full_rank`.  Likewise each vector
-    is decided inside its ball (:meth:`OpenBall.contains`) once, here.
+    early picks stay independent (and nonzero).  Both are decided in
+    integer arithmetic by :class:`_GeneralPosition`, one set lookup per
+    (d-2)-subset of the picks.  The dyadic grid is refined on retry, so
+    avoidance is certified, never assumed.  So each d-subset is decided
+    nonsingular once, at its last member, before the family is returned
+    (else :class:`~oclab.errors.ConstructionError`): this check is a
+    run's subset-rank sweep, and the tests check it against the
+    independent sweep :func:`~oclab.certify.all_subsets_full_rank`.
+    Likewise each vector is decided inside its ball
+    (:meth:`OpenBall.contains`) once, here.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -160,14 +235,12 @@ def fd_overcomplete(
         if ball.center.dim != d:
             raise DomainError("target ball dimension mismatch")
     rng = rng_for(seed, "fd-overcomplete")
+    picks = _GeneralPosition(d, n)
     chosen: list = []
-    int_rows: list = []
-    complement = _complement(d)  # of the picks, carried while they number below d
     for k, ball in enumerate(targets):
         # offsets of sup-norm at most radius/(2d) have Euclidean length at
         # most radius/(2*sqrt(d)), so the candidate stays inside the open ball
         step = ball.radius / (2 * d)
-        accepted = None
         for attempt in range(64):
             bits = 10 + 2 * attempt
             span = 1 << bits
@@ -175,25 +248,13 @@ def fd_overcomplete(
                 Fraction(rng.randrange(-span + 1, span), span) * step for _ in range(d)
             )
             cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)))
-            if not ball.contains(cand):
-                continue
-            cand_row = scaled_int_coords(cand)
-            if len(int_rows) < d:
-                grown = _extend(complement, cand_row)
-                avoids = grown is not None
-            else:
-                avoids = next(_singular_subsets(int_rows, d, head=cand_row), None) is None
-            if avoids:
-                accepted = (cand, cand_row)
+            if ball.contains(cand) and picks.admit(scaled_int_coords(cand)):
+                chosen.append(cand)
                 break
-        if accepted is None:
+        else:
             raise ConstructionError(
                 f"candidate budget exhausted at step {k} after 64 grid refinements"
             )
-        if len(int_rows) < d:
-            complement = grown  # as tested above, now with the accepted candidate
-        chosen.append(accepted[0])
-        int_rows.append(accepted[1])
     return chosen
 
 

@@ -382,6 +382,8 @@ def _run_klee(values, seed):
             raise ConfigError(f"C({n},{d}) subsets is too many to enumerate; set subset_samples")
         subsets = list(itertools.combinations(range(n), d))
     else:
+        # each sampled subset gets its own elimination and certificate
+        _guard_products(values, (("subset_samples", "d"),))
         rng = rng_for(seed, "klee-subsets")
         subsets = [sample_subset(rng, n, d) for _ in range(samples)]
     inputs_digest = prefix_digest({"lambdas": lambdas, "d": d}, "subset")
@@ -660,6 +662,8 @@ def _run_cover(values, seed):
         h, count, d = values["h"], values["points"], values["d"]
         if h > d:
             raise ConfigError(f"grid mode needs h={h} to be at most d={d} coordinate hyperplanes")
+        # the points hold points*d exact coordinates
+        _guard_products(values, (("points", "d"),))
         points = []
         for t in range(count):
             coords = [Fraction(t + i + 1) for i in range(d)]

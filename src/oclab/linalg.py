@@ -20,13 +20,15 @@ time: its pivots are the Bareiss pivots of the pivot log, which plain
 rational elimination can replay.  A vector scales itself to integers
 once (:attr:`Vector._ints`), so every kernel that reads it, and every
 submatrix of one family that :func:`rank_exact` is asked for, shares
-that scaling.  The d-subset rank tests of the fd-dense construction
-and of the reference subset sweep feed it the rows along a
-depth-first walk over the combinations (:func:`_singular_subsets`), which
-shares each prefix's complement among the subsets that extend it and
-reaches at every (d-1)-fold prefix its cofactor normal: the Hodge dual of
-the rows' wedge (exterior product).  Each completing row then costs one
-dot product with that normal.
+that scaling.  A depth-first walk over the combinations of a list of
+rows (:func:`_subset_states`) shares each prefix's complement among the
+subsets that extend it.  The reference subset sweep
+(:func:`_singular_subsets`) walks it to every (d-1)-fold prefix's
+cofactor normal, the Hodge dual of the rows' wedge (exterior product),
+and each completing row then costs one dot product with that normal.
+The fd-dense construction walks it to the two vectors spanning each
+(d-2)-fold prefix's complement (:func:`_complement_vectors`), the plane
+its quotient projects onto.
 
 Nullspaces use the one Gauss-Jordan loop, :func:`_gauss_jordan`, on
 integer rows kept primitive.  :func:`nullspace_exact` reduces the whole
@@ -542,42 +544,59 @@ def _extend(state: tuple, v):
     return piv, cols + [i_p], grown
 
 
-def _singular_subsets(rows: Sequence, d: int, head=None):
+def _complement_vectors(state: tuple) -> tuple:
+    """The integer vectors a complement state spans, one per remaining
+    coordinate: pivot * e_i + sum_t m_i[t] * e_cols[t], as tuples.  At d-1
+    prefix vectors the one vector is their cofactor normal, up to sign; at
+    d-2 the two span the plane their quotient projects onto."""
+    pivot, cols, rest = state
+    d = len(cols) + len(rest)
+    out = []
+    for i, m in rest:
+        u = [0] * d
+        u[i] = pivot
+        for q, x in zip(cols, m):
+            u[q] = x
+        out.append(tuple(u))
+    return tuple(out)
+
+
+def _subset_states(rows: Sequence, size: int, state, lo: int = 0, prefix: tuple = ()):
+    """Yield every ``size``-subset of ``rows[lo:]`` depth first, as (index
+    tuple, complement state), in ``itertools.combinations`` order.
+
+    The state is ``state`` extended by the subset's rows (:func:`_extend`),
+    or ``None`` once they are dependent, so a prefix's work is shared by
+    every subset that extends it.  Nothing is stored beyond the current
+    chain of prefix states.
+    """
+    k = len(prefix)
+    if k == size:
+        yield prefix, state
+        return
+    for i in range(lo, len(rows) - size + k + 1):
+        grown = None if state is None else _extend(state, rows[i])
+        yield from _subset_states(rows, size, grown, i + 1, prefix + (i,))
+
+
+def _singular_subsets(rows: Sequence, d: int):
     """Yield the singular d-subsets of integer rows in R^d, depth first.
 
     Subsets come as index tuples in ``itertools.combinations`` order.  The
-    walk carries each prefix's complement (:func:`_extend`), so a
-    prefix's work is shared by every subset that extends it; at d-1 rows
-    the complement is the prefix's cofactor normal, and each completing
-    row costs one dot product with it.  A dependent prefix makes every
-    extension singular, and those are yielded without more work.  Given a
-    ``head`` row, the walk yields the (d-1)-subsets T of ``rows`` for
-    which head and T are singular together.  Nothing is stored beyond the
-    current chain of prefix complements.
+    walk (:func:`_subset_states`) reaches each (d-1)-fold prefix's
+    cofactor normal, and each completing row costs one dot product with
+    it.  A dependent prefix makes every extension singular.
     """
     n = len(rows)
-    size = d if head is None else d - 1
-    state = _complement(d) if head is None else _extend(_complement(d), head)
-
-    def walk(state, lo, prefix):
-        k = len(prefix)
-        if state is None:  # a dependent prefix
-            for rest in itertools.combinations(range(lo, n), size - k):
-                yield prefix + rest
-        elif k == size - 1:
-            pivot, cols, ((f, m),) = state
-            normal = [0] * d
-            normal[f] = pivot
-            for q, x in zip(cols, m):
-                normal[q] = x
-            for j in range(lo, n):
-                if not sum(map(operator.mul, normal, rows[j])):
-                    yield prefix + (j,)
-        elif k < size:
-            for i in range(lo, n - size + k + 1):
-                yield from walk(_extend(state, rows[i]), i + 1, prefix + (i,))
-
-    yield from walk(state, 0, ())
+    for prefix, state in _subset_states(rows[: n - 1], d - 1, _complement(d)):
+        lo = prefix[-1] + 1 if prefix else 0
+        if state is None:
+            yield from (prefix + (j,) for j in range(lo, n))
+            continue
+        (normal,) = _complement_vectors(state)
+        for j in range(lo, n):
+            if not sum(map(operator.mul, normal, rows[j])):
+                yield prefix + (j,)
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

@@ -32,6 +32,7 @@ from oclab.constructors import (
     incomplete_space_sequence,
     klee_vectors,
     sliding_hump_extract,
+    _GeneralPosition,
 )
 from oclab.errors import (
     CertificationError,
@@ -53,7 +54,6 @@ from oclab.linalg import (
     zero_vector,
     _complement,
     _extend,
-    _singular_subsets,
 )
 
 from oracles import brute_force_max_free_set, cofactor_det, l1_combination_norm, rref_rank
@@ -165,17 +165,32 @@ def test_subset_sweep_matches_the_cofactor_oracle(d, seed):
     assert all_subsets_full_rank(vectors, d) == (len(combos), expected)
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32))
-@settings(max_examples=25, deadline=None)
-def test_headed_walk_finds_every_singular_completion(d, seed):
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed):
+    # fed the planted family in order, the construction's check admits a row
+    # exactly when no subset T of min(#picks, d-1) picks is singular with it;
+    # random candidates almost never lie on such a span, so only planted
+    # dependencies show a check that admits too much
     vectors = _planted_family(d, seed)
-    head, rest = vectors[0], vectors[1:]
-    scaled = [scaled_int_coords(v) for v in vectors]
-    expected = [
-        sub for sub in itertools.combinations(range(len(rest)), d - 1)
-        if rref_rank([head.coords] + [rest[i].coords for i in sub]) < d
-    ]
-    assert list(_singular_subsets(scaled[1:], d, head=scaled[0])) == expected
+    n = d + extra
+    check = _GeneralPosition(d, n)
+    picks = []
+    for v in vectors:
+        if len(picks) == n:
+            break
+        size = min(len(picks), d - 1)
+        avoids = all(
+            rref_rank([v.coords] + [p.coords for p in T]) == size + 1
+            for T in itertools.combinations(picks, size)
+        )
+        assert check.admit(scaled_int_coords(v)) == avoids
+        if avoids:
+            picks.append(v)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction as F
 
@@ -107,6 +108,21 @@ def test_fd_target_balls_are_respected():
     assert b1.contains(vs[0])
     assert b2.contains(vs[1])
     assert rank_exact(Matrix.from_rows(vs)).rank == 2
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 6), (3, 9), (5, 12)])
+def test_fd_construction_leaves_no_reference_cycle(d, n):
+    # the span-avoidance cache is freed when the construction returns, by
+    # reference counting, not at some later collection
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fd_overcomplete(d, n, seed=1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_fd_needs_at_least_d_vectors():

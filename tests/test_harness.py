@@ -565,6 +565,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("sliding-hump", "eps = 1/2\n", [], "eps"),
         ("free-set", "n = 2000\nf = full\n", [], "n"),
         ("free-set", "n = 3\nf = random\nmax_deg = 100000000\n", [], "max_deg"),
+        ("cover", "points = 10000000\n", [], "points"),
+        ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5\nd = 3\nsubset_samples = 100000\n", [], "subset_samples"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -579,7 +581,8 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "probe-basis-unread-zero-c", "sliding-hump-disjoint-unread-left_mass-1",
         "cover-grid-h-above-d", "cover-escape-two-lambdas", "probe-window-past-dimension",
         "sliding-hump-eps-half", "free-set-n-times-n-above-guard",
-        "free-set-random-n-times-max_deg-above-guard",
+        "free-set-random-n-times-max_deg-above-guard", "cover-grid-points-times-d-above-guard",
+        "klee-subset_samples-times-d-above-guard",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -824,6 +827,38 @@ def test_free_set_refuses_a_costly_config_before_building(monkeypatch, config, m
     with pytest.raises(ConfigError, match=message + ", above the limit of 200000") as err:
         run_scenario("free-set", config)
     assert "scenario 'free-set'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "scenario, config, builder, message",
+    [
+        # points*d exact coordinates in cover's grid
+        ("cover", {"points": "10000000"}, "exact_vector", "points=10000000 times d=4 is 40000000"),
+        ("cover", {"points": "50001", "d": "4"}, "exact_vector", "points=50001 times d=4 is 200004"),
+        # one elimination and one certificate per sampled klee subset
+        (
+            "klee",
+            {"lambdas": "1/10, 1/5, 3/10, 2/5", "d": "3", "subset_samples": "100000"},
+            "sample_subset",
+            "subset_samples=100000 times d=3 is 300000",
+        ),
+    ],
+)
+def test_cover_and_klee_refuse_a_costly_config_before_building(monkeypatch, scenario, config, builder, message):
+    import oclab.harness as harness_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{builder} ran on a config the guard refuses")
+
+    monkeypatch.setattr(harness_mod, builder, boom)
+    with pytest.raises(ConfigError, match=message + ", above the limit of 200000") as err:
+        run_scenario(scenario, config)
+    assert f"scenario '{scenario}'" in str(err.value)
+
+
+def test_cover_guard_ignores_points_in_escape_mode():
+    report = run_scenario("cover", {"mode": "escape", "points": "10000000"})
+    assert report.certificates[0]["verdict"] == "Escape"
 
 
 def test_free_set_guard_ignores_max_deg_when_the_map_does_not_draw():
