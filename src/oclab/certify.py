@@ -384,7 +384,8 @@ def greedy_separated_subset(points: Sequence[Vector], delta, tag: NormTag) -> tu
     witness.  All comparisons are exact (squared comparisons for L2); a
     float delta is taken at its exact binary value.  The reference the
     tests check :func:`~oclab.constructors.separated_overcomplete_fd`
-    against; a run does not pack the family it built.
+    against; a run does not pack the family it built, whose Riesz
+    witnesses already put every pair above 1 - eps.
     """
     tag = NormTag(tag)
     delta = Fraction(delta)

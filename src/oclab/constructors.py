@@ -31,6 +31,7 @@ from .errors import (
     ScheduleError,
 )
 from .linalg import (
+    DUAL_TAG,
     Matrix,
     NormTag,
     Vector,
@@ -38,7 +39,7 @@ from .linalg import (
     norm,
     norm_squared,
     null_vector,
-    rank_exact,
+    pairing,
     scaled_int_coords,
     zero_vector,
     _complement,
@@ -266,9 +267,9 @@ def fd_overcomplete(
 @dataclass(frozen=True)
 class RieszStep:
     """A near-unit vector plus the dual witness certifying its distance
-    from a proper subspace: the functional annihilates the subspace
+    from a proper subspace: the functional f annihilates the subspace
     exactly, has dual norm at most one, and pairs with the vector to at
-    least 1 - eps, so dist(x, span Y) >= pairing without any minimization.
+    least 1 - eps, so dist(x, span Y) >= f(x) / ||f||_* (Riesz's lemma).
     """
 
     x: Vector
@@ -349,28 +350,34 @@ def riesz_step(
 def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0) -> tuple:
     """d unit vectors with pairwise distances above 1 - eps, spanning R^d.
 
-    Iterates the separation step against the span of the prefix; each
-    step's dual witness kills the whole prefix, which is exactly what
-    turns the pairwise distance claims into one-line verifications.
-    Returns only after deciding each pair strictly above 1 - eps, once,
+    Iterates the separation step against the span of the prefix and
+    decides each step's witness f once, exactly: f kills the prefix, and
+    f(x) > (1 - eps) * ||f||_* (for L2 in squares, with f(x) > 0).  By
+    Riesz's lemma x_k then lies farther than 1 - eps from the prefix's
+    span, and f(x_k) > 0 = f(x_i) for i < k makes the family independent,
     so :func:`~oclab.certify.greedy_separated_subset` at delta = 1 - eps,
-    the tests' reference, selects every member.
+    the tests' reference, selects every member.  Raises
+    :class:`~oclab.errors.ConstructionError` naming a failed step.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
     eps = Fraction(eps)
     tag = NormTag(tag)
+    lower = 1 - eps
     vectors: list = []
     for k in range(d):
         step = riesz_step(vectors, eps, tag, seed=split_seed(seed, f"step:{k}"), dim=d)
-        vectors.append(step.x)
-    lower = Fraction(1) - eps
-    for i in range(d):
-        for j in range(i + 1, d):
-            if _distance_sign(vectors[j], vectors[i], lower, tag) <= 0:
-                raise ConstructionError(f"separation failed for pair ({i}, {j})")
-    if rank_exact(Matrix.from_rows(vectors)).rank != d:
-        raise ConstructionError("separated family does not span the space")
+        f, x = step.functional, step.x
+        if any(pairing(f, y) for y in vectors):
+            raise ConstructionError(f"step {k}: the witness misses an earlier member")
+        fx = pairing(f, x)
+        if tag is NormTag.L2:
+            separated = fx > 0 and fx * fx > lower * lower * norm_squared(f)
+        else:
+            separated = fx > lower * norm(f, DUAL_TAG[tag])
+        if not separated:
+            raise ConstructionError(f"step {k}: the witness pairs to at most 1 - eps of its dual norm")
+        vectors.append(x)
     return tuple(vectors)
 
 
@@ -626,10 +633,10 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     Computes the exact left-mass floor table, locates its plateau, and
     then alternates cut advancement with member selection: each pick is
     an unused member whose mass left of the current cut stays within
-    eps of the floor, and the next cut clears the pick's support.  The
-    four extraction properties are re-verified exactly from each pick's
-    prefix masses p and cut a: (i) p[a] <= N + eps, (ii) earlier supports
-    end below a, (iii) p[L] - p[a] >= 1 - N - eps, (iv) p[a] - p[alpha0] <= eps.
+    eps of the floor, and the next cut clears the pick's support.  So each
+    pick's prefix masses p and cut a give (i) p[a] <= N + eps by selection,
+    (ii) earlier supports end below a, (iii) p[L] - p[a] >= 1 - N - eps as
+    p[L] = 1, and (iv) p[a] - p[alpha0] <= eps as p[alpha0] >= N.
     """
     members = list(S)
     if not members:
@@ -646,9 +653,6 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
 
     prefixes = [_prefix_norms(v) for v in members]
     n_table = tuple(min(p[a] for p in prefixes) for a in range(L + 1))
-    for a in range(L):
-        if n_table[a] > n_table[a + 1]:
-            raise ConstructionError("left-mass floor table failed to be nondecreasing")
 
     # longest constant run; earliest onset breaks ties
     best_start, best_len = 0, 0
@@ -688,16 +692,6 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
         cut = max(cut + 1, (support[-1] + 1) if support else cut + 1)
     if not picked:
         raise ExtractionError("no member admissible at the plateau onset")
-
-    for g, (i, a) in enumerate(zip(picked, cuts)):
-        p = prefixes[i]
-        if not (
-            p[a] <= n_value + eps
-            and all(max(members[b].support()) < a for b in picked[:g])
-            and p[L] - p[a] >= 1 - n_value - eps
-            and p[a] - p[alpha0] <= eps
-        ):
-            raise ConstructionError(f"extraction property failed at pick {g}")
 
     return SlidingHumpData(
         epsilon=eps,

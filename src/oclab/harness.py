@@ -460,10 +460,12 @@ def _run_fd_dense(values, seed):
 
 def _run_separated(values, seed):
     d, eps, tag = values["d"], values["eps"], NormTag(values["tag"])
+    # the family holds d*d exact coordinates
+    _guard_products(values, (("d", "d"),))
     vectors = separated_overcomplete_fd(d, eps, tag, seed=seed)
     n = len(vectors)
-    # the builder decided every pair above 1 - eps, so greedy packing at
-    # that delta selects every member: the witness records that decision
+    # the builder decided each step's Riesz witness, which puts every pair
+    # above 1 - eps, so greedy packing at that delta selects every member
     certs = [
         certificate(
             "separation",

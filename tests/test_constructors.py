@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oclab.certify import greedy_separated_subset
 from oclab.constructors import (
     GeometricSchedule,
     IncompleteModel,
     OpenBall,
+    RieszStep,
     convergence_gaps,
     fd_overcomplete,
     geometric_variant_sequence,
@@ -202,18 +204,90 @@ def test_riesz_empty_basis_needs_dim():
     assert norm(step.x, NormTag.L1) == 1
 
 
-def test_separated_family_spans_and_separates():
-    for tag in (NormTag.L1, NormTag.L2, NormTag.LINF):
-        fam = separated_overcomplete_fd(3, F(1, 4), tag, seed=13)
-        assert len(fam) == 3
-        assert rank_exact(Matrix.from_rows(fam)).rank == 3
-        lower = 1 - F(1, 4)
-        for i, j in itertools.combinations(range(3), 2):
-            diff = fam[i] - fam[j]
-            if tag is NormTag.L2:
-                assert norm_squared(diff) > lower * lower
-            else:
-                assert norm(diff, tag) > lower
+@settings(max_examples=40, deadline=None)
+@given(
+    tag=st.sampled_from([NormTag.L1, NormTag.L2, NormTag.LINF]),
+    d=st.integers(1, 8),
+    eps=st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_separated_family_spans_and_separates(tag, d, eps, seed):
+    # the builder decides only its Riesz witnesses; the facts they imply
+    # are re-decided here by brute force
+    fam = separated_overcomplete_fd(d, eps, tag, seed=seed)
+    assert len(fam) == d
+    assert rank_exact(Matrix.from_rows(fam)).rank == d
+    lower = 1 - eps
+    assert greedy_separated_subset(fam, lower, tag) == tuple(range(d))
+    for i, j in itertools.combinations(range(d), 2):
+        diff = fam[i] - fam[j]
+        if tag is NormTag.L2:
+            assert norm_squared(diff) > lower * lower
+        else:
+            assert norm(diff, tag) > lower
+
+
+def _break_riesz_step(monkeypatch, at, broken):
+    """Replace the step against ``at`` earlier members by ``broken(real,
+    made, basis, eps, tag, seed, dim)``, where ``made`` is what the real
+    step returned; every other step is the real one."""
+    import oclab.constructors as constructors_mod
+
+    real = constructors_mod.riesz_step
+
+    def step(basis, eps, tag, seed=0, dim=None):
+        made = real(basis, eps, tag, seed=seed, dim=dim)
+        return broken(real, made, basis, eps, tag, seed, dim) if len(basis) == at else made
+
+    monkeypatch.setattr(constructors_mod, "riesz_step", step)
+
+
+def _skips_first_member(real, made, basis, eps, tag, seed, dim):
+    # a genuine Riesz step against all earlier members but the first
+    step = real(basis[1:], eps, tag, seed=seed, dim=dim)
+    assert pairing(step.functional, basis[0]) != 0
+    return step
+
+
+def _pairs_at_the_bound(real, made, basis, eps, tag, seed, dim):
+    # f(x) = (1 - eps) * ||f||_* exactly: x scaled down from f(x) = ||f||_* = 1
+    f = made.functional
+    x = exact_vector((1 - eps) * c for c in made.x.coords)
+    assert pairing(f, x) == (1 - eps) * dual_norm(f, tag)
+    return RieszStep(x, f, 1 - eps)
+
+
+def _l2_at_the_bound(real, made, basis, eps, tag, seed, dim):
+    # the L2 analogue on the first step: ||f|| = 1 and f(x) = 1 - eps
+    f = exact_vector([F(3, 5), F(4, 5)] + [0] * (dim - 2))
+    x = exact_vector((1 - eps) * c for c in f.coords)
+    assert pairing(f, x) ** 2 == (1 - eps) ** 2 * norm_squared(f)
+    return RieszStep(x, f, 1 - eps)
+
+
+def _l2_pairs_negative(real, made, basis, eps, tag, seed, dim):
+    # f(x)^2 is large, but f(x) < 0
+    x = exact_vector(-c for c in made.x.coords)
+    return RieszStep(x, made.functional, -made.pairing)
+
+
+@pytest.mark.parametrize(
+    "tag, at, broken, message",
+    [
+        (NormTag.L1, 2, _skips_first_member, "step 2: the witness misses an earlier member"),
+        (NormTag.L2, 2, _skips_first_member, "step 2: the witness misses an earlier member"),
+        (NormTag.LINF, 2, _skips_first_member, "step 2: the witness misses an earlier member"),
+        (NormTag.L1, 3, _pairs_at_the_bound, "step 3: the witness pairs to at most 1 - eps"),
+        (NormTag.LINF, 3, _pairs_at_the_bound, "step 3: the witness pairs to at most 1 - eps"),
+        (NormTag.L2, 0, _l2_at_the_bound, "step 0: the witness pairs to at most 1 - eps"),
+        (NormTag.L2, 3, _l2_pairs_negative, "step 3: the witness pairs to at most 1 - eps"),
+    ],
+    ids=["L1-skips", "L2-skips", "Linf-skips", "L1-at-bound", "Linf-at-bound", "L2-at-bound", "L2-negative"],
+)
+def test_separated_refuses_a_broken_riesz_witness(monkeypatch, tag, at, broken, message):
+    _break_riesz_step(monkeypatch, at, broken)
+    with pytest.raises(ConstructionError, match=message):
+        separated_overcomplete_fd(4, F(1, 4), tag, seed=13)
 
 
 def test_separated_single_dimension_vacuous():

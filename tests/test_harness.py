@@ -567,6 +567,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("free-set", "n = 3\nf = random\nmax_deg = 100000000\n", [], "max_deg"),
         ("cover", "points = 10000000\n", [], "points"),
         ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5\nd = 3\nsubset_samples = 100000\n", [], "subset_samples"),
+        ("separated", "d = 448\ntag = L1\n", [], "d"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -582,7 +583,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "cover-grid-h-above-d", "cover-escape-two-lambdas", "probe-window-past-dimension",
         "sliding-hump-eps-half", "free-set-n-times-n-above-guard",
         "free-set-random-n-times-max_deg-above-guard", "cover-grid-points-times-d-above-guard",
-        "klee-subset_samples-times-d-above-guard",
+        "klee-subset_samples-times-d-above-guard", "separated-d-times-d-above-guard",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -712,20 +713,20 @@ def test_cli_small_random_configs_exit_with_a_documented_code(name, data):
     assert "Traceback" not in result.output
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of ``module.name``, through the harness's binding too."""
-    import oclab.harness as harness_mod
-
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, through every oclab module that
+    binds it too."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
-    if getattr(harness_mod, name, None) is original:
-        monkeypatch.setattr(harness_mod, name, counted)
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "oclab" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -878,6 +879,36 @@ def test_separated_packs_nothing_again_and_the_witness_holds(monkeypatch, tag):
     vectors = report.constructed["vectors"]
     assert sep["witness"] == {"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True}
     assert greedy_separated_subset(vectors, F(9, 10), tag) == tuple(range(len(vectors)))
+
+
+@pytest.mark.parametrize("tag", ["L1", "L2", "Linf"])
+def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag):
+    import oclab.linalg as linalg_mod
+
+    ranks = _count_calls(monkeypatch, linalg_mod, "rank_exact")
+    distances = _count_calls(monkeypatch, linalg_mod, "_distance_sign")
+    report = run_scenario("separated", {"d": "6", "tag": tag})
+    # the one elimination is the spot density certificate's
+    assert len(ranks) == 1
+    assert distances == []
+    assert [c["kind"] for c in report.certificates] == ["separation", "density"]
+
+
+def test_separated_refuses_d_past_the_guard_before_building(monkeypatch):
+    import oclab.harness as harness_mod
+
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(harness_mod, "separated_overcomplete_fd", build)
+    with pytest.raises(ConfigError, match="d=448 times d=448 is 200704, above the limit of 200000") as err:
+        run_scenario("separated", {"d": "448", "tag": "L1"})
+    assert "scenario 'separated'" in str(err.value)
+    with pytest.raises(Built):
+        run_scenario("separated", {"d": "447", "tag": "L1"})
 
 
 @pytest.mark.parametrize(
