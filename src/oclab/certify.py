@@ -33,8 +33,9 @@ from .linalg import (
     pairing,
     rank_exact,
     scaled_int_coords,
+    _complement,
     _distance_sign,
-    _lcm_denominator,
+    _extend,
     _singular_subsets,
 )
 from .rng import rng_for
@@ -115,20 +116,60 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     """The :func:`density_certificate` of each subset of ``vectors``, in
     order.
 
-    The vectors form one matrix, so each row is scaled to integers once
-    for the whole family, and each subset is the submatrix of its rows
-    (:func:`~oclab.linalg.rank_exact`); the pivot log is the one that
-    subset's own matrix gives.
+    Each row is scaled to integers once for the whole family
+    (:attr:`~oclab.linalg.Vector._ints`).  A subset of d rows is walked
+    row by row with :func:`~oclab.linalg._extend`, starting from the
+    longest prefix it shares with the subset walked before it, so in
+    ``itertools.combinations`` order each prefix is extended once.  While
+    row t pivots on coordinate t, the walk's pivots are the subset's
+    leading principal minors, which are also the Bareiss pivots that
+    :func:`~oclab.linalg.rank_exact` logs for it (a leading minor of M is
+    one of M transposed): the pivot log is ``(t, t, minor)`` for each row
+    and the determinant is the last minor over the product of the row
+    scales.  A subset whose walk leaves that diagonal or turns dependent,
+    or that does not have d rows, is eliminated on its own by
+    :func:`~oclab.linalg.rank_exact`, and one of rank below d gets its
+    annihilator from :func:`~oclab.linalg.null_vector`.  Either way each
+    certificate is the one that subset's own matrix gives.
     """
     for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
     family = Matrix.from_rows(vectors)
+    n = len(vectors)
+    ints = [v._ints for v in vectors]
+    # keys and chain[1:] hold the rows of the last d-subset walked and the
+    # state after each of them: None once the rows left the diagonal or
+    # turned dependent, which every longer prefix inherits
+    keys, chain = [], [_complement(d)]
     out = []
     for subset in subsets:
         sel_idx = tuple(subset)
         if not sel_idx:
             raise DomainError("subset must be nonempty")
+        for i in sel_idx:
+            if not 0 <= i < n:
+                raise DomainError(f"row index {i} out of range")
+        if len(sel_idx) == d:
+            k = 0
+            while k < len(keys) and keys[k] == sel_idx[k]:
+                k += 1
+            del keys[k:]
+            del chain[k + 1:]
+            for t in range(k, d):
+                state = chain[t]
+                if state is not None:
+                    state = _extend(state, ints[sel_idx[t]][0])
+                    if state is not None and state[1][-1] != t:
+                        state = None
+                keys.append(sel_idx[t])
+                chain.append(state)
+            if chain[d] is not None:
+                scales = tuple(ints[i][1] for i in sel_idx)
+                log = PivotLog((d, d), scales, tuple((t, t, s[0]) for t, s in enumerate(chain[1:])))
+                det = Fraction(chain[d][0], math.prod(scales))
+                out.append(DensityCertificate("Full", d, pivot_log=log, det=det))
+                continue
         result = rank_exact(family, sel_idx)
         if result.rank == d:
             out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
@@ -427,7 +468,12 @@ def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
     ``(numerators, total)`` standing for ``numerators / total`` with
     ``sum(|numerators|) == total``: the 2m signed unit vectors
     ``((0, ..., ±1, ..., 0), 1)`` first, then seeded random points of the
-    same mass, their numerators signed draws over the draws' sum."""
+    same mass, their numerators signed draws over the draws' sum.
+
+    Each point takes m draws below 2^16, then m sign bits, all from the
+    generator's ``getrandbits``; the draws are the stream that
+    ``randrange(0, 1 << 16)`` gives on CPython 3.10-3.12.  A point whose
+    draws are all zero is drawn again."""
     if m < 1:
         raise DomainError("need at least one coefficient slot")
     if count < 1:
@@ -440,14 +486,19 @@ def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
             samples.append((tuple(vec), 1))
             if len(samples) == count:
                 return samples
-    rng = rng_for(seed, "l1-samples")
+    getrandbits = rng_for(seed, "l1-samples").getrandbits
     while len(samples) < count:
-        raw = [rng.randrange(0, 1 << 16) for _ in range(m)]
+        # 17-bit draws with those of 2^16 or more rejected: the loop that
+        # randrange(0, 1 << 16) runs on CPython 3.10-3.12, without its call cost
+        raw = []
+        while len(raw) < m:
+            r = getrandbits(17)
+            if r < 1 << 16:
+                raw.append(r)
         total = sum(raw)
         if total == 0:
             continue
-        signs = [1 if rng.getrandbits(1) else -1 for _ in range(m)]
-        samples.append((tuple(s * r for s, r in zip(signs, raw)), total))
+        samples.append((tuple(r if getrandbits(1) else -r for r in raw), total))
     return samples
 
 
@@ -468,17 +519,18 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     tail_supports = []
     for g, x in enumerate(data.extracted):
         cut = data.cuts[g]
+        xs, scale = x._ints
         # the middle strip [alpha0, cut) is removed; the tail is what lies
         # right of both the strip and alpha0
-        gap = sum((abs(c) for c in x.coords[alpha0:cut]), Fraction(0))
+        gap = Fraction(sum(map(abs, xs[alpha0:cut])), scale)
         if gap > eps:
             raise CertificationError(
                 f'chain step "middle strip within eps" failed at pick {g}: {gap} > {eps}'
             )
         start = max(alpha0, cut)
-        tail = x.coords[start:]
+        tail = xs[start:]
         tail_supports.append({start + i for i, c in enumerate(tail) if c})
-        tail_mass = sum((abs(c) for c in tail), Fraction(0))
+        tail_mass = Fraction(sum(map(abs, tail)), scale)
         if tail_mass < 1 - n_value - eps:
             raise CertificationError(
                 f'chain step "tail mass at least 1-N-eps" failed at pick {g}'
@@ -498,8 +550,8 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     # a coordinate where one member alone is nonzero adds |n_j|*|r_ji| to
     # every sample's total, so those masses are summed once per member
     m = len(data.extracted)
-    den = _lcm_denominator(c for x in data.extracted for c in x.coords)
-    rows = [[c.numerator * (den // c.denominator) for c in x.coords] for x in data.extracted]
+    den = math.lcm(*(x._ints[1] for x in data.extracted))
+    rows = [[c * (den // scale) for c in xs] for xs, scale in (x._ints for x in data.extracted)]
     exclusive = [0] * m
     shared = []
     for column in zip(*rows):

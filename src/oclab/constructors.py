@@ -21,6 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -618,15 +619,6 @@ class SlidingHumpData:
     alpha0_rule: str = "longest-plateau-onset"
 
 
-def _prefix_norms(v: Vector) -> list:
-    acc = Fraction(0)
-    out = [acc]
-    for c in v.coords:
-        acc += abs(c)
-        out.append(acc)
-    return out
-
-
 def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     """Extract a disjoint-hump subfamily from L1 unit vectors over [0, L).
 
@@ -637,6 +629,10 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     pick's prefix masses p and cut a give (i) p[a] <= N + eps by selection,
     (ii) earlier supports end below a, (iii) p[L] - p[a] >= 1 - N - eps as
     p[L] = 1, and (iv) p[a] - p[alpha0] <= eps as p[alpha0] >= N.
+    The prefix masses are integer prefix sums over the family's common
+    denominator D, read from each member's cached integer form
+    (:attr:`~oclab.linalg.Vector._ints`), so picks compare integers and
+    only the table's entries become Fractions.
     """
     members = list(S)
     if not members:
@@ -651,14 +647,20 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     if eps <= 0:
         raise DomainError("eps must be positive")
 
-    prefixes = [_prefix_norms(v) for v in members]
-    n_table = tuple(min(p[a] for p in prefixes) for a in range(L + 1))
+    den = math.lcm(*(v._ints[1] for v in members))
+    prefixes = []
+    for v in members:
+        xs, scale = v._ints
+        factor = den // scale
+        prefixes.append(list(accumulate((abs(x) * factor for x in xs), initial=0)))
+    floors = list(map(min, zip(*prefixes)))
+    n_table = tuple(Fraction(x, den) for x in floors)
 
     # longest constant run; earliest onset breaks ties
     best_start, best_len = 0, 0
     run_start = 0
     for a in range(1, L + 2):
-        if a == L + 1 or n_table[a] != n_table[run_start]:
+        if a == L + 1 or floors[a] != floors[run_start]:
             if a - run_start > best_len:
                 best_start, best_len = run_start, a - run_start
             run_start = a
@@ -671,6 +673,8 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
             f"eps={eps} too large for floor {n_value}: need 1-N-2*eps >= (1-N)/2"
         )
 
+    # an integer prefix mass p stays within eps of the floor iff p <= limit
+    limit = math.floor((n_value + eps) * den)
     cut = alpha0
     used = set()
     picked = []
@@ -678,7 +682,7 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     while cut <= L:
         best = None
         for i, p in enumerate(prefixes):
-            if i in used or p[cut] > n_value + eps:
+            if i in used or p[cut] > limit:
                 continue
             if best is None or (p[cut], i) < best:
                 best = (p[cut], i)

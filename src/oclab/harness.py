@@ -55,8 +55,9 @@ from .linalg import (
     exact_vector,
     null_vector,
     unit_vector,
-    vandermonde_det,
     zero_vector,
+    _int_numerators,
+    _vandermonde_int,
 )
 from .rng import rng_for, sample_subset
 from .serialize import (
@@ -387,10 +388,14 @@ def _run_klee(values, seed):
         rng = rng_for(seed, "klee-subsets")
         subsets = [sample_subset(rng, n, d) for _ in range(samples)]
     inputs_digest = prefix_digest({"lambdas": lambdas, "d": d}, "subset")
+    # the nodes over their common denominator D, so each subset's product
+    # formula is its integer product over D^C(d, 2)
+    nodes, den = _int_numerators(lambdas)
+    den_power = den ** math.comb(d, 2)
     certs = []
     for sub, cert in zip(subsets, density_certificates(vectors, subsets, d)):
         if cert.verdict == "Full":
-            prod = vandermonde_det([lambdas[i] for i in sub])
+            prod = Fraction(_vandermonde_int([nodes[i] for i in sub]), den_power)
             if cert.det != prod:
                 raise CertificationError(
                     f"elimination determinant disagrees with the product formula on {sub}"

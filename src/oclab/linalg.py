@@ -28,7 +28,13 @@ cofactor normal, the Hodge dual of the rows' wedge (exterior product),
 and each completing row then costs one dot product with that normal.
 The fd-dense construction walks it to the two vectors spanning each
 (d-2)-fold prefix's complement (:func:`_complement_vectors`), the plane
-its quotient projects onto.
+its quotient projects onto.  :func:`oclab.certify.density_certificates`
+walks a family's d-subsets row by row with :func:`_extend`, each from the
+longest prefix it shares with the subset before it: while row t pivots
+on coordinate t, the pivots are the leading minors, which are the pivot
+log :func:`rank_exact` gives that subset.  A Vandermonde determinant is
+one integer product of node differences (:func:`_vandermonde_int`), which
+the klee runner also takes per subset over nodes scaled once.
 
 Nullspaces use the one Gauss-Jordan loop, :func:`_gauss_jordan`, on
 integer rows kept primitive.  :func:`nullspace_exact` reduces the whole
@@ -613,5 +619,9 @@ def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:
     if not lams:
         raise DomainError("vandermonde_det needs at least one node")
     xs, den = _int_numerators(lams)
-    prod = math.prod(xj - xi for j, xj in enumerate(xs) for xi in xs[:j])
-    return Fraction(prod, den ** math.comb(len(xs), 2))
+    return Fraction(_vandermonde_int(xs), den ** math.comb(len(xs), 2))
+
+
+def _vandermonde_int(xs: Sequence[int]) -> int:
+    """The product of the differences x_j - x_i over i < j of integer nodes."""
+    return math.prod(xj - xi for j, xj in enumerate(xs) for xi in xs[:j])

@@ -4,7 +4,10 @@ Every random choice in the toolkit flows from a single 64-bit seed.
 Sub-tasks derive their own streams by hashing (seed, label), so adding a
 new consumer never perturbs the draws of an existing one.  Only
 ``getrandbits``/``randrange`` are used on the underlying generator,
-which keeps the streams stable across interpreter versions.
+which keeps the streams stable across interpreter versions.  The l1
+coefficient samples call ``getrandbits`` alone: they run the rejection
+loop of ``randrange(0, 1 << 16)`` themselves, so they draw that stream
+without its per-call cost.
 """
 
 from __future__ import annotations

@@ -174,5 +174,48 @@ def prefix_min_table(members, length):
     return table
 
 
+def sliding_hump_picks(members, eps):
+    """The sliding-hump extraction from Fraction prefix masses summed term
+    by term: (n_table, alpha0, picks, cuts), or "extraction" or "domain"
+    for the error the extraction must raise.  ``members`` are coordinate
+    lists of L1 unit vectors."""
+    L = len(members[0])
+    prefixes = []
+    for coords in members:
+        acc = Fraction(0)
+        masses = [acc]
+        for c in coords:
+            acc += abs(c)
+            masses.append(acc)
+        prefixes.append(masses)
+    n_table = [min(p[a] for p in prefixes) for a in range(L + 1)]
+    # the onset of the longest constant run, the earliest on ties
+    lengths = []
+    for a in range(L + 1):
+        b = a
+        while b <= L and n_table[b] == n_table[a]:
+            b += 1
+        lengths.append(b - a)
+    alpha0 = lengths.index(max(lengths))
+    n_value = n_table[alpha0]
+    if n_value == 1:
+        return "extraction"
+    if 1 - n_value - 2 * eps < (1 - n_value) / 2:
+        return "domain"
+    cut, picks, cuts = alpha0, [], []
+    while cut <= L:
+        admissible = [(p[cut], i) for i, p in enumerate(prefixes) if i not in picks and p[cut] <= n_value + eps]
+        if not admissible:
+            break
+        i = min(admissible)[1]
+        picks.append(i)
+        cuts.append(cut)
+        support = [a for a, c in enumerate(members[i]) if c]
+        cut = max(cut + 1, support[-1] + 1) if support else cut + 1
+    if not picks:
+        return "extraction"
+    return n_table, alpha0, picks, cuts
+
+
 def subsets_of_size(n, k):
     return combinations(range(n), k)

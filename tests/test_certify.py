@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclab.certify import (
+    DensityCertificate,
     HyperplaneFunctional,
     all_subsets_full_rank,
     annihilator_decay_check,
     coefficient_samples,
     decay_bound,
     density_certificate,
+    density_certificates,
     free_set_extract,
     greedy_separated_subset,
     hyperplane_cover,
@@ -46,8 +48,10 @@ from oclab.linalg import (
     dual_norm,
     exact_vector,
     norm,
+    null_vector,
     nullspace_exact,
     pairing,
+    rank_exact,
     scaled_int_coords,
     unit_vector,
     vandermonde_det,
@@ -103,6 +107,67 @@ def test_zero_vector_in_dimension_one():
 def test_empty_subset_rejected():
     with pytest.raises(DomainError):
         density_certificate(KLEE5, (), 3)
+
+
+def _eliminated_one_by_one(vectors, subsets, d):
+    """Each subset's certificate from its own rank_exact elimination."""
+    family = Matrix.from_rows(vectors)
+    out = []
+    for sub in subsets:
+        result = rank_exact(family, sub)
+        if result.rank == d:
+            out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
+        else:
+            selected = Matrix.from_rows(vectors[i] for i in sub)
+            out.append(DensityCertificate("Proper", result.rank, witness=null_vector(selected, (1,))))
+    return out
+
+
+@st.composite
+def _walk_cases(draw):
+    """An integer family with zero, repeated, scaled and signed coordinate
+    rows, and its subsets in combinations order or shuffled among subsets
+    of other sizes."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d, 7))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "repeat", "unit", "scaled", "small"]))
+        if kind == "zero":
+            row = [0] * d
+        elif kind == "repeat" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif kind == "unit":
+            row = [0] * d
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([1, -1]))
+        elif kind == "scaled" and rows:
+            row = [F(x, 3) for x in draw(st.sampled_from(rows))]
+        else:
+            row = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        rows.append(row)
+    subsets = list(itertools.combinations(range(n), d))
+    if draw(st.booleans()):
+        others = st.lists(st.integers(0, n - 1), min_size=1, max_size=d + 1).map(tuple)
+        subsets = draw(st.permutations(subsets + draw(st.lists(others, max_size=4))))
+    return [exact_vector(r) for r in rows], subsets, d
+
+
+@given(case=_walk_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_subset_walk_gives_each_subsets_own_elimination(case):
+    vectors, subsets, d = case
+    certs = density_certificates(vectors, subsets, d)
+    assert certs == _eliminated_one_by_one(vectors, subsets, d)
+    for sub, cert in zip(subsets, certs):
+        if cert.verdict == "Full":
+            selected = Matrix.from_rows(vectors[i] for i in sub)
+            assert replay_pivot_log(selected, cert.pivot_log, d) == d
+    # after a walk, a negative or past-the-end index or an empty subset is
+    # refused, and -1 does not wrap around to the last row
+    n = len(vectors)
+    for bad in (tuple(range(d - 1)) + (-1,), tuple(range(d - 1)) + (n,), (-1,), ()):
+        with pytest.raises(DomainError):
+            density_certificates(vectors, subsets + [bad], d)
 
 
 def test_replay_rejects_forged_row_scale():
@@ -569,6 +634,28 @@ def test_coefficient_samples_exact_mass_and_vertices():
     # the first 2m entries are the signed unit coefficient vectors
     assert samples[0] == ((1, 0, 0, 0), 1)
     assert samples[1] == ((-1, 0, 0, 0), 1)
+
+
+def _randrange_samples(m, count, seed):
+    """coefficient_samples' random points, drawn with randrange."""
+    from oclab.rng import rng_for
+
+    rng = rng_for(seed, "l1-samples")
+    samples = []
+    while len(samples) < count:
+        raw = [rng.randrange(0, 1 << 16) for _ in range(m)]
+        total = sum(raw)
+        if total == 0:
+            continue
+        signs = [1 if rng.getrandbits(1) else -1 for _ in range(m)]
+        samples.append((tuple(s * r for s, r in zip(signs, raw)), total))
+    return samples
+
+
+@pytest.mark.parametrize("m, count, seed", [(1, 40, 0), (3, 200, 5), (8, 500, 11), (15, 3000, 2026)])
+def test_coefficient_samples_draw_the_randrange_stream(m, count, seed):
+    units = [(tuple(sgn if k == j else 0 for k in range(m)), 1) for j in range(m) for sgn in (1, -1)]
+    assert coefficient_samples(m, count, seed) == units + _randrange_samples(m, count - 2 * m, seed)
 
 
 def _oracle_min(data, samples):

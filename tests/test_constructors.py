@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oclab.certify import greedy_separated_subset
@@ -44,7 +44,7 @@ from oclab.linalg import (
 )
 from oclab.serialize import digest
 
-from oracles import prefix_min_table, scan_cutoff, window_mass
+from oracles import prefix_min_table, scan_cutoff, sliding_hump_picks, window_mass
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +535,44 @@ def test_members_must_be_unit_l1():
     S = [exact_vector([F(1, 2), F(1, 4)])]
     with pytest.raises(PreconditionError):
         sliding_hump_extract(S, F(1, 10))
+
+
+@st.composite
+def _hump_families(draw):
+    """L1 unit vectors over [0, L), each a left block of small weights and a
+    signed hump, with unlike denominators, and an eps."""
+    L = draw(st.integers(3, 30))
+    lead = draw(st.integers(0, 3))
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        weights = [0] * L
+        for i in range(min(lead, L - 1)):
+            weights[i] = draw(st.integers(0, 3))
+        start = draw(st.integers(min(lead, L - 1), L - 1))
+        for i in range(start, start + draw(st.integers(1, L - start))):
+            weights[i] = draw(st.integers(-4, 4))
+        if not any(weights):
+            weights[start] = 1
+        total = sum(map(abs, weights))
+        members.append([F(w, total) for w in weights])
+    return members, draw(st.sampled_from([F(1, 40), F(1, 20), F(1, 10), F(1, 8), F(1, 4)]))
+
+
+@given(case=_hump_families())
+# after two picks the last member's mass at the cut is 1/3, above N + eps =
+# 1/4 by less than 1/D for D = 3, so it must stay out
+@example(case=([[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, F(1, 3), 0, 0, 0, F(2, 3)]], F(1, 4)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_extraction_equals_the_fraction_sum_oracle(case):
+    members, eps = case
+    try:
+        data = sliding_hump_extract([exact_vector(c) for c in members], eps)
+        got = list(data.n_table), data.alpha0, list(data.members), list(data.cuts)
+    except ExtractionError:
+        got = "extraction"
+    except DomainError:
+        got = "domain"
+    assert got == sliding_hump_picks(members, eps)
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=20, max_value=60))

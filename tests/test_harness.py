@@ -881,15 +881,22 @@ def test_separated_packs_nothing_again_and_the_witness_holds(monkeypatch, tag):
     assert greedy_separated_subset(vectors, F(9, 10), tag) == tuple(range(len(vectors)))
 
 
-@pytest.mark.parametrize("tag", ["L1", "L2", "Linf"])
-def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag):
+# L2 and Linf families have nonzero leading minors, so the spot density
+# certificate is the walk's d steps alone; L1's permutation family leaves
+# the diagonal at its second row and is then eliminated once, column by
+# column, by rank_exact
+@pytest.mark.parametrize(
+    "tag, steps, ranks", [("L1", 2 + 6, 1), ("L2", 6, 0), ("Linf", 6, 0)], ids=["L1", "L2", "Linf"]
+)
+def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag, steps, ranks):
     import oclab.linalg as linalg_mod
 
-    ranks = _count_calls(monkeypatch, linalg_mod, "rank_exact")
+    extends = _count_calls(monkeypatch, linalg_mod, "_extend")
+    rank_calls = _count_calls(monkeypatch, linalg_mod, "rank_exact")
     distances = _count_calls(monkeypatch, linalg_mod, "_distance_sign")
     report = run_scenario("separated", {"d": "6", "tag": tag})
-    # the one elimination is the spot density certificate's
-    assert len(ranks) == 1
+    assert len(extends) == steps
+    assert len(rank_calls) == ranks
     assert distances == []
     assert [c["kind"] for c in report.certificates] == ["separation", "density"]
 
