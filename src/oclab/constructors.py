@@ -33,13 +33,11 @@ from .errors import (
 )
 from .linalg import (
     DUAL_TAG,
-    Matrix,
     NormTag,
     Vector,
     exact_vector,
     norm,
     norm_squared,
-    null_vector,
     pairing,
     scaled_int_coords,
     zero_vector,
@@ -48,6 +46,7 @@ from .linalg import (
     _distance_sign,
     _extend,
     _int_numerators,
+    _state_null_vector,
     _subset_states,
 )
 from .rng import rng_for, split_seed
@@ -275,7 +274,6 @@ class RieszStep:
 
     x: Vector
     functional: Vector
-    pairing: Fraction
 
 
 def _unit_isqrt_scale(s2: Fraction, floor: Fraction) -> Fraction:
@@ -293,6 +291,49 @@ def _unit_isqrt_scale(s2: Fraction, floor: Fraction) -> Fraction:
             raise ConstructionError("unit-scale refinement did not converge")
 
 
+def _fold(state: tuple, vectors: Sequence[Vector]) -> tuple:
+    """``state`` extended by each of ``vectors`` in turn (:func:`_extend`
+    on its cached integer form), skipping one in the span of those before
+    it."""
+    for v in vectors:
+        grown = _extend(state, v._ints[0])
+        if grown is not None:
+            state = grown
+    return state
+
+
+class _Members:
+    """The members of :func:`separated_overcomplete_fd` so far: a sequence
+    that carries the integer complement of their span from step to step.
+
+    A member is folded into the complement (:func:`_extend`) when a step
+    first reads it, so a run of d steps makes d-1 extensions and no step
+    eliminates the prefix again.  Slices are plain lists.
+    """
+
+    def __init__(self, d: int):
+        self.vectors: list = []
+        self._state = _complement(d)
+        self._folded = 0
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, i):
+        return self.vectors[i]
+
+    def __iter__(self):
+        return iter(self.vectors)
+
+    def append(self, x: Vector):
+        self.vectors.append(x)
+
+    def complement(self) -> tuple:
+        self._state = _fold(self._state, self.vectors[self._folded:])
+        self._folded = len(self.vectors)
+        return self._state
+
+
 def riesz_step(
     Y_basis: Sequence[Vector],
     eps: Fraction,
@@ -305,26 +346,34 @@ def riesz_step(
     Returns a unit vector (exact for L1/Linf; within 1e-12 of unit for
     L2, kept exact with a certified squared norm) together with its dual
     witness.  The witness makes the distance claim checkable by three
-    exact verifications instead of an optimization.  It is built from the
-    null vector of ``Y_basis`` (:func:`~oclab.linalg.null_vector`) whose
-    free coordinates are seeded integers in [1, 16], one drawn per column.
+    exact verifications instead of an optimization.  It is the null
+    vector of ``Y_basis`` whose free coordinates are seeded integers in
+    [1, 16], one drawn per column: :func:`~oclab.linalg.null_vector`'s
+    vector, read off the integer complement of ``Y_basis``
+    (:func:`~oclab.linalg._state_null_vector`).  The complement is folded
+    from the members' rows with :func:`~oclab.linalg._extend`, or, for
+    the builder's own sequence of members, carried from the step before.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     tag = NormTag(tag)
-    basis = list(Y_basis)
+    carried = isinstance(Y_basis, _Members)
+    basis = Y_basis if carried else list(Y_basis)
     if not basis and dim is None:
         raise DomainError("an empty basis needs an explicit ambient dimension")
     ambient = basis[0].dim if basis else dim
     rng = rng_for(seed, "riesz-step")
     weights = [rng.randrange(1, 17) for _ in range(ambient)]
-    if basis:
-        functional = null_vector(Matrix.from_rows(basis), weights)
-        if functional is None:
-            raise PreconditionError("the given basis already spans the space")
+    if carried:
+        state = basis.complement()
     else:
-        functional = exact_vector(weights)
+        if any(y.dim != ambient for y in basis):
+            raise DomainError("basis vectors of different dimensions")
+        state = _fold(_complement(ambient), basis)
+    if not state[2]:
+        raise PreconditionError("the given basis already spans the space")
+    functional = _state_null_vector(state, weights)
     f0 = functional.coords
     if tag is NormTag.L1:
         # functional measured in the dual (sup) norm; the best vector to
@@ -334,30 +383,32 @@ def riesz_step(
         f = Vector(tuple(c / peak for c in f0))
         j = next(i for i, c in enumerate(f.coords) if abs(c) == 1)
         x = Vector(tuple(c if i == j else Fraction(0) for i, c in enumerate(f.coords)))
-        return RieszStep(x, f, Fraction(1))
+        return RieszStep(x, f)
     if tag is NormTag.LINF:
         total = norm(functional, NormTag.L1)
         f = Vector(tuple(c / total for c in f0))
         signs = tuple(Fraction(1) if c >= 0 else Fraction(-1) for c in f.coords)
         x = Vector(signs)
-        return RieszStep(x, f, Fraction(1))
+        return RieszStep(x, f)
     s2 = norm_squared(functional)
     floor = max(Fraction(1) - eps, Fraction(1) - Fraction(1, 10 ** 13))
     r = _unit_isqrt_scale(s2, floor)
     x = Vector(tuple(r * c for c in f0))
-    return RieszStep(x, x, r * r * s2)
+    return RieszStep(x, x)
 
 
 def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0) -> tuple:
     """d unit vectors with pairwise distances above 1 - eps, spanning R^d.
 
-    Iterates the separation step against the span of the prefix and
-    decides each step's witness f once, exactly: f kills the prefix, and
-    f(x) > (1 - eps) * ||f||_* (for L2 in squares, with f(x) > 0).  By
-    Riesz's lemma x_k then lies farther than 1 - eps from the prefix's
-    span, and f(x_k) > 0 = f(x_i) for i < k makes the family independent,
-    so :func:`~oclab.certify.greedy_separated_subset` at delta = 1 - eps,
-    the tests' reference, selects every member.  Raises
+    Iterates the separation step against the span of the prefix, which
+    carries its integer complement from step to step (:class:`_Members`),
+    and decides each step's witness f once, exactly, with
+    :func:`~oclab.linalg.pairing` rather than the complement: f kills the
+    prefix, and f(x) > (1 - eps) * ||f||_* (for L2 in squares, with
+    f(x) > 0).  By Riesz's lemma x_k then lies farther than 1 - eps from
+    the prefix's span, and f(x_k) > 0 = f(x_i) for i < k makes the family
+    independent, so :func:`~oclab.certify.greedy_separated_subset` at
+    delta = 1 - eps, the tests' reference, selects every member.  Raises
     :class:`~oclab.errors.ConstructionError` naming a failed step.
     """
     if d < 1:
@@ -365,11 +416,11 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
     eps = Fraction(eps)
     tag = NormTag(tag)
     lower = 1 - eps
-    vectors: list = []
+    members = _Members(d)
     for k in range(d):
-        step = riesz_step(vectors, eps, tag, seed=split_seed(seed, f"step:{k}"), dim=d)
+        step = riesz_step(members, eps, tag, seed=split_seed(seed, f"step:{k}"), dim=d)
         f, x = step.functional, step.x
-        if any(pairing(f, y) for y in vectors):
+        if any(pairing(f, y) for y in members):
             raise ConstructionError(f"step {k}: the witness misses an earlier member")
         fx = pairing(f, x)
         if tag is NormTag.L2:
@@ -378,8 +429,8 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
             separated = fx > lower * norm(f, DUAL_TAG[tag])
         if not separated:
             raise ConstructionError(f"step {k}: the witness pairs to at most 1 - eps of its dual norm")
-        vectors.append(x)
-    return tuple(vectors)
+        members.append(x)
+    return tuple(members)
 
 
 # ---------------------------------------------------------------------------

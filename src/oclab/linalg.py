@@ -38,13 +38,19 @@ the klee runner also takes per subset over nodes scaled once.
 
 Nullspaces use the one Gauss-Jordan loop, :func:`_gauss_jordan`, on
 integer rows kept primitive.  :func:`nullspace_exact` reduces the whole
-matrix to a basis.  :func:`null_vector`, which every annihilator in the
-toolkit comes from, finds the pivot columns and rows mod the prime
-2^61 - 1, solves only the square pivot block exactly, checks every other
-row exactly, and falls back to the basis when the prime hid part of the
-rank.  Exact sums (:func:`pairing`, the L1 norm, :func:`norm_squared`)
-add a vector's cached integer numerators and build one Fraction at the
-end, the same canonical Fraction as a per-term sum.
+matrix to a basis.  :func:`null_vector`, which the annihilators of the
+incomplete and cover-escape runs and of dependent subsets come from,
+finds the pivot columns and rows mod the prime 2^61 - 1, solves only the
+square pivot block exactly, checks every other row exactly, and falls
+back to the basis when the prime hid part of the rank.  A complement
+state's free coordinates are the reduced row echelon form's, so the same
+null vector can be read off a prefix's carried state
+(:func:`_state_null_vector`): each Riesz step's dual witness comes from
+there, the separated builder carrying its members' state from step to
+step, so no step eliminates the prefix again.  Exact sums
+(:func:`pairing`, the L1 norm, :func:`norm_squared`) add a vector's
+cached integer numerators and build one Fraction at the end, the same
+canonical Fraction as a per-term sum.
 """
 
 from __future__ import annotations
@@ -565,6 +571,30 @@ def _complement_vectors(state: tuple) -> tuple:
             u[q] = x
         out.append(tuple(u))
     return tuple(out)
+
+
+def _state_null_vector(state: tuple, weights: Sequence) -> Vector:
+    """The null vector of a complement state's prefix whose i-th free
+    coordinate is ``weights[i]``: :func:`null_vector`'s vector for the
+    prefix's rows, read off the state without eliminating.
+
+    ``rest`` lists the free coordinates of the prefix's reduced row
+    echelon form in ascending order, since a new row pivots on its lowest
+    remaining coordinate with a nonzero reduced entry, as reduction does,
+    and each remaining vector is pivot times the reduced form's basis
+    vector for its coordinate.  So coordinate rest[j] is ``weights[j]``
+    and coordinate cols[t] is sum_j weights[j] * m_j[t] / pivot.  Entries
+    of ``weights`` past the nullity are ignored and missing ones count
+    as 0.
+    """
+    pivot, cols, rest = state
+    coords = [0] * (len(cols) + len(rest))
+    for (i, _), w in zip(rest, weights):
+        coords[i] = w
+    # column t of the m_j, one per pivot coordinate
+    for q, column in zip(cols, zip(*(m for _, m in rest))):
+        coords[q] = Fraction(sum(map(operator.mul, column, weights)), pivot)
+    return Vector(tuple(coords))
 
 
 def _subset_states(rows: Sequence, size: int, state, lo: int = 0, prefix: tuple = ()):

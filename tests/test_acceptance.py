@@ -214,12 +214,12 @@ def test_criterion_7_riesz_dual_witnesses():
                 assert norm_squared(f) <= 1  # the exact L2 norm is irrational
             else:
                 assert dual_norm(f, tag) <= 1
-            assert step.pairing >= 1 - eps
+            assert pairing(f, x) >= 1 - eps
             if tag is NormTag.L2:
                 # every L2 basis at this seed is independent, as the oracle needs
                 residual_sq = normal_eq_residual_sq([b.coords for b in basis], x.coords)
                 exact_dist = math.sqrt(float(residual_sq))
-                assert abs(float(step.pairing) - exact_dist) < 1e-10
+                assert abs(float(pairing(f, x)) - exact_dist) < 1e-10
     print("criterion 7 PASS: 300 dual witnesses exact; L2 matches projection to 1e-10")
 
 

@@ -21,6 +21,8 @@ from oclab.constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
     verify_schedule,
+    _Members,
+    _fold,
     _onset,
 )
 from oclab.errors import (
@@ -37,14 +39,24 @@ from oclab.linalg import (
     exact_vector,
     norm,
     norm_squared,
+    null_vector,
     pairing,
     rank_exact,
     unit_vector,
     zero_vector,
+    _complement,
+    _state_null_vector,
 )
 from oclab.serialize import digest
 
-from oracles import prefix_min_table, scan_cutoff, sliding_hump_picks, window_mass
+from oracles import (
+    prefix_min_table,
+    rref_nullspace,
+    scan_cutoff,
+    sliding_hump_picks,
+    weighted_combination,
+    window_mass,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +182,7 @@ def test_riesz_dual_witness_contract_l1_linf():
     for y in basis:
         assert pairing(step.functional, y) == 0
     assert dual_norm(step.functional, NormTag.LINF) <= 1
-    assert step.pairing >= 1 - F(1, 8)
+    assert pairing(step.functional, step.x) >= 1 - F(1, 8)
 
 
 def test_riesz_l2_near_unit_and_orthogonal():
@@ -182,7 +194,7 @@ def test_riesz_l2_near_unit_and_orthogonal():
     assert step.x.coords[0] == 0 and step.x.coords[1] == 0  # complement is e2
     for y in basis:
         assert pairing(step.functional, y) == 0
-    assert step.pairing >= 1 - F(1, 10)
+    assert pairing(step.functional, step.x) >= 1 - F(1, 10)
 
 
 def test_riesz_rejects_spanning_basis():
@@ -202,6 +214,78 @@ def test_riesz_empty_basis_needs_dim():
         riesz_step([], F(1, 2), NormTag.L1)
     step = riesz_step([], F(1, 2), NormTag.L1, seed=1, dim=3)
     assert norm(step.x, NormTag.L1) == 1
+
+
+_small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _riesz_prefixes(draw):
+    """(d, rows, reads): a rational prefix in R^d of rank at most r, for r
+    drawn from 0..d, mixing r random rows with zero, repeated, scaled and
+    dependent ones; ``reads`` marks the prefix lengths at which a carried
+    sequence folds its complement before the step."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d))
+    gens = [tuple(draw(_small_fraction) for _ in range(d)) for _ in range(r)]
+    rows = list(gens)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scaled", "combination"]))
+        if kind == "zero" or not gens:
+            rows.append((F(0),) * d)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(gens)))
+        else:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            s, t = draw(_small_fraction), (0 if kind == "scaled" else draw(_small_fraction))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    rows = draw(st.permutations(rows))
+    reads = draw(st.sets(st.integers(0, len(rows)), max_size=3))
+    return d, [exact_vector(row) for row in rows], reads
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    prefix=_riesz_prefixes(),
+    weights=st.lists(st.integers(1, 16) | _small_fraction, min_size=6, max_size=6),
+    tag=st.sampled_from([NormTag.L1, NormTag.L2, NormTag.LINF]),
+    seed=st.integers(0, 2 ** 16),
+)
+@example(prefix=(3, [], set()), weights=[1] * 6, tag=NormTag.L2, seed=0)
+@example(prefix=(2, [unit_vector(0, 2), unit_vector(1, 2)], {1}), weights=[1] * 6, tag=NormTag.L1, seed=0)
+def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights, tag, seed):
+    d, rows, reads = prefix
+    weights = weights[:d]
+    state = _fold(_complement(d), rows)
+    free = d - len(state[1])
+    if rows:
+        basis = rref_nullspace([row.coords for row in rows])
+        assert len(basis) == free
+        expected = null_vector(Matrix.from_rows(rows), weights)
+    else:
+        basis = [unit_vector(i, d).coords for i in range(d)]
+        expected = exact_vector(weights)
+    if free:
+        found = _state_null_vector(state, weights)
+        assert found.coords == weighted_combination(weights, basis)
+        assert found == expected
+    else:
+        assert expected is None
+    # the builder's carried sequence, folded at the marked lengths, against a plain list
+    members = _Members(d)
+    for k, row in enumerate(rows):
+        if k in reads:
+            members.complement()
+        members.append(row)
+    assert members[1:] == rows[1:] and len(members) == len(rows)
+    if not free:
+        for basis_arg in (rows, members):
+            with pytest.raises(PreconditionError):
+                riesz_step(basis_arg, F(1, 10), tag, seed=seed, dim=d)
+        return
+    plain = riesz_step(rows, F(1, 10), tag, seed=seed, dim=d)
+    carried = riesz_step(members, F(1, 10), tag, seed=seed, dim=d)
+    assert carried == plain
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,7 +338,7 @@ def _pairs_at_the_bound(real, made, basis, eps, tag, seed, dim):
     f = made.functional
     x = exact_vector((1 - eps) * c for c in made.x.coords)
     assert pairing(f, x) == (1 - eps) * dual_norm(f, tag)
-    return RieszStep(x, f, 1 - eps)
+    return RieszStep(x, f)
 
 
 def _l2_at_the_bound(real, made, basis, eps, tag, seed, dim):
@@ -262,13 +346,13 @@ def _l2_at_the_bound(real, made, basis, eps, tag, seed, dim):
     f = exact_vector([F(3, 5), F(4, 5)] + [0] * (dim - 2))
     x = exact_vector((1 - eps) * c for c in f.coords)
     assert pairing(f, x) ** 2 == (1 - eps) ** 2 * norm_squared(f)
-    return RieszStep(x, f, 1 - eps)
+    return RieszStep(x, f)
 
 
 def _l2_pairs_negative(real, made, basis, eps, tag, seed, dim):
     # f(x)^2 is large, but f(x) < 0
     x = exact_vector(-c for c in made.x.coords)
-    return RieszStep(x, made.functional, -made.pairing)
+    return RieszStep(x, made.functional)
 
 
 @pytest.mark.parametrize(

@@ -881,22 +881,28 @@ def test_separated_packs_nothing_again_and_the_witness_holds(monkeypatch, tag):
     assert greedy_separated_subset(vectors, F(9, 10), tag) == tuple(range(len(vectors)))
 
 
-# L2 and Linf families have nonzero leading minors, so the spot density
-# certificate is the walk's d steps alone; L1's permutation family leaves
-# the diagonal at its second row and is then eliminated once, column by
-# column, by rank_exact
+# the builder carries its members' complement, extending it once per
+# member that a later step reads: d-1 extensions.  L2 and Linf families
+# have nonzero leading minors, so the spot density certificate is then the
+# walk's d steps alone; L1's permutation family leaves the diagonal at its
+# second row and is then eliminated once, column by column, by rank_exact
 @pytest.mark.parametrize(
-    "tag, steps, ranks", [("L1", 2 + 6, 1), ("L2", 6, 0), ("Linf", 6, 0)], ids=["L1", "L2", "Linf"]
+    "tag, steps, ranks",
+    [("L1", 5 + 2 + 6, 1), ("L2", 5 + 6, 0), ("Linf", 5 + 6, 0)],
+    ids=["L1", "L2", "Linf"],
 )
 def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag, steps, ranks):
     import oclab.linalg as linalg_mod
 
     extends = _count_calls(monkeypatch, linalg_mod, "_extend")
     rank_calls = _count_calls(monkeypatch, linalg_mod, "rank_exact")
+    null_vectors = _count_calls(monkeypatch, linalg_mod, "null_vector")
+    mod_p = _count_calls(monkeypatch, linalg_mod, "_pivots_mod_p")
     distances = _count_calls(monkeypatch, linalg_mod, "_distance_sign")
     report = run_scenario("separated", {"d": "6", "tag": tag})
     assert len(extends) == steps
     assert len(rank_calls) == ranks
+    assert null_vectors == [] and mod_p == []
     assert distances == []
     assert [c["kind"] for c in report.certificates] == ["separation", "density"]
 
