@@ -476,9 +476,6 @@ class IncompleteModel:
             table.append(tuple(x * self.rho for x in table[-1]))
         return table
 
-    def y_coord(self, n: int) -> Fraction:
-        return self._grown(n)[n][0]
-
     def tail(self, t: int) -> Fraction:
         """Exact L1 norm of the target restricted to [t, infinity)."""
         return self._grown(t)[t][1]

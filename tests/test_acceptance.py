@@ -90,7 +90,7 @@ def test_criterion_2_overcomplete_40_choose_4():
 
 def test_criterion_3_approximation_bound_and_decay():
     model = IncompleteModel(F(1, 2), F(1, 2))
-    assert all(model.y_coord(n) == F(1, 2 ** (n + 1)) for n in range(8))
+    assert model.y_truncation(8).coords == tuple(F(1, 2 ** (n + 1)) for n in range(8))
     _, sequence = incomplete_space_sequence(model, 12)
     for k, (distance, bound) in enumerate(convergence_gaps(model, sequence)):
         assert distance <= bound  # exact rational comparison

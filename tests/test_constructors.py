@@ -393,7 +393,7 @@ def test_model_tail_bound_defines_cutoffs():
 
 
 _MODEL_QUERIES = st.lists(
-    st.tuples(st.sampled_from(["cutoff", "tail", "y_coord"]), st.integers(0, 10)),
+    st.tuples(st.sampled_from(["cutoff", "tail"]), st.integers(0, 10)),
     min_size=1,
     max_size=25,
 )
@@ -413,10 +413,8 @@ def test_model_tables_equal_the_closed_form_in_any_query_order(c, rho, queries):
         got = getattr(model, kind)(i)
         if kind == "cutoff":
             assert got == scan_cutoff(c, rho, i)
-        elif kind == "tail":
-            assert got == c * rho ** i / (1 - rho)
         else:
-            assert got == c * rho ** i
+            assert got == c * rho ** i / (1 - rho)
 
 
 def test_model_cutoffs_agree_when_asked_in_descending_order():

@@ -511,3 +511,56 @@ def test_null_vector_with_fraction_weights_is_the_weighted_basis_combination(row
         assert v is None
         return
     assert v.coords == weighted_combination(weights, basis)
+
+
+@st.composite
+def _column_graded_rows(draw):
+    """Rows like the incomplete model's: entry j of a row is a/(j+2)^k, so
+    denominators vary widely from column to column, beside one geometric
+    row c*rho^j shared across columns, with dependent rows mixed in."""
+    n = draw(st.integers(2, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, n - 1))):
+        k = draw(st.integers(0, 12))
+        rows.append([F(draw(st.integers(-9, 9)), (j + 2) ** k) for j in range(n)])
+    c, rho = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9))), F(draw(st.integers(1, 9)), 10)
+    rows.append([c * rho ** j for j in range(n)])
+    for _ in range(draw(st.integers(0, 2))):  # dependent rows
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        a, b = draw(_RATIONALS), draw(_RATIONALS)
+        rows.append([a * x + b * y for x, y in zip(u, v)])
+    weights = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    return draw(st.permutations(rows)), weights
+
+
+@given(_column_graded_rows())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_null_vector_with_column_graded_denominators_is_the_rref_combination(case):
+    rows, weights = case
+    basis = rref_nullspace(rows)
+    v = null_vector(Matrix.from_rows([exact_vector(r) for r in rows]), weights)
+    if not basis:
+        assert v is None
+        return
+    assert v.coords == weighted_combination(weights, basis)
+
+
+def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch):
+    """A wrong solution of the pivot block is a solver fault: null_vector
+    raises rather than return it or fall back to the basis."""
+    import oclab.linalg as linalg_mod
+
+    solve = linalg_mod._bareiss_solve
+
+    def perturbed(block, rhs):
+        det, sol = solve(block, rhs)
+        return det, [sol[0] + 1] + sol[1:]
+
+    def no_fallback(M):
+        raise AssertionError("null_vector fell back to the basis")
+
+    monkeypatch.setattr(linalg_mod, "_bareiss_solve", perturbed)
+    monkeypatch.setattr(linalg_mod, "nullspace_exact", no_fallback)
+    M = Matrix.from_rows([exact_vector(["1/2", "1/3", 1, 4]), exact_vector([0, "1/9", "2/5", 5])])
+    with pytest.raises(CertificationError, match="pivot row"):
+        null_vector(M, (1, 2))
