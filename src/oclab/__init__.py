@@ -4,158 +4,5 @@ elimination traces, certified constructions, and a seeded scenario
 harness."""
 
 from ._version import __version__
-from .errors import (
-    CertificationError,
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    ExtractionError,
-    ModeError,
-    OclabError,
-    PreconditionError,
-    ScheduleError,
-)
-from .linalg import (
-    DUAL_TAG,
-    Matrix,
-    NormTag,
-    PivotLog,
-    RankResult,
-    Vector,
-    det_exact,
-    dual_norm,
-    exact_vector,
-    norm,
-    norm_squared,
-    null_vector,
-    nullspace_exact,
-    pairing,
-    rank_exact,
-    unit_vector,
-    vandermonde_det,
-    zero_vector,
-)
-from .constructors import (
-    GeometricSchedule,
-    IncompleteModel,
-    OpenBall,
-    RieszStep,
-    SlidingHumpData,
-    convergence_gaps,
-    fd_overcomplete,
-    geometric_variant_sequence,
-    incomplete_space_sequence,
-    klee_vectors,
-    riesz_step,
-    separated_overcomplete_fd,
-    sliding_hump_extract,
-    verify_schedule,
-)
-from .certify import (
-    CoverResult,
-    DecayReport,
-    DensityCertificate,
-    HyperplaneFunctional,
-    L1EquivalenceCertificate,
-    MajorityResult,
-    ProbeReport,
-    WitnessRecord,
-    all_subsets_full_rank,
-    annihilator_decay_check,
-    coefficient_samples,
-    decay_bound,
-    density_certificate,
-    density_certificates,
-    free_set_extract,
-    greedy_separated_subset,
-    hyperplane_cover,
-    l1_lower_bound_certificate,
-    pigeonhole_majority,
-    replay_pivot_log,
-    support_annihilator_witness,
-    weak_norm_convergence_probe,
-)
-from .harness import Report, SCENARIO_NAMES, emit_report, parse_config, run_scenario
-from .serialize import canonical_json, digest, frac_str, parse_frac, to_jsonable
 
-__all__ = [
-    "__version__",
-    # errors
-    "OclabError",
-    "DomainError",
-    "ModeError",
-    "PreconditionError",
-    "ConstructionError",
-    "ExtractionError",
-    "ScheduleError",
-    "CertificationError",
-    "ConfigError",
-    # linalg
-    "NormTag",
-    "DUAL_TAG",
-    "Vector",
-    "Matrix",
-    "PivotLog",
-    "RankResult",
-    "exact_vector",
-    "unit_vector",
-    "zero_vector",
-    "pairing",
-    "norm",
-    "norm_squared",
-    "dual_norm",
-    "rank_exact",
-    "det_exact",
-    "nullspace_exact",
-    "null_vector",
-    "vandermonde_det",
-    # constructors
-    "OpenBall",
-    "RieszStep",
-    "IncompleteModel",
-    "GeometricSchedule",
-    "SlidingHumpData",
-    "klee_vectors",
-    "fd_overcomplete",
-    "riesz_step",
-    "separated_overcomplete_fd",
-    "incomplete_space_sequence",
-    "convergence_gaps",
-    "geometric_variant_sequence",
-    "verify_schedule",
-    "sliding_hump_extract",
-    # certify
-    "HyperplaneFunctional",
-    "DensityCertificate",
-    "CoverResult",
-    "MajorityResult",
-    "WitnessRecord",
-    "L1EquivalenceCertificate",
-    "DecayReport",
-    "ProbeReport",
-    "density_certificate",
-    "density_certificates",
-    "replay_pivot_log",
-    "all_subsets_full_rank",
-    "hyperplane_cover",
-    "pigeonhole_majority",
-    "free_set_extract",
-    "support_annihilator_witness",
-    "greedy_separated_subset",
-    "coefficient_samples",
-    "l1_lower_bound_certificate",
-    "decay_bound",
-    "annihilator_decay_check",
-    "weak_norm_convergence_probe",
-    # harness / serialization
-    "Report",
-    "SCENARIO_NAMES",
-    "parse_config",
-    "run_scenario",
-    "emit_report",
-    "frac_str",
-    "parse_frac",
-    "to_jsonable",
-    "canonical_json",
-    "digest",
-]
+__all__ = ["__version__"]

@@ -353,6 +353,8 @@ def riesz_step(
     (:func:`~oclab.linalg._state_null_vector`).  The complement is folded
     from the members' rows with :func:`~oclab.linalg._extend`, or, for
     the builder's own sequence of members, carried from the step before.
+    ``dim`` is the ambient dimension: an empty basis needs it, and a
+    nonempty one must have it.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -363,6 +365,8 @@ def riesz_step(
     if not basis and dim is None:
         raise DomainError("an empty basis needs an explicit ambient dimension")
     ambient = basis[0].dim if basis else dim
+    if dim is not None and dim != ambient:
+        raise DomainError(f"dim={dim} differs from the basis dimension {ambient}")
     rng = rng_for(seed, "riesz-step")
     weights = [rng.randrange(1, 17) for _ in range(ambient)]
     if carried:

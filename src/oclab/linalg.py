@@ -36,18 +36,19 @@ log :func:`rank_exact` gives that subset.  A Vandermonde determinant is
 one integer product of node differences (:func:`_vandermonde_int`), which
 the klee runner also takes per subset over nodes scaled once.
 
-:func:`nullspace_exact` reduces the whole matrix to a basis with a
-Gauss-Jordan loop, :func:`_gauss_jordan`, on integer rows kept
-primitive.  :func:`null_vector`, which the annihilators of the
-incomplete and cover-escape runs and of dependent subsets come from,
-finds the pivot columns and rows mod the prime 2^61 - 1 and solves only
-the square pivot block exactly.  It scales the block's columns, not its
-rows, to integers, which keeps entries and determinant small when
-denominators grow along the columns (as in the incomplete model), and
-solves it with one forward Bareiss pass and exact back-substitution
+:func:`null_vector`, which the annihilators of the incomplete and
+cover-escape runs and of dependent subsets come from, finds the pivot
+columns and rows mod the prime 2^61 - 1 and solves only the square pivot
+block exactly (:func:`_block_solve`).  It scales the block's columns,
+not its rows, to integers, which keeps entries and determinant small
+when denominators grow along the columns (as in the incomplete model),
+and solves it with one forward Bareiss pass and exact back-substitution
 (:func:`_bareiss_solve`).  It then checks every row exactly: a pivot row
 that fails is a solver fault and raises, and another row that fails
-means the prime hid part of the rank, so the basis decides.  A complement
+means the prime hid part of the rank, so the same block solve runs again
+on the exact pivots of :func:`rank_exact`'s log.
+:func:`nullspace_exact` solves on those exact pivots too, once, with the
+identity on the free columns as its right-hand sides.  A complement
 state's free coordinates are the reduced row echelon form's, so the same
 null vector can be read off a prefix's carried state
 (:func:`_state_null_vector`): each Riesz step's dual witness comes from
@@ -359,64 +360,6 @@ def det_exact(M: Matrix) -> Fraction:
     return rank_exact(M).det
 
 
-def _gauss_jordan(rows: list, ncols: int) -> list:
-    """Reduce integer ``rows`` in place so that row i is a multiple of row
-    i of the reduced row echelon form (entry ``rows[i][j] / rows[i][p]``
-    at the i-th pivot column p) over the first ``ncols`` entries; the rest
-    are carried along.  Return the pivot columns.  A column's pivot is the
-    first row at or below the current one with a nonzero entry there.
-    Each update a*row - b*pivot_row is divided by the gcd of its entries,
-    so entries stay the rational row's over its common denominator.  Rows
-    are swapped and rebound, never edited in place, so a row may be a
-    vector's cached numerator tuple (:attr:`Vector._ints`).
-    """
-    m = len(rows)
-    piv_cols = []
-    r = 0
-    for col in range(ncols):
-        if r == m:
-            break
-        piv_i = next((i for i in range(r, m) if rows[i][col]), None)
-        if piv_i is None:
-            continue
-        rows[r], rows[piv_i] = rows[piv_i], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(m):
-            c = rows[i][col]
-            if i != r and c:
-                g = math.gcd(p, c)
-                a, b = p // g, c // g
-                row = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = math.gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        piv_cols.append(col)
-        r += 1
-    return piv_cols
-
-
-def nullspace_exact(M: Matrix) -> list:
-    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
-
-    Empty iff the rank equals the column count.  The basis vectors act
-    as functionals on the row space; measure them with :func:`dual_norm`.
-    Integer Gauss-Jordan elimination of the row-scaled matrix
-    (:func:`_gauss_jordan`); basis vector i is 1 at the i-th free column
-    and 0 at the other free ones.
-    """
-    n = M.ncols
-    rows = [r._ints[0] for r in M.rows]
-    piv_cols = _gauss_jordan(rows, n)
-    basis = []
-    for free in (j for j in range(n) if j not in piv_cols):
-        coords = [Fraction(0)] * n
-        coords[free] = Fraction(1)
-        for row, pc in zip(rows, piv_cols):
-            coords[pc] = Fraction(-row[free], row[pc])
-        basis.append(Vector(tuple(coords)))
-    return basis
-
-
 #: The fixed prime of the pivot search in :func:`null_vector`.
 _PRIME = (1 << 61) - 1
 
@@ -451,24 +394,26 @@ def _pivots_mod_p(rows: list, ncols: int) -> tuple:
     return pivots, pivot_rows, rest
 
 
-def _bareiss_solve(block: list, rhs: list) -> tuple:
-    """Solve the square integer system ``block`` z = ``rhs`` fraction-free.
+def _bareiss_solve(block: list, columns: list) -> tuple:
+    """Solve the square integer system ``block`` z = b fraction-free for
+    each right-hand side b in ``columns``.
 
-    One forward Bareiss pass over the augmented rows: column k pivots on
-    the lowest remaining row with a nonzero entry, and every update
-    divides exactly by the pivot before it, so every entry stays a minor.
-    Exact back-substitution then gives (det, sol) with det * z = sol in
-    integers, det being the last pivot (the block's determinant up to
-    sign).  A singular block, or a back-substitution step that does not
-    divide exactly, raises :class:`~oclab.errors.CertificationError`.
+    One forward Bareiss pass over the rows augmented by every column:
+    column k pivots on the lowest remaining row with a nonzero entry, and
+    every update divides exactly by the pivot before it, so every entry
+    stays a minor.  Exact back-substitution of each column then gives
+    (det, sols) with det * z = sol in integers for each column's sol,
+    det being the last pivot (the block's determinant up to sign).  A
+    singular block, or a back-substitution step that does not divide
+    exactly, raises :class:`~oclab.errors.CertificationError`.
     """
     r = len(block)
-    rows = [row + [b] for row, b in zip(block, rhs)]
+    rows = [row + [b[i] for b in columns] for i, row in enumerate(block)]
     prev = 1
     for k in range(r):
         p = next((i for i in range(k, r) if rows[i][k]), None)
         if p is None:
-            raise CertificationError("pivot block nonsingular mod p is singular over Q")
+            raise CertificationError("the pivot block is singular over Q")
         rows[k], rows[p] = rows[p], rows[k]
         prow = rows[k]
         piv, tail = prow[k], prow[k + 1 :]
@@ -478,14 +423,80 @@ def _bareiss_solve(block: list, rhs: list) -> tuple:
             rows[i] = row[: k + 1] + [(piv * x - c * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = piv
     det = prev
-    sol = [0] * r
-    for i in reversed(range(r)):
-        row = rows[i]
-        q, rem = divmod(det * row[r] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :])), row[i])
-        if rem:
-            raise CertificationError("fraction-free back-substitution lost exactness")
-        sol[i] = q
-    return det, sol
+    sols = []
+    for b in range(r, r + len(columns)):
+        sol = [0] * r
+        for i in reversed(range(r)):
+            row = rows[i]
+            q, rem = divmod(det * row[b] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :])), row[i])
+            if rem:
+                raise CertificationError("fraction-free back-substitution lost exactness")
+            sol[i] = q
+        sols.append(sol)
+    return det, sols
+
+
+def _block_solve(M: Matrix, pivots: list, pivot_rows: list, weight_rows: list) -> list:
+    """The null vectors of the pivot rows of M, one per weight row, whose
+    free coordinates (the columns outside ``pivots``, ascending) are that
+    row's weights, missing ones counting as 0.
+
+    Each solves A[R,P] x_P = -A[R,F] x_F with the block's columns scaled
+    to integers: column j times c_j, the lcm of its denominators over the
+    pivot rows R.  Each right-hand side is put over one common
+    denominator D, and one forward Bareiss pass and exact
+    back-substitution (:func:`_bareiss_solve`) give det and sol, so x_j
+    is sol_j * c_j / (det * D * s) for the lcm s of the weights'
+    denominators.
+    """
+    n = M.ncols
+    free = [j for j in range(n) if j not in pivots]
+    picked = [M.rows[i] for i in pivot_rows]
+    col_scales = [_lcm_denominator(r.coords[j] for r in picked) for j in pivots]
+    block = [
+        [r.coords[j].numerator * (c // r.coords[j].denominator) for j, c in zip(pivots, col_scales)]
+        for r in picked
+    ]
+    rows = [r._ints for r in picked]
+    columns, dens = [], []
+    for w in weight_rows:
+        ws, scale = _int_numerators(w)
+        column, den = _int_numerators([Fraction(-sum(ints[j] * x for j, x in zip(free, ws)), s) for ints, s in rows])
+        columns.append(column)
+        dens.append(den * scale)
+    det, sols = _bareiss_solve(block, columns)
+    out = []
+    for w, den, sol in zip(weight_rows, dens, sols):
+        coords = [Fraction(0)] * n
+        for j, x in zip(free, w):
+            coords[j] = x
+        den *= det
+        for j, c, x in zip(pivots, col_scales, sol):
+            coords[j] = Fraction(x * c, den)
+        out.append(Vector(tuple(coords)))
+    return out
+
+
+def _exact_pivots(M: Matrix) -> tuple:
+    """The pivot columns (the reduced row echelon form's) and pivot rows
+    of :func:`rank_exact`'s log."""
+    steps = rank_exact(M).log.steps
+    return [j for _, j, _ in steps], [i for i, _, _ in steps]
+
+
+def nullspace_exact(M: Matrix) -> list:
+    """Basis of {f : <row, f> = 0 for every row of M}, exactly.
+
+    Empty iff the rank equals the column count.  The basis vectors act
+    as functionals on the row space; measure them with :func:`dual_norm`.
+    Basis vector i is 1 at the i-th free column and 0 at the other free
+    ones, the reduced row echelon form's basis: one block solve
+    (:func:`_block_solve`) on the exact pivots, the identity on the free
+    columns its right-hand sides.
+    """
+    pivots, pivot_rows = _exact_pivots(M)
+    free = range(M.ncols - len(pivots))
+    return _block_solve(M, pivots, pivot_rows, [[Fraction(int(i == k)) for i in free] for k in free])
 
 
 def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
@@ -499,21 +510,18 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
 
     1. eliminate the row-scaled integer rows mod the prime 2^61 - 1 for
        the pivot columns P and pivot rows R (milliseconds);
-    2. set x_F = weights on the free columns F and solve the square
-       system A[R,P] x_P = -A[R,F] x_F with the block's columns scaled to
-       integers: column j times c_j, the lcm of its denominators over R,
-       and the right-hand side over one common denominator D.  One
-       forward Bareiss pass and exact back-substitution
-       (:func:`_bareiss_solve`) give det and sol, and x_j is
-       sol_j * c_j / (det * D * s) for the lcm s of the weights'
-       denominators.  A block that is nonsingular mod p is nonsingular
-       over Q;
+    2. solve the square system on the block A[R,P] with x_F = weights on
+       the free columns F (:func:`_block_solve`, which scales the block's
+       columns to integers).  A block that is nonsingular mod p is
+       nonsingular over Q;
     3. check every row exactly with :func:`pairing`: a row in R that
        fails is a solver fault and raises
        :class:`~oclab.errors.CertificationError`;
     4. if a row outside R fails, the rank mod p was below the rank over
-       Q: combine the :func:`nullspace_exact` basis with the same weights
-       instead.
+       Q: take the exact pivots from :func:`rank_exact`'s log and solve
+       again.  So do zero weights, whose zero vector passes every check
+       whatever the rank.  With exact pivots every row must hold, so one
+       that fails raises.
 
     Scaling columns rather than rows keeps the block small: on the
     incomplete K=28 matrix its entries fall from 1,150 bits to 131 and
@@ -526,42 +534,27 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     the zero vector only when the nullity is positive.
     """
     n = M.ncols
-    rows = [r._ints[0] for r in M.rows]
-    pivots, pivot_rows, rest = _pivots_mod_p(rows, n)
+
+    def solve(pivots, pivot_rows):
+        w = [_coerce_exact(x) for x in weights[: n - len(pivots)]]
+        (v,) = _block_solve(M, pivots, pivot_rows, [w])
+        if any(pairing(M.rows[i], v) for i in pivot_rows):
+            raise CertificationError("the pivot block's solution fails a pivot row")
+        return v
+
+    pivots, pivot_rows, rest = _pivots_mod_p([r._ints[0] for r in M.rows], n)
     if len(pivots) == n:
         return None
-    free = [j for j in range(n) if j not in pivots]
-    w = [_coerce_exact(x) for x in weights[: len(free)]]
-    w += [Fraction(0)] * (len(free) - len(w))
-    ws, scale = _int_numerators(w)
-    picked = [M.rows[i] for i in pivot_rows]
-    col_scales = [_lcm_denominator(r.coords[j] for r in picked) for j in pivots]
-    block = [
-        [r.coords[j].numerator * (c // r.coords[j].denominator) for j, c in zip(pivots, col_scales)]
-        for r in picked
-    ]
-    rhs, den = _int_numerators([
-        Fraction(-sum(ints[j] * x for j, x in zip(free, ws)), s)
-        for ints, s in (r._ints for r in picked)
-    ])
-    det, sol = _bareiss_solve(block, rhs)
-    coords = [Fraction(0)] * n
-    for j, x in zip(free, w):
-        coords[j] = x
-    den *= det * scale
-    for j, c, x in zip(pivots, col_scales, sol):
-        coords[j] = Fraction(x * c, den)
-    v = Vector(tuple(coords))
-    if any(pairing(r, v) for r in picked):
-        raise CertificationError("the pivot block's solution fails a pivot row")
-    if any(w) and not any(pairing(M.rows[i], v) for i in rest):
+    v = solve(pivots, pivot_rows)
+    if any(v.coords) and not any(pairing(M.rows[i], v) for i in rest):
         return v
-    basis = nullspace_exact(M)
-    if not basis:
+    pivots, pivot_rows = _exact_pivots(M)
+    if len(pivots) == n:
         return None
-    return Vector(tuple(
-        sum((x * b.coords[k] for x, b in zip(w, basis)), Fraction(0)) for k in range(n)
-    ))
+    v = solve(pivots, pivot_rows)
+    if any(pairing(r, v) for r in M.rows):
+        raise CertificationError("the exact pivot block's solution fails a row")
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,17 @@ def test_riesz_empty_basis_needs_dim():
     assert norm(step.x, NormTag.L1) == 1
 
 
+def test_riesz_dim_must_be_the_basis_dimension():
+    basis = [exact_vector([1, 0, 0])]
+    with pytest.raises(DomainError, match="dim=5"):
+        riesz_step(basis, F(1, 2), NormTag.L1, dim=5)
+    members = _Members(3)
+    members.append(basis[0])
+    with pytest.raises(DomainError, match="dim=2"):
+        riesz_step(members, F(1, 2), NormTag.LINF, dim=2)
+    assert riesz_step(basis, F(1, 2), NormTag.L1, dim=3) == riesz_step(basis, F(1, 2), NormTag.L1)
+
+
 _small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 

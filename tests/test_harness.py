@@ -749,17 +749,17 @@ def test_incomplete_computes_its_convergence_gaps_once(monkeypatch):
 
 
 # the annihilator is one null_vector call: one pivot search mod p and one
-# column-scaled block solve, with no Gauss-Jordan and no basis fallback
+# column-scaled block solve, with no basis and no exact-pivot fallback
 def test_incomplete_solves_its_annihilator_block_once(monkeypatch):
     import oclab.linalg as linalg_mod
 
     null_vectors = _count_calls(monkeypatch, linalg_mod, "null_vector")
     mod_p = _count_calls(monkeypatch, linalg_mod, "_pivots_mod_p")
     bases = _count_calls(monkeypatch, linalg_mod, "nullspace_exact")
-    gauss_jordan = _count_calls(monkeypatch, linalg_mod, "_gauss_jordan")
+    exact_ranks = _count_calls(monkeypatch, linalg_mod, "rank_exact")
     ks = ",".join(str(k) for k in range(6, 29))
     run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
-    assert (len(null_vectors), len(mod_p), len(bases), len(gauss_jordan)) == (1, 1, 0, 0)
+    assert (len(null_vectors), len(mod_p), len(bases), len(exact_ranks)) == (1, 1, 0, 0)
 
 
 def test_cover_grid_computes_its_cover_once(monkeypatch):

@@ -318,6 +318,13 @@ def test_eliminations_leave_the_cached_row_scaling_as_it_was():
     assert rank_exact(M) == rank_exact(fresh())
 
 
+def test_zero_weights_give_the_zero_vector_only_at_positive_nullity():
+    """Mod p the row vanishes, so a zero solution passes every check; the
+    exact pivots decide whether a null vector exists."""
+    assert null_vector(Matrix.from_rows([exact_vector([P61])]), (0,)) is None
+    assert null_vector(Matrix.from_rows([exact_vector([P61, 0])]), (0,)).coords == (F(0), F(0))
+
+
 def test_null_vector_falls_back_when_the_prime_hides_rank():
     """Mod p the first row vanishes, so the block misses its pivot; the
     exact check of that row fails and the RREF basis decides."""
@@ -547,20 +554,20 @@ def test_null_vector_with_column_graded_denominators_is_the_rref_combination(cas
 
 def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch):
     """A wrong solution of the pivot block is a solver fault: null_vector
-    raises rather than return it or fall back to the basis."""
+    raises rather than return it or fall back to the exact pivots."""
     import oclab.linalg as linalg_mod
 
     solve = linalg_mod._bareiss_solve
 
-    def perturbed(block, rhs):
-        det, sol = solve(block, rhs)
-        return det, [sol[0] + 1] + sol[1:]
+    def perturbed(block, columns):
+        det, (sol, *others) = solve(block, columns)
+        return det, [[sol[0] + 1] + sol[1:], *others]
 
-    def no_fallback(M):
-        raise AssertionError("null_vector fell back to the basis")
+    def no_fallback(*args):
+        raise AssertionError("null_vector fell back to the exact pivots")
 
     monkeypatch.setattr(linalg_mod, "_bareiss_solve", perturbed)
-    monkeypatch.setattr(linalg_mod, "nullspace_exact", no_fallback)
+    monkeypatch.setattr(linalg_mod, "rank_exact", no_fallback)
     M = Matrix.from_rows([exact_vector(["1/2", "1/3", 1, 4]), exact_vector([0, "1/9", "2/5", 5])])
     with pytest.raises(CertificationError, match="pivot row"):
         null_vector(M, (1, 2))
