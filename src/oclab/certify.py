@@ -11,6 +11,7 @@ cannot hide in the other.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -512,7 +513,8 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     a sampled violation is a hard error, not a statistic.  Samples are
     the ``(numerators, total)`` pairs of :func:`coefficient_samples`;
     each is checked in integers, with every member's exclusive mass
-    summed once and only the shared coordinates summed per sample.
+    summed once and only each distinct shared column, with its count,
+    summed per sample.
     """
     n_value, eps, alpha0 = data.n_value, data.epsilon, data.alpha0
     splits = []
@@ -548,33 +550,41 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
 
     # the sampled combinations, in integers over the common denominator den:
     # a coordinate where one member alone is nonzero adds |n_j|*|r_ji| to
-    # every sample's total, so those masses are summed once per member
+    # every sample's total, so those masses are summed once per member, and
+    # equal shared columns add equal terms, so each distinct one is summed
+    # once per sample and counted as often as it occurs
     m = len(data.extracted)
     den = math.lcm(*(x._ints[1] for x in data.extracted))
     rows = [[c * (den // scale) for c in xs] for xs, scale in (x._ints for x in data.extracted)]
     exclusive = [0] * m
-    shared = []
-    for column in zip(*rows):
+    everywhere, partly = [], []
+    for column, count in Counter(column for column in zip(*rows) if any(column)).items():
         members = [j for j, r in enumerate(column) if r]
         if len(members) == 1:
-            exclusive[members[0]] += abs(column[members[0]])
-        elif members:
-            shared.append((members, [column[j] for j in members]))
+            exclusive[members[0]] += count * abs(column[members[0]])
+        elif len(members) == m:
+            everywhere.append((count, column))
+        else:
+            partly.append((count, members, [column[j] for j in members]))
+    # total/(d_a*den) >= constant, cross-multiplied to stay integral
+    c_den, c_num = constant.denominator, constant.numerator * den
     best = None
     for k, (nums, d_a) in enumerate(samples):
         if len(nums) != m:
             raise DomainError(f"sample {k} has length {len(nums)}, expected {m}")
-        mass = sum(map(abs, nums))
+        mags = list(map(abs, nums))
+        mass = sum(mags)
         if d_a <= 0 or mass != d_a:
             raise DomainError(
                 f"sample {k} does not have exact total mass one: "
                 f"numerator mass {mass} over total {d_a}"
             )
-        total = sum(map(mul, map(abs, nums), exclusive))
-        for members, entries in shared:
-            total += abs(sum(map(mul, map(nums.__getitem__, members), entries)))
-        # total/(d_a*den) >= constant, cross-multiplied to stay integral
-        if total * constant.denominator < constant.numerator * d_a * den:
+        total = sum(map(mul, mags, exclusive))
+        for count, column in everywhere:
+            total += count * abs(sum(map(mul, nums, column)))
+        for count, members, entries in partly:
+            total += count * abs(sum(map(mul, map(nums.__getitem__, members), entries)))
+        if total * c_den < c_num * d_a:
             raise CertificationError(
                 f"sampled combination {k} fell below the certified constant"
             )

@@ -395,12 +395,14 @@ def _run_klee(values, seed):
     certs = []
     for sub, cert in zip(subsets, density_certificates(vectors, subsets, d)):
         if cert.verdict == "Full":
-            prod = Fraction(_vandermonde_int([nodes[i] for i in sub]), den_power)
-            if cert.det != prod:
+            # det == product / den_power, cross-multiplied to stay integral;
+            # once it holds the two values are equal, so both fields take det
+            det = cert.det
+            if det.numerator * den_power != _vandermonde_int([nodes[i] for i in sub]) * det.denominator:
                 raise CertificationError(
                     f"elimination determinant disagrees with the product formula on {sub}"
                 )
-            witness = {"det_elimination": cert.det, "det_product": prod}
+            witness = {"det_elimination": det, "det_product": det}
         else:
             witness = cert.witness
         certs.append(
@@ -562,13 +564,11 @@ def block_family(L: int, m: int, left_mass: Fraction) -> list:
     if width < 1:
         raise ConfigError(f"cannot fit {m} disjoint blocks into [0, {L})")
     members = []
-    tail = 1 - left_mass
+    left = [left_mass / lead] * lead if lead else []
+    tail = [(1 - left_mass) / width] * width
     for j in range(m):
-        coords = [Fraction(0)] * L
-        for i in range(lead):
-            coords[i] = left_mass / lead
-        for i in range(lead + j * width, lead + (j + 1) * width):
-            coords[i] = tail / width
+        coords = left + [Fraction(0)] * (L - lead)
+        coords[lead + j * width:lead + (j + 1) * width] = tail
         members.append(exact_vector(coords))
     return members
 

@@ -8,7 +8,9 @@ a time, what it does not know.  Rationals become the ASCII string "p/q"
 arrays of such strings, dataclasses objects with a kebab-case ``kind``,
 sets sorted arrays; floats (diagnostics only) stay JSON numbers.
 Canonical form sorts keys and strips whitespace, so equal objects have
-equal bytes and digests are tamper-evident.
+equal bytes and digests are tamper-evident.  The encoder skips its cycle
+scan, because every value it writes is a tree that the toolkit built; a
+value that contains itself still raises, as ``RecursionError``.
 
 Many certificates, each written once: a canonical text can be hashed as
 it is (:func:`digest_text`) and spliced into a larger record
@@ -87,7 +89,9 @@ def _encode(obj):
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, default=_encode)
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False, default=_encode
+)
 
 
 def canonical_json(obj) -> str:

@@ -688,10 +688,15 @@ def test_l1_sampled_min_is_pinned_and_matches_the_oracle(left_mass, m, seed, pin
 @st.composite
 def _overlapping_humps(draw):
     """Chain-valid extractions whose supports overlap: coordinate 0 is
-    nonzero in every member, and member 1's middle strip covers member
-    0's tail, so member 0 has no exclusive coordinate."""
+    nonzero in every member, coordinates 1 to base - 1 only in members 1
+    and up, and member 1's middle strip covers member 0's tail, so
+    member 0 has no exclusive coordinate.  The head's last columns repeat
+    column base - 1, each with the same entries or with the same members
+    and other entries."""
     m = draw(st.integers(2, 4))
-    head = draw(st.integers(1, 3))
+    base = draw(st.integers(1, 3))
+    same_entries = draw(st.lists(st.booleans(), max_size=3))
+    head = base + len(same_entries)
     widths = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
     starts = [head + sum(widths[:g]) for g in range(m)]
     L = head + sum(widths)
@@ -701,8 +706,11 @@ def _overlapping_humps(draw):
         coords = [F(0)] * L
         coords[0] = F(draw(st.sampled_from([-3, -1, 2, 5])), 7)
         if g > 0:
-            for i in range(1, head):
+            for i in range(1, base):
                 coords[i] = F(draw(small), 7)
+        for i, same in enumerate(same_entries, base):
+            factor = 1 if same else draw(st.sampled_from([-2, -1, 2, 3]))
+            coords[i] = coords[base - 1] * factor
         for i in range(head, starts[g]):
             r = draw(small)
             if g == 1 and r == 0:

@@ -222,6 +222,15 @@ def test_klee_run_produces_full_certificates():
     assert len(refs) == len(report.certificates)
 
 
+def test_klee_refuses_an_elimination_determinant_off_the_product_formula(monkeypatch):
+    import oclab.harness as harness_mod
+
+    product = harness_mod._vandermonde_int
+    monkeypatch.setattr(harness_mod, "_vandermonde_int", lambda nodes: product(nodes) + 1)
+    with pytest.raises(CertificationError, match=r"product formula on \(0, 1, 2\)"):
+        run_scenario("klee", parse_config(KLEE_KV))
+
+
 def test_seed_override_lands_in_report():
     report = run_scenario("free-set", {"n": "8", "f": "random"}, seed=7)
     assert report.seed == 7

@@ -72,6 +72,17 @@ def test_canonical_json_rejects_nan():
         canonical_json({"x": float("nan")})
 
 
+def test_canonical_json_refuses_a_value_that_contains_itself():
+    # the encoder skips its cycle scan, so a cycle ends in the recursion limit
+    looped_list = [1]
+    looped_list.append(looped_list)
+    looped_dict = {"a": 1}
+    looped_dict["b"] = looped_dict
+    for looped in (looped_list, looped_dict):
+        with pytest.raises(RecursionError):
+            canonical_json(looped)
+
+
 def test_digest_is_stable_under_key_order():
     assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
     assert digest({"a": 1}) != digest({"a": 2})
