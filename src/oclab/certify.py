@@ -557,15 +557,13 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
     den = math.lcm(*(x._ints[1] for x in data.extracted))
     rows = [[c * (den // scale) for c in xs] for xs, scale in (x._ints for x in data.extracted)]
     exclusive = [0] * m
-    everywhere, partly = [], []
+    shared = []
     for column, count in Counter(column for column in zip(*rows) if any(column)).items():
         members = [j for j, r in enumerate(column) if r]
         if len(members) == 1:
             exclusive[members[0]] += count * abs(column[members[0]])
-        elif len(members) == m:
-            everywhere.append((count, column))
         else:
-            partly.append((count, members, [column[j] for j in members]))
+            shared.append((count, column))
     # total/(d_a*den) >= constant, cross-multiplied to stay integral
     c_den, c_num = constant.denominator, constant.numerator * den
     best = None
@@ -580,10 +578,8 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
                 f"numerator mass {mass} over total {d_a}"
             )
         total = sum(map(mul, mags, exclusive))
-        for count, column in everywhere:
+        for count, column in shared:
             total += count * abs(sum(map(mul, nums, column)))
-        for count, members, entries in partly:
-            total += count * abs(sum(map(mul, map(nums.__getitem__, members), entries)))
         if total * c_den < c_num * d_a:
             raise CertificationError(
                 f"sampled combination {k} fell below the certified constant"
