@@ -3,9 +3,6 @@
 The certificates here follow one discipline: each claim is either
 verified in exact rational arithmetic (ranks, annihilators, norm
 inequalities, cover assignments) or is explicitly a float diagnostic.
-Pivot logs are replayed by a plain rational eliminator that shares only
-the pivot-selection rule with the fraction-free kernel, so a bug in one
-cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "ProbeReport",
     "density_certificate",
     "density_certificates",
-    "replay_pivot_log",
     "all_subsets_full_rank",
     "hyperplane_cover",
     "pigeonhole_majority",
@@ -181,70 +177,6 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
                 raise CertificationError("annihilator witness failed to annihilate")
             out.append(DensityCertificate("Proper", result.rank, witness=witness))
     return out
-
-
-def replay_pivot_log(M: Matrix, log: PivotLog, expected_rank: Optional[int] = None) -> int:
-    """Re-check an elimination trace with plain rational elimination.
-
-    Scales the rows by the logged factors, then runs ordinary Gaussian
-    elimination with the same pivot rule (lowest original row index with
-    a nonzero entry in the scan column).  Each Gaussian pivot must equal
-    the ratio of consecutive logged pivots, the step positions must
-    match, and every unprocessed row must vanish at the end.
-    """
-    if log.shape != (M.nrows, M.ncols):
-        raise CertificationError("pivot log shape does not match the matrix")
-    if len(log.row_scales) != M.nrows:
-        raise CertificationError("pivot log carries the wrong number of row scales")
-    rows = []
-    for vec, scale in zip(M.rows, log.row_scales):
-        if scale <= 0:
-            raise CertificationError("row scales must be positive integers")
-        scaled = [c * scale for c in vec.coords]
-        if any(x.denominator != 1 for x in scaled):
-            raise CertificationError("logged row scale does not clear denominators")
-        rows.append(scaled)
-    m, n = M.nrows, M.ncols
-    processed: set = set()
-    steps = list(log.steps)
-    step_pos = 0
-    prev_pivot = Fraction(1)
-    for col in range(n):
-        src = -1
-        for i in range(m):
-            if i not in processed and rows[i][col] != 0:
-                src = i
-                break
-        if src < 0:
-            continue
-        if step_pos >= len(steps):
-            raise CertificationError(f"unlogged pivot at column {col}")
-        lrow, lcol, lpiv = steps[step_pos]
-        if (lrow, lcol) != (src, col):
-            raise CertificationError(
-                f"pivot position mismatch at step {step_pos}: "
-                f"log says ({lrow}, {lcol}), replay finds ({src}, {col})"
-            )
-        u = rows[src][col]
-        if u * prev_pivot != Fraction(lpiv):
-            raise CertificationError(f"pivot value mismatch at step {step_pos}")
-        for i in range(m):
-            if i != src and i not in processed and rows[i][col] != 0:
-                factor = rows[i][col] / u
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[src])]
-        processed.add(src)
-        prev_pivot = Fraction(lpiv)
-        step_pos += 1
-    if step_pos != len(steps):
-        raise CertificationError("log contains more steps than the replay produced")
-    for i in range(m):
-        if i not in processed and any(x != 0 for x in rows[i]):
-            raise CertificationError(f"row {i} is not eliminated but was never pivoted")
-    if expected_rank is not None and expected_rank != step_pos:
-        raise CertificationError(
-            f"replayed rank {step_pos} does not match expected {expected_rank}"
-        )
-    return step_pos
 
 
 def all_subsets_full_rank(vectors: Sequence[Vector], d: int):

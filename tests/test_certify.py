@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -22,7 +23,6 @@ from oclab.certify import (
     hyperplane_cover,
     l1_lower_bound_certificate,
     pigeonhole_majority,
-    replay_pivot_log,
     support_annihilator_witness,
     weak_norm_convergence_probe,
 )
@@ -59,12 +59,19 @@ from oclab.linalg import (
     _complement,
     _extend,
 )
+from oclab.serialize import canonical_json
+from oclab.verify import replay_pivot_log
 
 from oracles import brute_force_max_free_set, cofactor_det, l1_combination_norm, rref_rank
 
 
 KLEE5_LAMBDAS = [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
 KLEE5 = klee_vectors(KLEE5_LAMBDAS, 3)
+
+
+def _replay(M, log, expected_rank=None):
+    """The verifier's replay of ``log``, in its wire form, on M's coordinates."""
+    return replay_pivot_log([v.coords for v in M.rows], json.loads(canonical_json(log)), expected_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +85,7 @@ def test_klee_subsets_of_size_at_least_d_are_full():
             cert = density_certificate(KLEE5, sub, 3)
             assert cert.verdict == "Full"
             M = Matrix.from_rows([KLEE5[i] for i in sub])
-            assert replay_pivot_log(M, cert.pivot_log, 3) == 3
+            assert _replay(M, cert.pivot_log, 3) == 3
             if size == 3:
                 assert cert.det == vandermonde_det([KLEE5_LAMBDAS[i] for i in sub])
 
@@ -161,7 +168,7 @@ def test_subset_walk_gives_each_subsets_own_elimination(case):
     for sub, cert in zip(subsets, certs):
         if cert.verdict == "Full":
             selected = Matrix.from_rows(vectors[i] for i in sub)
-            assert replay_pivot_log(selected, cert.pivot_log, d) == d
+            assert _replay(selected, cert.pivot_log, d) == d
     # after a walk, a negative or past-the-end index or an empty subset is
     # refused, and -1 does not wrap around to the last row
     n = len(vectors)
@@ -177,7 +184,7 @@ def test_replay_rejects_forged_row_scale():
     log = rank_exact(M).log
     forged = PivotLog(log.shape, (log.row_scales[0] * 3,) + log.row_scales[1:], log.steps)
     with pytest.raises(CertificationError):
-        replay_pivot_log(M, forged)
+        _replay(M, forged)
 
 
 def test_replay_rejects_dropped_step():
@@ -187,7 +194,17 @@ def test_replay_rejects_dropped_step():
     log = rank_exact(M).log
     forged = PivotLog(log.shape, log.row_scales, log.steps[:1])
     with pytest.raises(CertificationError):
-        replay_pivot_log(M, forged)
+        _replay(M, forged)
+
+
+def test_density_certificates_refuse_a_witness_that_does_not_annihilate(monkeypatch):
+    import oclab.certify as certify_mod
+
+    # (0,) has rank 1 < 3, so its certificate takes null_vector's witness;
+    # e_0 pairs to 1 with KLEE5[0]
+    monkeypatch.setattr(certify_mod, "null_vector", lambda M, weights: unit_vector(0, 3))
+    with pytest.raises(CertificationError, match="annihilator witness failed to annihilate"):
+        density_certificates(KLEE5, [(0,)], 3)
 
 
 def test_subset_sweep_counts_and_flags_failures():
@@ -371,6 +388,18 @@ def test_pigeonhole_meets_quota_on_balanced_split():
     assert len(result.members) >= 2
     for i in result.members:
         assert pairing(planes[result.hyperplane_index].coeffs, points[i]) == 0
+
+
+def test_pigeonhole_refuses_a_cover_below_the_quota(monkeypatch):
+    import oclab.certify as certify_mod
+
+    # ker e_0 holds one of the four points, but the skewed cover assigns it
+    # all four, so it wins the count and falls below the quota of 2
+    points = [exact_vector([0, 1])] + [exact_vector([1, 0])] * 3
+    skewed = certify_mod.CoverResult(True, assignment=(0, 0, 0, 0))
+    monkeypatch.setattr(certify_mod, "hyperplane_cover", lambda S, H: skewed)
+    with pytest.raises(CertificationError, match="pigeonhole count fell below the quota"):
+        pigeonhole_majority(points, [_coord_plane(0, 2), _coord_plane(1, 2)])
 
 
 def test_pigeonhole_requires_covered_input():

@@ -37,3 +37,22 @@ def test_cli_import_loads_only_the_standard_library():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        # the verifier re-checks reports apart from the code that built them
+        ("oclab.verify", ["oclab.constructors", "oclab.certify", "oclab.linalg", "oclab.harness", "oclab.serialize"]),
+        # and a run does not pay for loading it
+        ("oclab.cli", ["oclab.verify"]),
+    ],
+)
+def test_verifier_and_builders_load_apart(module, absent):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys, {module}; print(sorted(set({absent!r}) & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ from oclab.linalg import (
     _int_numerators,
 )
 from oclab.serialize import canonical_json
-from oclab.certify import replay_pivot_log
+from oclab.verify import replay_pivot_log
 from oclab.constructors import IncompleteModel, incomplete_space_sequence, klee_vectors
 
 from oracles import (
@@ -41,6 +42,11 @@ from oracles import (
     termwise_vandermonde,
     weighted_combination,
 )
+
+
+def _replay(M, log, expected_rank=None):
+    """The verifier's replay of ``log``, in its wire form, on M's coordinates."""
+    return replay_pivot_log([v.coords for v in M.rows], json.loads(canonical_json(log)), expected_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def test_pivot_log_replay_accepts_genuine_runs():
         M = Matrix.from_rows([exact_vector(r) for r in rows])
         result = rank_exact(M)
         assert result.rank == rref_rank(rows)
-        assert replay_pivot_log(M, result.log, result.rank) == result.rank
+        assert _replay(M, result.log, result.rank) == result.rank
 
 
 @pytest.mark.parametrize(
@@ -190,7 +196,7 @@ def test_pinned_pivot_logs(rows, scales, steps, det):
     assert result.log.row_scales == scales
     assert result.log.steps == steps
     assert result.det == det
-    assert replay_pivot_log(M, result.log, len(steps)) == len(steps)
+    assert _replay(M, result.log, len(steps)) == len(steps)
 
 
 def test_broken_complement_state_raises_certification_error():
@@ -208,14 +214,40 @@ def test_pivot_log_replay_rejects_tampered_pivot():
     steps[0] = (row, col, piv + 1)
     forged = PivotLog(log.shape, log.row_scales, tuple(steps))
     with pytest.raises(CertificationError):
-        replay_pivot_log(M, forged)
+        _replay(M, forged)
 
 
 def test_pivot_log_replay_rejects_wrong_rank_claim():
     M = Matrix.from_rows([exact_vector([1, 2]), exact_vector([2, 4])])
     log = rank_exact(M).log
     with pytest.raises(CertificationError):
-        replay_pivot_log(M, log, expected_rank=2)
+        _replay(M, log, expected_rank=2)
+
+
+# each forgery of the wire-form log of [[1, 1/2], [1/3, 1]], whose row
+# scales are (2, 3) and whose steps are (0, 0, 2) and (1, 1, 5)
+@pytest.mark.parametrize(
+    "forge, expected_rank, message",
+    [
+        (lambda log: {**log, "shape": [3, 2]}, None, "shape does not match the matrix"),
+        (lambda log: {**log, "row_scales": [2]}, None, "wrong number of row scales"),
+        (lambda log: {**log, "row_scales": [0, 3]}, None, "row scales must be positive integers"),
+        (lambda log: {**log, "row_scales": [1, 3]}, None, "does not clear denominators"),
+        (lambda log: {**log, "steps": [[1, 0, 2], [1, 1, 5]]}, None, r"position mismatch at step 0: log says \(1, 0\)"),
+        (lambda log: {**log, "steps": [[0, 0, 2], [1, 1, 6]]}, None, "pivot value mismatch at step 1"),
+        (lambda log: {**log, "steps": [[0, 0, 2]]}, None, "unlogged pivot at column 1"),
+        (lambda log: {**log, "steps": [[0, 0, 2], [1, 1, 5], [1, 1, 5]]}, None, "more steps than the replay produced"),
+        (lambda log: log, 1, "replayed rank 2 does not match expected 1"),
+    ],
+    ids=["shape", "scale-count", "scale-sign", "scale-fraction", "position", "pivot", "dropped", "extra", "rank"],
+)
+def test_pivot_log_replay_names_each_forgery(forge, expected_rank, message):
+    M = Matrix.from_rows([exact_vector([1, "1/2"]), exact_vector(["1/3", 1])])
+    rows, log = [v.coords for v in M.rows], json.loads(canonical_json(rank_exact(M).log))
+    assert log["row_scales"] == [2, 3] and log["steps"] == [[0, 0, 2], [1, 1, 5]]
+    assert replay_pivot_log(rows, log, 2) == 2
+    with pytest.raises(CertificationError, match=message):
+        replay_pivot_log(rows, forge(log), expected_rank)
 
 
 # ---------------------------------------------------------------------------

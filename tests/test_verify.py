@@ -1,0 +1,189 @@
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from oclab import cli
+from oclab.verify import main
+
+# the reports CI's installed-script step verifies, at its configs or smaller
+CHECKED = {
+    "klee": ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 2\n"),
+    "klee-d3": ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5, 9/20\nd = 3\n"),
+    "sliding-hump": ("sliding-hump", "L = 40\nm = 4\nsamples = 20\n"),
+    "separated-L1": ("separated", "d = 4\ntag = L1\n"),
+    "separated-L2": ("separated", "d = 6\ntag = L2\n"),
+    "separated-Linf": ("separated", "d = 6\ntag = Linf\n"),
+    "incomplete": ("incomplete", f"K = 28\nks = {','.join(map(str, range(6, 29)))}\nj_max = 5\n"),
+    "cover-escape": ("cover", "mode = escape\n"),
+}
+# one report of each other scenario, which gets the re-dump and
+# certificate_refs check only
+CANONICAL_ONLY = {
+    "fd-dense": ("fd-dense", "d = 3\nn = 6\n"),
+    "geometric-variant": ("geometric-variant", "K = 8\nj_max = 3\n"),
+    "free-set": ("free-set", "n = 9\nf = chain\n"),
+    "cover-grid": ("cover", "mode = grid\npoints = 9\n"),
+    "probe": ("probe", "variant = basis\nK = 10\nwindow = 4\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """Each report freshly written by the command line, by name."""
+    root = tmp_path_factory.mktemp("reports")
+    out = {}
+    for name, (scenario, config) in {**CHECKED, **CANONICAL_ONLY}.items():
+        (root / f"{name}.cfg").write_text(config, encoding="utf-8")
+        out[name] = root / f"{name}.json"
+        assert cli.main([scenario, "--config", str(root / f"{name}.cfg"), "--out", str(out[name])]) == 0
+    return out
+
+
+def _verify(*paths):
+    """Run the verifier in this process; its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(p) for p in paths])
+    return code, err.getvalue()
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _forge(path, out, edit, resign=True):
+    """A copy of the report at ``path`` with ``edit`` applied, written
+    canonically to ``out``; with ``resign`` its certificate_refs are
+    recomputed, so only the check that decides the edited fact can fail."""
+    record = json.loads(path.read_text(encoding="utf-8"))
+    edit(record)
+    if resign:
+        record["constructed"]["certificate_refs"] = [
+            hashlib.sha256(_dump(c).encode("utf-8")).hexdigest() for c in record["certificates"]
+        ]
+    out.write_text(_dump(record) + "\n", encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted({**CHECKED, **CANONICAL_ONLY}))
+def test_fresh_reports_pass_every_check(reports, name):
+    assert _verify(reports[name]) == (0, "")
+
+
+def test_the_module_runs_as_a_script(reports):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "oclab.verify", str(reports["klee"]), str(reports["cover-escape"])],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def _set(path, value):
+    """An edit that puts ``value(old)`` at ``path`` inside the record."""
+    def edit(record):
+        *head, last = path
+        for key in head:
+            record = record[key]
+        record[last] = value(record[last])
+    return edit
+
+
+def _bump(text):
+    return str(F(text) + F(1, 1000))
+
+
+def _move_member_1_next_to_member_0(record):
+    # v1 becomes v0 + v1/10: the span is the same, and v1 lies near v0
+    vectors = record["constructed"]["vectors"]
+    vectors[1] = [str(F(a) + F(b) / 10) for a, b in zip(vectors[0], vectors[1])]
+
+
+def _duplicate_member_0(record):
+    vectors = record["constructed"]["vectors"]
+    vectors[1] = list(vectors[0])
+
+
+TAMPERS = {
+    "sampled-min": ("sliding-hump", _set(["certificates", 0, "witness", "sampled_min"], _bump),
+                    "check_samples", "sampled_min is not the smallest sampled norm"),
+    "split-gap": ("sliding-hump", _set(["certificates", 0, "witness", "split_log", 1, "approximation_gap"], _bump),
+                  "check_split_log", "gap of pick 1"),
+    "klee-pivot": ("klee-d3", _set(["certificates", 0, "pivot_log", "steps", 1, 2], lambda p: p + 1),
+                   "check_klee", r"certificate \[0, 1, 2\]: pivot value mismatch at step 1"),
+    "klee-det": ("klee", _set(["certificates", 2, "witness", "det_product"], _bump),
+                 "check_klee", r"certificate \[1, 2\]: det_product is not the product"),
+    "annihilator": ("incomplete", _set(["constructed", "annihilator", 3], _bump),
+                    "check_annihilator", "the annihilator does not kill g_6"),
+    "separated-moved": ("separated-L1", _move_member_1_next_to_member_0,
+                        "check_separated", "members 0 and 1 are within 1 - eps"),
+    "separated-duplicated": ("separated-L2", _duplicate_member_0,
+                             "check_separated", "6 members of rank 5, not d = 6"),
+    "escape-pairing": ("cover-escape", _set(["certificates", 0, "witness", "pairings", 0], _bump),
+                       "check_escape", "the written pairing is not the escapee's"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TAMPERS))
+def test_each_tampered_report_fails_its_named_check(reports, tmp_path, label):
+    name, edit, check, message = TAMPERS[label]
+    forged = _forge(reports[name], tmp_path / f"{label}.json", edit)
+    code, err = _verify(forged)
+    assert code == 4
+    assert re.search(f"{re.escape(str(forged))}: {check}: CertificationError: {message}", err), err
+
+
+def test_a_dropped_certificate_no_longer_matches_the_refs(reports, tmp_path):
+    forged = _forge(reports["klee-d3"], tmp_path / "dropped.json", lambda r: r["certificates"].pop(), resign=False)
+    code, err = _verify(forged)
+    assert code == 4 and f"{forged}: check_canonical: CertificationError: certificate_refs do not match" in err
+
+
+def test_a_report_that_is_not_canonical_fails(reports, tmp_path):
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(json.loads(reports["probe"].read_text()), sort_keys=True) + "\n")
+    code, err = _verify(loose)
+    assert code == 4 and "check_canonical: CertificationError: the report does not re-dump to its bytes" in err
+
+
+@pytest.mark.parametrize(
+    "label, edit",
+    [
+        ("no-certificates", lambda r: r.pop("certificates")),
+        ("no-params", lambda r: r.pop("params")),
+        ("zero-denominator", _set(["constructed", "vectors", 0, 1], lambda c: "1/0")),
+        ("not-a-number", _set(["constructed", "vectors", 0, 1], lambda c: "x")),
+        ("unknown-scenario", _set(["scenario"], lambda s: "kleee")),
+    ],
+)
+def test_a_malformed_report_exits_4_naming_the_file(reports, tmp_path, label, edit):
+    forged = _forge(reports["klee-d3"], tmp_path / f"{label}.json", edit, resign=False)
+    code, err = _verify(forged)
+    assert code == 4 and f"certification failure: {forged}: " in err
+
+
+def test_text_that_is_not_json_exits_4_naming_the_file(tmp_path):
+    for text in (b"{", b"\xff\xfe", b"[1, 2]"):
+        path = tmp_path / "garbage.json"
+        path.write_bytes(text)
+        code, err = _verify(path)
+        assert code == 4 and f"certification failure: {path}: check_canonical: " in err
+
+
+def test_a_missing_report_exits_5_after_checking_the_rest(reports, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, err = _verify(reports["klee"], missing, reports["probe"])
+    assert code == 5 and "cannot read report" in err and str(missing) in err
+
+
+def test_no_report_is_a_usage_error():
+    assert _verify()[0] == 2
