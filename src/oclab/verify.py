@@ -132,7 +132,7 @@ def check_separated(record: dict, text: str) -> None:
     params = record["params"]
     lower, tag, d = 1 - Fraction(params["eps"]), params["tag"], params["d"]
     vectors = _fractions(record["constructed"]["vectors"])
-    rank = len(eliminate([list(v) for v in vectors]))
+    rank = len(eliminate(list(vectors)))
     _require(len(vectors) == d and rank == d, f"{len(vectors)} members of rank {rank}, not d = {d}")
     for (i, u), (j, v) in itertools.combinations(enumerate(vectors), 2):
         diffs = [abs(a - b) for a, b in zip(u, v)]
