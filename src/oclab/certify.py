@@ -26,7 +26,6 @@ from .linalg import (
     PivotLog,
     Vector,
     dual_norm,
-    norm,
     null_vector,
     pairing,
     rank_exact,
@@ -675,19 +674,26 @@ class ProbeReport:
 def weak_norm_convergence_probe(
     sequence: Sequence[Vector], limit: Vector, window: int, tau: float = 1e-6
 ) -> ProbeReport:
+    """Each member's sup deviation from ``limit`` on the first ``window``
+    coordinates and its L1 distance to ``limit``, classified at ``tau``.
+
+    Both are read from the integer forms: a/dv - b/dl = (a*dl - b*dv)/(dv*dl).
+    """
     if not sequence:
         raise DomainError("need a nonempty sequence")
     dim = limit.dim
     if window < 1 or window > dim:
         raise DomainError(f"window must lie in [1, {dim}]")
+    ls, dl = limit._ints
     coord_sups = []
     norm_gaps = []
     for v in sequence:
         if v.dim != dim:
             raise DomainError("sequence members must share the limit's dimension")
-        diff = v - limit
-        coord_sups.append(max(abs(c) for c in diff.coords[:window]))
-        norm_gaps.append(norm(diff, NormTag.L1))
+        vs, dv = v._ints
+        gaps = [abs(a * dl - b * dv) for a, b in zip(vs, ls)]
+        coord_sups.append(Fraction(max(gaps[:window]), dv * dl))
+        norm_gaps.append(Fraction(sum(gaps), dv * dl))
     if norm_gaps[-1] < tau:
         classification = "norm-convergent"
     elif coord_sups[-1] < tau:

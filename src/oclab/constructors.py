@@ -45,7 +45,6 @@ from .linalg import (
     _complement_vectors,
     _distance_sign,
     _extend,
-    _int_numerators,
     _state_null_vector,
     _subset_states,
 )
@@ -454,8 +453,10 @@ class IncompleteModel:
 
     Each y(n) and tail(n) is computed once per model, one multiplication
     by rho from the last, and each cutoff once, its scan resuming from the
-    largest cutoff known below k (cutoffs are nondecreasing in k).  These
-    tables are attributes, not fields: ==, hash and bytes see c and rho.
+    largest cutoff known below k (cutoffs are nondecreasing in k).  The
+    truncation of y to each width is one Vector, so its integer form is
+    scaled once and every distance to y runs in integers.  These tables are
+    attributes, not fields: ==, hash and bytes see c and rho.
     """
 
     c: Fraction
@@ -470,6 +471,7 @@ class IncompleteModel:
             raise DomainError("target ratio rho must lie in (0, 1)")
         object.__setattr__(self, "_table", [(self.c, self.c / (1 - self.rho))])
         object.__setattr__(self, "_cutoffs", {})
+        object.__setattr__(self, "_truncations", {})
 
     def _grown(self, n: int) -> list:
         """The (y(t), tail(t)) table, grown through t = n."""
@@ -511,15 +513,16 @@ class IncompleteModel:
         return Vector(tuple(head + [Fraction(0)] * (dim - t)))
 
     def y_truncation(self, dim: int) -> Vector:
-        return Vector(tuple(y for y, _ in self._grown(dim)[:dim]))
+        if dim not in self._truncations:
+            self._truncations[dim] = Vector(tuple(y for y, _ in self._grown(dim)[:dim]))
+        return self._truncations[dim]
 
     def exact_distance(self, v: Vector) -> Fraction:
         """Exact ||y - v||_1, the tail of y beyond v's dimension included."""
-        w = v.dim
-        table = self._grown(w)
-        ints, den = _int_numerators([y for y, _ in table[:w]] + list(v.coords))
-        head = sum(abs(a - b) for a, b in zip(ints[:w], ints[w:]))
-        return Fraction(head, den) + table[w][1]
+        ys, dy = self.y_truncation(v.dim)._ints
+        vs, dv = v._ints
+        head = sum(abs(a * dv - b * dy) for a, b in zip(ys, vs))
+        return Fraction(head, dy * dv) + self.tail(v.dim)
 
 
 def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:

@@ -108,6 +108,51 @@ def check_annihilator(record: dict, text: str) -> None:
     _require(max(abs(x) for x in e_star) == 1, "the largest |coordinate| is not 1")
 
 
+def check_approximation_bounds(record: dict, text: str) -> None:
+    """For k = 0..K, g_k's distance to y(n) = c * rho^n, tail(w) = c * rho^w / (1 - rho)
+    beyond its width w included, and the bound tail(cutoff(k)) + (k+1)/2^k, where
+    cutoff(k) is the least t with tail(t) < 1/k!; the distance is at most the bound."""
+    params, vectors = record["params"], _fractions(record["constructed"]["vectors"])
+    c, rho = Fraction(params["c"]), Fraction(params["rho"])
+    K = max([params["K"]] + [int(k) for k in params["ks"].split(",")])
+    certs = [cert for cert in record["certificates"] if cert["kind"] == "approximation-bound"]
+    _require([cert["witness"]["k"] for cert in certs] == list(range(K + 1)) == list(range(len(vectors))),
+             f"the approximation bounds are not one per g_k, k = 0..{K}")
+
+    def tail(t):
+        return c * rho**t / (1 - rho)
+
+    t = 0
+    for k, (cert, g) in enumerate(zip(certs, vectors)):
+        while tail(t) >= Fraction(1, math.factorial(k)):
+            t += 1
+        distance = sum(abs(c * rho**n - x) for n, x in enumerate(g)) + tail(len(g))
+        bound = tail(t) + Fraction(k + 1, 2**k)
+        _require(Fraction(cert["witness"]["distance"]) == distance, f"distance of g_{k} is not ||y - g_{k}||_1")
+        _require(Fraction(cert["witness"]["bound"]) == bound, f"bound at k={k} is not tail(cutoff(k)) + (k+1)/2^k")
+        _require(cert["verdict"] == "Holds" and distance <= bound, f"g_{k} lies beyond its bound")
+
+
+def check_probe(record: dict, text: str) -> None:
+    """Each member's sup deviation from the limit (y's truncation for gk, zero
+    for basis) over the window and its L1 distance to it, and the class at tau."""
+    params, vectors = record["params"], _fractions(record["constructed"]["vectors"])
+    window, tau, dim = params["window"], params["tau"], len(vectors[0])
+    c, rho = Fraction(params["c"]), Fraction(params["rho"])
+    limit = [c * rho**n if params["variant"] == "gk" else Fraction(0) for n in range(dim)]
+    _require(all(len(v) == dim for v in vectors), "the members' dimensions differ")
+    diffs = [[abs(a - b) for a, b in zip(v, limit)] for v in vectors]
+    sups, gaps = [max(x[:window]) for x in diffs], [sum(x) for x in diffs]
+    (cert,) = record["certificates"]
+    witness = cert["witness"]
+    _require((witness["window"], witness["tau"]) == (window, tau), "the witness's window or tau is not the params'")
+    _require([Fraction(x) for x in witness["coord_sups"]] == sups, "coord_sups are not the sups over the window")
+    _require([Fraction(x) for x in witness["norm_gaps"]] == gaps, "norm_gaps are not the L1 distances to the limit")
+    tau = Fraction(tau)
+    kind = "norm-convergent" if gaps[-1] < tau else "coordinatewise-only" if sups[-1] < tau else "divergent"
+    _require(witness["classification"] == cert["verdict"] == kind, f"the classification is not {kind}")
+
+
 def check_escape(record: dict, text: str) -> None:
     """In escape mode, the plane (f0, f1, 1) through the first two points holds
     the points before the escapee, whose pairing with it is the written one."""
@@ -144,9 +189,19 @@ def check_separated(record: dict, text: str) -> None:
 
 
 def check_klee(record: dict, text: str) -> None:
-    """Every Full pivot log replays, and gives both determinants of its subset."""
-    lambdas = [Fraction(x) for x in record["params"]["lambdas"].split(",")]
-    vectors = record["constructed"]["vectors"]
+    """Each subset is d increasing indices of the vectors, an exhaustive report
+    certifies every d-subset in order, and every Full pivot log replays and
+    gives both determinants of its subset."""
+    params, vectors = record["params"], record["constructed"]["vectors"]
+    lambdas = [Fraction(x) for x in params["lambdas"].split(",")]
+    n, d = len(vectors), params["d"]
+    subsets = [cert["subset"] for cert in record["certificates"]]
+    for sub in subsets:
+        indices = len(sub) == d and all(type(i) is int and 0 <= i < n for i in sub)
+        _require(indices and all(a < b for a, b in zip(sub, sub[1:])), f"subset {sub} is not {d} increasing indices below {n}")
+    if params["subset_samples"] == 0:
+        every = [list(sub) for sub in itertools.combinations(range(n), d)]
+        _require(subsets == every, f"an exhaustive report does not certify the C({n}, {d}) subsets in order")
     full = [cert for cert in record["certificates"] if cert["verdict"] == "Full"]
     _require(full, "no Full certificate to replay")
     for cert in full:
@@ -209,9 +264,10 @@ def check_samples(record: dict, text: str) -> None:
 
 # the checks each scenario's reports get after check_canonical
 CHECKS = {
-    "klee": (check_klee,), "separated": (check_separated,), "incomplete": (check_annihilator,),
+    "klee": (check_klee,), "separated": (check_separated,),
+    "incomplete": (check_approximation_bounds, check_annihilator),
     "sliding-hump": (check_split_log, check_samples), "cover": (check_escape,),
-    "fd-dense": (), "free-set": (), "geometric-variant": (), "probe": (),
+    "probe": (check_probe,), "fd-dense": (), "free-set": (), "geometric-variant": (),
 }
 
 

@@ -873,6 +873,31 @@ def test_probe_compares_the_exact_gap_with_tau():
     assert report.classification == "norm-convergent"
 
 
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), min_size=dim, max_size=dim),
+                     min_size=1, max_size=5),
+            st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 6)), min_size=dim, max_size=dim),
+            st.integers(1, dim),
+        )
+    ),
+    st.sampled_from([1e-6, 0.25, 0.5, 1.0, 2.0, 3.5]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_probe_equals_the_vector_difference_reference(members_limit_window, tau):
+    """Window sups, L1 gaps and the class read from the integer forms equal
+    those of the Fraction differences v - limit."""
+    members, limit, window = members_limit_window
+    seq, limit = [exact_vector(v) for v in members], exact_vector(limit)
+    diffs = [v - limit for v in seq]
+    sups = tuple(max(abs(x) for x in d.coords[:window]) for d in diffs)
+    gaps = tuple(sum(abs(x) for x in d.coords) for d in diffs)
+    kind = "norm-convergent" if gaps[-1] < tau else "coordinatewise-only" if sups[-1] < tau else "divergent"
+    report = weak_norm_convergence_probe(seq, limit, window, tau)
+    assert (report.coord_sups, report.norm_gaps, report.classification) == (sups, gaps, kind)
+
+
 def test_probe_classifies_divergence():
     seq = [exact_vector([1, 1]), exact_vector([2, 2])]
     report = weak_norm_convergence_probe(seq, zero_vector(2), 2, 1e-6)

@@ -439,10 +439,38 @@ def test_model_cutoffs_agree_when_asked_in_descending_order():
 def test_model_tables_stay_out_of_equality_hash_and_bytes():
     fresh, used = IncompleteModel(F(1, 2), F(1, 3)), IncompleteModel(F(1, 2), F(1, 3))
     used.ambient_dim(12)
+    used.y_truncation(5)
     assert fresh == used and hash(fresh) == hash(used)
     assert digest(fresh) == digest(used)
     with pytest.raises(DomainError):
         used.tail(-1)
+
+
+_COORDS = st.lists(st.builds(F, st.integers(-40, 40), st.integers(1, 30)), min_size=1, max_size=12)
+
+
+@given(
+    st.builds(F, st.integers(1, 50), st.integers(1, 50)),
+    st.builds(F, st.integers(1, 9), st.just(10)),
+    _COORDS,
+    st.integers(1, 14),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_exact_distance_equals_the_fraction_reference(c, rho, coords, other_width):
+    """||y - v||_1 from the cached integer forms is the sum of |y(n) - v(n)|
+    over v's width plus y's tail beyond it, whichever widths came first."""
+    model = IncompleteModel(c, rho)
+    model.y_truncation(other_width)
+    w = len(coords)
+    reference = sum(abs(c * rho ** n - x) for n, x in enumerate(coords)) + c * rho ** w / (1 - rho)
+    assert model.exact_distance(exact_vector(coords)) == reference
+
+
+def test_y_truncation_is_one_vector_per_width():
+    model = IncompleteModel(F(2, 3), F(3, 5))
+    assert model.y_truncation(7) is model.y_truncation(7)
+    assert model.y_truncation(7).coords == tuple(F(2, 3) * F(3, 5) ** n for n in range(7))
+    assert model.y_truncation(4).coords == model.y_truncation(7).coords[:4]
 
 
 def test_model_rejects_l2_and_bad_rho():

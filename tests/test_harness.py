@@ -757,6 +757,17 @@ def test_incomplete_computes_its_convergence_gaps_once(monkeypatch):
     assert len(distances) == 15
 
 
+def test_incomplete_scales_the_truncation_of_y_to_integers_once(monkeypatch):
+    """Every distance to y, the annihilator's last row and the decay check's
+    target pairing read one integer form of y's truncation."""
+    import oclab.linalg as linalg_mod
+
+    scalings = _count_calls(monkeypatch, linalg_mod, "_int_numerators")
+    run_scenario("incomplete", dict(SMOKE["incomplete"][0]))  # K = 14, y(n) = 2^-(n+1)
+    truncations = [c for (c,) in scalings if c and all(x == F(1, 2 ** (n + 1)) for n, x in enumerate(c))]
+    assert len(truncations) == 1
+
+
 # the annihilator is one null_vector call: one pivot search mod p and one
 # column-scaled block solve, with no basis and no exact-pivot fallback
 def test_incomplete_solves_its_annihilator_block_once(monkeypatch):

@@ -18,12 +18,15 @@ from oclab.verify import main
 CHECKED = {
     "klee": ("klee", "lambdas = 1/10, 1/5, 3/10\nd = 2\n"),
     "klee-d3": ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5, 9/20\nd = 3\n"),
+    "klee-sampled": ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5, 9/20\nd = 3\nsubset_samples = 4\n"),
     "sliding-hump": ("sliding-hump", "L = 40\nm = 4\nsamples = 20\n"),
     "separated-L1": ("separated", "d = 4\ntag = L1\n"),
     "separated-L2": ("separated", "d = 6\ntag = L2\n"),
     "separated-Linf": ("separated", "d = 6\ntag = Linf\n"),
     "incomplete": ("incomplete", f"K = 28\nks = {','.join(map(str, range(6, 29)))}\nj_max = 5\n"),
     "cover-escape": ("cover", "mode = escape\n"),
+    "probe": ("probe", ""),
+    "probe-basis": ("probe", "variant = basis\nK = 10\nwindow = 4\n"),
 }
 # one report of each other scenario, which gets the re-dump and
 # certificate_refs check only
@@ -32,7 +35,6 @@ CANONICAL_ONLY = {
     "geometric-variant": ("geometric-variant", "K = 8\nj_max = 3\n"),
     "free-set": ("free-set", "n = 9\nf = chain\n"),
     "cover-grid": ("cover", "mode = grid\npoints = 9\n"),
-    "probe": ("probe", "variant = basis\nK = 10\nwindow = 4\n"),
 }
 
 
@@ -108,6 +110,15 @@ def _move_member_1_next_to_member_0(record):
     vectors[1] = [str(F(a) + F(b) / 10) for a, b in zip(vectors[0], vectors[1])]
 
 
+def _wrap_subset_0(record):
+    record["certificates"][0]["subset"] = [-5, -4, -3]
+
+
+def _misclassify(record):
+    (cert,) = record["certificates"]
+    cert["verdict"] = cert["witness"]["classification"] = "divergent"
+
+
 def _duplicate_member_0(record):
     vectors = record["constructed"]["vectors"]
     vectors[1] = list(vectors[0])
@@ -122,6 +133,18 @@ TAMPERS = {
                    "check_klee", r"certificate \[0, 1, 2\]: pivot value mismatch at step 1"),
     "klee-det": ("klee", _set(["certificates", 2, "witness", "det_product"], _bump),
                  "check_klee", r"certificate \[1, 2\]: det_product is not the product"),
+    "klee-dropped": ("klee-d3", lambda r: r["certificates"].pop(3),
+                     "check_klee", r"an exhaustive report does not certify the C\(5, 3\) subsets in order"),
+    "klee-wrapped": ("klee-d3", _wrap_subset_0,
+                     "check_klee", r"subset \[-5, -4, -3\] is not 3 increasing indices below 5"),
+    "incomplete-distance": ("incomplete", _set(["certificates", 3, "witness", "distance"], _bump),
+                            "check_approximation_bounds", "distance of g_3 is not"),
+    "incomplete-bound": ("incomplete", _set(["certificates", 7, "witness", "bound"], _bump),
+                         "check_approximation_bounds", "bound at k=7 is not"),
+    "probe-sup": ("probe", _set(["certificates", 0, "witness", "coord_sups", 2], _bump),
+                  "check_probe", "coord_sups are not the sups over the window"),
+    "probe-class": ("probe", _misclassify, "check_probe", "the classification is not norm-convergent"),
+    "probe-basis-class": ("probe-basis", _misclassify, "check_probe", "the classification is not coordinatewise-only"),
     "annihilator": ("incomplete", _set(["constructed", "annihilator", 3], _bump),
                     "check_annihilator", "the annihilator does not kill g_6"),
     "separated-moved": ("separated-L1", _move_member_1_next_to_member_0,
