@@ -31,7 +31,6 @@ from .linalg import (
     rank_exact,
     scaled_int_coords,
     _complement,
-    _distance_sign,
     _extend,
     _singular_subsets,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "pigeonhole_majority",
     "free_set_extract",
     "support_annihilator_witness",
-    "greedy_separated_subset",
     "coefficient_samples",
     "l1_lower_bound_certificate",
     "decay_bound",
@@ -131,7 +129,6 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
-    family = Matrix.from_rows(vectors)
     n = len(vectors)
     ints = [v._ints for v in vectors]
     # keys and chain[1:] hold the rows of the last d-subset walked and the
@@ -166,11 +163,11 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
                 det = Fraction(chain[d][0], math.prod(scales))
                 out.append(DensityCertificate("Full", d, pivot_log=log, det=det))
                 continue
-        result = rank_exact(family, sel_idx)
+        selected = Matrix.from_rows(vectors[i] for i in sel_idx)
+        result = rank_exact(selected)
         if result.rank == d:
             out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
         else:
-            selected = Matrix.from_rows(vectors[i] for i in sel_idx)
             witness = null_vector(selected, (1,))
             if any(pairing(witness, v) for v in selected.rows):
                 raise CertificationError("annihilator witness failed to annihilate")
@@ -345,33 +342,6 @@ def support_annihilator_witness(family: Sequence[Vector], H: Iterable[int], gamm
 
 
 # ---------------------------------------------------------------------------
-# separation / packing diagnostic
-# ---------------------------------------------------------------------------
-
-
-def greedy_separated_subset(points: Sequence[Vector], delta, tag: NormTag) -> tuple:
-    """Maximal delta-separated subset, greedy by ascending index.
-
-    Every selected pair is at distance >= delta; every excluded point is
-    within delta of an earlier selection, which is the maximality
-    witness.  All comparisons are exact (squared comparisons for L2); a
-    float delta is taken at its exact binary value.  The reference the
-    tests check :func:`~oclab.constructors.separated_overcomplete_fd`
-    against; a run does not pack the family it built, whose Riesz
-    witnesses already put every pair above 1 - eps.
-    """
-    tag = NormTag(tag)
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    selected: list = []
-    for i, p in enumerate(points):
-        if all(_distance_sign(p, points[j], delta, tag) >= 0 for j in selected):
-            selected.append(i)
-    return tuple(selected)
-
-
-# ---------------------------------------------------------------------------
 # the L1 lower-bound chain
 # ---------------------------------------------------------------------------
 
@@ -474,10 +444,9 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
         if sup & seen:
             raise CertificationError(f'chain step "disjoint tails" failed at pick {g}')
         seen |= sup
+    # sliding_hump_extract refused 1 - N - 2*eps below this floor
     constant = 1 - n_value - 2 * eps
     floor = (1 - n_value) / 2
-    if constant < floor:
-        raise CertificationError("the certified constant fell below its floor")
 
     # the sampled combinations, in integers over the common denominator den:
     # a coordinate where one member alone is nonzero adds |n_j|*|r_ji| to

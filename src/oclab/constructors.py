@@ -4,7 +4,8 @@ Each builder here returns checked exact vectors, plus the checked values
 a report needs, so none is computed twice: the incomplete-model sequence
 returns its (distance, bound) gaps, the geometric variant its schedule
 onsets, and the sliding-hump extraction the cuts its certificate replays.
-The certify module re-checks every claimed property independently:
+Each claimed property is re-checked apart from its builder, by the
+certify module or, from the written report, by :mod:`oclab.verify`:
 geometric node families, hyperplane-avoiding sequences in R^d, Riesz-step
 separated families, the convergent sequences living in an
 incomplete-model ambient space, and the sliding-hump extraction over a
@@ -43,7 +44,6 @@ from .linalg import (
     zero_vector,
     _complement,
     _complement_vectors,
-    _distance_sign,
     _extend,
     _state_null_vector,
     _subset_states,
@@ -115,7 +115,7 @@ class OpenBall:
         """Exact membership test by squared distance (strict: the ball is open)."""
         if v.dim != self.center.dim:
             raise DomainError("dimension mismatch in ball membership")
-        return _distance_sign(v, self.center, self.radius, NormTag.L2) < 0
+        return norm_squared(v - self.center) < self.radius * self.radius
 
 
 def _unit_balls(d: int, n: int) -> list:
@@ -290,92 +290,28 @@ def _unit_isqrt_scale(s2: Fraction, floor: Fraction) -> Fraction:
             raise ConstructionError("unit-scale refinement did not converge")
 
 
-def _fold(state: tuple, vectors: Sequence[Vector]) -> tuple:
-    """``state`` extended by each of ``vectors`` in turn (:func:`_extend`
-    on its cached integer form), skipping one in the span of those before
-    it."""
-    for v in vectors:
-        grown = _extend(state, v._ints[0])
-        if grown is not None:
-            state = grown
-    return state
-
-
-class _Members:
-    """The members of :func:`separated_overcomplete_fd` so far: a sequence
-    that carries the integer complement of their span from step to step.
-
-    A member is folded into the complement (:func:`_extend`) when a step
-    first reads it, so a run of d steps makes d-1 extensions and no step
-    eliminates the prefix again.  Slices are plain lists.
-    """
-
-    def __init__(self, d: int):
-        self.vectors: list = []
-        self._state = _complement(d)
-        self._folded = 0
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, i):
-        return self.vectors[i]
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def append(self, x: Vector):
-        self.vectors.append(x)
-
-    def complement(self) -> tuple:
-        self._state = _fold(self._state, self.vectors[self._folded:])
-        self._folded = len(self.vectors)
-        return self._state
-
-
-def riesz_step(
-    Y_basis: Sequence[Vector],
-    eps: Fraction,
-    tag: NormTag,
-    seed: int = 0,
-    dim: Optional[int] = None,
-) -> RieszStep:
-    """One separation step against the span of ``Y_basis``.
+def riesz_step(state: tuple, eps: Fraction, tag: NormTag, seed: int = 0) -> RieszStep:
+    """One separation step against the span of a prefix, given by its
+    integer complement ``state`` (:func:`~oclab.linalg._complement`
+    extended by each prefix vector with :func:`~oclab.linalg._extend`).
 
     Returns a unit vector (exact for L1/Linf; within 1e-12 of unit for
     L2, kept exact with a certified squared norm) together with its dual
     witness.  The witness makes the distance claim checkable by three
     exact verifications instead of an optimization.  It is the null
-    vector of ``Y_basis`` whose free coordinates are seeded integers in
-    [1, 16], one drawn per column: :func:`~oclab.linalg.null_vector`'s
-    vector, read off the integer complement of ``Y_basis``
-    (:func:`~oclab.linalg._state_null_vector`).  The complement is folded
-    from the members' rows with :func:`~oclab.linalg._extend`, or, for
-    the builder's own sequence of members, carried from the step before.
-    ``dim`` is the ambient dimension: an empty basis needs it, and a
-    nonempty one must have it.
+    vector of the prefix whose free coordinates are seeded integers in
+    [1, 16], one drawn per coordinate: :func:`~oclab.linalg.null_vector`'s
+    vector, read off the state (:func:`~oclab.linalg._state_null_vector`).
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     tag = NormTag(tag)
-    carried = isinstance(Y_basis, _Members)
-    basis = Y_basis if carried else list(Y_basis)
-    if not basis and dim is None:
-        raise DomainError("an empty basis needs an explicit ambient dimension")
-    ambient = basis[0].dim if basis else dim
-    if dim is not None and dim != ambient:
-        raise DomainError(f"dim={dim} differs from the basis dimension {ambient}")
+    _, cols, rest = state
+    if not rest:
+        raise PreconditionError("the prefix already spans the space")
     rng = rng_for(seed, "riesz-step")
-    weights = [rng.randrange(1, 17) for _ in range(ambient)]
-    if carried:
-        state = basis.complement()
-    else:
-        if any(y.dim != ambient for y in basis):
-            raise DomainError("basis vectors of different dimensions")
-        state = _fold(_complement(ambient), basis)
-    if not state[2]:
-        raise PreconditionError("the given basis already spans the space")
+    weights = [rng.randrange(1, 17) for _ in range(len(cols) + len(rest))]
     functional = _state_null_vector(state, weights)
     f0 = functional.coords
     if tag is NormTag.L1:
@@ -403,15 +339,15 @@ def riesz_step(
 def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0) -> tuple:
     """d unit vectors with pairwise distances above 1 - eps, spanning R^d.
 
-    Iterates the separation step against the span of the prefix, which
-    carries its integer complement from step to step (:class:`_Members`),
-    and decides each step's witness f once, exactly, with
-    :func:`~oclab.linalg.pairing` rather than the complement: f kills the
-    prefix, and f(x) > (1 - eps) * ||f||_* (for L2 in squares, with
-    f(x) > 0).  By Riesz's lemma x_k then lies farther than 1 - eps from
-    the prefix's span, and f(x_k) > 0 = f(x_i) for i < k makes the family
-    independent, so :func:`~oclab.certify.greedy_separated_subset` at
-    delta = 1 - eps, the tests' reference, selects every member.  Raises
+    Iterates the separation step against the span of the prefix, whose
+    integer complement is carried from step to step: each member but the
+    last extends it once (:func:`~oclab.linalg._extend`), so no step
+    eliminates the prefix again.  Each step's witness f is decided once,
+    exactly, with :func:`~oclab.linalg.pairing` rather than the
+    complement: f kills the prefix, and f(x) > (1 - eps) * ||f||_* (for L2
+    in squares, with f(x) > 0).  By Riesz's lemma x_k then lies farther
+    than 1 - eps from the prefix's span, and f(x_k) > 0 = f(x_i) for i < k
+    makes the family independent.  Raises
     :class:`~oclab.errors.ConstructionError` naming a failed step.
     """
     if d < 1:
@@ -419,9 +355,10 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
     eps = Fraction(eps)
     tag = NormTag(tag)
     lower = 1 - eps
-    members = _Members(d)
+    state = _complement(d)
+    members = []
     for k in range(d):
-        step = riesz_step(members, eps, tag, seed=split_seed(seed, f"step:{k}"), dim=d)
+        step = riesz_step(state, eps, tag, seed=split_seed(seed, f"step:{k}"))
         f, x = step.functional, step.x
         if any(pairing(f, y) for y in members):
             raise ConstructionError(f"step {k}: the witness misses an earlier member")
@@ -433,6 +370,8 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
         if not separated:
             raise ConstructionError(f"step {k}: the witness pairs to at most 1 - eps of its dual norm")
         members.append(x)
+        if k < d - 1:
+            state = _extend(state, x._ints[0])
     return tuple(members)
 
 

@@ -19,10 +19,9 @@ every division is exact, which it checks.  :func:`rank_exact` and
 time: its pivots are the Bareiss pivots of the pivot log, which plain
 rational elimination can replay.  A vector scales itself to integers
 once (:attr:`Vector._ints`), so every kernel that reads it, and every
-submatrix of one family that :func:`rank_exact` is asked for, shares
-that scaling.  A depth-first walk over the combinations of a list of
-rows (:func:`_subset_states`) shares each prefix's complement among the
-subsets that extend it.  The reference subset sweep
+matrix that holds it as a row, shares that scaling.  A depth-first walk
+over the combinations of a list of rows (:func:`_subset_states`) shares
+each prefix's complement among the subsets that extend it.  The reference subset sweep
 (:func:`_singular_subsets`) walks it to every (d-1)-fold prefix's
 cofactor normal, the Hodge dual of the rows' wedge (exterior product),
 and each completing row then costs one dot product with that normal.
@@ -232,21 +231,6 @@ def dual_norm(f: Vector, tag: NormTag) -> Fraction:
     return norm(f, DUAL_TAG[NormTag(tag)])
 
 
-def _distance_sign(u: Vector, v: Vector, delta: Fraction, tag: NormTag) -> int:
-    """Sign of ||u - v|| - delta under ``tag`` (-1, 0 or 1), exactly.
-
-    L2 compares the squares, which keeps the irrational norm out and
-    needs ``delta >= 0``.  Each caller applies its own inequality to the
-    sign.
-    """
-    diff = u - v
-    if tag is NormTag.L2:
-        dist, delta = norm_squared(diff), delta * delta
-    else:
-        dist = norm(diff, tag)
-    return (dist > delta) - (dist < delta)
-
-
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 # ---------------------------------------------------------------------------
@@ -299,25 +283,13 @@ def scaled_int_coords(v: Vector) -> tuple:
     return v._ints[0]
 
 
-def rank_exact(M: Matrix, rows: Optional[Sequence[int]] = None) -> RankResult:
+def rank_exact(M: Matrix) -> RankResult:
     """Rank of an exact matrix by fraction-free elimination, with pivot log.
 
-    With ``rows``, the rank of the submatrix of those rows of M, in that
-    order; the pivot log then numbers them 0, 1, ... as that submatrix.
     Each row is read in its cached integer form (:attr:`Vector._ints`),
     and the elimination itself is :func:`_rank_int`.
     """
-    if rows is None:
-        picked = M.rows
-    else:
-        picked = []
-        for i in rows:
-            if not 0 <= i < M.nrows:
-                raise DomainError(f"row index {i} out of range")
-            picked.append(M.rows[i])
-        if not picked:
-            raise DomainError("matrix needs at least one row")
-    ints, scales = zip(*(r._ints for r in picked))
+    ints, scales = zip(*(r._ints for r in M.rows))
     return _rank_int(ints, scales)
 
 

@@ -6,11 +6,13 @@ writes every byte and asks the hook ``_encode`` to convert, one level at
 a time, what it does not know.  Rationals become the ASCII string "p/q"
 (denominator omitted when it is 1, matching ``str(Fraction)``), vectors
 arrays of such strings, dataclasses objects with a kebab-case ``kind``,
-sets sorted arrays; floats (diagnostics only) stay JSON numbers.
-Canonical form sorts keys and strips whitespace, so equal objects have
-equal bytes and digests are tamper-evident.  The encoder skips its cycle
-scan, because every value it writes is a tree that the toolkit built; a
-value that contains itself still raises, as ``RecursionError``.
+and any other type raises ``TypeError``; a norm tag is a ``str``, and
+floats (diagnostics only) stay JSON numbers, both written by the encoder
+itself.  Canonical form sorts keys and strips whitespace, so equal
+objects have equal bytes and digests are tamper-evident.  The encoder
+skips its cycle scan, because every value it writes is a tree that the
+toolkit built; a value that contains itself still raises, as
+``RecursionError``.
 
 Many certificates, each written once: a canonical text can be hashed as
 it is (:func:`digest_text`) and spliced into a larger record
@@ -26,14 +28,11 @@ import functools
 import hashlib
 import json
 import re
-from enum import Enum
 from fractions import Fraction
 
-from .linalg import Matrix, Vector
+from .linalg import Vector
 
 __all__ = [
-    "frac_str",
-    "parse_frac",
     "to_jsonable",
     "canonical_json",
     "canonical_json_spliced",
@@ -42,20 +41,6 @@ __all__ = [
     "prefix_digest",
     "certificate",
 ]
-
-
-def frac_str(value) -> str:
-    return str(Fraction(value))
-
-
-_FRAC = re.compile(r"-?\d+(?:/[1-9]\d*)?$")
-
-
-def parse_frac(text: str) -> Fraction:
-    """Parse the wire form of a rational: 'p/q', or bare 'p' when q is 1."""
-    if not isinstance(text, str) or not _FRAC.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
 
 
 _KEBAB = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
@@ -74,18 +59,12 @@ def _encode(obj):
         return str(obj)
     if cls is Vector:
         return [str(c) for c in obj.coords]
-    if cls is Matrix:
-        return obj.rows
-    if isinstance(obj, Enum):
-        return obj.value
     if dataclasses.is_dataclass(cls):
         kind, names = _layout(cls)
         out = {"kind": kind}  # a field named kind wins
         for name in names:
             out[name] = getattr(obj, name)
         return out
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 

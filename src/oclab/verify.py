@@ -108,39 +108,57 @@ def check_annihilator(record: dict, text: str) -> None:
     _require(max(abs(x) for x in e_star) == 1, "the largest |coordinate| is not 1")
 
 
-def check_approximation_bounds(record: dict, text: str) -> None:
-    """For k = 0..K, g_k's distance to y(n) = c * rho^n, tail(w) = c * rho^w / (1 - rho)
-    beyond its width w included, and the bound tail(cutoff(k)) + (k+1)/2^k, where
-    cutoff(k) is the least t with tail(t) < 1/k!; the distance is at most the bound."""
-    params, vectors = record["params"], _fractions(record["constructed"]["vectors"])
+def _g_sequence(params: dict, K: int) -> tuple:
+    """tail(t) = c * rho^t / (1 - rho), the cutoffs k -> least t with tail(t) < 1/k!,
+    and g_k = y_k + sum_{n<=k} (n+2)^-k e_n for k = 0..K over the width max(cutoff(K), K+1),
+    where y_k is y(n) = c * rho^n cut at cutoff(k)."""
     c, rho = Fraction(params["c"]), Fraction(params["rho"])
-    K = max([params["K"]] + [int(k) for k in params["ks"].split(",")])
-    certs = [cert for cert in record["certificates"] if cert["kind"] == "approximation-bound"]
-    _require([cert["witness"]["k"] for cert in certs] == list(range(K + 1)) == list(range(len(vectors))),
-             f"the approximation bounds are not one per g_k, k = 0..{K}")
 
     def tail(t):
         return c * rho**t / (1 - rho)
 
-    t = 0
-    for k, (cert, g) in enumerate(zip(certs, vectors)):
+    cutoffs, t = [], 0
+    for k in range(K + 1):
         while tail(t) >= Fraction(1, math.factorial(k)):
             t += 1
-        distance = sum(abs(c * rho**n - x) for n, x in enumerate(g)) + tail(len(g))
-        bound = tail(t) + Fraction(k + 1, 2**k)
+        cutoffs.append(t)
+    y = [c * rho**n for n in range(max(t, K + 1))]
+    g = [[(x if n < cutoffs[k] else 0) + (Fraction(1, (n + 2) ** k) if n <= k else 0) for n, x in enumerate(y)]
+         for k in range(K + 1)]
+    return tail, cutoffs, y, g
+
+
+def check_approximation_bounds(record: dict, text: str) -> None:
+    """The vectors are g_0..g_K rebuilt from params, and for each k, g_k's distance to y,
+    tail(w) beyond its width w included, and the bound tail(cutoff(k)) + (k+1)/2^k; the
+    distance is at most the bound."""
+    params = record["params"]
+    K = max([params["K"]] + [int(k) for k in params["ks"].split(",")])
+    tail, cutoffs, y, vectors = _g_sequence(params, K)
+    _require(_fractions(record["constructed"]["vectors"]) == vectors, f"the vectors are not g_0..g_{K}")
+    certs = [cert for cert in record["certificates"] if cert["kind"] == "approximation-bound"]
+    _require([cert["witness"]["k"] for cert in certs] == list(range(K + 1)),
+             f"the approximation bounds are not one per g_k, k = 0..{K}")
+    for k, (cert, g) in enumerate(zip(certs, vectors)):
+        distance = sum(abs(a - x) for a, x in zip(y, g)) + tail(len(g))
+        bound = tail(cutoffs[k]) + Fraction(k + 1, 2**k)
         _require(Fraction(cert["witness"]["distance"]) == distance, f"distance of g_{k} is not ||y - g_{k}||_1")
         _require(Fraction(cert["witness"]["bound"]) == bound, f"bound at k={k} is not tail(cutoff(k)) + (k+1)/2^k")
         _require(cert["verdict"] == "Holds" and distance <= bound, f"g_{k} lies beyond its bound")
 
 
 def check_probe(record: dict, text: str) -> None:
-    """Each member's sup deviation from the limit (y's truncation for gk, zero
-    for basis) over the window and its L1 distance to it, and the class at tau."""
-    params, vectors = record["params"], _fractions(record["constructed"]["vectors"])
-    window, tau, dim = params["window"], params["tau"], len(vectors[0])
-    c, rho = Fraction(params["c"]), Fraction(params["rho"])
-    limit = [c * rho**n if params["variant"] == "gk" else Fraction(0) for n in range(dim)]
-    _require(all(len(v) == dim for v in vectors), "the members' dimensions differ")
+    """The vectors are g_0..g_K (gk) or the unit basis e_0..e_K (basis), rebuilt from params;
+    each member's sup deviation from the limit (y's truncation for gk, zero for basis) over
+    the window and its L1 distance to it, and the class at tau."""
+    params = record["params"]
+    K, window, tau = params["K"], params["window"], params["tau"]
+    if params["variant"] == "gk":
+        _, _, limit, expected = _g_sequence(params, K)
+    else:
+        limit, expected = [0] * (K + 1), [[int(n == k) for n in range(K + 1)] for k in range(K + 1)]
+    vectors = _fractions(record["constructed"]["vectors"])
+    _require(vectors == expected, f"the vectors are not the {params['variant']} sequence for K = {K}")
     diffs = [[abs(a - b) for a, b in zip(v, limit)] for v in vectors]
     sups, gaps = [max(x[:window]) for x in diffs], [sum(x) for x in diffs]
     (cert,) = record["certificates"]
@@ -189,12 +207,17 @@ def check_separated(record: dict, text: str) -> None:
 
 
 def check_klee(record: dict, text: str) -> None:
-    """Each subset is d increasing indices of the vectors, an exhaustive report
-    certifies every d-subset in order, and every Full pivot log replays and
-    gives both determinants of its subset."""
+    """The lambdas are distinct and the vectors are their points (1, l, ..., l^(d-1)),
+    each subset is d increasing indices of the vectors, an exhaustive report certifies
+    every d-subset in order, and every certificate is Full, as distinct nodes make every
+    moment-curve d-subset nonsingular: its pivot log replays and gives both
+    determinants of its subset."""
     params, vectors = record["params"], record["constructed"]["vectors"]
     lambdas = [Fraction(x) for x in params["lambdas"].split(",")]
     n, d = len(vectors), params["d"]
+    _require(len(set(lambdas)) == len(lambdas), "the lambdas are not distinct")
+    curve = [[lam**i for i in range(d)] for lam in lambdas]
+    _require(_fractions(vectors) == curve, "the vectors are not the lambdas' (1, l, ..., l^(d-1))")
     subsets = [cert["subset"] for cert in record["certificates"]]
     for sub in subsets:
         indices = len(sub) == d and all(type(i) is int and 0 <= i < n for i in sub)
@@ -202,10 +225,9 @@ def check_klee(record: dict, text: str) -> None:
     if params["subset_samples"] == 0:
         every = [list(sub) for sub in itertools.combinations(range(n), d)]
         _require(subsets == every, f"an exhaustive report does not certify the C({n}, {d}) subsets in order")
-    full = [cert for cert in record["certificates"] if cert["verdict"] == "Full"]
-    _require(full, "no Full certificate to replay")
-    for cert in full:
+    for cert in record["certificates"]:
         sub, log, witness = cert["subset"], cert["pivot_log"], cert["witness"]
+        _require(cert["verdict"] == "Full", f"certificate {sub} is not Full")
         try:
             replay_pivot_log([vectors[i] for i in sub], log, len(sub))
         except CertificationError as exc:

@@ -19,7 +19,6 @@ from oclab.certify import (
     density_certificate,
     density_certificates,
     free_set_extract,
-    greedy_separated_subset,
     hyperplane_cover,
     l1_lower_bound_certificate,
     pigeonhole_majority,
@@ -47,7 +46,6 @@ from oclab.linalg import (
     NormTag,
     dual_norm,
     exact_vector,
-    norm,
     null_vector,
     nullspace_exact,
     pairing,
@@ -118,14 +116,13 @@ def test_empty_subset_rejected():
 
 def _eliminated_one_by_one(vectors, subsets, d):
     """Each subset's certificate from its own rank_exact elimination."""
-    family = Matrix.from_rows(vectors)
     out = []
     for sub in subsets:
-        result = rank_exact(family, sub)
+        selected = Matrix.from_rows(vectors[i] for i in sub)
+        result = rank_exact(selected)
         if result.rank == d:
             out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
         else:
-            selected = Matrix.from_rows(vectors[i] for i in sub)
             out.append(DensityCertificate("Proper", result.rank, witness=null_vector(selected, (1,))))
     return out
 
@@ -493,66 +490,6 @@ def test_witness_single_member_is_vacuous():
     family = [unit_vector(i, 3) for i in range(3)]
     record = support_annihilator_witness(family, (1,), 1)
     assert record.vacuous
-
-
-# ---------------------------------------------------------------------------
-# greedy separated packing
-# ---------------------------------------------------------------------------
-
-
-def test_greedy_packing_l1_exact():
-    pts = [
-        exact_vector([0, 0]),
-        exact_vector(["1/4", 0]),     # too close to the first
-        exact_vector([1, 0]),
-        exact_vector([0, 1]),
-    ]
-    sel = greedy_separated_subset(pts, F(1, 2), NormTag.L1)
-    assert sel == (0, 2, 3)
-
-
-def test_greedy_packing_l2_uses_squared_comparisons():
-    pts = [unit_vector(i, 3) for i in range(3)]
-    pts.append(exact_vector([1, 0, 0]))
-    sel = greedy_separated_subset(pts, F(1), NormTag.L2)
-    assert sel == (0, 1, 2)  # distances sqrt(2) >= 1; duplicate of e0 rejected
-
-
-def test_greedy_packing_maximality():
-    rng = random.Random(88)
-    pts = [
-        exact_vector([F(rng.randrange(0, 8), 4) for _ in range(2)])
-        for _ in range(40)
-    ]
-    delta = F(3, 4)
-    sel = greedy_separated_subset(pts, delta, NormTag.L1)
-    chosen = set(sel)
-    for i, p in enumerate(pts):
-        if i in chosen:
-            continue
-        # every excluded point is blocked by an earlier selected one
-        assert any(norm(p - pts[j], NormTag.L1) < delta for j in sel if j < i)
-
-
-def test_greedy_packing_rejects_bad_delta():
-    with pytest.raises(DomainError):
-        greedy_separated_subset([exact_vector([0])], F(0), NormTag.L1)
-
-
-def test_greedy_packing_ball_cloud_respects_volume_bound():
-    from oclab.linalg import norm_squared
-
-    rng = random.Random(342)
-    pts = []
-    while len(pts) < 100:
-        v = exact_vector([F(rng.randrange(-16, 17), 16) for _ in range(3)])
-        if norm_squared(v) <= 1:
-            pts.append(v)
-    sel = greedy_separated_subset(pts, F(1, 2), NormTag.L2)
-    assert len(sel) <= 64
-    # packing sanity: balls of radius delta/2 around the selected points are
-    # disjoint and sit inside the 1 + delta/2 ball
-    assert (F(5, 4) ** 3) / (F(1, 4) ** 3) >= len(sel)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oclab.certify import greedy_separated_subset
 from oclab.constructors import (
     GeometricSchedule,
     IncompleteModel,
@@ -21,8 +20,6 @@ from oclab.constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
     verify_schedule,
-    _Members,
-    _fold,
     _onset,
 )
 from oclab.errors import (
@@ -45,6 +42,7 @@ from oclab.linalg import (
     unit_vector,
     zero_vector,
     _complement,
+    _extend,
     _state_null_vector,
 )
 from oclab.serialize import digest
@@ -166,8 +164,16 @@ def test_open_ball_rejects_nonpositive_radius():
 # ---------------------------------------------------------------------------
 
 
+def _prefix_state(vectors, d):
+    """The integer complement of ``vectors`` in R^d, skipping dependent ones."""
+    state = _complement(d)
+    for v in vectors:
+        state = _extend(state, v._ints[0]) or state
+    return state
+
+
 def test_riesz_l1_against_a_line():
-    step = riesz_step([exact_vector([1, 0])], F(1, 4), NormTag.L1, seed=5)
+    step = riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(1, 4), NormTag.L1, seed=5)
     x, f = step.x, step.functional
     assert x.coords == (F(0), F(1))
     assert f.coords == (F(0), F(1))
@@ -177,7 +183,7 @@ def test_riesz_l1_against_a_line():
 
 def test_riesz_dual_witness_contract_l1_linf():
     basis = [exact_vector([2, 1, 1]), exact_vector([0, 1, -1])]
-    step = riesz_step(basis, F(1, 8), NormTag.LINF, seed=9)
+    step = riesz_step(_prefix_state(basis, 3), F(1, 8), NormTag.LINF, seed=9)
     assert norm(step.x, NormTag.LINF) == 1
     for y in basis:
         assert pairing(step.functional, y) == 0
@@ -187,7 +193,7 @@ def test_riesz_dual_witness_contract_l1_linf():
 
 def test_riesz_l2_near_unit_and_orthogonal():
     basis = [unit_vector(0, 3), unit_vector(1, 3)]
-    step = riesz_step(basis, F(1, 10), NormTag.L2, seed=5)
+    step = riesz_step(_prefix_state(basis, 3), F(1, 10), NormTag.L2, seed=5)
     s2 = norm_squared(step.x)
     assert s2 <= 1
     assert 1 - s2 <= F(1, 10 ** 13)
@@ -199,32 +205,19 @@ def test_riesz_l2_near_unit_and_orthogonal():
 
 def test_riesz_rejects_spanning_basis():
     with pytest.raises(PreconditionError):
-        riesz_step([unit_vector(0, 2), unit_vector(1, 2)], F(1, 4), NormTag.L1)
+        riesz_step(_prefix_state([unit_vector(0, 2), unit_vector(1, 2)], 2), F(1, 4), NormTag.L1)
 
 
 def test_riesz_eps_domain():
     with pytest.raises(DomainError):
-        riesz_step([exact_vector([1, 0])], F(1), NormTag.L1)
+        riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(1), NormTag.L1)
     with pytest.raises(DomainError):
-        riesz_step([exact_vector([1, 0])], F(0), NormTag.L1)
+        riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(0), NormTag.L1)
 
 
-def test_riesz_empty_basis_needs_dim():
-    with pytest.raises(DomainError):
-        riesz_step([], F(1, 2), NormTag.L1)
-    step = riesz_step([], F(1, 2), NormTag.L1, seed=1, dim=3)
+def test_riesz_step_on_the_empty_prefix():
+    step = riesz_step(_complement(3), F(1, 2), NormTag.L1, seed=1)
     assert norm(step.x, NormTag.L1) == 1
-
-
-def test_riesz_dim_must_be_the_basis_dimension():
-    basis = [exact_vector([1, 0, 0])]
-    with pytest.raises(DomainError, match="dim=5"):
-        riesz_step(basis, F(1, 2), NormTag.L1, dim=5)
-    members = _Members(3)
-    members.append(basis[0])
-    with pytest.raises(DomainError, match="dim=2"):
-        riesz_step(members, F(1, 2), NormTag.LINF, dim=2)
-    assert riesz_step(basis, F(1, 2), NormTag.L1, dim=3) == riesz_step(basis, F(1, 2), NormTag.L1)
 
 
 _small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -232,10 +225,9 @@ _small_fraction = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 @st.composite
 def _riesz_prefixes(draw):
-    """(d, rows, reads): a rational prefix in R^d of rank at most r, for r
-    drawn from 0..d, mixing r random rows with zero, repeated, scaled and
-    dependent ones; ``reads`` marks the prefix lengths at which a carried
-    sequence folds its complement before the step."""
+    """(d, rows): a rational prefix in R^d of rank at most r, for r drawn
+    from 0..d, mixing r random rows with zero, repeated, scaled and
+    dependent ones."""
     d = draw(st.integers(1, 6))
     r = draw(st.integers(0, d))
     gens = [tuple(draw(_small_fraction) for _ in range(d)) for _ in range(r)]
@@ -251,23 +243,20 @@ def _riesz_prefixes(draw):
             s, t = draw(_small_fraction), (0 if kind == "scaled" else draw(_small_fraction))
             rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
     rows = draw(st.permutations(rows))
-    reads = draw(st.sets(st.integers(0, len(rows)), max_size=3))
-    return d, [exact_vector(row) for row in rows], reads
+    return d, [exact_vector(row) for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     prefix=_riesz_prefixes(),
     weights=st.lists(st.integers(1, 16) | _small_fraction, min_size=6, max_size=6),
-    tag=st.sampled_from([NormTag.L1, NormTag.L2, NormTag.LINF]),
-    seed=st.integers(0, 2 ** 16),
 )
-@example(prefix=(3, [], set()), weights=[1] * 6, tag=NormTag.L2, seed=0)
-@example(prefix=(2, [unit_vector(0, 2), unit_vector(1, 2)], {1}), weights=[1] * 6, tag=NormTag.L1, seed=0)
-def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights, tag, seed):
-    d, rows, reads = prefix
+@example(prefix=(3, []), weights=[1] * 6)
+@example(prefix=(2, [unit_vector(0, 2), unit_vector(1, 2)]), weights=[1] * 6)
+def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights):
+    d, rows = prefix
     weights = weights[:d]
-    state = _fold(_complement(d), rows)
+    state = _prefix_state(rows, d)
     free = d - len(state[1])
     if rows:
         basis = rref_nullspace([row.coords for row in rows])
@@ -282,21 +271,6 @@ def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights,
         assert found == expected
     else:
         assert expected is None
-    # the builder's carried sequence, folded at the marked lengths, against a plain list
-    members = _Members(d)
-    for k, row in enumerate(rows):
-        if k in reads:
-            members.complement()
-        members.append(row)
-    assert members[1:] == rows[1:] and len(members) == len(rows)
-    if not free:
-        for basis_arg in (rows, members):
-            with pytest.raises(PreconditionError):
-                riesz_step(basis_arg, F(1, 10), tag, seed=seed, dim=d)
-        return
-    plain = riesz_step(rows, F(1, 10), tag, seed=seed, dim=d)
-    carried = riesz_step(members, F(1, 10), tag, seed=seed, dim=d)
-    assert carried == plain
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,7 +287,6 @@ def test_separated_family_spans_and_separates(tag, d, eps, seed):
     assert len(fam) == d
     assert rank_exact(Matrix.from_rows(fam)).rank == d
     lower = 1 - eps
-    assert greedy_separated_subset(fam, lower, tag) == tuple(range(d))
     for i, j in itertools.combinations(range(d), 2):
         diff = fam[i] - fam[j]
         if tag is NormTag.L2:
@@ -324,27 +297,32 @@ def test_separated_family_spans_and_separates(tag, d, eps, seed):
 
 def _break_riesz_step(monkeypatch, at, broken):
     """Replace the step against ``at`` earlier members by ``broken(real,
-    made, basis, eps, tag, seed, dim)``, where ``made`` is what the real
-    step returned; every other step is the real one."""
+    made, members, eps, tag, seed)``, where ``made`` is what the real step
+    returned and ``members`` the earlier steps' vectors; every other step
+    is the real one."""
     import oclab.constructors as constructors_mod
 
     real = constructors_mod.riesz_step
+    members = []
 
-    def step(basis, eps, tag, seed=0, dim=None):
-        made = real(basis, eps, tag, seed=seed, dim=dim)
-        return broken(real, made, basis, eps, tag, seed, dim) if len(basis) == at else made
+    def step(state, eps, tag, seed=0):
+        made = real(state, eps, tag, seed=seed)
+        if len(members) == at:
+            made = broken(real, made, members, eps, tag, seed)
+        members.append(made.x)
+        return made
 
     monkeypatch.setattr(constructors_mod, "riesz_step", step)
 
 
-def _skips_first_member(real, made, basis, eps, tag, seed, dim):
+def _skips_first_member(real, made, members, eps, tag, seed):
     # a genuine Riesz step against all earlier members but the first
-    step = real(basis[1:], eps, tag, seed=seed, dim=dim)
-    assert pairing(step.functional, basis[0]) != 0
+    step = real(_prefix_state(members[1:], made.x.dim), eps, tag, seed=seed)
+    assert pairing(step.functional, members[0]) != 0
     return step
 
 
-def _pairs_at_the_bound(real, made, basis, eps, tag, seed, dim):
+def _pairs_at_the_bound(real, made, members, eps, tag, seed):
     # f(x) = (1 - eps) * ||f||_* exactly: x scaled down from f(x) = ||f||_* = 1
     f = made.functional
     x = exact_vector((1 - eps) * c for c in made.x.coords)
@@ -352,15 +330,15 @@ def _pairs_at_the_bound(real, made, basis, eps, tag, seed, dim):
     return RieszStep(x, f)
 
 
-def _l2_at_the_bound(real, made, basis, eps, tag, seed, dim):
+def _l2_at_the_bound(real, made, members, eps, tag, seed):
     # the L2 analogue on the first step: ||f|| = 1 and f(x) = 1 - eps
-    f = exact_vector([F(3, 5), F(4, 5)] + [0] * (dim - 2))
+    f = exact_vector([F(3, 5), F(4, 5)] + [0] * (made.x.dim - 2))
     x = exact_vector((1 - eps) * c for c in f.coords)
     assert pairing(f, x) ** 2 == (1 - eps) ** 2 * norm_squared(f)
     return RieszStep(x, f)
 
 
-def _l2_pairs_negative(real, made, basis, eps, tag, seed, dim):
+def _l2_pairs_negative(real, made, members, eps, tag, seed):
     # f(x)^2 is large, but f(x) < 0
     x = exact_vector(-c for c in made.x.coords)
     return RieszStep(x, made.functional)

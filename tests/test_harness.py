@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oclab.certify import DensityCertificate
 from oclab.cli import main
 from oclab.errors import CertificationError, ConfigError, OclabError, ScheduleError
 from oclab.harness import (
@@ -25,6 +27,7 @@ from oclab.harness import (
     run_scenario,
     scenario_schema,
 )
+from oclab.linalg import exact_vector
 from oclab.serialize import canonical_json, digest, to_jsonable
 
 KLEE_KV = """
@@ -229,6 +232,37 @@ def test_klee_refuses_an_elimination_determinant_off_the_product_formula(monkeyp
     monkeypatch.setattr(harness_mod, "_vandermonde_int", lambda nodes: product(nodes) + 1)
     with pytest.raises(CertificationError, match=r"product formula on \(0, 1, 2\)"):
         run_scenario("klee", parse_config(KLEE_KV))
+
+
+def _forge_first_klee_certificate(monkeypatch, forge):
+    """Make the klee runner's density_certificates hand back ``forge(cert)``
+    in place of its first certificate, the one of subset (0, 1, 2)."""
+    import oclab.harness as harness_mod
+
+    real = harness_mod.density_certificates
+
+    def forged(vectors, subsets, d):
+        first, *rest = real(vectors, subsets, d)
+        return [forge(first), *rest]
+
+    monkeypatch.setattr(harness_mod, "density_certificates", forged)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda cert: DensityCertificate("Proper", 2, witness=exact_vector([1, 0, 0])),
+        lambda cert: dataclasses.replace(cert, det=cert.det + F(1, 10**9)),
+    ],
+    ids=["proper", "perturbed-det"],
+)
+def test_klee_refuses_a_certificate_that_is_not_full_with_the_product_determinant(monkeypatch, tmp_path, forge):
+    _forge_first_klee_certificate(monkeypatch, forge)
+    with pytest.raises(CertificationError, match=r"not Full with the determinant of the product formula on \(0, 1, 2\)"):
+        run_scenario("klee", parse_config(KLEE_KV))
+    result = _invoke(["klee", "--config", _write(tmp_path, KLEE_KV)])
+    assert result.exit_code == 4
+    assert "(0, 1, 2)" in result.output
 
 
 def test_seed_override_lands_in_report():
@@ -902,21 +936,18 @@ def test_free_set_guard_ignores_max_deg_when_the_map_does_not_draw():
 
 
 @pytest.mark.parametrize("tag", ["L1", "L2", "Linf"])
-def test_separated_packs_nothing_again_and_the_witness_holds(monkeypatch, tag):
-    import oclab.certify as certify_mod
-    from oclab.certify import greedy_separated_subset
+def test_separated_packs_nothing_again_and_the_witness_holds(tag):
+    # the run measures no pair; the verifier measures every one from the report
+    from oclab.verify import check_separated
 
-    calls = _count_calls(monkeypatch, certify_mod, "greedy_separated_subset")
     report = run_scenario("separated", {"d": "5", "eps": "1/10", "tag": tag})
-    assert calls == []
     (sep,) = [c for c in report.certificates if c["kind"] == "separation"]
-    vectors = report.constructed["vectors"]
     assert sep["witness"] == {"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True}
-    assert greedy_separated_subset(vectors, F(9, 10), tag) == tuple(range(len(vectors)))
+    check_separated(json.loads(emit_report(report)), None)
 
 
 # the builder carries its members' complement, extending it once per
-# member that a later step reads: d-1 extensions.  L2 and Linf families
+# member but the last: d-1 extensions.  L2 and Linf families
 # have nonzero leading minors, so the spot density certificate is then the
 # walk's d steps alone; L1's permutation family leaves the diagonal at its
 # second row and is then eliminated once, column by column, by rank_exact
@@ -932,12 +963,10 @@ def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag, steps,
     rank_calls = _count_calls(monkeypatch, linalg_mod, "rank_exact")
     null_vectors = _count_calls(monkeypatch, linalg_mod, "null_vector")
     mod_p = _count_calls(monkeypatch, linalg_mod, "_pivots_mod_p")
-    distances = _count_calls(monkeypatch, linalg_mod, "_distance_sign")
     report = run_scenario("separated", {"d": "6", "tag": tag})
     assert len(extends) == steps
     assert len(rank_calls) == ranks
     assert null_vectors == [] and mod_p == []
-    assert distances == []
     assert [c["kind"] for c in report.certificates] == ["separation", "density"]
 
 

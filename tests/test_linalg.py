@@ -24,13 +24,12 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
-    _distance_sign,
     _extend,
     _int_numerators,
 )
 from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
-from oclab.constructors import IncompleteModel, incomplete_space_sequence, klee_vectors
+from oclab.constructors import IncompleteModel, OpenBall, incomplete_space_sequence, klee_vectors
 
 from oracles import (
     cofactor_det,
@@ -76,13 +75,12 @@ def test_norms_on_simple_vector():
     assert norm_squared(v) == 25
 
 
-def test_distance_sign_compares_exactly_under_each_tag():
+def test_open_ball_compares_squared_distances_at_the_boundary():
     u, origin = exact_vector(["3/5", "4/5"]), exact_vector([0, 0])
-    assert _distance_sign(u, origin, F(1), NormTag.L2) == 0  # by squares: 1 == 1
-    assert _distance_sign(u, origin, F(1), NormTag.L1) == 1  # 7/5
-    assert _distance_sign(u, origin, F(1), NormTag.LINF) == -1  # 4/5
-    assert _distance_sign(origin, u, F(99, 100), NormTag.L2) == 1
-    assert _distance_sign(u, origin, F(7, 5), NormTag.L1) == 0
+    assert not OpenBall(origin, F(1)).contains(u)  # by squares: 1 == 1, on the sphere
+    assert not OpenBall(u, F(1)).contains(origin)
+    assert not OpenBall(u, F(99, 100)).contains(origin)
+    assert OpenBall(u, F(1001, 1000)).contains(origin)
 
 
 def test_exact_l2_norm_raises_mode_error():
@@ -495,13 +493,13 @@ def test_integer_vandermonde_equals_the_termwise_fraction_product(case):
 def test_submatrix_rank_equals_the_rank_of_the_submatrix_built_alone(pair, data):
     rows = [exact_vector(r) for r in pair]
     rows += [exact_vector([a - b for a, b in zip(*pair)])]
-    M = Matrix.from_rows(rows)
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
-    assert rank_exact(M, picks) == rank_exact(Matrix.from_rows([rows[i] for i in picks]))
-    assert rank_exact(M, picks) == rank_exact(M, picks)  # the rows' cached integer forms
-    for bad in ([], [len(rows)], [-1]):
-        with pytest.raises(DomainError):
-            rank_exact(M, bad)
+    shared = Matrix.from_rows([rows[i] for i in picks])
+    alone = Matrix.from_rows([exact_vector(rows[i].coords) for i in picks])
+    assert rank_exact(shared) == rank_exact(alone)
+    assert rank_exact(shared) == rank_exact(shared)  # the rows' cached integer forms
+    with pytest.raises(DomainError):
+        Matrix.from_rows([])
 
 
 @given(_vector_pairs())

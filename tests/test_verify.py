@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -124,6 +125,49 @@ def _duplicate_member_0(record):
     vectors[1] = list(vectors[0])
 
 
+def _klee_proper(record):
+    # subset [0, 1, 3] claimed singular, with a witness and no pivot log to replay
+    cert = record["certificates"][1]
+    cert.update(verdict="Proper", witness=["1", "0", "0"], pivot_log=None)
+
+
+def _shift_the_curve(record):
+    # every point (1, l) moved to (1, l + 1/7): each pair's determinant is the
+    # same, so only the pivot logs are re-derived
+    vectors = record["constructed"]["vectors"]
+    for v in vectors:
+        v[1] = str(F(v[1]) + F(1, 7))
+    for cert in record["certificates"]:
+        rows = [[F(x) for x in vectors[i]] for i in cert["subset"]]
+        (s0, s1) = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        cert["pivot_log"]["row_scales"] = [s0, s1]
+        a, b = ([int(x * s) for x in row] for row, s in zip(rows, (s0, s1)))
+        cert["pivot_log"]["steps"] = [[0, 0, a[0]], [1, 1, a[0] * b[1] - a[1] * b[0]]]
+
+
+def _repeat_a_node(record):
+    params = record["params"]
+    params["lambdas"] = params["lambdas"].replace("3/10", "1/10")
+
+
+def _move_g3(record):
+    # g_3 moved by 10^-9 in its first coordinate, its distance re-derived
+    params, g = record["params"], record["constructed"]["vectors"][3]
+    g[0] = str(F(g[0]) + F(1, 10**9))
+    c, rho = F(params["c"]), F(params["rho"])
+    distance = sum(abs(c * rho**n - F(x)) for n, x in enumerate(g)) + c * rho ** len(g) / (1 - rho)
+    record["certificates"][3]["witness"]["distance"] = str(distance)
+
+
+def _zero_the_basis(record):
+    # every member zero, so the sequence seems to converge in norm to the zero limit
+    (cert,) = record["certificates"]
+    witness, vectors = cert["witness"], record["constructed"]["vectors"]
+    record["constructed"]["vectors"] = [["0"] * len(v) for v in vectors]
+    witness["coord_sups"] = witness["norm_gaps"] = ["0"] * len(vectors)
+    cert["verdict"] = witness["classification"] = "norm-convergent"
+
+
 TAMPERS = {
     "sampled-min": ("sliding-hump", _set(["certificates", 0, "witness", "sampled_min"], _bump),
                     "check_samples", "sampled_min is not the smallest sampled norm"),
@@ -137,6 +181,13 @@ TAMPERS = {
                      "check_klee", r"an exhaustive report does not certify the C\(5, 3\) subsets in order"),
     "klee-wrapped": ("klee-d3", _wrap_subset_0,
                      "check_klee", r"subset \[-5, -4, -3\] is not 3 increasing indices below 5"),
+    "klee-proper": ("klee-d3", _klee_proper, "check_klee", r"certificate \[0, 1, 3\] is not Full"),
+    "klee-repeated-node": ("klee", _repeat_a_node, "check_klee", "the lambdas are not distinct"),
+    "klee-shifted-curve": ("klee", _shift_the_curve, "check_klee", r"the vectors are not the lambdas' \(1, l"),
+    "incomplete-moved-member": ("incomplete", _move_g3,
+                                "check_approximation_bounds", "the vectors are not g_0..g_28"),
+    "probe-basis-zeros": ("probe-basis", _zero_the_basis,
+                          "check_probe", "the vectors are not the basis sequence for K = 10"),
     "incomplete-distance": ("incomplete", _set(["certificates", 3, "witness", "distance"], _bump),
                             "check_approximation_bounds", "distance of g_3 is not"),
     "incomplete-bound": ("incomplete", _set(["certificates", 7, "witness", "bound"], _bump),
