@@ -788,13 +788,14 @@ class Report:
         """The canonical text of each certificate, written once per report."""
         return tuple(map(canonical_json, self.certificates))
 
-    def _text(self, **extra) -> str:
-        """The canonical JSON of the record and ``extra``, with each
-        certificate spliced in from its text."""
-        return canonical_json_spliced({**self._record(), **extra}, "certificates", self.certificate_texts)
+    @cached_property
+    def canonical_text(self) -> str:
+        """The canonical JSON of the record, with each certificate spliced
+        in from its text; written once per report."""
+        return canonical_json_spliced(self._record(), "certificates", self.certificate_texts)
 
     def canonical_bytes(self) -> bytes:
-        return self._text().encode("utf-8")
+        return self.canonical_text.encode("utf-8")
 
 
 def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: Optional[float] = None) -> Report:
@@ -836,7 +837,8 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
 def emit_report(report: Report, fmt: str = "json") -> str:
     """Render a report: canonical JSON plus wall time, or flat CSV."""
     if fmt == "json":
-        return report._text(wall_time_s=report.wall_time_s)
+        # "wall_time_s" sorts after every record key, so it closes the text
+        return report.canonical_text[:-1] + ',"wall_time_s":' + canonical_json(report.wall_time_s) + "}"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -37,15 +37,17 @@ the klee runner also takes per subset over nodes scaled once.
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
-columns and rows mod the prime 2^61 - 1 and solves only the square pivot
-block exactly (:func:`_block_solve`).  It scales the block's columns,
-not its rows, to integers, which keeps entries and determinant small
-when denominators grow along the columns (as in the incomplete model),
-and solves it with one forward Bareiss pass and exact back-substitution
+columns and rows mod the prime 2^61 - 1, one column at a time up to the
+last pivot, and solves only the square pivot block exactly
+(:func:`_block_solve`).  It scales the block's columns, not its rows, to
+integers, which keeps entries and determinant small when denominators
+grow along the columns (as in the incomplete model), and solves it with
+one forward Bareiss pass and exact back-substitution
 (:func:`_bareiss_solve`).  It then checks every row exactly: a pivot row
 that fails is a solver fault and raises, and another row that fails
 means the prime hid part of the rank, so the same block solve runs again
-on the exact pivots of :func:`rank_exact`'s log.
+on the exact pivots, found on the column-scaled integers
+(:func:`_exact_pivots`).
 :func:`nullspace_exact` solves on those exact pivots too, once, with the
 identity on the free columns as its right-hand sides.  A complement
 state's free coordinates are the reduced row echelon form's, so the same
@@ -341,26 +343,28 @@ def _pivots_mod_p(rows: list, ncols: int) -> tuple:
     :data:`_PRIME`; also the rows left over.
 
     Columns are scanned in order and each pivot row is the lowest-index
-    unused row with a nonzero reduced entry.  Over GF(p) the rank can
-    only be lower than over Q, never higher.
+    unused row with a nonzero reduced entry.  Only the scanned column is
+    reduced, by replaying each earlier pivot step's row and factors, so
+    no column past the last pivot is read.  Over GF(p) the rank can only
+    be lower than over Q, never higher.
     """
-    red = [[x % _PRIME for x in row] for row in rows]
-    pivots, pivot_rows = [], []
+    pivots, pivot_rows, steps = [], [], []
     rest = list(range(len(rows)))
     for col in range(ncols):
         if not rest:
             break
-        k = next((k for k, i in enumerate(rest) if red[i][col]), None)
+        red = [row[col] % _PRIME for row in rows]
+        for i_p, factors in steps:
+            y = red[i_p]
+            if y:
+                for i, f in factors:
+                    red[i] = (red[i] - f * y) % _PRIME
+        k = next((k for k, i in enumerate(rest) if red[i]), None)
         if k is None:
             continue
         i_p = rest.pop(k)
-        prow = red[i_p]
-        inv = pow(prow[col], -1, _PRIME)
-        for i in rest:
-            c = red[i][col]
-            if c:
-                f = c * inv % _PRIME
-                red[i] = [(x - f * y) % _PRIME for x, y in zip(red[i], prow)]
+        inv = pow(red[i_p], -1, _PRIME)
+        steps.append((i_p, [(i, red[i] * inv % _PRIME) for i in rest if red[i]]))
         pivots.append(col)
         pivot_rows.append(i_p)
     return pivots, pivot_rows, rest
@@ -373,11 +377,11 @@ def _bareiss_solve(block: list, columns: list) -> tuple:
     One forward Bareiss pass over the rows augmented by every column:
     column k pivots on the lowest remaining row with a nonzero entry, and
     every update divides exactly by the pivot before it, so every entry
-    stays a minor.  Exact back-substitution of each column then gives
-    (det, sols) with det * z = sol in integers for each column's sol,
-    det being the last pivot (the block's determinant up to sign).  A
-    singular block, or a back-substitution step that does not divide
-    exactly, raises :class:`~oclab.errors.CertificationError`.
+    stays a minor.  Back-substitution of each column then gives (det,
+    sols) with det * z = sol in integers for each column's sol, det being
+    the last pivot (the block's determinant up to sign); each step
+    divides exactly, since det * z_i is a Cramer minor.  A singular block
+    raises :class:`~oclab.errors.CertificationError`.
     """
     r = len(block)
     rows = [row + [b[i] for b in columns] for i, row in enumerate(block)]
@@ -400,10 +404,7 @@ def _bareiss_solve(block: list, columns: list) -> tuple:
         sol = [0] * r
         for i in reversed(range(r)):
             row = rows[i]
-            q, rem = divmod(det * row[b] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :])), row[i])
-            if rem:
-                raise CertificationError("fraction-free back-substitution lost exactness")
-            sol[i] = q
+            sol[i] = (det * row[b] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :]))) // row[i]
         sols.append(sol)
     return det, sols
 
@@ -451,8 +452,10 @@ def _block_solve(M: Matrix, pivots: list, pivot_rows: list, weight_rows: list) -
 
 def _exact_pivots(M: Matrix) -> tuple:
     """The pivot columns (the reduced row echelon form's) and pivot rows
-    of :func:`rank_exact`'s log."""
-    steps = rank_exact(M).log.steps
+    of :func:`rank_exact`'s log, found on the column-scaled integers,
+    which stay small: positive row and column scalings move no pivot."""
+    columns = [_int_numerators(c)[0] for c in zip(*(r.coords for r in M.rows))]
+    steps = _rank_int(list(zip(*columns)), (1,) * M.nrows).log.steps
     return [j for _, j, _ in steps], [i for i, _, _ in steps]
 
 
@@ -480,8 +483,10 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
     form this is ``sum(w * b for w, b in zip(weights, nullspace_exact(M)))``,
     found without the basis:
 
-    1. eliminate the row-scaled integer rows mod the prime 2^61 - 1 for
-       the pivot columns P and pivot rows R (milliseconds);
+    1. eliminate the row-scaled integer rows mod the prime 2^61 - 1,
+       one column at a time and reducing only that column, for the
+       pivot columns P and pivot rows R; no column past the last pivot
+       is read (milliseconds);
     2. solve the square system on the block A[R,P] with x_F = weights on
        the free columns F (:func:`_block_solve`, which scales the block's
        columns to integers).  A block that is nonsingular mod p is

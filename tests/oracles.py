@@ -3,8 +3,9 @@
 Everything here is deliberately naive: cofactor expansion instead of
 elimination, textbook normal equations instead of QR, bitmask
 enumeration instead of greedy search, Fraction sums term by term and
-Fraction row reduction instead of integers over a common denominator.  Slow is fine; different is the
-point.
+Fraction row reduction instead of integers over a common denominator,
+whole rows rewritten instead of one column at a time.  Slow is fine;
+different is the point.
 """
 
 from fractions import Fraction
@@ -78,6 +79,33 @@ def weighted_combination(weights, basis):
         sum((Fraction(w) * b[k] for w, b in zip(weights, basis)), Fraction(0))
         for k in range(len(basis[0]))
     )
+
+
+def pivots_mod_p_by_rows(rows, ncols, prime=(1 << 61) - 1):
+    """Pivot columns, pivot rows and left-over rows of integer rows mod
+    ``prime``, reducing every entry up front and rewriting each remaining
+    row across all columns at every pivot; the lowest unused row with a
+    nonzero reduced entry pivots."""
+    red = [[x % prime for x in row] for row in rows]
+    pivots, pivot_rows = [], []
+    rest = list(range(len(rows)))
+    for col in range(ncols):
+        if not rest:
+            break
+        k = next((k for k, i in enumerate(rest) if red[i][col]), None)
+        if k is None:
+            continue
+        i_p = rest.pop(k)
+        prow = red[i_p]
+        inv = pow(prow[col], -1, prime)
+        for i in rest:
+            c = red[i][col]
+            if c:
+                f = c * inv % prime
+                red[i] = [(x - f * y) % prime for x, y in zip(red[i], prow)]
+        pivots.append(col)
+        pivot_rows.append(i_p)
+    return pivots, pivot_rows, rest
 
 
 def termwise_pairing(f, v):

@@ -431,6 +431,8 @@ def test_spliced_reports_equal_the_one_shot_encoding(name):
     report = run_scenario(name, dict(SMOKE[name][0]))
     payload = emit_report(report)
     assert payload == canonical_json({**report._record(), "wall_time_s": report.wall_time_s})
+    # "wall_time_s" sorts after every record key, so it closes the payload
+    assert payload.endswith(f',"wall_time_s":{report.wall_time_s!r}}}')
     record = json.loads(payload)
     record.pop("wall_time_s")
     assert canonical_json(record) == _one_shot(report)
@@ -814,6 +816,45 @@ def test_incomplete_solves_its_annihilator_block_once(monkeypatch):
     ks = ",".join(str(k) for k in range(6, 29))
     run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
     assert (len(null_vectors), len(mod_p), len(bases), len(exact_ranks)) == (1, 1, 0, 0)
+
+
+def test_incomplete_never_takes_the_exact_pivots(monkeypatch):
+    import oclab.linalg as linalg_mod
+
+    fallbacks = _count_calls(monkeypatch, linalg_mod, "_exact_pivots")
+    ks = ",".join(str(k) for k in range(6, 29))
+    run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
+    assert fallbacks == []
+
+
+def test_a_report_writes_its_canonical_text_once(monkeypatch):
+    """emit_report and canonical_bytes() share one spliced encoding."""
+    import oclab.serialize as serialize_mod
+
+    splices = _count_calls(monkeypatch, serialize_mod, "canonical_json_spliced")
+    report = run_scenario("incomplete", dict(SMOKE["incomplete"][0]))
+    payload = emit_report(report)
+    assert payload.startswith(report.canonical_bytes().decode("utf-8")[:-1])
+    assert emit_report(report) == payload
+    assert len(splices) == 1
+
+
+def test_sliding_hump_refuses_extracted_tails_that_overlap(monkeypatch):
+    """An extraction that picks one member twice hands the lower-bound
+    chain two equal tails; its disjointness step names the second pick."""
+    import oclab.harness as harness_mod
+
+    extract = harness_mod.sliding_hump_extract
+
+    def repeated_pick(family, eps):
+        data = extract(family, eps)
+        return dataclasses.replace(
+            data, members=data.members[:1] * 2, cuts=data.cuts[:1] * 2, extracted=data.extracted[:1] * 2
+        )
+
+    monkeypatch.setattr(harness_mod, "sliding_hump_extract", repeated_pick)
+    with pytest.raises(CertificationError, match="scenario 'sliding-hump': chain step \"disjoint tails\" failed at pick 1"):
+        run_scenario("sliding-hump", dict(SMOKE["sliding-hump"][0]))
 
 
 def test_cover_grid_computes_its_cover_once(monkeypatch):

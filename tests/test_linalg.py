@@ -24,8 +24,10 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
+    _exact_pivots,
     _extend,
     _int_numerators,
+    _pivots_mod_p,
 )
 from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
@@ -33,6 +35,7 @@ from oclab.constructors import IncompleteModel, OpenBall, incomplete_space_seque
 
 from oracles import (
     cofactor_det,
+    pivots_mod_p_by_rows,
     rref_nullspace,
     rref_rank,
     termwise_l1,
@@ -305,12 +308,17 @@ def _combination(weights, basis):
     return tuple(sum((w * b.coords[k] for w, b in zip(weights, basis)), F(0)) for k in range(n))
 
 
-def test_null_vector_is_the_seeded_combination_of_the_basis():
-    """The incomplete K=28 matrix: 24 rows, 98 columns, nullity 74."""
+def _incomplete_k28():
+    """The incomplete K=28 matrix: g_6, ..., g_28 and y's truncation, 24
+    rows over 98 columns."""
     model = IncompleteModel(F(1, 2), F(1, 2))
     _, sequence = incomplete_space_sequence(model, 28)
-    rows = [sequence[k] for k in range(6, 29)] + [model.y_truncation(sequence[0].dim)]
-    M = Matrix.from_rows(rows)
+    return Matrix.from_rows([sequence[k] for k in range(6, 29)] + [model.y_truncation(sequence[0].dim)])
+
+
+def test_null_vector_is_the_seeded_combination_of_the_basis():
+    """The incomplete K=28 matrix: 24 rows, 98 columns, nullity 74."""
+    M = _incomplete_k28()
     rng = random.Random(2026)
     weights = [rng.randrange(1, 17) for _ in range(M.ncols)]
     basis = nullspace_exact(M)
@@ -396,6 +404,102 @@ def test_null_vector_annihilates_every_row(case):
         return
     assert any(v.coords)
     assert all(pairing(row, v) == 0 for row in M.rows)
+
+
+@st.composite
+def _integer_rows(draw):
+    """Integer rows with entries in -3..3, +-p, 2p and p+1, some rows
+    combinations of others, some columns zero, and m > n allowed."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(m)]
+    for t in range(1, m):
+        if draw(st.booleans()):  # a dependent row
+            a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            u, v = rows[draw(st.integers(0, t - 1))], rows[draw(st.integers(0, t - 1))]
+            rows[t] = [a * x + b * y for x, y in zip(u, v)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = 0
+    return draw(st.permutations(rows)), n
+
+
+@given(_integer_rows())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_columnwise_pivot_search_equals_the_row_reference(case):
+    rows, n = case
+    assert _pivots_mod_p(rows, n) == tuple(pivots_mod_p_by_rows(rows, n))
+
+
+class _RowUpTo:
+    """An integer row whose entries past column ``last`` raise when read."""
+
+    def __init__(self, entries, last):
+        self.entries, self.last = entries, last
+
+    def __getitem__(self, j):
+        if j > self.last:
+            raise AssertionError(f"column {j} read past the last pivot {self.last}")
+        return self.entries[j]
+
+
+@pytest.mark.parametrize(
+    "rows, last",
+    [
+        ([[0, 1, 5, 7], [0, 2, 3, 9]], 2),
+        ([[P61, 1, 4, 0, 2], [0, 3, 1, 1, 5], [2 * P61, 0, 0, 8, 1]], 3),
+    ],
+    ids=["zero-first-column", "prime-multiples"],
+)
+def test_columnwise_pivot_search_reads_no_column_past_the_last_pivot(rows, last):
+    guarded = [_RowUpTo(r, last) for r in rows]
+    found = _pivots_mod_p(guarded, len(rows[0]))
+    assert found == tuple(pivots_mod_p_by_rows(rows, len(rows[0])))
+    assert found[0][-1] == last and found[2] == []
+
+
+def test_incomplete_pivot_search_stops_at_its_24th_column():
+    """The incomplete K=28 matrix: 24 rows, 98 columns, pivots 0 to 23."""
+    rows = [v._ints[0] for v in _incomplete_k28().rows]
+    found = _pivots_mod_p([_RowUpTo(r, 23) for r in rows], 98)
+    assert found == tuple(pivots_mod_p_by_rows(rows, 98)) == (list(range(24)), list(range(24)), [])
+
+
+def _drop_last_pivot(pivots, pivot_rows, *rest):
+    """A pivot search that missed its last pivot, as if the prime hid it."""
+    if rest:
+        return pivots[:-1], pivot_rows[:-1], sorted(rest[0] + pivot_rows[-1:])
+    return pivots[:-1], pivot_rows[:-1]
+
+
+def test_a_singular_pivot_block_raises_in_the_incomplete_run(monkeypatch):
+    """A pivot search that repeats a row hands the block solve a singular
+    block; the run refuses it rather than solve it."""
+    import oclab.linalg as linalg_mod
+    from oclab.harness import run_scenario
+
+    search = linalg_mod._pivots_mod_p
+
+    def repeated_row(rows, ncols):
+        pivots, pivot_rows, rest = search(rows, ncols)
+        return pivots, pivot_rows[:-1] + pivot_rows[:1], rest
+
+    monkeypatch.setattr(linalg_mod, "_pivots_mod_p", repeated_row)
+    with pytest.raises(CertificationError, match="scenario 'incomplete': the pivot block is singular over Q"):
+        run_scenario("incomplete", {"K": "14", "ks": "6,10,14", "j_max": "2"})
+
+
+def test_exact_pivots_that_miss_the_rank_raise_in_the_incomplete_run(monkeypatch):
+    """Mod p the last pivot is missed, so the incomplete run falls back to
+    the exact pivots; when those miss it too, the dropped row fails and
+    the run raises rather than return a vector that fails it."""
+    import oclab.linalg as linalg_mod
+    from oclab.harness import run_scenario
+
+    search, exact = linalg_mod._pivots_mod_p, linalg_mod._exact_pivots
+    monkeypatch.setattr(linalg_mod, "_pivots_mod_p", lambda rows, n: _drop_last_pivot(*search(rows, n)))
+    monkeypatch.setattr(linalg_mod, "_exact_pivots", lambda M: _drop_last_pivot(*exact(M)))
+    with pytest.raises(CertificationError, match="scenario 'incomplete': the exact pivot block's solution fails a row"):
+        run_scenario("incomplete", {"K": "14", "ks": "6,10,14", "j_max": "2"})
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +684,14 @@ def test_null_vector_with_column_graded_denominators_is_the_rref_combination(cas
         assert v is None
         return
     assert v.coords == weighted_combination(weights, basis)
+
+
+@given(st.one_of(_deficient_rows(), _column_graded_rows().map(lambda case: case[0])))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_exact_pivots_of_the_column_scaled_integers_are_the_logged_ones(rows):
+    M = Matrix.from_rows([exact_vector(r) for r in rows])
+    steps = rank_exact(M).log.steps
+    assert _exact_pivots(M) == ([j for _, j, _ in steps], [i for i, _, _ in steps])
 
 
 def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch):
