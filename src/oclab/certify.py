@@ -225,10 +225,6 @@ class CoverResult:
 
 def hyperplane_cover(S: Sequence[Vector], H: Sequence[HyperplaneFunctional]) -> CoverResult:
     """Assign each point a containing hyperplane, or exhibit an escapee."""
-    if not H:
-        raise DomainError("need at least one hyperplane")
-    if not S:
-        raise DomainError("need at least one point")
     assignment = []
     for idx, s in enumerate(S):
         pairings = [pairing(h.coeffs, s) for h in H]
@@ -279,8 +275,6 @@ def free_set_extract(n: int, f: Sequence[Iterable[int]]) -> tuple:
     member's image contains it, so each member's image misses the members
     before it and after it.  Optimality is not claimed.
     """
-    if n < 1:
-        raise DomainError("ground set must be nonempty")
     fsets = [frozenset(x) for x in f]
     if len(fsets) != n:
         raise DomainError(f"the map must be total on [0, {n})")
@@ -327,8 +321,6 @@ def support_annihilator_witness(family: Sequence[Vector], H: Iterable[int], gamm
     for a in H:
         if a == gamma:
             continue
-        if family[a].dim != dim:
-            raise DomainError(f"dimension mismatch: {dim} vs {family[a].dim}")
         p = family[a].coords[gamma]
         if p != 0:
             raise CertificationError(
@@ -373,10 +365,8 @@ def coefficient_samples(m: int, count: int, seed: int = 0) -> list:
     generator's ``getrandbits``; the draws are the stream that
     ``randrange(0, 1 << 16)`` gives on CPython 3.10-3.12.  A point whose
     draws are all zero is drawn again."""
-    if m < 1:
-        raise DomainError("need at least one coefficient slot")
-    if count < 1:
-        raise DomainError("need at least one sample")
+    if m < 1 or count < 1:
+        raise DomainError(f"need at least one coefficient slot and one sample, got m={m}, count={count}")
     samples = []
     for j in range(m):
         for sgn in (1, -1):
@@ -483,8 +473,6 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
             )
         if best is None or total * best[1] < best[0] * d_a:
             best = (total, d_a)
-    if best is None:
-        raise DomainError("need at least one coefficient sample")
     sampled_min = Fraction(best[0], best[1] * den)
     return L1EquivalenceCertificate(
         constant=constant,
@@ -568,18 +556,12 @@ def annihilator_decay_check(
     elimination); they are reported, not asserted.
     """
     ks = tuple(sorted(set(int(k) for k in ks)))
-    if not ks:
-        raise DomainError("need at least one subsequence index")
     if ks[0] < 0 or ks[-1] >= len(sequence):
         raise DomainError("subsequence index out of range")
     dim = sequence[0].dim
-    if j_max < 0 or j_max >= dim:
-        raise DomainError(f"j_max must lie in [0, {dim})")
     tau = tau if isinstance(tau, float) else Fraction(tau)
     reports = []
     for e in functionals:
-        if e.dim != dim:
-            raise DomainError("functional dimension mismatch")
         for k in ks:
             if pairing(e, sequence[k]):
                 raise PreconditionError(
@@ -645,8 +627,6 @@ def weak_norm_convergence_probe(
 
     Both are read from the integer forms: a/dv - b/dl = (a*dl - b*dv)/(dv*dl).
     """
-    if not sequence:
-        raise DomainError("need a nonempty sequence")
     dim = limit.dim
     if window < 1 or window > dim:
         raise DomainError(f"window must lie in [1, {dim}]")

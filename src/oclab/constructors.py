@@ -80,11 +80,7 @@ def klee_vectors(lambdas: Sequence, d: int) -> tuple:
     Any d of them form a nonsingular node matrix, which is what makes
     every equinumerous subfamily linearly dense at truncation scale.
     """
-    if d < 1:
-        raise DomainError("truncation dimension must be positive")
     lams = tuple(Fraction(x) for x in lambdas)
-    if not lams:
-        raise DomainError("need at least one node")
     half = Fraction(1, 2)
     for lam in lams:
         if not (0 < lam < half):
@@ -113,8 +109,6 @@ class OpenBall:
 
     def contains(self, v: Vector) -> bool:
         """Exact membership test by squared distance (strict: the ball is open)."""
-        if v.dim != self.center.dim:
-            raise DomainError("dimension mismatch in ball membership")
         return norm_squared(v - self.center) < self.radius * self.radius
 
 
@@ -191,10 +185,9 @@ class _GeneralPosition:
                 for (_, _, seen), key in zip(self.planes, keys):
                     seen.add(key)
         if d >= 3 and k <= self.n - 3:
+            # the row misses the span of every min(k, d-1) picks, so no state is None
             head = _extend(_complement(d), row)
             for _, state in _subset_states(self.rows, d - 3, head):
-                if state is None:
-                    raise ConstructionError(f"picks dependent at pick {k}")
                 self.planes.append((*_complement_vectors(state), set()))
         self.rows.append(row)
         return True
@@ -224,8 +217,6 @@ def fd_overcomplete(
     Likewise each vector is decided inside its ball
     (:meth:`OpenBall.contains`) once, here.
     """
-    if d < 1:
-        raise DomainError("ambient dimension must be positive")
     if n < d:
         raise DomainError(f"need at least d={d} vectors, got n={n}")
     targets = _unit_balls(d, n) if targets is None else list(targets)
@@ -427,8 +418,6 @@ class IncompleteModel:
 
     def cutoff(self, k: int) -> int:
         """Smallest t with tail(t) < 1/k! (the approximation schedule)."""
-        if k < 0:
-            raise DomainError("cutoff index must be nonnegative")
         if k not in self._cutoffs:
             bound = Fraction(1, math.factorial(k))
             t = max((s for j, s in self._cutoffs.items() if j < k), default=0)
@@ -473,8 +462,6 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:
     the checked (distance, bound) pairs of :func:`convergence_gaps`, so a
     caller that reports them computes them once.
     """
-    if K < 0:
-        raise DomainError("sequence horizon must be nonnegative")
     dim = model.ambient_dim(K)
     out = []
     for k in range(K + 1):
@@ -516,18 +503,12 @@ class GeometricSchedule:
         lams = tuple(Fraction(x) for x in self.lambdas)
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "threshold", Fraction(self.threshold))
-        if not lams:
-            raise DomainError("schedule needs at least one rate")
         for lam in lams:
             if not 0 < lam < 1:
                 raise DomainError(f"rate {lam} outside (0, 1)")
         for a, b in zip(lams, lams[1:]):
             if b >= a:
                 raise DomainError("rates must be strictly decreasing")
-        if self.j_max < 0:
-            raise DomainError("j_max must be nonnegative")
-        if self.threshold <= 0:
-            raise DomainError("threshold must be positive")
 
 
 def _onset(vals: Sequence) -> int:
@@ -544,10 +525,6 @@ def verify_schedule(model: IncompleteModel, schedule: GeometricSchedule, K: int)
     below the threshold.  Returns the onset per j; raises
     :class:`ScheduleError` naming the offending (n, j) otherwise.
     """
-    if K < 0:
-        raise DomainError("horizon must be nonnegative")
-    if len(schedule.lambdas) < K + 1:
-        raise DomainError(f"schedule provides {len(schedule.lambdas)} rates, need {K + 1}")
     errors = [model.approx_error(n) for n in range(K + 1)]
     onsets = []
     for j in range(schedule.j_max + 1):
@@ -629,8 +606,6 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
     only the table's entries become Fractions.
     """
     members = list(S)
-    if not members:
-        raise PreconditionError("empty family")
     L = members[0].dim
     for v in members:
         if v.dim != L:
@@ -667,7 +642,8 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
             f"eps={eps} too large for floor {n_value}: need 1-N-2*eps >= (1-N)/2"
         )
 
-    # an integer prefix mass p stays within eps of the floor iff p <= limit
+    # an integer prefix mass p stays within eps of the floor iff p <= limit;
+    # at cut = alpha0 the floor member's p is N*den <= limit, so one is picked
     limit = math.floor((n_value + eps) * den)
     cut = alpha0
     used = set()
@@ -688,8 +664,6 @@ def sliding_hump_extract(S: Sequence[Vector], eps: Fraction) -> SlidingHumpData:
         cuts.append(cut)
         support = members[i].support()
         cut = max(cut + 1, (support[-1] + 1) if support else cut + 1)
-    if not picked:
-        raise ExtractionError("no member admissible at the plateau onset")
 
     return SlidingHumpData(
         epsilon=eps,

@@ -199,15 +199,12 @@ def parse_config(text: str) -> dict:
     are skipped and values stay strings until schema coercion.  In both
     forms a repeated key is an error.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
+        # a document that opens with "{" is a JSON object or is not JSON at all
         try:
-            data = json.loads(text, object_pairs_hook=_unique_keys)
+            return json.loads(text, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # invalid JSON, or an integer past the digit limit
             raise ConfigError(f"cannot read the JSON config: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("JSON config must be a single object")
-        return data
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -380,7 +377,7 @@ def _run_klee(values, seed):
     samples = values["subset_samples"]
     if samples == 0:
         if math.comb(n, d) > _EXHAUSTIVE_GUARD:
-            raise ConfigError(f"C({n},{d}) subsets is too many to enumerate; set subset_samples")
+            raise ConfigError(f"subset_samples=0: C({n},{d}) subsets is too many to enumerate; set subset_samples")
         subsets = list(itertools.combinations(range(n), d))
     else:
         # each sampled subset gets its own elimination and certificate
@@ -494,7 +491,7 @@ def _make_annihilator(model, sequence, ks, seed):
     weights = [rng.randrange(1, 17) for _ in range(dim)]
     combo = null_vector(Matrix.from_rows(rows), weights)
     if combo is None:
-        raise ConfigError("no annihilator exists at this truncation; raise K")
+        raise ConfigError(f"ks={_written(ks)!r}: no annihilator exists at this truncation; raise K")
     scale = dual_norm(combo, NormTag.L1)
     return exact_vector(c / scale for c in combo.coords)
 
@@ -554,12 +551,10 @@ def _run_geometric_variant(values, seed):
 
 def block_family(L: int, m: int, left_mass: Fraction) -> list:
     """Unit-mass family sharing a left block, with disjoint tail blocks."""
-    if not 0 <= left_mass < 1:
-        raise ConfigError("left_mass must lie in [0, 1)")
     lead = 3 if left_mass > 0 else 0
     width = (L - lead) // m
     if width < 1:
-        raise ConfigError(f"cannot fit {m} disjoint blocks into [0, {L})")
+        raise ConfigError(f"m={m}: cannot fit {m} disjoint blocks into [0, {L})")
     members = []
     left = [left_mass / lead] * lead if lead else []
     tail = [(1 - left_mass) / width] * width
@@ -701,9 +696,8 @@ def _run_cover(values, seed):
         span_two = Matrix.from_rows(points[:2])
         witness_fn = null_vector(span_two, (1,))
         planes = [HyperplaneFunctional(witness_fn)]
+        # any three moment-curve points are independent, so the third escapes
         cover = hyperplane_cover(points, planes)
-        if cover.covered:
-            raise ConfigError("escape instance unexpectedly covered")
         certs = [
             certificate(
                 "hyperplane-cover",

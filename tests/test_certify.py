@@ -204,6 +204,13 @@ def test_density_certificates_refuse_a_witness_that_does_not_annihilate(monkeypa
         density_certificates(KLEE5, [(0,)], 3)
 
 
+def test_density_certificate_refuses_a_vector_of_another_dimension():
+    # the diagonal walk reads d coordinates, so a longer vector's third
+    # coordinate would go unread
+    with pytest.raises(DomainError, match="vector of dimension 3 in ambient dimension 2"):
+        density_certificate([exact_vector([1, 0, 5]), exact_vector([0, 1, 0])], (0, 1), 2)
+
+
 def test_subset_sweep_counts_and_flags_failures():
     vectors = list(KLEE5) + [KLEE5[0]]  # duplicate breaks some triples
     checked, failures = all_subsets_full_rank(vectors, 3)
@@ -602,6 +609,13 @@ def test_coefficient_samples_exact_mass_and_vertices():
     assert samples[1] == ((-1, 0, 0, 0), 1)
 
 
+@pytest.mark.parametrize("m, count", [(0, 4), (3, 0)])
+def test_coefficient_samples_need_a_slot_and_a_sample(m, count):
+    # m = 0 would draw forever; count = 0 would still give the 2m unit vectors
+    with pytest.raises(DomainError, match=f"got m={m}, count={count}"):
+        coefficient_samples(m, count)
+
+
 def _randrange_samples(m, count, seed):
     """coefficient_samples' random points, drawn with randrange."""
     from oclab.rng import rng_for
@@ -765,6 +779,21 @@ def test_decay_check_names_a_member_of_another_dimension():
         annihilator_decay_check(model, seq[:5] + [zero_vector(dim + 1)], [5], [e], 1)
 
 
+@pytest.mark.parametrize("ks", [[-1, 2], [2, 5]])
+def test_decay_check_refuses_a_subsequence_index_out_of_range(ks):
+    # sequence[-1] would stand for the last member without a word
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    _, seq = incomplete_space_sequence(model, 4)
+    with pytest.raises(DomainError, match="subsequence index out of range"):
+        annihilator_decay_check(model, seq, ks, [], 0)
+
+
+def test_decay_bound_refuses_a_negative_index():
+    # j = -1 would give 1/k! + k/2^k, which bounds no coordinate
+    with pytest.raises(DomainError, match="nonnegative"):
+        decay_bound(-1, 3)
+
+
 def test_decay_check_records_mode_switch():
     model = IncompleteModel(F(1, 2), F(1, 2))
     _, seq = incomplete_space_sequence(model, 70)
@@ -844,3 +873,9 @@ def test_probe_classifies_divergence():
 def test_probe_window_must_fit():
     with pytest.raises(DomainError):
         weak_norm_convergence_probe([exact_vector([1])], zero_vector(1), 2)
+
+
+def test_probe_refuses_a_member_of_another_dimension():
+    # zip would compare the member with the limit's first two coordinates only
+    with pytest.raises(DomainError, match="share the limit's dimension"):
+        weak_norm_convergence_probe([exact_vector([1, 0])], zero_vector(3), 1)

@@ -20,7 +20,9 @@ from oclab.constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
     verify_schedule,
+    _GeneralPosition,
     _onset,
+    _unit_isqrt_scale,
 )
 from oclab.errors import (
     ConstructionError,
@@ -148,6 +150,21 @@ def test_fd_target_count_must_match():
         fd_overcomplete(2, 3, targets=[ball])
 
 
+def test_fd_target_balls_must_live_in_the_ambient_space():
+    # a candidate takes the center's coordinates, so a center in R^3 would
+    # put candidates of dimension 3 into a family in R^2
+    with pytest.raises(DomainError, match="target ball dimension mismatch"):
+        fd_overcomplete(2, 2, targets=[OpenBall(zero_vector(3), F(1))] * 2)
+
+
+def test_fd_raises_once_the_candidate_budget_is_exhausted(monkeypatch):
+    # a general-position check that admits nothing: without the raise the
+    # family would come back one member short
+    monkeypatch.setattr(_GeneralPosition, "admit", lambda self, row: False)
+    with pytest.raises(ConstructionError, match="candidate budget exhausted at step 0 after 64"):
+        fd_overcomplete(2, 2)
+
+
 def test_open_ball_membership_is_strict():
     ball = OpenBall(zero_vector(2), F(1))
     assert ball.contains(exact_vector(["1/2", "1/2"]))
@@ -213,6 +230,19 @@ def test_riesz_eps_domain():
         riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(1), NormTag.L1)
     with pytest.raises(DomainError):
         riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(0), NormTag.L1)
+
+
+def test_unit_scale_refinement_gives_up_on_a_floor_above_one():
+    # r^2 * s2 <= 1 < floor at every refinement, so without the bound on m
+    # the loop would not end
+    with pytest.raises(ConstructionError, match="did not converge"):
+        _unit_isqrt_scale(F(3), F(2))
+
+
+def test_separated_needs_a_positive_dimension():
+    # a negative d names no space, yet the loop would return the empty family
+    with pytest.raises(DomainError, match="ambient dimension must be positive"):
+        separated_overcomplete_fd(-1, F(1, 20), NormTag.L2)
 
 
 def test_riesz_step_on_the_empty_prefix():
@@ -451,6 +481,14 @@ def test_y_truncation_is_one_vector_per_width():
     assert model.y_truncation(4).coords == model.y_truncation(7).coords[:4]
 
 
+def test_y_k_vector_refuses_a_dimension_below_its_cutoff():
+    # the head of y up to the cutoff alone would be longer than dim
+    model = IncompleteModel(F(1, 2), F(1, 2))
+    t = model.cutoff(5)
+    with pytest.raises(DomainError, match=f"ambient dimension {t - 1} cannot hold cutoff {t}"):
+        model.y_k_vector(5, t - 1)
+
+
 def test_model_rejects_l2_and_bad_rho():
     with pytest.raises(DomainError):
         IncompleteModel(F(1, 2), F(1))
@@ -555,6 +593,14 @@ def test_variant_builder_checks_the_schedule_and_returns_its_onsets():
         geometric_variant_sequence(model, dyadic, 8)
 
 
+@pytest.mark.parametrize("rate", [F(0), F(1), F(-1, 2), F(3, 2)])
+def test_schedule_rates_must_lie_in_the_open_unit_interval(rate):
+    # verify_schedule would divide by 0 ** j, or check a rate condition
+    # that no geometric schedule has
+    with pytest.raises(DomainError, match=f"rate {rate} outside"):
+        GeometricSchedule((rate,), 0)
+
+
 def test_schedule_must_decrease():
     with pytest.raises(DomainError):
         GeometricSchedule((F(1, 2), F(1, 2)), 1)
@@ -628,6 +674,20 @@ def test_eps_precondition_enforced():
     S = _blocks(200, 15, F(3, 10))
     with pytest.raises(DomainError):
         sliding_hump_extract(S, F(1, 2))
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-1, 20)])
+def test_extraction_needs_a_positive_eps(eps):
+    # below 0 no member is within eps of the floor, and the extraction
+    # would come back empty
+    with pytest.raises(DomainError, match="eps must be positive"):
+        sliding_hump_extract(_blocks(60, 4, F(1, 5)), eps)
+
+
+def test_extraction_refuses_members_of_different_lengths():
+    # the prefix-mass table would be cut to the shortest member by zip
+    with pytest.raises(PreconditionError, match="share one index range"):
+        sliding_hump_extract([unit_vector(0, 3), unit_vector(1, 4)], F(1, 10))
 
 
 def test_members_must_be_unit_l1():

@@ -613,6 +613,9 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("cover", "points = 10000000\n", [], "points"),
         ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5\nd = 3\nsubset_samples = 100000\n", [], "subset_samples"),
         ("separated", "d = 448\ntag = L1\n", [], "d"),
+        ("klee", "lambdas = " + ", ".join(f"{i}/250" for i in range(1, 113)) + "\nd = 3\n", [], "subset_samples"),
+        ("incomplete", "K = 1\nks = 1,1,1\nj_max = 0\n", [], "ks"),
+        ("sliding-hump", "L = 2\nm = 3\n", [], "m"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -629,6 +632,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "sliding-hump-eps-half", "free-set-n-times-n-above-guard",
         "free-set-random-n-times-max_deg-above-guard", "cover-grid-points-times-d-above-guard",
         "klee-subset_samples-times-d-above-guard", "separated-d-times-d-above-guard",
+        "klee-exhaustive-above-guard", "incomplete-no-annihilator", "sliding-hump-blocks-do-not-fit",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -812,19 +816,10 @@ def test_incomplete_solves_its_annihilator_block_once(monkeypatch):
     null_vectors = _count_calls(monkeypatch, linalg_mod, "null_vector")
     mod_p = _count_calls(monkeypatch, linalg_mod, "_pivots_mod_p")
     bases = _count_calls(monkeypatch, linalg_mod, "nullspace_exact")
-    exact_ranks = _count_calls(monkeypatch, linalg_mod, "rank_exact")
-    ks = ",".join(str(k) for k in range(6, 29))
-    run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
-    assert (len(null_vectors), len(mod_p), len(bases), len(exact_ranks)) == (1, 1, 0, 0)
-
-
-def test_incomplete_never_takes_the_exact_pivots(monkeypatch):
-    import oclab.linalg as linalg_mod
-
     fallbacks = _count_calls(monkeypatch, linalg_mod, "_exact_pivots")
     ks = ",".join(str(k) for k in range(6, 29))
     run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
-    assert fallbacks == []
+    assert (len(null_vectors), len(mod_p), len(bases), len(fallbacks)) == (1, 1, 0, 0)
 
 
 def test_a_report_writes_its_canonical_text_once(monkeypatch):
@@ -1057,11 +1052,19 @@ def test_probe_refuses_a_window_past_the_dimension_before_construction(monkeypat
         run_scenario("probe", {"variant": variant, "K": "150", "window": "100000"})
 
 
-def test_cli_construction_error_exits_3(tmp_path):
-    cfg = _write(tmp_path, "schedule = dyadic\nj_max = 3\nK = 8\n")
-    result = _invoke(["geometric-variant", "--config", cfg])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("schedule = dyadic\nj_max = 3\nK = 8\n", "at or above threshold"),
+        ("K = 1\n", "scaled error still rising at the horizon (n=1, j=0)"),
+    ],
+    ids=["dyadic", "K-1"],
+)
+def test_cli_construction_error_exits_3(tmp_path, text, message):
+    result = _invoke(["geometric-variant", "--config", _write(tmp_path, text)])
     assert result.exit_code == 3
     assert "construction error" in result.output
+    assert message in result.output
 
 
 @pytest.mark.parametrize("error, code", [(CertificationError, 4), (OclabError, 3)])
@@ -1075,6 +1078,19 @@ def test_cli_certification_error_exits_4(tmp_path, monkeypatch, error, code):
     cfg = _write(tmp_path, KLEE_KV)
     result = _invoke(["klee", "--config", cfg])
     assert result.exit_code == code
+
+
+def test_cli_lets_a_value_error_not_about_the_digit_limit_surface(tmp_path, monkeypatch):
+    """Only the digit-limit ValueError is a construction error; any other
+    is a fault in the toolkit and must not be reported as exit 3."""
+    import oclab.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise ValueError("forced, not about integer conversion")
+
+    monkeypatch.setattr(cli_mod, "run_scenario", boom)
+    with pytest.raises(ValueError, match="forced, not about integer conversion"):
+        main(["klee", "--config", _write(tmp_path, KLEE_KV)])
 
 
 def test_cli_fault_inside_a_runner_names_the_scenario(tmp_path, monkeypatch):

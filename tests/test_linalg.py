@@ -71,6 +71,25 @@ def test_float_in_exact_mode_rejected():
         Vector((0.5, 1.0))
 
 
+def test_a_coordinate_that_is_not_a_number_is_rejected():
+    # without the check the coordinate would be kept as None
+    with pytest.raises(ModeError, match="cannot use NoneType"):
+        Vector((1, None))
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_unit_index_outside_the_dimension_is_rejected(i):
+    # without the check the result would be the zero vector
+    with pytest.raises(DomainError, match=f"unit index {i} outside dimension 3"):
+        unit_vector(i, 3)
+
+
+def test_ragged_matrix_is_rejected():
+    # zip would cut the longer row short in every kernel
+    with pytest.raises(DomainError, match="ragged rows"):
+        Matrix.from_rows([exact_vector([1, 2]), exact_vector([1, 2, 3])])
+
+
 def test_norms_on_simple_vector():
     v = exact_vector([3, -4])
     assert norm(v, NormTag.L1) == 7
@@ -709,7 +728,7 @@ def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch
         raise AssertionError("null_vector fell back to the exact pivots")
 
     monkeypatch.setattr(linalg_mod, "_bareiss_solve", perturbed)
-    monkeypatch.setattr(linalg_mod, "rank_exact", no_fallback)
+    monkeypatch.setattr(linalg_mod, "_exact_pivots", no_fallback)
     M = Matrix.from_rows([exact_vector(["1/2", "1/3", 1, 4]), exact_vector([0, "1/9", "2/5", 5])])
     with pytest.raises(CertificationError, match="pivot row"):
         null_vector(M, (1, 2))
