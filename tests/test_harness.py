@@ -809,17 +809,25 @@ def test_incomplete_scales_the_truncation_of_y_to_integers_once(monkeypatch):
 
 
 # the annihilator is one null_vector call: one pivot search mod p and one
-# column-scaled block solve, with no basis and no exact-pivot fallback
+# column-scaled block solve, with no basis
 def test_incomplete_solves_its_annihilator_block_once(monkeypatch):
     import oclab.linalg as linalg_mod
 
     null_vectors = _count_calls(monkeypatch, linalg_mod, "null_vector")
     mod_p = _count_calls(monkeypatch, linalg_mod, "_pivots_mod_p")
     bases = _count_calls(monkeypatch, linalg_mod, "nullspace_exact")
+    ks = ",".join(str(k) for k in range(6, 29))
+    run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
+    assert (len(null_vectors), len(mod_p), len(bases)) == (1, 1, 0)
+
+
+def test_incomplete_never_takes_the_exact_pivots(monkeypatch):
+    import oclab.linalg as linalg_mod
+
     fallbacks = _count_calls(monkeypatch, linalg_mod, "_exact_pivots")
     ks = ",".join(str(k) for k in range(6, 29))
     run_scenario("incomplete", {"K": "28", "ks": ks, "j_max": "5"})
-    assert (len(null_vectors), len(mod_p), len(bases), len(fallbacks)) == (1, 1, 0, 0)
+    assert fallbacks == []
 
 
 def test_a_report_writes_its_canonical_text_once(monkeypatch):
