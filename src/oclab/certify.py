@@ -11,6 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
@@ -31,8 +32,9 @@ from .linalg import (
     rank_exact,
     scaled_int_coords,
     _complement,
+    _diagonal_step,
     _extend,
-    _singular_subsets,
+    _prefix_walk,
 )
 from .rng import rng_for
 
@@ -110,59 +112,43 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     """The :func:`density_certificate` of each subset of ``vectors``, in
     order.
 
-    Each row is scaled to integers once for the whole family
-    (:attr:`~oclab.linalg.Vector._ints`).  A subset of d rows is walked
-    row by row with :func:`~oclab.linalg._extend`, starting from the
-    longest prefix it shares with the subset walked before it, so in
-    ``itertools.combinations`` order each prefix is extended once.  While
-    row t pivots on coordinate t, the walk's pivots are the subset's
-    leading principal minors, which are also the Bareiss pivots that
+    The subsets are walked with :func:`~oclab.linalg._diagonal_step` on
+    rows scaled to integers once for the whole family.  While row t
+    pivots on coordinate t, the walk's pivots are the subset's leading
+    principal minors, which are the Bareiss pivots that
     :func:`~oclab.linalg.rank_exact` logs for it (a leading minor of M is
-    one of M transposed): the pivot log is ``(t, t, minor)`` for each row
-    and the determinant is the last minor over the product of the row
-    scales.  A subset whose walk leaves that diagonal or turns dependent,
-    or that does not have d rows, is eliminated on its own by
-    :func:`~oclab.linalg.rank_exact`, and one of rank below d gets its
-    annihilator from :func:`~oclab.linalg.null_vector`.  Either way each
-    certificate is the one that subset's own matrix gives.
+    one of M transposed): the log is ``(t, t, minor)`` per row and the
+    determinant is the last minor over the product of the row scales.  A
+    subset that leaves that diagonal, turns dependent or does not have d
+    rows is eliminated on its own by :func:`~oclab.linalg.rank_exact`, and
+    one of rank below d gets its annihilator from
+    :func:`~oclab.linalg.null_vector`.
     """
     for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
     n = len(vectors)
     ints = [v._ints for v in vectors]
-    # keys and chain[1:] hold the rows of the last d-subset walked and the
-    # state after each of them: None once the rows left the diagonal or
-    # turned dependent, which every longer prefix inherits
-    keys, chain = [], [_complement(d)]
+
+    def checked():
+        # before the walk reads its rows, so that -1 never wraps to the last row
+        for subset in subsets:
+            sel_idx = tuple(subset)
+            if not sel_idx:
+                raise DomainError("subset must be nonempty")
+            for i in sel_idx:
+                if not 0 <= i < n:
+                    raise DomainError(f"row index {i} out of range")
+            yield sel_idx
+
     out = []
-    for subset in subsets:
-        sel_idx = tuple(subset)
-        if not sel_idx:
-            raise DomainError("subset must be nonempty")
-        for i in sel_idx:
-            if not 0 <= i < n:
-                raise DomainError(f"row index {i} out of range")
-        if len(sel_idx) == d:
-            k = 0
-            while k < len(keys) and keys[k] == sel_idx[k]:
-                k += 1
-            del keys[k:]
-            del chain[k + 1:]
-            for t in range(k, d):
-                state = chain[t]
-                if state is not None:
-                    state = _extend(state, ints[sel_idx[t]][0])
-                    if state is not None and state[1][-1] != t:
-                        state = None
-                keys.append(sel_idx[t])
-                chain.append(state)
-            if chain[d] is not None:
-                scales = tuple(ints[i][1] for i in sel_idx)
-                log = PivotLog((d, d), scales, tuple((t, t, s[0]) for t, s in enumerate(chain[1:])))
-                det = Fraction(chain[d][0], math.prod(scales))
-                out.append(DensityCertificate("Full", d, pivot_log=log, det=det))
-                continue
+    for sel_idx, states in _prefix_walk([r for r, _ in ints], checked(), _complement(d), _diagonal_step):
+        if len(sel_idx) == d and states[d] is not None:
+            scales = tuple(ints[i][1] for i in sel_idx)
+            log = PivotLog((d, d), scales, tuple((t, t, s[0]) for t, s in enumerate(states[1:])))
+            det = Fraction(states[d][0], math.prod(scales))
+            out.append(DensityCertificate("Full", d, pivot_log=log, det=det))
+            continue
         selected = Matrix.from_rows(vectors[i] for i in sel_idx)
         result = rank_exact(selected)
         if result.rank == d:
@@ -180,22 +166,18 @@ def all_subsets_full_rank(vectors: Sequence[Vector], d: int):
     (checked, failures), with checked = C(n, d).
 
     The reference sweep of tests and verifiers: a family built by
-    :func:`~oclab.constructors.fd_overcomplete` has already had each of
-    its d-subsets decided while it was built, so a run does not sweep it
-    again.  This sweep is an independent check of that decision: the
-    construction compares 2-D projections onto the plane of each
-    (d-2)-subset, while this sweep takes each d-subset's determinant.
-    Rows are integer-scaled once per vector, and the depth-first
-    subset-rank kernel :func:`~oclab.linalg._singular_subsets` reaches
-    each (d-1)-subset's cofactor normal by fraction-free complement
-    updates shared along the walk; each d-subset costs one dot product
-    with it, so the failures come in combinations order.
+    :func:`~oclab.constructors.fd_overcomplete` has had each d-subset
+    decided while it was built, by 2-D projections onto the plane of each
+    (d-2)-subset, so a run does not sweep it again.  This sweep decides
+    rank by folding each d-subset's rows with :func:`~oclab.linalg._extend`
+    instead; a subset whose last state is ``None`` fails.
     """
     for v in vectors:
         if v.dim != d:
             raise DomainError(f"vector of dimension {v.dim} in ambient dimension {d}")
     rows = [scaled_int_coords(v) for v in vectors]
-    return math.comb(len(rows), d), list(_singular_subsets(rows, d))
+    walk = _prefix_walk(rows, combinations(range(len(rows)), d), _complement(d), _extend)
+    return math.comb(len(rows), d), [subset for subset, states in walk if states[-1] is None]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .errors import (
@@ -45,8 +45,8 @@ from .linalg import (
     _complement,
     _complement_vectors,
     _extend,
+    _prefix_walk,
     _state_null_vector,
-    _subset_states,
 )
 from .rng import rng_for, split_seed
 
@@ -146,8 +146,8 @@ class _GeneralPosition:
     - d >= 3: before d-2 picks there is no T', and a row must extend the
       picks' complement, carried from pick to pick (:func:`_extend`).
       Each new pick m adds the planes of T' = S + {m}, one for each
-      (d-3)-subset S of the earlier picks, by a depth-first walk
-      (:func:`~oclab.linalg._subset_states`).
+      (d-3)-subset S of the earlier picks, by one walk over them
+      (:func:`~oclab.linalg._prefix_walk`).
 
     A plane whose last pick is m is built only while m <= n-3, and the
     last pick's directions are not kept: no later pick and candidate could
@@ -187,8 +187,8 @@ class _GeneralPosition:
         if d >= 3 and k <= self.n - 3:
             # the row misses the span of every min(k, d-1) picks, so no state is None
             head = _extend(_complement(d), row)
-            for _, state in _subset_states(self.rows, d - 3, head):
-                self.planes.append((*_complement_vectors(state), set()))
+            for _, states in _prefix_walk(self.rows, combinations(range(k), d - 3), head, _extend):
+                self.planes.append((*_complement_vectors(states[-1]), set()))
         self.rows.append(row)
         return True
 
@@ -217,8 +217,6 @@ def fd_overcomplete(
     Likewise each vector is decided inside its ball
     (:meth:`OpenBall.contains`) once, here.
     """
-    if n < d:
-        raise DomainError(f"need at least d={d} vectors, got n={n}")
     targets = _unit_balls(d, n) if targets is None else list(targets)
     if len(targets) != n:
         raise DomainError(f"expected {n} target balls, got {len(targets)}")

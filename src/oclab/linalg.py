@@ -19,21 +19,24 @@ every division is exact, which it checks.  :func:`rank_exact` and
 time: its pivots are the Bareiss pivots of the pivot log, which plain
 rational elimination can replay.  A vector scales itself to integers
 once (:attr:`Vector._ints`), so every kernel that reads it, and every
-matrix that holds it as a row, shares that scaling.  A depth-first walk
-over the combinations of a list of rows (:func:`_subset_states`) shares
-each prefix's complement among the subsets that extend it.  The reference subset sweep
-(:func:`_singular_subsets`) walks it to every (d-1)-fold prefix's
-cofactor normal, the Hodge dual of the rows' wedge (exterior product),
-and each completing row then costs one dot product with that normal.
-The fd-dense construction walks it to the two vectors spanning each
+matrix that holds it as a row, shares that scaling.  A Vandermonde
+determinant is one integer product of node differences
+(:func:`_vandermonde_int`), which the klee runner also takes per subset
+over nodes scaled once.
+
+One walk over subsets of a list of rows (:func:`_prefix_walk`) folds a
+step over each subset's rows, keeping the states of the longest prefix
+it shares with the subset before it, so in combinations order each
+prefix is stepped once.  It has three readers.  The fd-dense
+construction steps with :func:`_extend` to the two vectors spanning each
 (d-2)-fold prefix's complement (:func:`_complement_vectors`), the plane
 its quotient projects onto.  :func:`oclab.certify.density_certificates`
-walks a family's d-subsets row by row with :func:`_extend`, each from the
-longest prefix it shares with the subset before it: while row t pivots
-on coordinate t, the pivots are the leading minors, which are the pivot
-log :func:`rank_exact` gives that subset.  A Vandermonde determinant is
-one integer product of node differences (:func:`_vandermonde_int`), which
-the klee runner also takes per subset over nodes scaled once.
+steps with :func:`_diagonal_step`: while row t pivots on coordinate t,
+the pivots are the leading minors, which are the pivot log
+:func:`rank_exact` gives that subset.  The reference sweep
+:func:`oclab.certify.all_subsets_full_rank` steps every d-subset with
+:func:`_extend`, and a subset is singular when its last state is
+``None``.
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
@@ -587,9 +590,8 @@ def _extend(state: tuple, v):
 
 def _complement_vectors(state: tuple) -> tuple:
     """The integer vectors a complement state spans, one per remaining
-    coordinate: pivot * e_i + sum_t m_i[t] * e_cols[t], as tuples.  At d-1
-    prefix vectors the one vector is their cofactor normal, up to sign; at
-    d-2 the two span the plane their quotient projects onto."""
+    coordinate: pivot * e_i + sum_t m_i[t] * e_cols[t], as tuples.  At d-2
+    prefix vectors the two span the plane their quotient projects onto."""
     pivot, cols, rest = state
     d = len(cols) + len(rest)
     out = []
@@ -626,42 +628,38 @@ def _state_null_vector(state: tuple, weights: Sequence) -> Vector:
     return Vector(tuple(coords))
 
 
-def _subset_states(rows: Sequence, size: int, state, lo: int = 0, prefix: tuple = ()):
-    """Yield every ``size``-subset of ``rows[lo:]`` depth first, as (index
-    tuple, complement state), in ``itertools.combinations`` order.
+def _diagonal_step(state: tuple, v):
+    """:func:`_extend`, or ``None`` unless ``v`` pivots on the next
+    coordinate, so that a state reached from :func:`_complement` by this
+    step has pivoted row t on coordinate t and its pivots are leading
+    minors."""
+    grown = _extend(state, v)
+    return grown if grown is not None and grown[1][-1] == len(state[1]) else None
 
-    The state is ``state`` extended by the subset's rows (:func:`_extend`),
-    or ``None`` once they are dependent, so a prefix's work is shared by
-    every subset that extends it.  Nothing is stored beyond the current
-    chain of prefix states.
+
+def _prefix_walk(rows: Sequence, subsets: Iterable, state, step):
+    """Yield each index tuple of ``subsets`` with its list of prefix states.
+
+    ``states[t]`` is ``state`` folded by ``step`` over the subset's first
+    t rows, and ``None`` from the first step that returns ``None`` on.
+    The states of the longest prefix a subset shares with the one before
+    it are kept, so in ``itertools.combinations`` order each prefix is
+    stepped once.  The list is the walk's own: it changes at the next
+    subset.
     """
-    k = len(prefix)
-    if k == size:
-        yield prefix, state
-        return
-    for i in range(lo, len(rows) - size + k + 1):
-        grown = None if state is None else _extend(state, rows[i])
-        yield from _subset_states(rows, size, grown, i + 1, prefix + (i,))
-
-
-def _singular_subsets(rows: Sequence, d: int):
-    """Yield the singular d-subsets of integer rows in R^d, depth first.
-
-    Subsets come as index tuples in ``itertools.combinations`` order.  The
-    walk (:func:`_subset_states`) reaches each (d-1)-fold prefix's
-    cofactor normal, and each completing row costs one dot product with
-    it.  A dependent prefix makes every extension singular.
-    """
-    n = len(rows)
-    for prefix, state in _subset_states(rows[: n - 1], d - 1, _complement(d)):
-        lo = prefix[-1] + 1 if prefix else 0
-        if state is None:
-            yield from (prefix + (j,) for j in range(lo, n))
-            continue
-        (normal,) = _complement_vectors(state)
-        for j in range(lo, n):
-            if not sum(map(operator.mul, normal, rows[j])):
-                yield prefix + (j,)
+    prev, states = (), [state]
+    for subset in subsets:
+        k = 0
+        for a, b in zip(prev, subset):
+            if a != b:
+                break
+            k += 1
+        del states[k + 1 :]
+        for i in subset[k:]:
+            last = states[-1]
+            states.append(None if last is None else step(last, rows[i]))
+        prev = subset
+        yield subset, states
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

@@ -191,7 +191,8 @@ def check_escape(record: dict, text: str) -> None:
 
 
 def check_separated(record: dict, text: str) -> None:
-    """The separated family has rank d, and every pair lies above 1 - eps."""
+    """The separated family has rank d, every pair lies above 1 - eps, and its members
+    lie on the unit sphere (L1, Linf) or in the unit ball (L2)."""
     params = record["params"]
     lower, tag, d = 1 - Fraction(params["eps"]), params["tag"], params["d"]
     vectors = _fractions(record["constructed"]["vectors"])
@@ -204,6 +205,12 @@ def check_separated(record: dict, text: str) -> None:
         else:
             apart = (sum(diffs) if tag == "L1" else max(diffs)) > lower
         _require(apart, f"members {i} and {j} are within 1 - eps")
+    for i, v in enumerate(vectors):
+        if tag == "L2":
+            _require(sum(x * x for x in v) <= 1, f"member {i} lies outside the unit ball")
+        else:
+            size = sum(map(abs, v)) if tag == "L1" else max(map(abs, v))
+            _require(size == 1, f"member {i} has {tag} norm {size}, not 1")
 
 
 def check_klee(record: dict, text: str) -> None:

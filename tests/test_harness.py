@@ -29,6 +29,7 @@ from oclab.harness import (
 )
 from oclab.linalg import exact_vector
 from oclab.serialize import canonical_json, digest, to_jsonable
+from oclab.verify import main as verify_main
 
 KLEE_KV = """
 # five Klee directions in R^3
@@ -508,6 +509,14 @@ def _invoke(argv):
     return SimpleNamespace(exit_code=code, output=out.getvalue())
 
 
+def _invoke_verify(path):
+    """Run ``oclab.verify`` on one report in this process; its exit code and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = verify_main([str(path)])
+    return code, err.getvalue()
+
+
 def _write(tmp_path, text):
     p = tmp_path / "run.cfg"
     p.write_text(text, encoding="utf-8")
@@ -616,6 +625,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         ("klee", "lambdas = " + ", ".join(f"{i}/250" for i in range(1, 113)) + "\nd = 3\n", [], "subset_samples"),
         ("incomplete", "K = 1\nks = 1,1,1\nj_max = 0\n", [], "ks"),
         ("sliding-hump", "L = 2\nm = 3\n", [], "m"),
+        ("incomplete", "K = 2\nks = 1,x\n", [], "ks"),
     ],
     ids=[
         "json-float-d", "json-bool-d", "json-nan-tau", "kv-nan-tau", "tol-nan", "tol-inf",
@@ -633,6 +643,7 @@ INCOMPLETE_KV = "K = 14\nks = 6,10,14\nj_max = 2\n"
         "free-set-random-n-times-max_deg-above-guard", "cover-grid-points-times-d-above-guard",
         "klee-subset_samples-times-d-above-guard", "separated-d-times-d-above-guard",
         "klee-exhaustive-above-guard", "incomplete-no-annihilator", "sliding-hump-blocks-do-not-fit",
+        "incomplete-ks-not-integers",
     ],
 )
 def test_cli_bad_value_exits_2_naming_scenario_and_key(tmp_path, scenario, text, extra, key):
@@ -755,11 +766,14 @@ def test_cli_small_random_configs_exit_with_a_documented_code(name, data):
     config["seed"] = data.draw(_ints(0, 3, ("-1", "x")))
     extra = data.draw(_vals([[]], [["--tol", "0.1"], ["--tol", "0"], ["--tol", "nan"]]))
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.cfg"
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "run.json"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
-        result = _invoke([name, "--config", str(cfg), *extra])
-    assert result.exit_code in (0, 2, 3, 4), (config, extra, result.output)
-    assert "Traceback" not in result.output
+        result = _invoke([name, "--config", str(cfg), "--out", str(out), *extra])
+        assert result.exit_code in (0, 2, 3, 4), (config, extra, result.output)
+        assert "Traceback" not in result.output
+        # every report a run writes passes the standalone verifier
+        if result.exit_code == 0:
+            assert _invoke_verify(out) == (0, ""), (config, extra)
 
 
 def _count_calls(monkeypatch, owner, name):

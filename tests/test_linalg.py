@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -24,10 +25,13 @@ from oclab.linalg import (
     rank_exact,
     unit_vector,
     vandermonde_det,
+    _complement,
+    _diagonal_step,
     _exact_pivots,
     _extend,
     _int_numerators,
     _pivots_mod_p,
+    _prefix_walk,
 )
 from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
@@ -224,6 +228,46 @@ def test_broken_complement_state_raises_certification_error():
     state = (2, [0, 1], [(2, [1, 0]), (3, [0, 1])])
     with pytest.raises(CertificationError):
         _extend(state, (1, 1, 0, 0))
+
+
+@st.composite
+def _rows_and_subsets(draw):
+    """Small integer rows in R^d and a list of index tuples over them: any
+    order, mixed lengths, repeated tuples and repeated indices."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6))
+    index = st.integers(0, len(rows) - 1)
+    subsets = draw(st.lists(st.lists(index, max_size=d + 1).map(tuple), max_size=12))
+    return d, rows, subsets
+
+
+@pytest.mark.parametrize("step", [_extend, _diagonal_step])
+@given(case=_rows_and_subsets())
+@settings(max_examples=150, deadline=None)
+def test_prefix_walk_folds_each_subsets_rows_from_the_start(step, case):
+    d, rows, subsets = case
+    walked = []
+    for subset, states in _prefix_walk(rows, subsets, _complement(d), step):
+        folded = [_complement(d)]
+        for i in subset:
+            folded.append(None if folded[-1] is None else step(folded[-1], rows[i]))
+        assert states == folded
+        walked.append(subset)
+    assert walked == subsets
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (5, 1), (6, 3), (7, 5)])
+def test_prefix_walk_steps_each_prefix_once_in_combinations_order(n, k):
+    calls = []
+
+    def step(state, row):
+        calls.append(row)
+        return state + (row,)
+
+    subsets = list(itertools.combinations(range(n), k))
+    for subset, states in _prefix_walk(range(n), subsets, (), step):
+        assert states[-1] == subset
+    assert len(calls) == len({sub[:t] for sub in subsets for t in range(1, k + 1)})
 
 
 def test_pivot_log_replay_rejects_tampered_pivot():

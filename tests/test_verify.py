@@ -111,6 +111,12 @@ def _move_member_1_next_to_member_0(record):
     vectors[1] = [str(F(a) + F(b) / 10) for a, b in zip(vectors[0], vectors[1])]
 
 
+def _scale_members_by_10(record):
+    # rank and pairwise distances only grow, so only the norm check fails
+    vectors = record["constructed"]["vectors"]
+    vectors[:] = [[str(10 * F(x)) for x in v] for v in vectors]
+
+
 def _wrap_subset_0(record):
     record["certificates"][0]["subset"] = [-5, -4, -3]
 
@@ -200,6 +206,12 @@ TAMPERS = {
                     "check_annihilator", "the annihilator does not kill g_6"),
     "separated-moved": ("separated-L1", _move_member_1_next_to_member_0,
                         "check_separated", "members 0 and 1 are within 1 - eps"),
+    "separated-L1-scaled": ("separated-L1", _scale_members_by_10,
+                            "check_separated", "member 0 has L1 norm 10, not 1"),
+    "separated-L2-scaled": ("separated-L2", _scale_members_by_10,
+                            "check_separated", "member 0 lies outside the unit ball"),
+    "separated-Linf-scaled": ("separated-Linf", _scale_members_by_10,
+                              "check_separated", "member 0 has Linf norm 10, not 1"),
     "separated-duplicated": ("separated-L2", _duplicate_member_0,
                              "check_separated", "6 members of rank 5, not d = 6"),
     "escape-pairing": ("cover-escape", _set(["certificates", 0, "witness", "pairings", 0], _bump),
