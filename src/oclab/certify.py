@@ -34,6 +34,7 @@ from .linalg import (
     _complement,
     _diagonal_step,
     _extend,
+    _int_difference,
     _prefix_walk,
 )
 from .rng import rng_for
@@ -134,8 +135,6 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
         # before the walk reads its rows, so that -1 never wraps to the last row
         for subset in subsets:
             sel_idx = tuple(subset)
-            if not sel_idx:
-                raise DomainError("subset must be nonempty")
             for i in sel_idx:
                 if not 0 <= i < n:
                     raise DomainError(f"row index {i} out of range")
@@ -470,17 +469,21 @@ def l1_lower_bound_certificate(data: SlidingHumpData, samples: Sequence) -> L1Eq
 # ---------------------------------------------------------------------------
 
 
-def decay_bound(j: int, k: int, norm_value=Fraction(1), exact_limit: int = 60):
+#: The largest k at which :func:`decay_bound` is exact.
+_EXACT_LIMIT = 60
+
+
+def decay_bound(j: int, k: int, norm_value=Fraction(1)):
     """The elimination bound ||e||*((j+2)^k/k! + ((j+2)/(j+3))^k * k).
 
-    Exact rational up to ``exact_limit``; beyond that the factorial and
-    power terms are combined in log space and the result is a float
+    Exact rational up to :data:`_EXACT_LIMIT`; beyond that the factorial
+    and power terms are combined in log space and the result is a float
     (the mode switch is visible in the return type and recorded by the
     caller).
     """
     if j < 0 or k < 0:
         raise DomainError("bound indices must be nonnegative")
-    if k <= exact_limit:
+    if k <= _EXACT_LIMIT:
         term1 = Fraction((j + 2) ** k, math.factorial(k))
         term2 = Fraction(j + 2, j + 3) ** k * k
         return Fraction(norm_value) * (term1 + term2)
@@ -524,7 +527,6 @@ def annihilator_decay_check(
     functionals: Sequence[Vector],
     j_max: int,
     tau=Fraction(1, 1000),
-    exact_limit: int = 60,
 ) -> DecayReport:
     """Evaluate the per-coordinate elimination bounds for annihilators.
 
@@ -554,7 +556,7 @@ def annihilator_decay_check(
         entries = []
         for j in range(j_max + 1):
             usable = [k for k in ks if k > j]
-            bounds = tuple((k, decay_bound(j, k, e_norm, exact_limit)) for k in usable)
+            bounds = tuple((k, decay_bound(j, k, e_norm)) for k in usable)
             pair_j = e.coords[j]
             if bounds:
                 vals = [b for _, b in bounds]
@@ -572,8 +574,8 @@ def annihilator_decay_check(
         ks=ks,
         j_max=j_max,
         tau=tau,
-        exact_limit=exact_limit,
-        mode_switch_ks=tuple(k for k in ks if k > exact_limit),
+        exact_limit=_EXACT_LIMIT,
+        mode_switch_ks=tuple(k for k in ks if k > _EXACT_LIMIT),
         functionals=tuple(reports),
     )
 
@@ -607,21 +609,19 @@ def weak_norm_convergence_probe(
     """Each member's sup deviation from ``limit`` on the first ``window``
     coordinates and its L1 distance to ``limit``, classified at ``tau``.
 
-    Both are read from the integer forms: a/dv - b/dl = (a*dl - b*dv)/(dv*dl).
+    Both are read from the integer difference of each member and ``limit``
+    (:func:`~oclab.linalg._int_difference`, which refuses another dimension).
     """
     dim = limit.dim
     if window < 1 or window > dim:
         raise DomainError(f"window must lie in [1, {dim}]")
-    ls, dl = limit._ints
     coord_sups = []
     norm_gaps = []
     for v in sequence:
-        if v.dim != dim:
-            raise DomainError("sequence members must share the limit's dimension")
-        vs, dv = v._ints
-        gaps = [abs(a * dl - b * dv) for a, b in zip(vs, ls)]
-        coord_sups.append(Fraction(max(gaps[:window]), dv * dl))
-        norm_gaps.append(Fraction(sum(gaps), dv * dl))
+        diff, den = _int_difference(v, limit)
+        gaps = list(map(abs, diff))
+        coord_sups.append(Fraction(max(gaps[:window]), den))
+        norm_gaps.append(Fraction(sum(gaps), den))
     if norm_gaps[-1] < tau:
         classification = "norm-convergent"
     elif coord_sups[-1] < tau:

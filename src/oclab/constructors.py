@@ -45,6 +45,7 @@ from .linalg import (
     _complement,
     _complement_vectors,
     _extend,
+    _int_difference,
     _prefix_walk,
     _state_null_vector,
 )
@@ -109,7 +110,8 @@ class OpenBall:
 
     def contains(self, v: Vector) -> bool:
         """Exact membership test by squared distance (strict: the ball is open)."""
-        return norm_squared(v - self.center) < self.radius * self.radius
+        diff, den = _int_difference(v, self.center)
+        return Fraction(sum(x * x for x in diff), den * den) < self.radius * self.radius
 
 
 def _unit_balls(d: int, n: int) -> list:
@@ -431,13 +433,6 @@ class IncompleteModel:
     def ambient_dim(self, K: int) -> int:
         return max(self.cutoff(K), K + 1)
 
-    def y_k_vector(self, k: int, dim: int) -> Vector:
-        t = self.cutoff(k)
-        if t > dim:
-            raise DomainError(f"ambient dimension {dim} cannot hold cutoff {t}")
-        head = [y for y, _ in self._grown(t)[:t]]
-        return Vector(tuple(head + [Fraction(0)] * (dim - t)))
-
     def y_truncation(self, dim: int) -> Vector:
         if dim not in self._truncations:
             self._truncations[dim] = Vector(tuple(y for y, _ in self._grown(dim)[:dim]))
@@ -445,10 +440,23 @@ class IncompleteModel:
 
     def exact_distance(self, v: Vector) -> Fraction:
         """Exact ||y - v||_1, the tail of y beyond v's dimension included."""
-        ys, dy = self.y_truncation(v.dim)._ints
-        vs, dv = v._ints
-        head = sum(abs(a * dv - b * dy) for a, b in zip(ys, vs))
-        return Fraction(head, dy * dv) + self.tail(v.dim)
+        diff, den = _int_difference(self.y_truncation(v.dim), v)
+        return Fraction(sum(map(abs, diff)), den) + self.tail(v.dim)
+
+
+def _perturbed_approximants(model: IncompleteModel, K: int, bump) -> list:
+    """g_k = y_k + sum over n <= k of bump(k, n) e_n for k = 0..K, y_k being
+    y's cached truncation to the ambient dimension cut at cutoff(k)."""
+    dim = model.ambient_dim(K)
+    y = model.y_truncation(dim).coords
+    out = []
+    for k in range(K + 1):
+        t = model.cutoff(k)
+        coords = list(y[:t]) + [Fraction(0)] * (dim - t)
+        for n in range(k + 1):
+            coords[n] += bump(k, n)
+        out.append(Vector(tuple(coords)))
+    return out
 
 
 def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:
@@ -460,13 +468,7 @@ def incomplete_space_sequence(model: IncompleteModel, K: int) -> tuple:
     the checked (distance, bound) pairs of :func:`convergence_gaps`, so a
     caller that reports them computes them once.
     """
-    dim = model.ambient_dim(K)
-    out = []
-    for k in range(K + 1):
-        coords = list(model.y_k_vector(k, dim).coords)
-        for n in range(k + 1):
-            coords[n] += Fraction(1, (n + 2) ** k)
-        out.append(Vector(tuple(coords)))
+    out = _perturbed_approximants(model, K, lambda k, n: Fraction(1, (n + 2) ** k))
     gaps = convergence_gaps(model, out)
     for k, (lhs, rhs) in enumerate(gaps):
         if lhs > rhs:
@@ -551,15 +553,7 @@ def geometric_variant_sequence(
     schedule once.
     """
     onsets = verify_schedule(model, schedule, K)
-    dim = model.ambient_dim(K)
-    out = []
-    for k in range(K + 1):
-        lam = schedule.lambdas[k]
-        coords = list(model.y_k_vector(k, dim).coords)
-        for j in range(k + 1):
-            coords[j] += lam ** (j + 1)
-        out.append(Vector(tuple(coords)))
-    return onsets, out
+    return onsets, _perturbed_approximants(model, K, lambda k, j: schedule.lambdas[k] ** (j + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Vectors hold :class:`fractions.Fraction` coordinates and nothing else:
 the norm belongs to the space, so every norm is asked for by its tag (L1,
-L2, Linf).  Callers build vectors from coordinates; subtraction is the
-only vector arithmetic.  Ranks, determinants, nullspaces and L1/Linf
+L2, Linf).  Vectors are built from coordinates and have no arithmetic: a
+difference is read in integers off two vectors' scalings
+(:func:`_int_difference`).  Ranks, determinants, nullspaces and L1/Linf
 norms are computed without rounding, and every rank elimination emits a
 pivot log that an independent replayer can verify.  There is deliberately no
 float arithmetic here: a tolerance-dependent rank is not a certificate,
@@ -50,15 +51,14 @@ one forward Bareiss pass and exact back-substitution
 that fails is a solver fault and raises, and another row that fails
 means the prime hid part of the rank, so the same block solve runs again
 on the exact pivots, found on the column-scaled integers
-(:func:`_exact_pivots`).
-:func:`nullspace_exact` solves on those exact pivots too, once, with the
-identity on the free columns as its right-hand sides.  A complement
-state's free coordinates are the reduced row echelon form's, so the same
-null vector can be read off a prefix's carried state
-(:func:`_state_null_vector`): each Riesz step's dual witness comes from
-there, the separated builder carrying its members' state from step to
-step, so no step eliminates the prefix again.  Exact sums
-(:func:`pairing`, the L1 norm, :func:`norm_squared`) add a vector's
+(:func:`_exact_pivots`).  :func:`nullspace_exact` solves on those exact
+pivots too, once per free column, 1 there and 0 at the other free
+columns.  A complement state's free coordinates are the reduced row
+echelon form's, so the same null vector can be read off a prefix's
+carried state (:func:`_state_null_vector`): each Riesz step's dual
+witness comes from there, the separated builder carrying its members'
+state from step to step, so no step eliminates the prefix again.  Exact
+sums (:func:`pairing`, the L1 norm, :func:`norm_squared`) add a vector's
 cached integer numerators and build one Fraction at the end, the same
 canonical Fraction as a per-term sum.
 """
@@ -153,10 +153,6 @@ class Vector:
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._compatible(other)
-        return Vector(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
 
 def exact_vector(coords: Iterable) -> Vector:
     return Vector(tuple(coords))
@@ -200,6 +196,15 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return self.rows[0].dim
+
+
+def _int_difference(u: Vector, v: Vector) -> tuple:
+    """u - v as integers over du * dv, and that denominator, read from the
+    two cached integer forms (:attr:`Vector._ints`)."""
+    u._compatible(v)
+    us, du = u._ints
+    vs, dv = v._ints
+    return [a * dv - b * du for a, b in zip(us, vs)], du * dv
 
 
 def pairing(f: Vector, v: Vector) -> Fraction:
@@ -267,15 +272,10 @@ class RankResult:
     det: Optional[Fraction] = None
 
 
-def _lcm_denominator(values: Iterable[Fraction]) -> int:
-    """Least common multiple of the denominators (1 for no values)."""
-    return math.lcm(*(c.denominator for c in values))
-
-
-def _int_numerators(coords) -> tuple:
-    """The numerators of ``coords`` over the lcm of their denominators, and
-    that lcm, so that sums run in integers."""
-    den = _lcm_denominator(coords)
+def _int_numerators(coords: Sequence[Fraction]) -> tuple:
+    """The numerators of ``coords`` over the lcm of their denominators (1
+    for no values), and that lcm, so that sums run in integers."""
+    den = math.lcm(*(c.denominator for c in coords))
     return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
@@ -373,21 +373,19 @@ def _pivots_mod_p(rows: list, ncols: int) -> tuple:
     return pivots, pivot_rows, rest
 
 
-def _bareiss_solve(block: list, columns: list) -> tuple:
-    """Solve the square integer system ``block`` z = b fraction-free for
-    each right-hand side b in ``columns``.
+def _bareiss_solve(block: list, b: list) -> tuple:
+    """Solve the square integer system ``block`` z = ``b`` fraction-free.
 
-    One forward Bareiss pass over the rows augmented by every column:
-    column k pivots on the lowest remaining row with a nonzero entry, and
-    every update divides exactly by the pivot before it, so every entry
-    stays a minor.  Back-substitution of each column then gives (det,
-    sols) with det * z = sol in integers for each column's sol, det being
-    the last pivot (the block's determinant up to sign); each step
-    divides exactly, since det * z_i is a Cramer minor.  A singular block
-    raises :class:`~oclab.errors.CertificationError`.
+    One forward Bareiss pass over the rows augmented by b: column k
+    pivots on the lowest remaining row with a nonzero entry, and every
+    update divides exactly by the pivot before it, so every entry stays a
+    minor.  Back-substitution then gives (det, sol) with det * z = sol in
+    integers, det being the last pivot (the block's determinant up to
+    sign); each step divides exactly, since det * z_i is a Cramer minor.
+    A singular block raises :class:`~oclab.errors.CertificationError`.
     """
     r = len(block)
-    rows = [row + [b[i] for b in columns] for i, row in enumerate(block)]
+    rows = [[*row, x] for row, x in zip(block, b)]
     prev = 1
     for k in range(r):
         p = next((i for i in range(k, r) if rows[i][k]), None)
@@ -402,25 +400,22 @@ def _bareiss_solve(block: list, columns: list) -> tuple:
             rows[i] = row[: k + 1] + [(piv * x - c * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = piv
     det = prev
-    sols = []
-    for b in range(r, r + len(columns)):
-        sol = [0] * r
-        for i in reversed(range(r)):
-            row = rows[i]
-            sol[i] = (det * row[b] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :]))) // row[i]
-        sols.append(sol)
-    return det, sols
+    sol = [0] * r
+    for i in reversed(range(r)):
+        row = rows[i]
+        sol[i] = (det * row[r] - sum(map(operator.mul, row[i + 1 : r], sol[i + 1 :]))) // row[i]
+    return det, sol
 
 
-def _block_solve(M: Matrix, pivots: list, pivot_rows: list, weight_rows: list) -> list:
-    """The null vectors of the pivot rows of M, one per weight row, whose
-    free coordinates (the columns outside ``pivots``, ascending) are that
-    row's weights, missing ones counting as 0.
+def _block_solve(M: Matrix, pivots: list, pivot_rows: list, weights: Sequence[Fraction]) -> Vector:
+    """The null vector of the pivot rows of M whose free coordinates (the
+    columns outside ``pivots``, ascending) are ``weights``, missing ones
+    counting as 0.
 
-    Each solves A[R,P] x_P = -A[R,F] x_F with the block's columns scaled
-    to integers: column j times c_j, the lcm of its denominators over the
-    pivot rows R.  Each right-hand side is put over one common
-    denominator D, and one forward Bareiss pass and exact
+    It solves A[R,P] x_P = -A[R,F] x_F with the block's columns scaled to
+    integers: column j times c_j, the lcm of its denominators over the
+    pivot rows R (:func:`_int_numerators`).  The right-hand side is put
+    over one common denominator D, and one forward Bareiss pass and exact
     back-substitution (:func:`_bareiss_solve`) give det and sol, so x_j
     is sol_j * c_j / (det * D * s) for the lcm s of the weights'
     denominators.
@@ -428,29 +423,19 @@ def _block_solve(M: Matrix, pivots: list, pivot_rows: list, weight_rows: list) -
     n = M.ncols
     free = [j for j in range(n) if j not in pivots]
     picked = [M.rows[i] for i in pivot_rows]
-    col_scales = [_lcm_denominator(r.coords[j] for r in picked) for j in pivots]
-    block = [
-        [r.coords[j].numerator * (c // r.coords[j].denominator) for j, c in zip(pivots, col_scales)]
-        for r in picked
-    ]
-    rows = [r._ints for r in picked]
-    columns, dens = [], []
-    for w in weight_rows:
-        ws, scale = _int_numerators(w)
-        column, den = _int_numerators([Fraction(-sum(ints[j] * x for j, x in zip(free, ws)), s) for ints, s in rows])
-        columns.append(column)
-        dens.append(den * scale)
-    det, sols = _bareiss_solve(block, columns)
-    out = []
-    for w, den, sol in zip(weight_rows, dens, sols):
-        coords = [Fraction(0)] * n
-        for j, x in zip(free, w):
-            coords[j] = x
-        den *= det
-        for j, c, x in zip(pivots, col_scales, sol):
-            coords[j] = Fraction(x * c, den)
-        out.append(Vector(tuple(coords)))
-    return out
+    columns = [_int_numerators([r.coords[j] for r in picked]) for j in pivots]
+    block = list(zip(*(ints for ints, _ in columns)))
+    ws, scale = _int_numerators(weights)
+    rhs = [Fraction(-sum(ints[j] * x for j, x in zip(free, ws)), s) for ints, s in (r._ints for r in picked)]
+    b, den = _int_numerators(rhs)
+    det, sol = _bareiss_solve(block, b)
+    coords = [Fraction(0)] * n
+    for j, x in zip(free, weights):
+        coords[j] = x
+    den *= det * scale
+    for j, (_, c), x in zip(pivots, columns, sol):
+        coords[j] = Fraction(x * c, den)
+    return Vector(tuple(coords))
 
 
 def _exact_pivots(M: Matrix) -> tuple:
@@ -469,12 +454,11 @@ def nullspace_exact(M: Matrix) -> list:
     as functionals on the row space; measure them with :func:`dual_norm`.
     Basis vector i is 1 at the i-th free column and 0 at the other free
     ones, the reduced row echelon form's basis: one block solve
-    (:func:`_block_solve`) on the exact pivots, the identity on the free
-    columns its right-hand sides.
+    (:func:`_block_solve`) per free column, on the exact pivots.
     """
     pivots, pivot_rows = _exact_pivots(M)
     free = range(M.ncols - len(pivots))
-    return _block_solve(M, pivots, pivot_rows, [[Fraction(int(i == k)) for i in free] for k in free])
+    return [_block_solve(M, pivots, pivot_rows, [Fraction(int(i == k)) for i in free]) for k in free]
 
 
 def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
@@ -517,7 +501,7 @@ def null_vector(M: Matrix, weights: Sequence) -> Optional[Vector]:
 
     def solve(pivots, pivot_rows):
         w = [_coerce_exact(x) for x in weights[: n - len(pivots)]]
-        (v,) = _block_solve(M, pivots, pivot_rows, [w])
+        v = _block_solve(M, pivots, pivot_rows, w)
         if any(pairing(M.rows[i], v) for i in pivot_rows):
             raise CertificationError("the pivot block's solution fails a pivot row")
         return v

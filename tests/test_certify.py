@@ -741,8 +741,9 @@ def test_decay_bound_switches_to_float_beyond_limit():
     beyond = decay_bound(0, 61)
     assert isinstance(exact, F)
     assert isinstance(beyond, float)
-    # the two lanes agree where they meet
-    assert abs(float(decay_bound(0, 60)) - decay_bound(0, 60, exact_limit=59)) < 1e-12
+    # the two lanes agree where they meet: the float bound at 61 is the closed form
+    closed = F(2 ** 61, math.factorial(61)) + F(2, 3) ** 61 * 61
+    assert abs(beyond - float(closed)) < 1e-12
 
 
 def test_decay_check_reports_bounds_and_preconditions():
@@ -855,12 +856,11 @@ def test_probe_equals_the_vector_difference_reference(members_limit_window, tau)
     """Window sups, L1 gaps and the class read from the integer forms equal
     those of the Fraction differences v - limit."""
     members, limit, window = members_limit_window
-    seq, limit = [exact_vector(v) for v in members], exact_vector(limit)
-    diffs = [v - limit for v in seq]
-    sups = tuple(max(abs(x) for x in d.coords[:window]) for d in diffs)
-    gaps = tuple(sum(abs(x) for x in d.coords) for d in diffs)
+    diffs = [[a - b for a, b in zip(v, limit)] for v in members]
+    sups = tuple(max(abs(x) for x in d[:window]) for d in diffs)
+    gaps = tuple(sum(abs(x) for x in d) for d in diffs)
     kind = "norm-convergent" if gaps[-1] < tau else "coordinatewise-only" if sups[-1] < tau else "divergent"
-    report = weak_norm_convergence_probe(seq, limit, window, tau)
+    report = weak_norm_convergence_probe([exact_vector(v) for v in members], exact_vector(limit), window, tau)
     assert (report.coord_sups, report.norm_gaps, report.classification) == (sups, gaps, kind)
 
 
@@ -877,5 +877,5 @@ def test_probe_window_must_fit():
 
 def test_probe_refuses_a_member_of_another_dimension():
     # zip would compare the member with the limit's first two coordinates only
-    with pytest.raises(DomainError, match="share the limit's dimension"):
+    with pytest.raises(DomainError, match="dimension mismatch: 2 vs 3"):
         weak_norm_convergence_probe([exact_vector([1, 0])], zero_vector(3), 1)

@@ -174,6 +174,36 @@ def test_open_ball_membership_is_strict():
     assert not ball.contains(exact_vector(["3/5", "4/5"]))  # boundary excluded
 
 
+_RATIONALS = st.builds(F, st.integers(-20, 20), st.integers(1, 8))
+
+
+@st.composite
+def _ball_and_point(draw):
+    """A centre, a radius and a point, the point on the sphere half the time:
+    the centre plus radius times the inverse stereographic image of some t."""
+    d = draw(st.integers(1, 5))
+    centre = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
+    radius = draw(st.builds(F, st.integers(1, 20), st.integers(1, 8)))
+    on_sphere = draw(st.booleans())
+    if on_sphere:
+        t = draw(st.lists(_RATIONALS, min_size=d - 1, max_size=d - 1))
+        s = sum((x * x for x in t), F(0))
+        u = [2 * x / (s + 1) for x in t] + [(s - 1) / (s + 1)]
+        point = [c + radius * x for c, x in zip(centre, u)]
+    else:
+        point = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
+    return centre, radius, point, on_sphere
+
+
+@given(_ball_and_point())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_open_ball_contains_exactly_the_points_closer_than_the_radius(case):
+    centre, radius, point, on_sphere = case
+    inside = sum((p - c) ** 2 for p, c in zip(point, centre)) < radius * radius
+    assert not (on_sphere and inside)
+    assert OpenBall(exact_vector(centre), radius).contains(exact_vector(point)) == inside
+
+
 def test_open_ball_rejects_nonpositive_radius():
     with pytest.raises(DomainError):
         OpenBall(zero_vector(2), F(0))
@@ -321,7 +351,7 @@ def test_separated_family_spans_and_separates(tag, d, eps, seed):
     assert rank_exact(Matrix.from_rows(fam)).rank == d
     lower = 1 - eps
     for i, j in itertools.combinations(range(d), 2):
-        diff = fam[i] - fam[j]
+        diff = exact_vector(a - b for a, b in zip(fam[i].coords, fam[j].coords))
         if tag is NormTag.L2:
             assert norm_squared(diff) > lower * lower
         else:
@@ -484,14 +514,6 @@ def test_y_truncation_is_one_vector_per_width():
     assert model.y_truncation(4).coords == model.y_truncation(7).coords[:4]
 
 
-def test_y_k_vector_refuses_a_dimension_below_its_cutoff():
-    # the head of y up to the cutoff alone would be longer than dim
-    model = IncompleteModel(F(1, 2), F(1, 2))
-    t = model.cutoff(5)
-    with pytest.raises(DomainError, match=f"ambient dimension {t - 1} cannot hold cutoff {t}"):
-        model.y_k_vector(5, t - 1)
-
-
 def test_model_rejects_l2_and_bad_rho():
     with pytest.raises(DomainError):
         IncompleteModel(F(1, 2), F(1))
@@ -499,21 +521,22 @@ def test_model_rejects_l2_and_bad_rho():
         IncompleteModel(F(0), F(1, 2))
 
 
+def _minus_y_k(model, k, g):
+    """g - y_k in Fraction coordinates, y_k being y cut at cutoff(k)."""
+    y, t = model.y_truncation(g.dim).coords, model.cutoff(k)
+    return tuple(x - y[n] if n < t else x for n, x in enumerate(g.coords))
+
+
 def test_first_term_uses_unit_coefficient():
     model = IncompleteModel(F(1, 2), F(1, 2))
     _, seq = incomplete_space_sequence(model, 2)
-    g0 = seq[0]
-    y0 = model.y_k_vector(0, g0.dim)
-    assert (g0 - y0).coords[0] == 1  # coefficient (0+2)^0 on the first member
+    assert _minus_y_k(model, 0, seq[0])[0] == 1  # coefficient (0+2)^0 on the first member
 
 
 def test_k2_coefficients_match_hand_expansion():
     model = IncompleteModel(F(1, 2), F(1, 2))
     _, seq = incomplete_space_sequence(model, 2)
-    g2 = seq[2]
-    y2 = model.y_k_vector(2, g2.dim)
-    coeffs = (g2 - y2).coords[:3]
-    assert coeffs == (F(1, 4), F(1, 9), F(1, 16))
+    assert _minus_y_k(model, 2, seq[2])[:3] == (F(1, 4), F(1, 9), F(1, 16))
 
 
 def test_convergence_bound_exact_up_to_k12():
@@ -564,10 +587,8 @@ def test_variant_dyadic_expansion_at_k1():
     model = IncompleteModel(F(1, 2), F(1, 2))
     sch = GeometricSchedule(tuple(F(1, 2 ** (n + 1)) for n in range(3)), 0)
     _, seq = geometric_variant_sequence(model, sch, 2)
-    g1, y1 = seq[1], model.y_k_vector(1, seq[1].dim)
-    assert (g1 - y1).coords[:2] == (F(1, 4), F(1, 16))
-    g0, y0 = seq[0], model.y_k_vector(0, seq[0].dim)
-    assert (g0 - y0).coords[0] == F(1, 2)  # lambda_0
+    assert _minus_y_k(model, 1, seq[1])[:2] == (F(1, 4), F(1, 16))
+    assert _minus_y_k(model, 0, seq[0])[0] == F(1, 2)  # lambda_0
 
 
 def test_harmonic_schedule_passes_j3_k8():
