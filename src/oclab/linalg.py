@@ -29,15 +29,26 @@ One walk over subsets of a list of rows (:func:`_prefix_walk`) folds a
 step over each subset's rows, keeping the states of the longest prefix
 it shares with the subset before it, so in combinations order each
 prefix is stepped once.  It has three readers.  The fd-dense
-construction steps with :func:`_extend` to the two vectors spanning each
-(d-2)-fold prefix's complement (:func:`_complement_vectors`), the plane
-its quotient projects onto.  :func:`oclab.certify.density_certificates`
+construction, outside its packed forms' dimensions, steps with
+:func:`_extend` to the two vectors spanning each (d-2)-fold prefix's
+complement (:func:`_complement_vectors`), the plane its quotient
+projects onto.  :func:`oclab.certify.density_certificates`
 steps with :func:`_diagonal_step`: while row t pivots on coordinate t,
 the pivots are the leading minors, which are the pivot log
 :func:`rank_exact` gives that subset.  The reference sweep
 :func:`oclab.certify.all_subsets_full_rank` steps every d-subset with
 :func:`_extend`, and a subset is singular when its last state is
 ``None``.
+
+Inside its packed forms' dimensions (4 <= d <= 8) the fd-dense
+construction decides every (d-1)-subset of its picks against a
+candidate at once.  Each exterior form keeps one integer per component,
+packing that component's value for every subset of the picks into
+byte-aligned signed slots (Kronecker substitution), so an interior
+product with an integer vector (:func:`_interior`, over the terms of
+:func:`_interior_terms`) is a few big-integer products, and one SWAR
+test (:func:`_has_zero_slot`) tells whether any slot is zero.  Slots
+that grow too narrow are re-packed wider (:func:`_repack`).
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
@@ -644,6 +655,88 @@ def _prefix_walk(rows: Sequence, subsets: Iterable, state, step):
             states.append(None if last is None else step(last, rows[i]))
         prev = subset
         yield subset, states
+
+
+# ---------------------------------------------------------------------------
+# packed exterior forms
+# ---------------------------------------------------------------------------
+
+
+def _interior_terms(d: int) -> list:
+    """The interior product's terms in R^d, by the degree p of the form.
+
+    A p-form w has one component w_J per p-subset J of the coordinates,
+    in ``itertools.combinations`` order, and takes p vectors to the sum
+    of w_J times their minor on the columns J.  ``terms[p]`` lists, for
+    each (p-1)-subset I in that order, the (i, odd, k) with i outside I
+    and k the index of I + {i}: the interior product of v with w has
+    component I equal to the sum of (-1)^odd * v[i] * w[k], odd being the
+    parity of the members of I below i (:func:`_interior`).
+    """
+    terms = [[]]  # a 0-form has no interior product
+    for p in range(1, d + 1):
+        index = {J: k for k, J in enumerate(itertools.combinations(range(d), p))}
+        level = []
+        for I in itertools.combinations(range(d), p - 1):
+            row, below = [], 0
+            for i in range(d):
+                if below < len(I) and I[below] == i:
+                    below += 1
+                else:
+                    row.append((i, below % 2, index[I[:below] + (i,) + I[below:]]))
+            level.append(row)
+        terms.append(level)
+    return terms
+
+
+def _interior(form: Sequence[int], v: Sequence[int], terms: list) -> list:
+    """The interior product of the integer vector ``v`` with ``form``, whose
+    components may be packed: each is linear in ``form``'s, so a component
+    packing one value per slot gives the packed components, slot by slot."""
+    signed = (v, [-x for x in v])
+    return [sum(signed[odd][i] * form[k] for i, odd, k in row) for row in terms]
+
+
+def _slot_masks(width: int, count: int) -> tuple:
+    """1 and 2^(width-1) in each of ``count`` slots of ``width`` bits, as
+    two integers.
+
+    A packed integer holds the signed values v_s as sum_s v_s * 2^(width*s);
+    while every |v_s| < 2^(width-1), adding the second mask makes each
+    slot v_s + 2^(width-1), in [1, 2^width), with no carry between slots.
+    """
+    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    return ones, ones << (width - 1)
+
+
+def _has_zero_slot(packed: int, masks: tuple) -> bool:
+    """Whether a slot of ``packed`` holds 0, every slot holding less than
+    2^(width-1) in absolute value, with ``masks`` from :func:`_slot_masks`.
+
+    z = (packed + high) ^ high holds each v_s in width-bit two's complement,
+    and (z - ones) & ~z & high is nonzero exactly when some slot of z is 0:
+    below the lowest zero slot no borrow runs, and a nonzero slot x has
+    the top bit of x - 1 only if x has it too (Warren, *Hacker's Delight*,
+    ch. 6).
+    """
+    ones, high = masks
+    z = (packed + high) ^ high
+    return bool((z - ones) & ~z & high)
+
+
+def _repack(packed: int, width: int, wider: int, count: int) -> int:
+    """``packed``'s ``count`` slots of ``width`` bits, re-packed at ``wider``
+    bits; both widths are whole bytes.
+
+    Each slot, offset by 2^(width-1) as in :func:`_slot_masks`, is one run
+    of bytes; the runs are padded with zero bytes to the wider slot, and
+    the offset is taken back at the wider spacing.
+    """
+    step = width // 8
+    raw = (packed + _slot_masks(width, count)[1]).to_bytes(count * step, "little")
+    pad = bytes((wider - width) // 8)
+    spread = int.from_bytes(b"".join(raw[i : i + step] + pad for i in range(0, len(raw), step)), "little")
+    return spread - (_slot_masks(wider, count)[0] << (width - 1))
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

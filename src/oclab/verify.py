@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -248,6 +249,85 @@ def check_klee(record: dict, text: str) -> None:
         _require(Fraction(witness["det_product"]) == product == det, f"certificate {sub}: det_product is not the product")
 
 
+def _first_singular_subset(rows: list, d: int):
+    """The first d-subset of the integer ``rows``, in combinations order,
+    whose rows are dependent, or None.
+
+    A depth-first walk keeps each prefix's rows in echelon form: a new row
+    is cross-multiplied against each kept row at its pivot column, with no
+    division, and divided by its content, so each prefix is reduced once.
+    A prefix whose last row reduces to zero is reported as its first
+    completion to d members.  At d-1 rows, back-substitution gives the
+    integer normal of the prefix, and each last member is one dot product
+    with it.
+    """
+    n = len(rows)
+
+    def walk(subset, basis):
+        start, stop = subset[-1] + 1 if subset else 0, n - d + len(subset) + 1
+        if len(subset) == d - 1:
+            free = min(set(range(d)) - {col for col, _ in basis})
+            normal = [int(j == free) for j in range(d)]
+            for col, e in reversed(basis):
+                # scale by the pivot, then solve e . normal = 0 for the pivot coordinate
+                dot = sum(map(operator.mul, e, normal))
+                normal = [e[col] * x for x in normal]
+                normal[col] = -dot
+            dots = [sum(map(operator.mul, normal, row)) for row in rows[start:stop]]
+            return subset + (start + dots.index(0),) if 0 in dots else None
+        for i in range(start, stop):
+            v = rows[i]
+            for col, e in basis:
+                c = v[col]
+                if c:
+                    p = e[col]
+                    v = [p * a - c * b for a, b in zip(v, e)]
+            col = next((j for j, x in enumerate(v) if x), None)
+            if col is None:
+                return subset + tuple(range(i, i + d - len(subset)))
+            g = math.gcd(*v)
+            found = walk(subset + (i,), basis + [(col, [x // g for x in v])])
+            if found:
+                return found
+        return None
+
+    return walk((), [])
+
+
+def check_general_position(record: dict, text: str) -> None:
+    """fd-dense: n vectors in R^d, every d of which are independent,
+    re-decided in integers, and a sweep certificate that claims C(n, d)
+    subsets (or the sampled count) and no failure."""
+    params = record["params"]
+    d, n = params["d"], params["n"]
+    vectors = _fractions(record["constructed"]["vectors"])
+    _require(len(vectors) == n and all(len(v) == d for v in vectors), f"the vectors are not {n} points of R^{d}")
+    rows = []
+    for v in vectors:
+        scale = math.lcm(*(x.denominator for x in v))
+        rows.append([int(x * scale) for x in v])
+    singular = _first_singular_subset(rows, d)
+    _require(singular is None, f"subset {list(singular or ())} is singular")
+    (sweep,) = [cert for cert in record["certificates"] if cert["kind"] == "subset-rank-sweep"]
+    checked = params["subset_samples"] or math.comb(n, d)
+    _require(sweep["verdict"] == "Full" and sweep["witness"] == {"subsets_checked": checked, "failures": []},
+             f"the sweep certificate does not claim {checked} subsets and no failure")
+
+
+def check_ball_membership(record: dict, text: str) -> None:
+    """fd-dense: one ball-membership certificate per vector, in order, each
+    vector strictly inside its ball: ||v - c||^2 < r^2."""
+    vectors = _fractions(record["constructed"]["vectors"])
+    balls = [cert for cert in record["certificates"] if cert["kind"] == "ball-membership"]
+    _require([cert["witness"]["index"] for cert in balls] == list(range(len(vectors))),
+             "the ball certificates are not one per vector, in order")
+    for j, (v, cert) in enumerate(zip(vectors, balls)):
+        center, radius = [Fraction(x) for x in cert["witness"]["center"]], Fraction(cert["witness"]["radius"])
+        _require(len(center) == len(v), f"ball {j} has another dimension")
+        inside = sum((a - c) ** 2 for a, c in zip(v, center)) < radius * radius
+        _require(cert["verdict"] == "Inside" and inside, f"vector {j} lies outside its ball")
+
+
 def check_split_log(record: dict, text: str) -> None:
     """Each pick's middle-strip gap and tail mass, from its cut and alpha0."""
     built = record["constructed"]
@@ -296,7 +376,8 @@ CHECKS = {
     "klee": (check_klee,), "separated": (check_separated,),
     "incomplete": (check_approximation_bounds, check_annihilator),
     "sliding-hump": (check_split_log, check_samples), "cover": (check_escape,),
-    "probe": (check_probe,), "fd-dense": (), "free-set": (), "geometric-variant": (),
+    "probe": (check_probe,), "fd-dense": (check_general_position, check_ball_membership),
+    "free-set": (), "geometric-variant": (),
 }
 
 

@@ -8,8 +8,12 @@ Run it from the repository root, with ``tests`` on the import path so that
 pytest collects only ``test_*.py`` files, so a plain run never loads it.
 While the session runs, :func:`sys.settrace` (and :func:`threading.settrace`
 for new threads) records the lines of ``src/oclab`` that execute; a run
-in a subprocess is not seen.  At the end, every ``raise`` statement whose
-first line never ran is listed, grouped by the exception class it names.
+in a subprocess is not seen.  Another tracer can replace or clear the
+trace function (Hypothesis' ``Tracer.__exit__`` clears it on Python <
+3.12), so before each test the plugin installs it again if it is gone,
+and the summary says how many times it had to.  At the end, every
+``raise`` statement whose first line never ran is listed, grouped by the
+exception class it names.
 The plugin itself never changes a test's outcome or the exit status, but
 CI's Python 3.11 job fails unless its first summary line reads ``0 of N
 unreached``.  Tracing makes the run about two and a half times slower.
@@ -43,6 +47,7 @@ class LineHits:
     def __init__(self):
         self.files = {str(p): p for p in sorted(SRC.glob("*.py"))}
         self.hits = defaultdict(set)
+        self.reinstalls = 0
 
     def _call(self, frame, event, arg):
         return self._line if frame.f_code.co_filename in self.files else None
@@ -55,6 +60,13 @@ class LineHits:
     def start(self):
         threading.settrace(self._call)
         sys.settrace(self._call)
+
+    def ensure(self):
+        """Install the trace function again if another tracer replaced or
+        cleared it."""
+        if sys.gettrace() != self._call:
+            self.reinstalls += 1
+            self.start()
 
     def stop(self):
         sys.settrace(None)
@@ -76,6 +88,10 @@ def pytest_configure(config):
     _TRACER.start()
 
 
+def pytest_runtest_setup(item):
+    _TRACER.ensure()
+
+
 def pytest_terminal_summary(terminalreporter):
     _TRACER.stop()
     sites = _TRACER.by_class()
@@ -83,6 +99,7 @@ def pytest_terminal_summary(terminalreporter):
     write = terminalreporter.write_line
     terminalreporter.section("raise sites in src/oclab that no test reaches")
     write(f"{sum(map(len, missed.values()))} of {sum(map(len, sites.values()))} unreached")
+    write(f"trace function re-installed before {_TRACER.reinstalls} tests")
     for cls in sorted(sites):
         write(f"{cls}: {len(missed[cls])} of {len(sites[cls])} unreached")
         for name, line in missed[cls]:

@@ -252,7 +252,7 @@ def test_subset_sweep_matches_the_cofactor_oracle(d, seed):
 
 
 @given(
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=10),
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=0, max_value=2**32),
 )
@@ -261,7 +261,8 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
     # fed the planted family in order, the construction's check admits a row
     # exactly when no subset T of min(#picks, d-1) picks is singular with it;
     # random candidates almost never lie on such a span, so only planted
-    # dependencies show a check that admits too much
+    # dependencies show a check that admits too much.  d runs on both sides
+    # of the packed forms' band (4 <= d <= 8) and the planes' outside it
     vectors = _planted_family(d, seed)
     n = d + extra
     check = _GeneralPosition(d, n)
@@ -277,6 +278,34 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
         assert check.admit(scaled_int_coords(v)) == avoids
         if avoids:
             picks.append(v)
+
+
+@pytest.mark.parametrize("d", [4, 5, 8])
+def test_general_position_check_repacks_its_forms_as_rows_grow(d):
+    # rows of 3 bits, then 40, then 200: each growth re-packs levels that
+    # already hold minors, and every third row is a combination of the d-1
+    # latest picks, which the check must still refuse at the wider slots
+    rng = random.Random(d)
+    n = d + 7 if d < 8 else d + 3
+    check = _GeneralPosition(d, n)
+    picks, widths = [], []
+    for t in range(3 * n):
+        if len(picks) == n:
+            break
+        if t % 3 == 2 and len(picks) >= d - 1:
+            weights = [rng.choice([-2, -1, 1, 3]) for _ in range(d - 1)]
+            row = [sum(w * p[i] for w, p in zip(weights, picks[1 - d :])) for i in range(d)]
+        else:
+            bits = 3 if len(picks) < d else 40 if len(picks) < n - 2 else 200
+            row = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(d)]
+        size = min(len(picks), d - 1)
+        avoids = all(rref_rank([row, *T]) == size + 1 for T in itertools.combinations(picks, size))
+        assert check.admit(row) == avoids
+        if avoids:
+            picks.append(row)
+        widths.append(check.width)
+    assert len(picks) == n
+    assert len(set(widths[d:])) >= 3
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32))

@@ -916,6 +916,25 @@ def test_cli_fd_dense_sampled_past_the_guard_exits_2(tmp_path):
     assert "set subset_samples" not in result.output
 
 
+@pytest.mark.parametrize("d, n, planes", [(4, 26, False), (5, 21, False), (8, 12, False), (9, 12, True), (3, 20, True)])
+def test_fd_dense_takes_the_planes_only_outside_the_forms_band(monkeypatch, d, n, planes):
+    # the builder walks subsets (_prefix_walk) only to build planes, so a
+    # benchmark size that fell back to the planes would show here; the spot
+    # density certificate's own walk, in certify, is not counted
+    import oclab.constructors as constructors_mod
+
+    calls = []
+    walk = constructors_mod._prefix_walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(constructors_mod, "_prefix_walk", counted)
+    run_scenario("fd-dense", {"d": str(d), "n": str(n)})
+    assert bool(calls) == planes
+
+
 @pytest.mark.parametrize(
     "config",
     [{"d": "3", "n": "9", "targets": "none"}, {"d": "4", "n": "10", "targets": "auto", "radius": "1/2", "seed": "5"}],

@@ -29,9 +29,12 @@ from oclab.linalg import (
     _diagonal_step,
     _exact_pivots,
     _extend,
+    _has_zero_slot,
     _int_numerators,
     _pivots_mod_p,
     _prefix_walk,
+    _repack,
+    _slot_masks,
 )
 from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
@@ -776,3 +779,39 @@ def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch
     M = Matrix.from_rows([exact_vector(["1/2", "1/3", 1, 4]), exact_vector([0, "1/9", "2/5", 5])])
     with pytest.raises(CertificationError, match="pivot row"):
         null_vector(M, (1, 2))
+
+
+def _decode(packed, width, count):
+    """The signed values of ``packed``'s slots, read one slot at a time."""
+    half = 1 << (width - 1)
+    shifted = packed + sum(half << (width * s) for s in range(count))
+    return [((shifted >> (width * s)) & ((1 << width) - 1)) - half for s in range(count)]
+
+
+@st.composite
+def _slots(draw):
+    """A byte-aligned slot width and values below 2^(width-1) in absolute
+    value, the first and last drawn from 0, the two extremes and the rest."""
+    width = 8 * draw(st.integers(1, 6))
+    top = (1 << (width - 1)) - 1
+    value = st.integers(-top, top)
+    edge = st.sampled_from([0, top, -top]) | value
+    count = draw(st.integers(1, 12))
+    if count == 1:
+        return width, [draw(edge)]
+    middle = draw(st.lists(value | st.just(0), min_size=count - 2, max_size=count - 2))
+    return width, [draw(edge), *middle, draw(edge)]
+
+
+@given(_slots(), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_zero_slot_test_matches_a_slot_by_slot_decode(slots, grow):
+    width, values = slots
+    count = len(values)
+    packed = sum(v << (width * s) for s, v in enumerate(values))
+    assert _decode(packed, width, count) == values
+    assert _has_zero_slot(packed, _slot_masks(width, count)) == (0 in values)
+    wider = width + 8 * grow
+    repacked = _repack(packed, width, wider, count)
+    assert _decode(repacked, wider, count) == values
+    assert _has_zero_slot(repacked, _slot_masks(wider, count)) == (0 in values)

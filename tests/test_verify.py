@@ -28,11 +28,13 @@ CHECKED = {
     "cover-escape": ("cover", "mode = escape\n"),
     "probe": ("probe", ""),
     "probe-basis": ("probe", "variant = basis\nK = 10\nwindow = 4\n"),
+    "fd-dense": ("fd-dense", "d = 3\nn = 6\n"),
+    "fd-dense-d8": ("fd-dense", "d = 8\nn = 12\n"),
+    "fd-dense-d9": ("fd-dense", "d = 9\nn = 12\n"),
 }
 # one report of each other scenario, which gets the re-dump and
 # certificate_refs check only
 CANONICAL_ONLY = {
-    "fd-dense": ("fd-dense", "d = 3\nn = 6\n"),
     "geometric-variant": ("geometric-variant", "K = 8\nj_max = 3\n"),
     "free-set": ("free-set", "n = 9\nf = chain\n"),
     "cover-grid": ("cover", "mode = grid\npoints = 9\n"),
@@ -174,6 +176,12 @@ def _zero_the_basis(record):
     cert["verdict"] = witness["classification"] = "norm-convergent"
 
 
+def _plant_a_dependent_member(record):
+    # v3 becomes v0 + v1, a combination of d - 1 = 2 others
+    vectors = record["constructed"]["vectors"]
+    vectors[3] = [str(F(a) + F(b)) for a, b in zip(vectors[0], vectors[1])]
+
+
 TAMPERS = {
     "sampled-min": ("sliding-hump", _set(["certificates", 0, "witness", "sampled_min"], _bump),
                     "check_samples", "sampled_min is not the smallest sampled norm"),
@@ -214,6 +222,14 @@ TAMPERS = {
                               "check_separated", "member 0 has Linf norm 10, not 1"),
     "separated-duplicated": ("separated-L2", _duplicate_member_0,
                              "check_separated", "6 members of rank 5, not d = 6"),
+    "fd-dense-dependent": ("fd-dense", _plant_a_dependent_member,
+                           "check_general_position", r"subset \[0, 1, 3\] is singular"),
+    "fd-dense-duplicated": ("fd-dense", _duplicate_member_0,
+                            "check_general_position", r"subset \[0, 1, 2\] is singular"),
+    "fd-dense-swept": ("fd-dense", _set(["certificates", 6, "witness", "subsets_checked"], lambda c: c - 1),
+                       "check_general_position", "the sweep certificate does not claim 20 subsets and no failure"),
+    "fd-dense-ball": ("fd-dense", _set(["certificates", 2, "witness", "radius"], lambda r: "1/1000000"),
+                      "check_ball_membership", "vector 2 lies outside its ball"),
     "escape-pairing": ("cover-escape", _set(["certificates", 0, "witness", "pairings", 0], _bump),
                        "check_escape", "the written pairing is not the escapee's"),
 }
