@@ -114,9 +114,15 @@ class OpenBall:
             raise DomainError("ball radius must be positive")
 
     def contains(self, v: Vector) -> bool:
-        """Exact membership test by squared distance (strict: the ball is open)."""
+        """Exact membership test by squared distance (strict: the ball is open).
+
+        With v - c = diff / den in integers (:func:`~oclab.linalg._int_difference`)
+        and r = p / q, ||v - c||^2 < r^2 is sum(diff^2) * q^2 < (p * den)^2,
+        decided in integers.
+        """
         diff, den = _int_difference(v, self.center)
-        return Fraction(sum(x * x for x in diff), den * den) < self.radius * self.radius
+        r = self.radius
+        return sum(x * x for x in diff) * r.denominator**2 < (r.numerator * den) ** 2
 
 
 def _unit_balls(d: int, n: int) -> list:
@@ -306,6 +312,14 @@ def fd_overcomplete(
     :func:`~oclab.certify.all_subsets_full_rank`.
     Likewise each vector is decided inside its ball
     (:meth:`OpenBall.contains`) once, here.
+
+    A candidate is the ball's centre c plus (r / span) * step in each
+    coordinate, with step = radius / (2d) and r drawn from
+    (-span, span).  It is built from integers: with the centre's cached
+    integer form c = cs / dc (:attr:`~oclab.linalg.Vector._ints`) and
+    step = sn / (sd * dc), each coordinate is one
+    ``Fraction(cs_i * sd * span + r * sn, dc * sd * span)``, the same
+    canonical value as the sum of Fractions.
     """
     targets = _unit_balls(d, n) if targets is None else list(targets)
     if len(targets) != n:
@@ -320,13 +334,16 @@ def fd_overcomplete(
         # offsets of sup-norm at most radius/(2d) have Euclidean length at
         # most radius/(2*sqrt(d)), so the candidate stays inside the open ball
         step = ball.radius / (2 * d)
+        cs, dc = ball.center._ints
+        sn, sd = step.numerator * dc, step.denominator
         for attempt in range(64):
-            bits = 10 + 2 * attempt
-            span = 1 << bits
-            delta = tuple(
-                Fraction(rng.randrange(-span + 1, span), span) * step for _ in range(d)
+            span = 1 << (10 + 2 * attempt)
+            # c/dc + (r/span) * step, over the one denominator dc * sd * span
+            head = sd * span
+            den = dc * head
+            cand = Vector(
+                tuple(Fraction(c * head + rng.randrange(-span + 1, span) * sn, den) for c in cs)
             )
-            cand = Vector(tuple(c + dl for c, dl in zip(ball.center.coords, delta)))
             if ball.contains(cand) and picks.admit(scaled_int_coords(cand)):
                 chosen.append(cand)
                 break

@@ -46,9 +46,10 @@ candidate at once.  Each exterior form keeps one integer per component,
 packing that component's value for every subset of the picks into
 byte-aligned signed slots (Kronecker substitution), so an interior
 product with an integer vector (:func:`_interior`, over the terms of
-:func:`_interior_terms`) is a few big-integer products, and one SWAR
-test (:func:`_has_zero_slot`) tells whether any slot is zero.  Slots
-that grow too narrow are re-packed wider (:func:`_repack`).
+:func:`_interior_terms`, a table built once per d and shared) is a few
+big-integer products, and one SWAR test (:func:`_has_zero_slot`, with
+masks :func:`_slot_masks` builds from bytes) tells whether any slot is
+zero.  Slots that grow too narrow are re-packed wider (:func:`_repack`).
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
@@ -82,7 +83,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import CertificationError, DomainError, ModeError
@@ -662,7 +663,8 @@ def _prefix_walk(rows: Sequence, subsets: Iterable, state, step):
 # ---------------------------------------------------------------------------
 
 
-def _interior_terms(d: int) -> list:
+@cache
+def _interior_terms(d: int) -> tuple:
     """The interior product's terms in R^d, by the degree p of the form.
 
     A p-form w has one component w_J per p-subset J of the coordinates,
@@ -672,8 +674,11 @@ def _interior_terms(d: int) -> list:
     and k the index of I + {i}: the interior product of v with w has
     component I equal to the sum of (-1)^odd * v[i] * w[k], odd being the
     parity of the members of I below i (:func:`_interior`).
+
+    The table depends on d alone, so it is built once per d and shared by
+    every caller, which must not mutate it; it is nested tuples.
     """
-    terms = [[]]  # a 0-form has no interior product
+    terms = [()]  # a 0-form has no interior product
     for p in range(1, d + 1):
         index = {J: k for k, J in enumerate(itertools.combinations(range(d), p))}
         level = []
@@ -684,12 +689,12 @@ def _interior_terms(d: int) -> list:
                     below += 1
                 else:
                     row.append((i, below % 2, index[I[:below] + (i,) + I[below:]]))
-            level.append(row)
-        terms.append(level)
-    return terms
+            level.append(tuple(row))
+        terms.append(tuple(level))
+    return tuple(terms)
 
 
-def _interior(form: Sequence[int], v: Sequence[int], terms: list) -> list:
+def _interior(form: Sequence[int], v: Sequence[int], terms: Sequence) -> list:
     """The interior product of the integer vector ``v`` with ``form``, whose
     components may be packed: each is linear in ``form``'s, so a component
     packing one value per slot gives the packed components, slot by slot."""
@@ -699,13 +704,15 @@ def _interior(form: Sequence[int], v: Sequence[int], terms: list) -> list:
 
 def _slot_masks(width: int, count: int) -> tuple:
     """1 and 2^(width-1) in each of ``count`` slots of ``width`` bits, as
-    two integers.
+    two integers; ``width`` is a whole number of bytes.
 
     A packed integer holds the signed values v_s as sum_s v_s * 2^(width*s);
     while every |v_s| < 2^(width-1), adding the second mask makes each
     slot v_s + 2^(width-1), in [1, 2^width), with no carry between slots.
+    The ones mask is built from bytes: a 1 and width/8 - 1 zero bytes per
+    slot.
     """
-    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+    ones = int.from_bytes((b"\x01" + bytes(width // 8 - 1)) * count, "little")
     return ones, ones << (width - 1)
 
 

@@ -199,12 +199,19 @@ def check_separated(record: dict, text: str) -> None:
     vectors = _fractions(record["constructed"]["vectors"])
     rank = len(eliminate(list(vectors)))
     _require(len(vectors) == d and rank == d, f"{len(vectors)} members of rank {rank}, not d = {d}")
-    for (i, u), (j, v) in itertools.combinations(enumerate(vectors), 2):
-        diffs = [abs(a - b) for a, b in zip(u, v)]
+    # each member as integers over its common denominator, so that u - v is
+    # (a * dv - b * du) / (du * dv) and the bound is cross-multiplied
+    ints = []
+    for v in vectors:
+        den = math.lcm(*(x.denominator for x in v))
+        ints.append(([x.numerator * (den // x.denominator) for x in v], den))
+    ln, ld = lower.numerator, lower.denominator
+    for (i, (us, du)), (j, (vs, dv)) in itertools.combinations(enumerate(ints), 2):
+        diffs = [abs(a * dv - b * du) for a, b in zip(us, vs)]
         if tag == "L2":
-            apart = sum(x * x for x in diffs) > lower * lower
+            apart = sum(x * x for x in diffs) * ld * ld > (ln * du * dv) ** 2
         else:
-            apart = (sum(diffs) if tag == "L1" else max(diffs)) > lower
+            apart = (sum(diffs) if tag == "L1" else max(diffs)) * ld > ln * du * dv
         _require(apart, f"members {i} and {j} are within 1 - eps")
     for i, v in enumerate(vectors):
         if tag == "L2":
@@ -314,18 +321,35 @@ def check_general_position(record: dict, text: str) -> None:
              f"the sweep certificate does not claim {checked} subsets and no failure")
 
 
+def _fd_target_balls(record: dict, n: int) -> list:
+    """The (centre, radius) of the first n fd-dense target balls, rebuilt
+    from params and seed: with ``targets = auto`` each centre coordinate is
+    one draw of randrange(-255, 256) / 256 from the seed's fd-targets
+    stream and the radius is ``radius``; with ``targets = none`` every
+    ball is the unit ball about the origin."""
+    params = record["params"]
+    d = params["d"]
+    if params["targets"] == "none":
+        return [([Fraction(0)] * d, Fraction(1))] * n
+    key = hashlib.sha256(f"{record['seed']}:fd-targets".encode("utf-8")).digest()[:8]
+    rng, radius = random.Random(int.from_bytes(key, "big")), Fraction(params["radius"])
+    return [([Fraction(rng.randrange(-255, 256), 256) for _ in range(d)], radius) for _ in range(n)]
+
+
 def check_ball_membership(record: dict, text: str) -> None:
     """fd-dense: one ball-membership certificate per vector, in order, each
-    vector strictly inside its ball: ||v - c||^2 < r^2."""
+    vector strictly inside its ball (||v - c||^2 < r^2), and each ball the
+    one params and seed give."""
     vectors = _fractions(record["constructed"]["vectors"])
     balls = [cert for cert in record["certificates"] if cert["kind"] == "ball-membership"]
     _require([cert["witness"]["index"] for cert in balls] == list(range(len(vectors))),
              "the ball certificates are not one per vector, in order")
-    for j, (v, cert) in enumerate(zip(vectors, balls)):
+    for j, (v, cert, target) in enumerate(zip(vectors, balls, _fd_target_balls(record, len(vectors)))):
         center, radius = [Fraction(x) for x in cert["witness"]["center"]], Fraction(cert["witness"]["radius"])
         _require(len(center) == len(v), f"ball {j} has another dimension")
         inside = sum((a - c) ** 2 for a, c in zip(v, center)) < radius * radius
         _require(cert["verdict"] == "Inside" and inside, f"vector {j} lies outside its ball")
+        _require((center, radius) == target, f"ball {j} is not the target ball params and seed give")
 
 
 def check_split_log(record: dict, text: str) -> None:

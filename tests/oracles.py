@@ -8,6 +8,8 @@ whole rows rewritten instead of one column at a time.  Slow is fine;
 different is the point.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -247,3 +249,31 @@ def sliding_hump_picks(members, eps):
 
 def subsets_of_size(n, k):
     return combinations(range(n), k)
+
+
+def fd_overcomplete_by_fractions(d, n, balls, seed):
+    """The fd-dense family drawn with Fraction arithmetic throughout: each
+    candidate is centre + Fraction(r, span) * (radius / (2d)) coordinate by
+    coordinate, kept when the ball holds it by a Fraction squared distance
+    and when it raises the rref rank of every min(#picks, d-1)-subset of the
+    picks.  ``balls`` are (centre coordinates, radius) pairs; the draws come
+    from the seed's fd-overcomplete stream, rebuilt from its sha256 key.
+    Returns the picks' coordinate tuples, or None when a ball's 64 grid
+    refinements all fail."""
+    key = hashlib.sha256(f"{seed}:fd-overcomplete".encode("utf-8")).digest()[:8]
+    rng = random.Random(int.from_bytes(key, "big"))
+    picks = []
+    for center, radius in balls:
+        step = radius / (2 * d)
+        for attempt in range(64):
+            span = 1 << (10 + 2 * attempt)
+            delta = [Fraction(rng.randrange(-span + 1, span), span) * step for _ in range(d)]
+            cand = tuple(c + dl for c, dl in zip(center, delta))
+            inside = sum(((x - c) ** 2 for x, c in zip(cand, center)), Fraction(0)) < radius * radius
+            size = min(len(picks), d - 1)
+            if inside and all(rref_rank([*T, cand]) == size + 1 for T in combinations(picks, size)):
+                picks.append(cand)
+                break
+        else:
+            return None
+    return picks

@@ -47,9 +47,11 @@ from oclab.linalg import (
     _extend,
     _state_null_vector,
 )
+from oclab.rng import rng_for
 from oclab.serialize import digest
 
 from oracles import (
+    fd_overcomplete_by_fractions,
     prefix_min_table,
     rref_nullspace,
     scan_cutoff,
@@ -158,6 +160,28 @@ def test_fd_target_balls_must_live_in_the_ambient_space():
     # put candidates of dimension 3 into a family in R^2
     with pytest.raises(DomainError, match="target ball dimension mismatch"):
         fd_overcomplete(2, 2, targets=[OpenBall(zero_vector(3), F(1))] * 2)
+
+
+def _fd_balls(d, n, targets, seed):
+    """fd-dense's target balls as the harness draws them: radius 1/3 about
+    centres from the seed's fd-targets stream (auto), or unit balls about
+    the origin (none)."""
+    if targets == "none":
+        return [([F(0)] * d, F(1))] * n
+    rng = rng_for(seed, "fd-targets")
+    return [([F(rng.randrange(-255, 256), 256) for _ in range(d)], F(1, 3)) for _ in range(n)]
+
+
+# d = 1..10 meets both sides of the packed forms' band (4 <= d <= 8), and
+# radius 1/3 gives the step 1/(6d), which is not dyadic
+@pytest.mark.parametrize("targets", ["auto", "none"])
+@pytest.mark.parametrize("seed", [0, 5, 11])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_fd_family_equals_the_fraction_reference_loop(d, seed, targets):
+    n = d + 2
+    balls = _fd_balls(d, n, targets, seed)
+    family = fd_overcomplete(d, n, targets=[OpenBall(exact_vector(c), r) for c, r in balls], seed=seed)
+    assert [v.coords for v in family] == fd_overcomplete_by_fractions(d, n, balls, seed)
 
 
 def test_fd_raises_once_the_candidate_budget_is_exhausted(monkeypatch):

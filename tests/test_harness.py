@@ -935,6 +935,21 @@ def test_fd_dense_takes_the_planes_only_outside_the_forms_band(monkeypatch, d, n
     assert bool(calls) == planes
 
 
+def test_fd_dense_builds_the_interior_terms_once_per_dimension(monkeypatch):
+    # the table depends on d alone: each run looks it up once, and only the
+    # first lookup builds it
+    import oclab.linalg as linalg_mod
+    from oclab.constructors import fd_overcomplete
+
+    table = linalg_mod._interior_terms
+    table.cache_clear()
+    calls = _count_calls(monkeypatch, linalg_mod, "_interior_terms")
+    fd_overcomplete(6, 12, seed=0)
+    fd_overcomplete(6, 12, seed=1)
+    assert calls == [(6,), (6,)]
+    assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "config",
     [{"d": "3", "n": "9", "targets": "none"}, {"d": "4", "n": "10", "targets": "auto", "radius": "1/2", "seed": "5"}],

@@ -781,6 +781,14 @@ def test_null_vector_refuses_a_block_solution_that_fails_a_pivot_row(monkeypatch
         null_vector(M, (1, 2))
 
 
+@pytest.mark.parametrize("width", range(8, 72, 8))
+def test_slot_masks_equal_the_geometric_series(width):
+    # sum_s 2^(width*s) = (2^(width*count) - 1) / (2^width - 1)
+    for count in range(601):
+        ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
+        assert _slot_masks(width, count) == (ones, ones << (width - 1))
+
+
 def _decode(packed, width, count):
     """The signed values of ``packed``'s slots, read one slot at a time."""
     half = 1 << (width - 1)

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from oclab import cli
-from oclab.verify import main
+from oclab.errors import CertificationError
+from oclab.verify import check_separated, main
 
 # the reports CI's installed-script step verifies, at its configs or smaller
 CHECKED = {
@@ -31,6 +32,8 @@ CHECKED = {
     "fd-dense": ("fd-dense", "d = 3\nn = 6\n"),
     "fd-dense-d8": ("fd-dense", "d = 8\nn = 12\n"),
     "fd-dense-d9": ("fd-dense", "d = 9\nn = 12\n"),
+    "fd-dense-unit": ("fd-dense", "d = 5\nn = 14\ntargets = none\n"),
+    "fd-dense-third": ("fd-dense", "d = 5\nn = 14\nradius = 1/3\n"),
 }
 # one report of each other scenario, which gets the re-dump and
 # certificate_refs check only
@@ -182,6 +185,13 @@ def _plant_a_dependent_member(record):
     vectors[3] = [str(F(a) + F(b)) for a, b in zip(vectors[0], vectors[1])]
 
 
+def _move_ball_2_onto_vector_2(record):
+    # a tiny ball about the vector itself holds it, but is no target ball
+    witness = record["certificates"][2]["witness"]
+    witness["center"] = list(record["constructed"]["vectors"][2])
+    witness["radius"] = "1/1000000"
+
+
 TAMPERS = {
     "sampled-min": ("sliding-hump", _set(["certificates", 0, "witness", "sampled_min"], _bump),
                     "check_samples", "sampled_min is not the smallest sampled norm"),
@@ -230,6 +240,8 @@ TAMPERS = {
                        "check_general_position", "the sweep certificate does not claim 20 subsets and no failure"),
     "fd-dense-ball": ("fd-dense", _set(["certificates", 2, "witness", "radius"], lambda r: "1/1000000"),
                       "check_ball_membership", "vector 2 lies outside its ball"),
+    "fd-dense-ball-moved": ("fd-dense", _move_ball_2_onto_vector_2,
+                            "check_ball_membership", "ball 2 is not the target ball params and seed give"),
     "escape-pairing": ("cover-escape", _set(["certificates", 0, "witness", "pairings", 0], _bump),
                        "check_escape", "the written pairing is not the escapee's"),
 }
@@ -242,6 +254,26 @@ def test_each_tampered_report_fails_its_named_check(reports, tmp_path, label):
     code, err = _verify(forged)
     assert code == 4
     assert re.search(f"{re.escape(str(forged))}: {check}: CertificationError: {message}", err), err
+
+
+# members 0 and 1 at distance exactly 1 - eps = 19/20 in the tag's norm, and
+# member 1 moved just past it; the members' denominators differ, so the
+# integer distances are cross-multiplied
+@pytest.mark.parametrize(
+    "tag, u, at_bound, apart",
+    [
+        ("L1", ["1", "0"], ["21/40", "19/40"], ["1/2", "1/2"]),
+        ("L2", ["1", "0"], ["43/100", "19/25"], ["21/50", "19/25"]),
+        ("Linf", ["1", "1/2"], ["1/20", "1"], ["1/21", "1"]),
+    ],
+)
+def test_separated_pairs_at_the_bound_are_too_close(tag, u, at_bound, apart):
+    def record(v):
+        return {"params": {"d": 2, "eps": "1/20", "tag": tag}, "constructed": {"vectors": [u, v]}}
+
+    with pytest.raises(CertificationError, match="members 0 and 1 are within 1 - eps"):
+        check_separated(record(at_bound), None)
+    check_separated(record(apart), None)
 
 
 def test_a_dropped_certificate_no_longer_matches_the_refs(reports, tmp_path):
