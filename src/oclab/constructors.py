@@ -50,7 +50,6 @@ from .linalg import (
     _interior,
     _interior_terms,
     _prefix_walk,
-    _repack,
     _slot_masks,
     _state_null_vector,
 )
@@ -141,15 +140,15 @@ def _direction(a: int, b: int):
 
 
 #: The dimensions whose picks :class:`_GeneralPosition` decides with packed
-#: exterior forms; every other d keeps the planes.  Measured with
-#: fd_overcomplete alone (seed 5, best of 3, 2-core Xeon VM, Python
-#: 3.11.7), planes against forms: 0.015 against 0.026 s at (d, n) =
-#: (2, 632), 0.012 against 0.013 s at (3, 107), 0.027 against 0.007 s at
-#: (5, 21) and 0.55 against 0.12 s at (8, 20); past d = 8 the forms lose
-#: at small n (0.006 against 0.007 s at (9, 12), 0.008 against 0.042 s at
-#: (12, 14)) and win only at larger n (1.85 against 0.75 s at (10, 20)).
-#: A form has up to C(d, d/2) components, which puts d = 24 out of reach.
-_FORMS_DIMENSIONS = range(4, 9)
+#: exterior forms; every larger d keeps the planes.  fd_overcomplete alone
+#: (seed 5, best of 3 after a warm-up call, 2-core Xeon VM, Python 3.11.7),
+#: planes below d = 4 against forms there: 0.18 against 0.22 s at (d, n) =
+#: (1, 20000), 0.007 against 0.013 s at (2, 632), 0.008 against 0.006 s at
+#: (3, 107); either way, forms take 0.003 s at (5, 21) and 0.09 s at
+#: (8, 20), and planes 0.10 s at (9, 16).  A form has up to C(d, d/2)
+#: components: past d = 8, forms take 0.04 s at (9, 16), but 183 against
+#: 100 MB at (10, 20) and 1.3 against 0.02 s at (16, 18).
+_FORMS_DIMENSIONS = range(1, 9)
 
 
 class _GeneralPosition:
@@ -162,9 +161,9 @@ class _GeneralPosition:
     a row must extend the picks' integer complement, carried from pick to
     pick (:func:`~oclab.linalg._extend`).  Any d picks are independent,
     so from then on the row and a (d-1)-subset T are singular together
-    exactly when det(T, row) = 0.  For 4 <= d <= 8
-    (:data:`_FORMS_DIMENSIONS`) every det(T, row) is decided at once with
-    packed exterior forms; at every other d, with planes.
+    exactly when det(T, row) = 0.  For d <= 8 (:data:`_FORMS_DIMENSIONS`)
+    every det(T, row) is decided at once with packed exterior forms; for
+    d >= 9, with planes.
 
     Forms.  Level j holds, for each j-subset S of the picks, the
     (d-j)-form w_S = det(rows of S, ...): its C(d, j) components are
@@ -176,13 +175,14 @@ class _GeneralPosition:
     pick costs a few big-integer products per component.  The row's
     interior product with level d-1 packs det(T, row) for every T, and
     the row is admitted when no slot is zero
-    (:func:`~oclab.linalg._has_zero_slot`).  Every value is a minor of
-    at most d rows, so its absolute value is at most M^d, M being the
+    (:func:`~oclab.linalg._has_zero_slot`); at d = 1, level d-1 is
+    level 0, so that det is the row's one entry.  Every value is a minor
+    of at most d rows, so its absolute value is at most M^d, M being the
     largest l1 norm among the rows decided so far.  The slots are whole
-    bytes wider than that, and a row of a larger norm re-packs the
-    levels into wider slots when M^d needs them
-    (:func:`~oclab.linalg._repack`).  No later check reads level j's
-    block of pick k when j < d + k + 1 - n, so that block is not built.
+    bytes wider than that, and a row of a larger norm rebuilds the levels
+    from the picks in wider slots when M^d needs them.  No later check
+    reads level j's block of pick k when j < d + k + 1 - n, so that
+    block is not built.
 
     Planes.  For T = T' + {j}, with T' its first d-2 picks and j its
     last, the row r and T are singular together exactly when the
@@ -190,13 +190,10 @@ class _GeneralPosition:
     integer vectors spanning the complement of T') are parallel, or r's
     is zero.  So each (d-2)-subset T' of the picks keeps its two vectors
     (u1, u2) and the set of primitive directions of the later picks, and
-    a row costs two dot products and one set lookup per T'.
-
-    - d = 1: the one T is empty, so a row is admitted when it is nonzero.
-    - d = 2: the one T' is empty, with the identity as (u1, u2).
-    - d >= 3: each new pick m adds the planes of T' = S + {m}, one for
-      each (d-3)-subset S of the earlier picks, by one walk over them
-      (:func:`~oclab.linalg._prefix_walk`).
+    a row costs two dot products and one set lookup per T'.  Each new
+    pick m adds the planes of T' = S + {m}, one for each (d-3)-subset S
+    of the earlier picks, by one walk over them
+    (:func:`~oclab.linalg._prefix_walk`).
 
     A plane whose last pick is m is built only while m <= n-3, and the
     last pick's directions are not kept: no later pick and candidate could
@@ -207,18 +204,14 @@ class _GeneralPosition:
     def __init__(self, d: int, n: int):
         self.d, self.n = d, n
         self.rows = []
-        self.complement = _complement(d)  # of the picks, while they are fewer than d-1 (d-2)
+        self.complement = _complement(d)  # of the picks, while they are fewer than d-1 (d-2 with planes)
         self.levels = None
         if d in _FORMS_DIMENSIONS:
             self.terms = _interior_terms(d)
-            # level j's components and its number of slots, of self.width bits
-            self.levels = [[1]] + [[0] * math.comb(d, j) for j in range(1, d)]
-            self.counts = [1] + [0] * (d - 1)
-            self.width = 8
-            self.masks = _slot_masks(self.width, 0)
             self.peak = 0  # the largest l1 norm of a row so far
+            self._empty_forms(8)
         # (u1, u2, directions of the later picks) per (d-2)-subset T' of the picks
-        self.planes = [(*_complement_vectors(_complement(2)), set())] if d == 2 else []
+        self.planes = []
 
     def admit(self, row) -> bool:
         """Decide ``row`` against the picks; an admitted row becomes a pick."""
@@ -226,10 +219,7 @@ class _GeneralPosition:
         forms = self.levels is not None
         if forms:
             self._fit(row)
-        if d == 1:
-            if not any(row):
-                return False
-        elif k < d - 2 + forms:
+        if k < d - 2 + forms:
             grown = _extend(self.complement, row)
             if grown is None:
                 return False
@@ -250,8 +240,8 @@ class _GeneralPosition:
                 for (_, _, seen), key in zip(self.planes, keys):
                     seen.add(key)
         if forms:
-            self._append_forms(row)
-        elif d >= 3 and k <= self.n - 3:
+            self._append_forms(row, k)
+        elif k <= self.n - 3:
             # the row misses the span of every min(k, d-1) picks, so no state is None
             head = _extend(_complement(d), row)
             for _, states in _prefix_walk(self.rows, combinations(range(k), d - 3), head, _extend):
@@ -259,32 +249,40 @@ class _GeneralPosition:
         self.rows.append(row)
         return True
 
+    def _empty_forms(self, width: int) -> None:
+        """The levels of no picks in slots of ``width`` bits: level j's
+        components and its number of slots, and the masks of level d-1's."""
+        d = self.d
+        self.levels = [[1]] + [[0] * math.comb(d, j) for j in range(1, d)]
+        self.counts = [1] + [0] * (d - 1)
+        self.width = width
+        self.masks = _slot_masks(width, self.counts[-1])
+
     def _fit(self, row) -> None:
-        """Re-pack the levels into whole-byte slots that hold +-M^d, for the
-        largest l1 norm M of the rows decided so far and ``row``, unless
-        theirs already do."""
+        """Rebuild the levels from the picks in whole-byte slots that hold
+        +-M^d, for the largest l1 norm M of the rows decided so far and
+        ``row``, unless theirs already do."""
         norm = sum(map(abs, row))
         if norm > self.peak:
             self.peak = norm
             bits = (norm ** self.d).bit_length()
             if bits >= self.width:
-                wider = 8 * (bits // 8 + 1)
-                self.levels = [
-                    [_repack(x, self.width, wider, count) for x in level] if count else level
-                    for level, count in zip(self.levels, self.counts)
-                ]
-                self.width = wider
-                self.masks = _slot_masks(wider, self.counts[-1])
+                self._empty_forms(8 * (bits // 8 + 1))
+                for k, pick in enumerate(self.rows):
+                    self._append_forms(pick, k)
 
-    def _append_forms(self, row) -> None:
-        d, k = self.d, len(self.rows)
+    def _append_forms(self, row, k: int) -> None:
+        """Append pick ``k``, ``row``, to the levels."""
+        d, width = self.d, self.width
         # descending, so that level j-1 is read before its own block is appended
         for j in range(min(k + 1, d - 1), max(d + k - self.n, 0), -1):
             block = _interior(self.levels[j - 1], row, self.terms[d - j + 1])
-            shift = self.width * self.counts[j]
+            shift = width * self.counts[j]
             self.levels[j] = [x + (y << shift) for x, y in zip(self.levels[j], block)]
+            if j == d - 1:
+                ones = self.masks[0] | _slot_masks(width, self.counts[j - 1])[0] << shift
+                self.masks = ones, ones << (width - 1)
             self.counts[j] += self.counts[j - 1]
-        self.masks = _slot_masks(self.width, self.counts[-1])
 
 
 def fd_overcomplete(
@@ -301,10 +299,10 @@ def fd_overcomplete(
     of the previous picks with |T| = min(#picks, d-1): the inductive
     hyperplane-avoidance step, strengthened below d-1 picks so that the
     early picks stay independent (and nonzero).  Both are decided in
-    integer arithmetic by :class:`_GeneralPosition`: for 4 <= d <= 8 by
-    one packed test over every (d-1)-subset of the picks at once, at
-    other d by one set lookup per (d-2)-subset.  The dyadic grid is
-    refined on retry, so avoidance is certified, never assumed.  So each
+    integer arithmetic by :class:`_GeneralPosition`: for d <= 8 by one
+    packed test over every (d-1)-subset of the picks at once, for d >= 9
+    by one set lookup per (d-2)-subset.  The dyadic grid is refined on
+    retry, so avoidance is certified, never assumed.  So each
     d-subset is decided nonsingular once, at its last member, before the
     family is returned (else :class:`~oclab.errors.ConstructionError`):
     this check is a run's subset-rank sweep, and the tests check it

@@ -29,7 +29,7 @@ One walk over subsets of a list of rows (:func:`_prefix_walk`) folds a
 step over each subset's rows, keeping the states of the longest prefix
 it shares with the subset before it, so in combinations order each
 prefix is stepped once.  It has three readers.  The fd-dense
-construction, outside its packed forms' dimensions, steps with
+construction, past its packed forms' dimensions (d >= 9), steps with
 :func:`_extend` to the two vectors spanning each (d-2)-fold prefix's
 complement (:func:`_complement_vectors`), the plane its quotient
 projects onto.  :func:`oclab.certify.density_certificates`
@@ -40,7 +40,7 @@ the pivots are the leading minors, which are the pivot log
 :func:`_extend`, and a subset is singular when its last state is
 ``None``.
 
-Inside its packed forms' dimensions (4 <= d <= 8) the fd-dense
+Inside its packed forms' dimensions (d <= 8) the fd-dense
 construction decides every (d-1)-subset of its picks against a
 candidate at once.  Each exterior form keeps one integer per component,
 packing that component's value for every subset of the picks into
@@ -49,7 +49,7 @@ product with an integer vector (:func:`_interior`, over the terms of
 :func:`_interior_terms`, a table built once per d and shared) is a few
 big-integer products, and one SWAR test (:func:`_has_zero_slot`, with
 masks :func:`_slot_masks` builds from bytes) tells whether any slot is
-zero.  Slots that grow too narrow are re-packed wider (:func:`_repack`).
+zero.  Slots that grow too narrow are rebuilt wider from the picks.
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
@@ -729,21 +729,6 @@ def _has_zero_slot(packed: int, masks: tuple) -> bool:
     ones, high = masks
     z = (packed + high) ^ high
     return bool((z - ones) & ~z & high)
-
-
-def _repack(packed: int, width: int, wider: int, count: int) -> int:
-    """``packed``'s ``count`` slots of ``width`` bits, re-packed at ``wider``
-    bits; both widths are whole bytes.
-
-    Each slot, offset by 2^(width-1) as in :func:`_slot_masks`, is one run
-    of bytes; the runs are padded with zero bytes to the wider slot, and
-    the offset is taken back at the wider spacing.
-    """
-    step = width // 8
-    raw = (packed + _slot_masks(width, count)[1]).to_bytes(count * step, "little")
-    pad = bytes((wider - width) // 8)
-    spread = int.from_bytes(b"".join(raw[i : i + step] + pad for i in range(0, len(raw), step)), "little")
-    return spread - (_slot_masks(wider, count)[0] << (width - 1))
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

@@ -109,9 +109,13 @@ def check_annihilator(record: dict, text: str) -> None:
     _require(max(abs(x) for x in e_star) == 1, "the largest |coordinate| is not 1")
 
 
-def _g_sequence(params: dict, K: int) -> tuple:
+def _incomplete_bump(k: int, n: int) -> Fraction:
+    return Fraction(1, (n + 2) ** k)
+
+
+def _g_sequence(params: dict, K: int, bump) -> tuple:
     """tail(t) = c * rho^t / (1 - rho), the cutoffs k -> least t with tail(t) < 1/k!,
-    and g_k = y_k + sum_{n<=k} (n+2)^-k e_n for k = 0..K over the width max(cutoff(K), K+1),
+    and g_k = y_k + sum_{n<=k} bump(k, n) e_n for k = 0..K over the width max(cutoff(K), K+1),
     where y_k is y(n) = c * rho^n cut at cutoff(k)."""
     c, rho = Fraction(params["c"]), Fraction(params["rho"])
 
@@ -124,7 +128,7 @@ def _g_sequence(params: dict, K: int) -> tuple:
             t += 1
         cutoffs.append(t)
     y = [c * rho**n for n in range(max(t, K + 1))]
-    g = [[(x if n < cutoffs[k] else 0) + (Fraction(1, (n + 2) ** k) if n <= k else 0) for n, x in enumerate(y)]
+    g = [[(x if n < cutoffs[k] else 0) + (bump(k, n) if n <= k else 0) for n, x in enumerate(y)]
          for k in range(K + 1)]
     return tail, cutoffs, y, g
 
@@ -135,7 +139,7 @@ def check_approximation_bounds(record: dict, text: str) -> None:
     distance is at most the bound."""
     params = record["params"]
     K = max([params["K"]] + [int(k) for k in params["ks"].split(",")])
-    tail, cutoffs, y, vectors = _g_sequence(params, K)
+    tail, cutoffs, y, vectors = _g_sequence(params, K, _incomplete_bump)
     _require(_fractions(record["constructed"]["vectors"]) == vectors, f"the vectors are not g_0..g_{K}")
     certs = [cert for cert in record["certificates"] if cert["kind"] == "approximation-bound"]
     _require([cert["witness"]["k"] for cert in certs] == list(range(K + 1)),
@@ -148,6 +152,33 @@ def check_approximation_bounds(record: dict, text: str) -> None:
         _require(cert["verdict"] == "Holds" and distance <= bound, f"g_{k} lies beyond its bound")
 
 
+def check_schedule(record: dict, text: str) -> None:
+    """geometric-variant: the vectors are g_k = y_k + sum_{j<=k} lambda_k^(j+1) e_j for
+    k = 0..K, rebuilt from params with lambda_n = 1/(n+2) (harmonic) or 1/2^(n+1) (dyadic);
+    for each j <= j_max, the scaled errors tail(cutoff(n)) / lambda_n^j decrease strictly
+    from their onset to n = K, where they lie below the threshold; and the onsets are the
+    written ones."""
+    params = record["params"]
+    K, j_max = params["K"], params["j_max"]
+    if params["schedule"] == "harmonic":
+        lambdas = [Fraction(1, n + 2) for n in range(K + 1)]
+    else:
+        lambdas = [Fraction(1, 2 ** (n + 1)) for n in range(K + 1)]
+    tail, cutoffs, _, vectors = _g_sequence(params, K, lambda k, j: lambdas[k] ** (j + 1))
+    _require(_fractions(record["constructed"]["vectors"]) == vectors,
+             f"the vectors are not g_0..g_{K} of the {params['schedule']} schedule")
+    errors, threshold, onsets = [tail(t) for t in cutoffs], Fraction(params["threshold"]), []
+    for j in range(j_max + 1):
+        vals = [err / lam**j for err, lam in zip(errors, lambdas)]
+        # the last n with vals[n-1] <= vals[n], from which they decrease strictly
+        onsets.append(max((n for n in range(1, K + 1) if vals[n - 1] <= vals[n]), default=0))
+        _require(onsets[-1] < K, f"the scaled errors still rise at n = {K} for j = {j}")
+        _require(vals[K] < threshold, f"the scaled error at n = {K} for j = {j} is not below the threshold")
+    (cert,) = record["certificates"]
+    _require(cert["verdict"] == "Verified" and cert["witness"] == {"j_max": j_max, "onsets": onsets},
+             f"the schedule certificate does not claim the onsets {onsets}")
+
+
 def check_probe(record: dict, text: str) -> None:
     """The vectors are g_0..g_K (gk) or the unit basis e_0..e_K (basis), rebuilt from params;
     each member's sup deviation from the limit (y's truncation for gk, zero for basis) over
@@ -155,7 +186,7 @@ def check_probe(record: dict, text: str) -> None:
     params = record["params"]
     K, window, tau = params["K"], params["window"], params["tau"]
     if params["variant"] == "gk":
-        _, _, limit, expected = _g_sequence(params, K)
+        _, _, limit, expected = _g_sequence(params, K, _incomplete_bump)
     else:
         limit, expected = [0] * (K + 1), [[int(n == k) for n in range(K + 1)] for k in range(K + 1)]
     vectors = _fractions(record["constructed"]["vectors"])
@@ -401,7 +432,7 @@ CHECKS = {
     "incomplete": (check_approximation_bounds, check_annihilator),
     "sliding-hump": (check_split_log, check_samples), "cover": (check_escape,),
     "probe": (check_probe,), "fd-dense": (check_general_position, check_ball_membership),
-    "free-set": (), "geometric-variant": (),
+    "free-set": (), "geometric-variant": (check_schedule,),
 }
 
 

@@ -261,8 +261,8 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
     # fed the planted family in order, the construction's check admits a row
     # exactly when no subset T of min(#picks, d-1) picks is singular with it;
     # random candidates almost never lie on such a span, so only planted
-    # dependencies show a check that admits too much.  d runs on both sides
-    # of the packed forms' band (4 <= d <= 8) and the planes' outside it
+    # dependencies show a check that admits too much.  d runs over the
+    # packed forms' band (d <= 8) and past it, where the planes decide
     vectors = _planted_family(d, seed)
     n = d + extra
     check = _GeneralPosition(d, n)
@@ -280,11 +280,12 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
             picks.append(v)
 
 
-@pytest.mark.parametrize("d", [4, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
 def test_general_position_check_repacks_its_forms_as_rows_grow(d):
-    # rows of 3 bits, then 40, then 200: each growth re-packs levels that
-    # already hold minors, and every third row is a combination of the d-1
-    # latest picks, which the check must still refuse at the wider slots
+    # rows of 3 bits, then 40, then 200: each growth rebuilds, in wider
+    # slots, levels that already hold minors, and every third row is a
+    # combination of the d-1 latest picks (the zero row at d = 1), which
+    # the check must still refuse at the wider slots
     rng = random.Random(d)
     n = d + 7 if d < 8 else d + 3
     check = _GeneralPosition(d, n)

@@ -172,7 +172,7 @@ def _fd_balls(d, n, targets, seed):
     return [([F(rng.randrange(-255, 256), 256) for _ in range(d)], F(1, 3)) for _ in range(n)]
 
 
-# d = 1..10 meets both sides of the packed forms' band (4 <= d <= 8), and
+# d = 1..10 meets both sides of the packed forms' band (d <= 8), and
 # radius 1/3 gives the step 1/(6d), which is not dyadic
 @pytest.mark.parametrize("targets", ["auto", "none"])
 @pytest.mark.parametrize("seed", [0, 5, 11])

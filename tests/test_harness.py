@@ -916,7 +916,10 @@ def test_cli_fd_dense_sampled_past_the_guard_exits_2(tmp_path):
     assert "set subset_samples" not in result.output
 
 
-@pytest.mark.parametrize("d, n, planes", [(4, 26, False), (5, 21, False), (8, 12, False), (9, 12, True), (3, 20, True)])
+@pytest.mark.parametrize(
+    "d, n, planes",
+    [(1, 8, False), (2, 40, False), (3, 20, False), (4, 26, False), (5, 21, False), (8, 12, False), (9, 12, True)],
+)
 def test_fd_dense_takes_the_planes_only_outside_the_forms_band(monkeypatch, d, n, planes):
     # the builder walks subsets (_prefix_walk) only to build planes, so a
     # benchmark size that fell back to the planes would show here; the spot

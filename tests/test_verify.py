@@ -14,7 +14,8 @@ import pytest
 
 from oclab import cli
 from oclab.errors import CertificationError
-from oclab.verify import check_separated, main
+from oclab.constructors import IncompleteModel, _perturbed_approximants
+from oclab.verify import check_schedule, check_separated, main
 
 # the reports CI's installed-script step verifies, at its configs or smaller
 CHECKED = {
@@ -34,11 +35,13 @@ CHECKED = {
     "fd-dense-d9": ("fd-dense", "d = 9\nn = 12\n"),
     "fd-dense-unit": ("fd-dense", "d = 5\nn = 14\ntargets = none\n"),
     "fd-dense-third": ("fd-dense", "d = 5\nn = 14\nradius = 1/3\n"),
+    "fd-dense-d1": ("fd-dense", "d = 1\nn = 8\n"),
+    "fd-dense-d2": ("fd-dense", "d = 2\nn = 40\n"),
+    "geometric-variant": ("geometric-variant", "K = 8\nj_max = 3\n"),
 }
 # one report of each other scenario, which gets the re-dump and
 # certificate_refs check only
 CANONICAL_ONLY = {
-    "geometric-variant": ("geometric-variant", "K = 8\nj_max = 3\n"),
     "free-set": ("free-set", "n = 9\nf = chain\n"),
     "cover-grid": ("cover", "mode = grid\npoints = 9\n"),
 }
@@ -242,6 +245,12 @@ TAMPERS = {
                       "check_ball_membership", "vector 2 lies outside its ball"),
     "fd-dense-ball-moved": ("fd-dense", _move_ball_2_onto_vector_2,
                             "check_ball_membership", "ball 2 is not the target ball params and seed give"),
+    "schedule-onset": ("geometric-variant", _set(["certificates", 0, "witness", "onsets", 0], lambda o: o + 1),
+                       "check_schedule", r"the schedule certificate does not claim the onsets \[1, 1, 1, 2\]"),
+    "schedule-moved-member": ("geometric-variant", _set(["constructed", "vectors", 2, 0], _bump),
+                              "check_schedule", "the vectors are not g_0..g_8 of the harmonic schedule"),
+    "schedule-threshold": ("geometric-variant", _set(["params", "threshold"], lambda t: "1/1000"),
+                           "check_schedule", "the scaled error at n = 8 for j = 2 is not below the threshold"),
     "escape-pairing": ("cover-escape", _set(["certificates", 0, "witness", "pairings", 0], _bump),
                        "check_escape", "the written pairing is not the escapee's"),
 }
@@ -274,6 +283,17 @@ def test_separated_pairs_at_the_bound_are_too_close(tag, u, at_bound, apart):
     with pytest.raises(CertificationError, match="members 0 and 1 are within 1 - eps"):
         check_separated(record(at_bound), None)
     check_separated(record(apart), None)
+
+
+def test_a_schedule_still_rising_at_the_horizon_fails():
+    # at K = 12 the dyadic scaled errors for j = 3 still rise at n = 12, so
+    # the construction refuses this config; its vectors do not depend on j_max
+    lambdas = [F(1, 2 ** (n + 1)) for n in range(13)]
+    vectors = _perturbed_approximants(IncompleteModel(F(1, 2), F(1, 2)), 12, lambda k, j: lambdas[k] ** (j + 1))
+    params = {"K": 12, "j_max": 3, "c": "1/2", "rho": "1/2", "schedule": "dyadic", "threshold": "1"}
+    record = {"params": params, "constructed": {"vectors": [[str(x) for x in v.coords] for v in vectors]}}
+    with pytest.raises(CertificationError, match="the scaled errors still rise at n = 12 for j = 3"):
+        check_schedule(record, None)
 
 
 def test_a_dropped_certificate_no_longer_matches_the_refs(reports, tmp_path):
