@@ -166,8 +166,9 @@ def all_subsets_full_rank(vectors: Sequence[Vector], d: int):
 
     The reference sweep of tests and verifiers: a family built by
     :func:`~oclab.constructors.fd_overcomplete` has had each d-subset
-    decided while it was built, by 2-D projections onto the plane of each
-    (d-2)-subset, so a run does not sweep it again.  This sweep decides
+    decided while it was built, by packed exterior forms for d <= 8 and by
+    2-D projections onto the plane of each (d-2)-subset past that, so a
+    run does not sweep it again.  This sweep decides
     rank by folding each d-subset's rows with :func:`~oclab.linalg._extend`
     instead; a subset whose last state is ``None`` fails.
     """

@@ -19,10 +19,9 @@ survives that truncation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import (
@@ -43,14 +42,9 @@ from .linalg import (
     scaled_int_coords,
     zero_vector,
     _complement,
-    _complement_vectors,
     _extend,
-    _has_zero_slot,
+    _general_position,
     _int_difference,
-    _interior,
-    _interior_terms,
-    _prefix_walk,
-    _slot_masks,
     _state_null_vector,
 )
 from .rng import rng_for, split_seed
@@ -129,162 +123,6 @@ def _unit_balls(d: int, n: int) -> list:
     return [OpenBall(zero_vector(d), Fraction(1))] * n
 
 
-def _direction(a: int, b: int):
-    """The primitive direction of (a, b) with its first nonzero entry
-    positive, or ``None`` at (0, 0)."""
-    g = math.gcd(a, b)
-    if not g:
-        return None
-    a, b = a // g, b // g
-    return (a, b) if a > 0 or (not a and b > 0) else (-a, -b)
-
-
-#: The dimensions whose picks :class:`_GeneralPosition` decides with packed
-#: exterior forms; every larger d keeps the planes.  fd_overcomplete alone
-#: (seed 5, best of 3 after a warm-up call, 2-core Xeon VM, Python 3.11.7),
-#: planes below d = 4 against forms there: 0.18 against 0.22 s at (d, n) =
-#: (1, 20000), 0.007 against 0.013 s at (2, 632), 0.008 against 0.006 s at
-#: (3, 107); either way, forms take 0.003 s at (5, 21) and 0.09 s at
-#: (8, 20), and planes 0.10 s at (9, 16).  A form has up to C(d, d/2)
-#: components: past d = 8, forms take 0.04 s at (9, 16), but 183 against
-#: 100 MB at (10, 20) and 1.3 against 0.02 s at (16, 18).
-_FORMS_DIMENSIONS = range(1, 9)
-
-
-class _GeneralPosition:
-    """The picks of :func:`fd_overcomplete` so far, out of n in all, and
-    the check that admits the next one.
-
-    A row is admitted when it lies outside span(T) for every subset T of
-    the picks with |T| = min(#picks, d-1).  While there are fewer than
-    d-1 picks (d-2 with planes) that means outside the span of them all:
-    a row must extend the picks' integer complement, carried from pick to
-    pick (:func:`~oclab.linalg._extend`).  Any d picks are independent,
-    so from then on the row and a (d-1)-subset T are singular together
-    exactly when det(T, row) = 0.  For d <= 8 (:data:`_FORMS_DIMENSIONS`)
-    every det(T, row) is decided at once with packed exterior forms; for
-    d >= 9, with planes.
-
-    Forms.  Level j holds, for each j-subset S of the picks, the
-    (d-j)-form w_S = det(rows of S, ...): its C(d, j) components are
-    the j x j minors of S, up to sign.  Level 0 is the volume form 1, and
-    a pick m appends to each level j the interior products of m with
-    level j-1 (:func:`~oclab.linalg._interior`), so w_{S+m} is the
-    interior product of m with w_S.  Each component is packed over the
-    level's subsets into one signed integer, one slot per subset, so a
-    pick costs a few big-integer products per component.  The row's
-    interior product with level d-1 packs det(T, row) for every T, and
-    the row is admitted when no slot is zero
-    (:func:`~oclab.linalg._has_zero_slot`); at d = 1, level d-1 is
-    level 0, so that det is the row's one entry.  Every value is a minor
-    of at most d rows, so its absolute value is at most M^d, M being the
-    largest l1 norm among the rows decided so far.  The slots are whole
-    bytes wider than that, and a row of a larger norm rebuilds the levels
-    from the picks in wider slots when M^d needs them.  No later check
-    reads level j's block of pick k when j < d + k + 1 - n, so that
-    block is not built.
-
-    Planes.  For T = T' + {j}, with T' its first d-2 picks and j its
-    last, the row r and T are singular together exactly when the
-    projections of r and j onto the plane of T' (their pairings with two
-    integer vectors spanning the complement of T') are parallel, or r's
-    is zero.  So each (d-2)-subset T' of the picks keeps its two vectors
-    (u1, u2) and the set of primitive directions of the later picks, and
-    a row costs two dot products and one set lookup per T'.  Each new
-    pick m adds the planes of T' = S + {m}, one for each (d-3)-subset S
-    of the earlier picks, by one walk over them
-    (:func:`~oclab.linalg._prefix_walk`).
-
-    A plane whose last pick is m is built only while m <= n-3, and the
-    last pick's directions are not kept: no later pick and candidate could
-    read them.  So at most C(n-2, d-2) planes and C(n-1, d-1) directions
-    are held.
-    """
-
-    def __init__(self, d: int, n: int):
-        self.d, self.n = d, n
-        self.rows = []
-        self.complement = _complement(d)  # of the picks, while they are fewer than d-1 (d-2 with planes)
-        self.levels = None
-        if d in _FORMS_DIMENSIONS:
-            self.terms = _interior_terms(d)
-            self.peak = 0  # the largest l1 norm of a row so far
-            self._empty_forms(8)
-        # (u1, u2, directions of the later picks) per (d-2)-subset T' of the picks
-        self.planes = []
-
-    def admit(self, row) -> bool:
-        """Decide ``row`` against the picks; an admitted row becomes a pick."""
-        d, k = self.d, len(self.rows)
-        forms = self.levels is not None
-        if forms:
-            self._fit(row)
-        if k < d - 2 + forms:
-            grown = _extend(self.complement, row)
-            if grown is None:
-                return False
-            self.complement = grown
-        elif forms:
-            (dets,) = _interior(self.levels[-1], row, self.terms[1])
-            if _has_zero_slot(dets, self.masks):
-                return False
-        else:
-            mul = operator.mul
-            keys = []
-            for u1, u2, seen in self.planes:
-                key = _direction(sum(map(mul, u1, row)), sum(map(mul, u2, row)))
-                if key is None or key in seen:
-                    return False
-                keys.append(key)
-            if k < self.n - 1:
-                for (_, _, seen), key in zip(self.planes, keys):
-                    seen.add(key)
-        if forms:
-            self._append_forms(row, k)
-        elif k <= self.n - 3:
-            # the row misses the span of every min(k, d-1) picks, so no state is None
-            head = _extend(_complement(d), row)
-            for _, states in _prefix_walk(self.rows, combinations(range(k), d - 3), head, _extend):
-                self.planes.append((*_complement_vectors(states[-1]), set()))
-        self.rows.append(row)
-        return True
-
-    def _empty_forms(self, width: int) -> None:
-        """The levels of no picks in slots of ``width`` bits: level j's
-        components and its number of slots, and the masks of level d-1's."""
-        d = self.d
-        self.levels = [[1]] + [[0] * math.comb(d, j) for j in range(1, d)]
-        self.counts = [1] + [0] * (d - 1)
-        self.width = width
-        self.masks = _slot_masks(width, self.counts[-1])
-
-    def _fit(self, row) -> None:
-        """Rebuild the levels from the picks in whole-byte slots that hold
-        +-M^d, for the largest l1 norm M of the rows decided so far and
-        ``row``, unless theirs already do."""
-        norm = sum(map(abs, row))
-        if norm > self.peak:
-            self.peak = norm
-            bits = (norm ** self.d).bit_length()
-            if bits >= self.width:
-                self._empty_forms(8 * (bits // 8 + 1))
-                for k, pick in enumerate(self.rows):
-                    self._append_forms(pick, k)
-
-    def _append_forms(self, row, k: int) -> None:
-        """Append pick ``k``, ``row``, to the levels."""
-        d, width = self.d, self.width
-        # descending, so that level j-1 is read before its own block is appended
-        for j in range(min(k + 1, d - 1), max(d + k - self.n, 0), -1):
-            block = _interior(self.levels[j - 1], row, self.terms[d - j + 1])
-            shift = width * self.counts[j]
-            self.levels[j] = [x + (y << shift) for x, y in zip(self.levels[j], block)]
-            if j == d - 1:
-                ones = self.masks[0] | _slot_masks(width, self.counts[j - 1])[0] << shift
-                self.masks = ones, ones << (width - 1)
-            self.counts[j] += self.counts[j - 1]
-
-
 def fd_overcomplete(
     d: int,
     n: int,
@@ -299,10 +137,10 @@ def fd_overcomplete(
     of the previous picks with |T| = min(#picks, d-1): the inductive
     hyperplane-avoidance step, strengthened below d-1 picks so that the
     early picks stay independent (and nonzero).  Both are decided in
-    integer arithmetic by :class:`_GeneralPosition`: for d <= 8 by one
-    packed test over every (d-1)-subset of the picks at once, for d >= 9
-    by one set lookup per (d-2)-subset.  The dyadic grid is refined on
-    retry, so avoidance is certified, never assumed.  So each
+    integer arithmetic by :func:`~oclab.linalg._general_position`: for
+    d <= 8 by one packed test over every (d-1)-subset of the picks at once,
+    for d >= 9 by one set lookup per (d-2)-subset.  The dyadic grid is
+    refined on retry, so avoidance is certified, never assumed.  So each
     d-subset is decided nonsingular once, at its last member, before the
     family is returned (else :class:`~oclab.errors.ConstructionError`):
     this check is a run's subset-rank sweep, and the tests check it
@@ -326,7 +164,7 @@ def fd_overcomplete(
         if ball.center.dim != d:
             raise DomainError("target ball dimension mismatch")
     rng = rng_for(seed, "fd-overcomplete")
-    picks = _GeneralPosition(d, n)
+    picks = _general_position(d, n)
     chosen: list = []
     for k, ball in enumerate(targets):
         # offsets of sup-norm at most radius/(2d) have Euclidean length at

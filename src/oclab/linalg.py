@@ -28,28 +28,24 @@ over nodes scaled once.
 One walk over subsets of a list of rows (:func:`_prefix_walk`) folds a
 step over each subset's rows, keeping the states of the longest prefix
 it shares with the subset before it, so in combinations order each
-prefix is stepped once.  It has three readers.  The fd-dense
-construction, past its packed forms' dimensions (d >= 9), steps with
-:func:`_extend` to the two vectors spanning each (d-2)-fold prefix's
-complement (:func:`_complement_vectors`), the plane its quotient
-projects onto.  :func:`oclab.certify.density_certificates`
-steps with :func:`_diagonal_step`: while row t pivots on coordinate t,
-the pivots are the leading minors, which are the pivot log
-:func:`rank_exact` gives that subset.  The reference sweep
+prefix is stepped once.  It has three readers.  :class:`_Planes` steps
+with :func:`_extend` to the two vectors spanning each (d-2)-fold
+prefix's complement (:func:`_complement_vectors`).
+:func:`oclab.certify.density_certificates` steps with
+:func:`_diagonal_step`: while row t pivots on coordinate t, the pivots
+are the leading minors, which are the pivot log :func:`rank_exact` gives
+that subset.  The reference sweep
 :func:`oclab.certify.all_subsets_full_rank` steps every d-subset with
 :func:`_extend`, and a subset is singular when its last state is
 ``None``.
 
-Inside its packed forms' dimensions (d <= 8) the fd-dense
-construction decides every (d-1)-subset of its picks against a
-candidate at once.  Each exterior form keeps one integer per component,
-packing that component's value for every subset of the picks into
-byte-aligned signed slots (Kronecker substitution), so an interior
-product with an integer vector (:func:`_interior`, over the terms of
-:func:`_interior_terms`, a table built once per d and shared) is a few
-big-integer products, and one SWAR test (:func:`_has_zero_slot`, with
-masks :func:`_slot_masks` builds from bytes) tells whether any slot is
-zero.  Slots that grow too narrow are rebuilt wider from the picks.
+The fd-dense construction's picks are admitted by one of two engines,
+chosen from d alone (:func:`_general_position`).  :class:`_PackedForms`
+(d <= 8) packs each exterior form component's value for every subset of
+the picks into byte-aligned signed slots (Kronecker substitution), so an
+interior product (:func:`_interior`) is a few big-integer products and
+one SWAR test (:func:`_has_zero_slot`) finds a zero slot.
+:class:`_Planes` (d >= 9) keeps a plane per (d-2)-subset of the picks.
 
 :func:`null_vector`, which the annihilators of the incomplete and
 cover-escape runs and of dependent subsets come from, finds the pivot
@@ -729,6 +725,156 @@ def _has_zero_slot(packed: int, masks: tuple) -> bool:
     ones, high = masks
     z = (packed + high) ^ high
     return bool((z - ones) & ~z & high)
+
+
+# ---------------------------------------------------------------------------
+# general position: the fd-dense construction's two engines
+# ---------------------------------------------------------------------------
+
+
+#: :class:`_PackedForms` decides d <= 8 and :class:`_Planes` the rest.  A
+#: form has up to C(d, d/2) components: past d = 8, forms take 0.04 against
+#: 0.10 s for planes at (d, n) = (9, 16), but 183 against 100 MB at (10, 20)
+#: and 1.3 against 0.02 s at (16, 18) (fd_overcomplete alone, seed 5, best
+#: of 3 after a warm-up call, 2-core Xeon VM, Python 3.11.7).
+_FORMS_DIMENSIONS = range(1, 9)
+
+
+def _general_position(d: int, n: int):
+    """fd_overcomplete's check in R^d, n picks in all: ``admit(row)`` tells
+    whether the integer ``row`` lies outside span(T) for every
+    min(#picks, d-1) picks T, and makes it a pick if so."""
+    return _PackedForms(d, n) if d in _FORMS_DIMENSIONS else _Planes(d, n)
+
+
+class _PackedForms:
+    """General position by packed exterior forms (d <= 8).
+
+    Level j holds the (d-j)-form w_S = det(rows of S, ...) of each
+    j-subset S of the picks, whose components are the minors of S up to
+    sign.  Level 0 is the volume form 1, and a pick m appends to level j
+    its interior products with level j-1 (:func:`_interior`): w_{S+m},
+    zero exactly when m lies in span(S).  Each component packs its values
+    over the level's subsets into one signed integer, one slot per subset.
+    So below d-1 picks, level k = #picks holds one slot, all the picks, and
+    from then on the row's product with level d-1 packs det(T, row) for
+    every T (at d = 1, the row's one entry): the row is refused when the
+    product is zero, or has a zero slot (:func:`_has_zero_slot`).
+
+    Every value is a minor of at most d rows, at most M^d for the largest
+    l1 norm M of the rows decided so far; the slots are whole bytes wider,
+    and rebuilt wider when a row raises M^d past them.  Level j's block of
+    pick k is read by no later check, and not built, when
+    j <= d + k - max(n, d): the reads below d-1 picks need level k's slot.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, max(n, d)
+        self.terms = _interior_terms(d)
+        self.rows = []
+        self.peak = 0  # the largest l1 norm of a row so far
+        self._build(8)
+
+    def admit(self, row) -> bool:
+        d, k = self.d, len(self.rows)
+        norm = sum(map(abs, row))
+        if norm > self.peak:
+            # the levels' slots must hold +-M^d for the new largest l1 norm M
+            self.peak = norm
+            bits = (norm**d).bit_length()
+            if bits >= self.width:
+                self._build(8 * (bits // 8 + 1))
+        j = min(k, d - 1)  # below d-1 picks, level k's one slot
+        product = _interior(self.levels[j], row, self.terms[d - j])
+        if (_has_zero_slot(product[0], self.masks) if j == d - 1 else not any(product)):
+            return False
+        self._append_forms(row, k)
+        self.rows.append(row)
+        return True
+
+    def _build(self, width: int) -> None:
+        """The levels of the picks in slots of ``width`` bits: level j's
+        components and its number of slots, and the masks of level d-1's."""
+        d = self.d
+        self.levels = [[1]] + [[0] * math.comb(d, j) for j in range(1, d)]
+        self.counts = [1] + [0] * (d - 1)
+        self.width = width
+        self.masks = _slot_masks(width, self.counts[-1])
+        for k, pick in enumerate(self.rows):
+            self._append_forms(pick, k)
+
+    def _append_forms(self, row, k: int) -> None:
+        """Append pick ``k``, ``row``, to the levels."""
+        d, width = self.d, self.width
+        # descending, so that level j-1 is read before its own block is appended
+        for j in range(min(k + 1, d - 1), max(d + k - self.n, 0), -1):
+            block = _interior(self.levels[j - 1], row, self.terms[d - j + 1])
+            shift = width * self.counts[j]
+            self.levels[j] = [x + (y << shift) for x, y in zip(self.levels[j], block)]
+            if j == d - 1:
+                ones = self.masks[0] | _slot_masks(width, self.counts[j - 1])[0] << shift
+                self.masks = ones, ones << (width - 1)
+            self.counts[j] += self.counts[j - 1]
+
+
+def _direction(a: int, b: int):
+    """The primitive direction of (a, b) with its first nonzero entry
+    positive, or ``None`` at (0, 0)."""
+    g = math.gcd(a, b)
+    if not g:
+        return None
+    a, b = a // g, b // g
+    return (a, b) if a > 0 or (not a and b > 0) else (-a, -b)
+
+
+class _Planes:
+    """General position by planes (d >= 9).
+
+    Below d-2 picks a row must extend the picks' integer complement
+    (:func:`_extend`), carried from pick to pick.  From then on, the row is
+    singular with the picks T = T' + {j}, T' their first d-2, exactly when
+    the projections of the row and j onto the plane of T' (their pairings
+    with two integer vectors spanning its complement) are parallel, or the
+    row's is zero.  So each (d-2)-subset T' keeps its two vectors and the
+    primitive directions (:func:`_direction`) of the later picks: a row
+    costs two dot products and one set lookup per T'.  Pick m adds the
+    planes of T' = S + {m} for each (d-3)-subset S of the earlier picks, by
+    one walk (:func:`_prefix_walk`), and only while m <= n-3; the last
+    pick's directions are not kept, so at most C(n-2, d-2) planes and
+    C(n-1, d-1) directions are held.
+    """
+
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
+        self.rows = []
+        self.complement = _complement(d)  # of the picks, while they are fewer than d-2
+        # (u1, u2, directions of the later picks) per (d-2)-subset T' of the picks
+        self.planes = []
+
+    def admit(self, row) -> bool:
+        d, k = self.d, len(self.rows)
+        if k < d - 2:
+            grown = _extend(self.complement, row)
+            if grown is None:
+                return False
+            self.complement = grown
+        else:
+            keys = []
+            for u1, u2, seen in self.planes:
+                key = _direction(sum(map(operator.mul, u1, row)), sum(map(operator.mul, u2, row)))
+                if key is None or key in seen:
+                    return False
+                keys.append(key)
+            if k < self.n - 1:
+                for (_, _, seen), key in zip(self.planes, keys):
+                    seen.add(key)
+        if k <= self.n - 3:
+            # the row misses the span of every min(k, d-1) picks, so no state is None
+            head = _extend(_complement(d), row)
+            for _, states in _prefix_walk(self.rows, itertools.combinations(range(k), d - 3), head, _extend):
+                self.planes.append((*_complement_vectors(states[-1]), set()))
+        self.rows.append(row)
+        return True
 
 
 def vandermonde_det(lambdas: Sequence[Fraction]) -> Fraction:

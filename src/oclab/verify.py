@@ -38,6 +38,20 @@ def _require(holds, message: str) -> None:
         raise CertificationError(message)
 
 
+def _stream(record: dict, label: str) -> random.Random:
+    """The run's seeded stream ``label``: a Random seeded with the first 8
+    bytes of sha256("{seed}:{label}"), read big-endian."""
+    key = hashlib.sha256(f"{record['seed']}:{label}".encode("utf-8")).digest()[:8]
+    return random.Random(int.from_bytes(key, "big"))
+
+
+def _scaled(v) -> tuple:
+    """The rational vector ``v`` as integers over its common denominator,
+    and that denominator."""
+    den = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def _fractions(vectors) -> list:
     return [[Fraction(c) for c in v] for v in vectors]
 
@@ -232,10 +246,7 @@ def check_separated(record: dict, text: str) -> None:
     _require(len(vectors) == d and rank == d, f"{len(vectors)} members of rank {rank}, not d = {d}")
     # each member as integers over its common denominator, so that u - v is
     # (a * dv - b * du) / (du * dv) and the bound is cross-multiplied
-    ints = []
-    for v in vectors:
-        den = math.lcm(*(x.denominator for x in v))
-        ints.append(([x.numerator * (den // x.denominator) for x in v], den))
+    ints = [_scaled(v) for v in vectors]
     ln, ld = lower.numerator, lower.denominator
     for (i, (us, du)), (j, (vs, dv)) in itertools.combinations(enumerate(ints), 2):
         diffs = [abs(a * dv - b * du) for a, b in zip(us, vs)]
@@ -340,11 +351,7 @@ def check_general_position(record: dict, text: str) -> None:
     d, n = params["d"], params["n"]
     vectors = _fractions(record["constructed"]["vectors"])
     _require(len(vectors) == n and all(len(v) == d for v in vectors), f"the vectors are not {n} points of R^{d}")
-    rows = []
-    for v in vectors:
-        scale = math.lcm(*(x.denominator for x in v))
-        rows.append([int(x * scale) for x in v])
-    singular = _first_singular_subset(rows, d)
+    singular = _first_singular_subset([_scaled(v)[0] for v in vectors], d)
     _require(singular is None, f"subset {list(singular or ())} is singular")
     (sweep,) = [cert for cert in record["certificates"] if cert["kind"] == "subset-rank-sweep"]
     checked = params["subset_samples"] or math.comb(n, d)
@@ -362,8 +369,7 @@ def _fd_target_balls(record: dict, n: int) -> list:
     d = params["d"]
     if params["targets"] == "none":
         return [([Fraction(0)] * d, Fraction(1))] * n
-    key = hashlib.sha256(f"{record['seed']}:fd-targets".encode("utf-8")).digest()[:8]
-    rng, radius = random.Random(int.from_bytes(key, "big")), Fraction(params["radius"])
+    rng, radius = _stream(record, "fd-targets"), Fraction(params["radius"])
     return [([Fraction(rng.randrange(-255, 256), 256) for _ in range(d)], radius) for _ in range(n)]
 
 
@@ -407,8 +413,7 @@ def check_samples(record: dict, text: str) -> None:
     # 2^16 (17-bit draws, those of 2^16 or more rejected), the point drawn
     # again if all are zero, then m sign bits
     samples = [[Fraction(s if k == j else 0) for k in range(m)] for j in range(m) for s in (1, -1)][:count]
-    key = hashlib.sha256(f"{record['seed']}:l1-samples".encode("utf-8")).digest()[:8]
-    rng = random.Random(int.from_bytes(key, "big"))
+    rng = _stream(record, "l1-samples")
     while len(samples) < count:
         raw = []
         while len(raw) < m:

@@ -33,7 +33,6 @@ from oclab.constructors import (
     incomplete_space_sequence,
     klee_vectors,
     sliding_hump_extract,
-    _GeneralPosition,
 )
 from oclab.errors import (
     CertificationError,
@@ -56,6 +55,7 @@ from oclab.linalg import (
     zero_vector,
     _complement,
     _extend,
+    _general_position,
 )
 from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
@@ -265,7 +265,7 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
     # packed forms' band (d <= 8) and past it, where the planes decide
     vectors = _planted_family(d, seed)
     n = d + extra
-    check = _GeneralPosition(d, n)
+    check = _general_position(d, n)
     picks = []
     for v in vectors:
         if len(picks) == n:
@@ -284,22 +284,23 @@ def test_general_position_check_admits_exactly_the_avoiding_rows(d, extra, seed)
 def test_general_position_check_repacks_its_forms_as_rows_grow(d):
     # rows of 3 bits, then 40, then 200: each growth rebuilds, in wider
     # slots, levels that already hold minors, and every third row is a
-    # combination of the d-1 latest picks (the zero row at d = 1), which
-    # the check must still refuse at the wider slots
+    # combination of the min(#picks, d-1) latest picks (the zero row at
+    # d = 1), which the check must still refuse at the wider slots: below
+    # d-1 picks one slot of level #picks decides it, from then on level d-1
     rng = random.Random(d)
     n = d + 7 if d < 8 else d + 3
-    check = _GeneralPosition(d, n)
+    check = _general_position(d, n)
     picks, widths = [], []
     for t in range(3 * n):
         if len(picks) == n:
             break
-        if t % 3 == 2 and len(picks) >= d - 1:
-            weights = [rng.choice([-2, -1, 1, 3]) for _ in range(d - 1)]
-            row = [sum(w * p[i] for w, p in zip(weights, picks[1 - d :])) for i in range(d)]
+        size = min(len(picks), d - 1)
+        if t % 3 == 2 and (size or d == 1):
+            weights = [rng.choice([-2, -1, 1, 3]) for _ in range(size)]
+            row = [sum(w * p[i] for w, p in zip(weights, picks[len(picks) - size :])) for i in range(d)]
         else:
             bits = 3 if len(picks) < d else 40 if len(picks) < n - 2 else 200
             row = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(d)]
-        size = min(len(picks), d - 1)
         avoids = all(rref_rank([row, *T]) == size + 1 for T in itertools.combinations(picks, size))
         assert check.admit(row) == avoids
         if avoids:

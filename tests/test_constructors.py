@@ -20,7 +20,6 @@ from oclab.constructors import (
     separated_overcomplete_fd,
     sliding_hump_extract,
     verify_schedule,
-    _GeneralPosition,
     _onset,
     _unit_isqrt_scale,
 )
@@ -141,11 +140,12 @@ def test_fd_construction_leaves_no_reference_cycle(d, n):
             gc.enable()
 
 
-def test_fd_needs_at_least_d_vectors():
+@pytest.mark.parametrize("d", [3, 9])  # the packed forms, then the planes
+def test_fd_needs_at_least_d_vectors(d):
     # below d vectors "every d are independent" holds vacuously, and the
     # seeded picks are independent all the same
-    vs = fd_overcomplete(3, 2)
-    assert len(vs) == 2 and all(v.dim == 3 for v in vs)
+    vs = fd_overcomplete(d, 2)
+    assert len(vs) == 2 and all(v.dim == d for v in vs)
     assert rank_exact(Matrix.from_rows(vs)).rank == 2
 
 
@@ -187,7 +187,11 @@ def test_fd_family_equals_the_fraction_reference_loop(d, seed, targets):
 def test_fd_raises_once_the_candidate_budget_is_exhausted(monkeypatch):
     # a general-position check that admits nothing: without the raise the
     # family would come back one member short
-    monkeypatch.setattr(_GeneralPosition, "admit", lambda self, row: False)
+    class AdmitsNothing:
+        def admit(self, row):
+            return False
+
+    monkeypatch.setattr("oclab.constructors._general_position", lambda d, n: AdmitsNothing())
     with pytest.raises(ConstructionError, match="candidate budget exhausted at step 0 after 64"):
         fd_overcomplete(2, 2)
 

@@ -921,21 +921,21 @@ def test_cli_fd_dense_sampled_past_the_guard_exits_2(tmp_path):
     [(1, 8, False), (2, 40, False), (3, 20, False), (4, 26, False), (5, 21, False), (8, 12, False), (9, 12, True)],
 )
 def test_fd_dense_takes_the_planes_only_outside_the_forms_band(monkeypatch, d, n, planes):
-    # the builder walks subsets (_prefix_walk) only to build planes, so a
-    # benchmark size that fell back to the planes would show here; the spot
-    # density certificate's own walk, in certify, is not counted
+    # the builder takes one engine per run, chosen from d alone, so a
+    # benchmark size that fell back to the planes would show here
     import oclab.constructors as constructors_mod
+    from oclab.linalg import _PackedForms, _Planes
 
-    calls = []
-    walk = constructors_mod._prefix_walk
+    engines = []
+    select = constructors_mod._general_position
 
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
+    def recorded(*args):
+        engines.append(select(*args))
+        return engines[-1]
 
-    monkeypatch.setattr(constructors_mod, "_prefix_walk", counted)
+    monkeypatch.setattr(constructors_mod, "_general_position", recorded)
     run_scenario("fd-dense", {"d": str(d), "n": str(n)})
-    assert bool(calls) == planes
+    assert [type(e) for e in engines] == [_Planes if planes else _PackedForms]
 
 
 def test_fd_dense_builds_the_interior_terms_once_per_dimension(monkeypatch):
