@@ -25,9 +25,9 @@ from .linalg import (
     Matrix,
     NormTag,
     PivotLog,
+    RankResult,
     Vector,
     dual_norm,
-    null_vector,
     pairing,
     rank_exact,
     scaled_int_coords,
@@ -41,7 +41,6 @@ from .rng import rng_for
 
 __all__ = [
     "HyperplaneFunctional",
-    "DensityCertificate",
     "CoverResult",
     "MajorityResult",
     "WitnessRecord",
@@ -82,26 +81,8 @@ class HyperplaneFunctional:
             raise DomainError("the zero functional does not define a hyperplane")
 
 
-@dataclass(frozen=True)
-class DensityCertificate:
-    """Either a full-rank proof (pivot log) or an annihilator witness.
-
-    ``verdict`` is "full" when the selected vectors span the ambient
-    space, with the elimination trace attached (and, for exactly d
-    vectors, their determinant from the same elimination); otherwise
-    "proper", with a nonzero exact functional whose pairings against
-    every selected vector are exactly zero (checked before it is returned).
-    """
-
-    verdict: str
-    rank: int
-    pivot_log: Optional[PivotLog] = None
-    witness: Optional[Vector] = None
-    det: Optional[Fraction] = None
-
-
-def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int) -> DensityCertificate:
-    """Decide whether the selected vectors span R^d, with a checkable proof.
+def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int) -> RankResult:
+    """Prove that the selected vectors span R^d, with a replayable pivot log.
 
     The one-subset case of :func:`density_certificates`, so a single
     certificate and a family's many take the same path.
@@ -111,7 +92,7 @@ def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int
 
 def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -> list:
     """The :func:`density_certificate` of each subset of ``vectors``, in
-    order.
+    order: a :class:`~oclab.linalg.RankResult` of rank d.
 
     The subsets are walked with :func:`~oclab.linalg._diagonal_step` on
     rows scaled to integers once for the whole family.  While row t
@@ -122,8 +103,8 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     determinant is the last minor over the product of the row scales.  A
     subset that leaves that diagonal, turns dependent or does not have d
     rows is eliminated on its own by :func:`~oclab.linalg.rank_exact`, and
-    one of rank below d gets its annihilator from
-    :func:`~oclab.linalg.null_vector`.
+    one of rank below d raises :class:`~oclab.errors.CertificationError`
+    naming it.
     """
     for v in vectors:
         if v.dim != d:
@@ -145,18 +126,12 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
         if len(sel_idx) == d and states[d] is not None:
             scales = tuple(ints[i][1] for i in sel_idx)
             log = PivotLog((d, d), scales, tuple((t, t, s[0]) for t, s in enumerate(states[1:])))
-            det = Fraction(states[d][0], math.prod(scales))
-            out.append(DensityCertificate("Full", d, pivot_log=log, det=det))
+            out.append(RankResult(d, log, Fraction(states[d][0], math.prod(scales))))
             continue
-        selected = Matrix.from_rows(vectors[i] for i in sel_idx)
-        result = rank_exact(selected)
-        if result.rank == d:
-            out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
-        else:
-            witness = null_vector(selected, (1,))
-            if any(pairing(witness, v) for v in selected.rows):
-                raise CertificationError("annihilator witness failed to annihilate")
-            out.append(DensityCertificate("Proper", result.rank, witness=witness))
+        result = rank_exact(Matrix.from_rows(vectors[i] for i in sel_idx))
+        if result.rank < d:
+            raise CertificationError(f"subset {sel_idx} has rank {result.rank}, not d = {d}")
+        out.append(result)
     return out
 
 

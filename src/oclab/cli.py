@@ -32,6 +32,8 @@ def main(argv=None) -> int:
         text = Path(args.config_path).read_text(encoding="utf-8")
     except OSError as exc:
         return _fail(f"error: cannot read config: {exc}", 5)
+    except UnicodeDecodeError as exc:
+        return _fail(f"config error: cannot read {args.config_path} as UTF-8 text: {exc}", 2)
     try:
         raw = parse_config(text)
         report = run_scenario(args.scenario, raw, seed=args.seed, tol=args.tol)

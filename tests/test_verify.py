@@ -235,12 +235,18 @@ TAMPERS = {
                               "check_separated", "member 0 has Linf norm 10, not 1"),
     "separated-duplicated": ("separated-L2", _duplicate_member_0,
                              "check_separated", "6 members of rank 5, not d = 6"),
+    "separated-spot-pivot": ("separated-L2", _set(["certificates", 1, "pivot_log", "steps", 5, 2], lambda p: p + 1),
+                             "check_spot_density", "density certificate: pivot value mismatch at step 5"),
     "fd-dense-dependent": ("fd-dense", _plant_a_dependent_member,
                            "check_general_position", r"subset \[0, 1, 3\] is singular"),
     "fd-dense-duplicated": ("fd-dense", _duplicate_member_0,
                             "check_general_position", r"subset \[0, 1, 2\] is singular"),
     "fd-dense-swept": ("fd-dense", _set(["certificates", 6, "witness", "subsets_checked"], lambda c: c - 1),
                        "check_general_position", "the sweep certificate does not claim 20 subsets and no failure"),
+    "fd-dense-spot-pivot": ("fd-dense", _set(["certificates", 7, "pivot_log", "steps", 2, 2], lambda p: p + 1),
+                            "check_spot_density", "density certificate: pivot value mismatch at step 2"),
+    "fd-dense-spot-subset": ("fd-dense", _set(["certificates", 7, "subset"], lambda sub: [1, 2, 3]),
+                             "check_spot_density", r"the density certificate is not Full on the subset 0\.\.2"),
     "fd-dense-ball": ("fd-dense", _set(["certificates", 2, "witness", "radius"], lambda r: "1/1000000"),
                       "check_ball_membership", "vector 2 lies outside its ball"),
     "fd-dense-ball-moved": ("fd-dense", _move_ball_2_onto_vector_2,
