@@ -212,9 +212,8 @@ def _unit_isqrt_scale(s2: Fraction, floor: Fraction) -> Fraction:
     m = 1 << 80
     while True:
         num = math.isqrt((s2.denominator * m * m) // s2.numerator)
+        # num^2 <= q*m^2/p for s2 = p/q, so r^2 * s2 <= 1
         r = Fraction(num, m)
-        if r * r * s2 > 1:  # guard; floor rounding should prevent this
-            r = Fraction(num - 1, m)
         if r * r * s2 >= floor:
             return r
         m <<= 16

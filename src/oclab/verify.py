@@ -4,9 +4,9 @@
 4 when one fails or a report is malformed (naming the report and the
 check), 5 when a report cannot be read, and 2 when none is named.  Every
 report must re-dump to its own bytes; :data:`CHECKS` adds its scenario's
-checks.  Pivot logs are replayed by a plain rational eliminator that
-shares only the pivot-selection rule with the fraction-free kernel, so a
-bug in one cannot hide in the other.
+checks, each on the vectors parsed once.  A plain rational eliminator that
+shares only the pivot-selection rule with the fraction-free kernel replays
+pivot logs, so a bug in one cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -75,15 +75,15 @@ def eliminate(rows) -> list:
 
 
 def replay_pivot_log(rows, log: dict, expected_rank=None) -> int:
-    """Replay a wire-form pivot log on ``rows`` and return the rank: each step
-    sits where logged, and its pivot times the last logged one is logged."""
+    """Replay a wire-form pivot log on the rational ``rows`` and return the rank:
+    each step sits where logged, and its pivot times the last logged one is logged."""
     m, n = len(rows), len(rows[0]) if rows else 0
     _require(log["shape"] == [m, n], "pivot log shape does not match the matrix")
     _require(len(log["row_scales"]) == m, "pivot log carries the wrong number of row scales")
     scaled = []
     for row, scale in zip(rows, log["row_scales"]):
         _require(type(scale) is int and scale > 0, "row scales must be positive integers")
-        scaled.append([Fraction(c) * scale for c in row])
+        scaled.append([c * scale for c in row])
         _require(all(x.denominator == 1 for x in scaled[-1]), "logged row scale does not clear denominators")
     replayed, logged = eliminate(scaled), log["steps"]
     previous = 1
@@ -109,7 +109,7 @@ def check_canonical(record: dict, text: str) -> None:
     _require(certs and record["constructed"]["certificate_refs"] == refs, "certificate_refs do not match")
 
 
-def check_annihilator(record: dict, text: str) -> None:
+def check_annihilator(record: dict, vectors: list) -> None:
     """The incomplete annihilator kills every g_k with k in ks and the
     truncation of y_n = c * rho^n, and its largest |coordinate| is 1."""
     params, built = record["params"], record["constructed"]
@@ -117,9 +117,9 @@ def check_annihilator(record: dict, text: str) -> None:
     e_star = [Fraction(x) for x in built["annihilator"]]
     y = [c * rho**n for n in range(len(e_star))]
     ks = [int(k) for k in params["ks"].split(",")]
-    for name, row in [(f"g_{k}", built["vectors"][k]) for k in ks] + [("y", y)]:
+    for name, row in [(f"g_{k}", vectors[k]) for k in ks] + [("y", y)]:
         _require(len(row) == len(e_star), f"{name} has another dimension")
-        _require(sum(Fraction(a) * b for a, b in zip(row, e_star)) == 0, f"the annihilator does not kill {name}")
+        _require(sum(a * b for a, b in zip(row, e_star)) == 0, f"the annihilator does not kill {name}")
     _require(max(abs(x) for x in e_star) == 1, "the largest |coordinate| is not 1")
 
 
@@ -147,14 +147,14 @@ def _g_sequence(params: dict, K: int, bump) -> tuple:
     return tail, cutoffs, y, g
 
 
-def check_approximation_bounds(record: dict, text: str) -> None:
+def check_approximation_bounds(record: dict, vectors: list) -> None:
     """The vectors are g_0..g_K rebuilt from params, and for each k, g_k's distance to y,
     tail(w) beyond its width w included, and the bound tail(cutoff(k)) + (k+1)/2^k; the
     distance is at most the bound."""
     params = record["params"]
     K = max([params["K"]] + [int(k) for k in params["ks"].split(",")])
-    tail, cutoffs, y, vectors = _g_sequence(params, K, _incomplete_bump)
-    _require(_fractions(record["constructed"]["vectors"]) == vectors, f"the vectors are not g_0..g_{K}")
+    tail, cutoffs, y, g = _g_sequence(params, K, _incomplete_bump)
+    _require(vectors == g, f"the vectors are not g_0..g_{K}")
     certs = [cert for cert in record["certificates"] if cert["kind"] == "approximation-bound"]
     _require([cert["witness"]["k"] for cert in certs] == list(range(K + 1)),
              f"the approximation bounds are not one per g_k, k = 0..{K}")
@@ -166,7 +166,7 @@ def check_approximation_bounds(record: dict, text: str) -> None:
         _require(cert["verdict"] == "Holds" and distance <= bound, f"g_{k} lies beyond its bound")
 
 
-def check_schedule(record: dict, text: str) -> None:
+def check_schedule(record: dict, vectors: list) -> None:
     """geometric-variant: the vectors are g_k = y_k + sum_{j<=k} lambda_k^(j+1) e_j for
     k = 0..K, rebuilt from params with lambda_n = 1/(n+2) (harmonic) or 1/2^(n+1) (dyadic);
     for each j <= j_max, the scaled errors tail(cutoff(n)) / lambda_n^j decrease strictly
@@ -178,9 +178,8 @@ def check_schedule(record: dict, text: str) -> None:
         lambdas = [Fraction(1, n + 2) for n in range(K + 1)]
     else:
         lambdas = [Fraction(1, 2 ** (n + 1)) for n in range(K + 1)]
-    tail, cutoffs, _, vectors = _g_sequence(params, K, lambda k, j: lambdas[k] ** (j + 1))
-    _require(_fractions(record["constructed"]["vectors"]) == vectors,
-             f"the vectors are not g_0..g_{K} of the {params['schedule']} schedule")
+    tail, cutoffs, _, g = _g_sequence(params, K, lambda k, j: lambdas[k] ** (j + 1))
+    _require(vectors == g, f"the vectors are not g_0..g_{K} of the {params['schedule']} schedule")
     errors, threshold, onsets = [tail(t) for t in cutoffs], Fraction(params["threshold"]), []
     for j in range(j_max + 1):
         vals = [err / lam**j for err, lam in zip(errors, lambdas)]
@@ -193,7 +192,7 @@ def check_schedule(record: dict, text: str) -> None:
              f"the schedule certificate does not claim the onsets {onsets}")
 
 
-def check_probe(record: dict, text: str) -> None:
+def check_probe(record: dict, vectors: list) -> None:
     """The vectors are g_0..g_K (gk) or the unit basis e_0..e_K (basis), rebuilt from params;
     each member's sup deviation from the limit (y's truncation for gk, zero for basis) over
     the window and its L1 distance to it, and the class at tau."""
@@ -203,7 +202,6 @@ def check_probe(record: dict, text: str) -> None:
         _, _, limit, expected = _g_sequence(params, K, _incomplete_bump)
     else:
         limit, expected = [0] * (K + 1), [[int(n == k) for n in range(K + 1)] for k in range(K + 1)]
-    vectors = _fractions(record["constructed"]["vectors"])
     _require(vectors == expected, f"the vectors are not the {params['variant']} sequence for K = {K}")
     diffs = [[abs(a - b) for a, b in zip(v, limit)] for v in vectors]
     sups, gaps = [max(x[:window]) for x in diffs], [sum(x) for x in diffs]
@@ -217,12 +215,11 @@ def check_probe(record: dict, text: str) -> None:
     _require(witness["classification"] == cert["verdict"] == kind, f"the classification is not {kind}")
 
 
-def check_escape(record: dict, text: str) -> None:
+def check_escape(record: dict, vectors: list) -> None:
     """In escape mode, the plane (f0, f1, 1) through the first two points holds
     the points before the escapee, whose pairing with it is the written one."""
     if record["params"]["mode"] != "escape":
         return
-    vectors = _fractions(record["constructed"]["vectors"])
     (u0, u1, u2), (v0, v1, v2) = vectors[:2]
     det = u0 * v1 - u1 * v0
     _require(det, "the first two points do not span a plane")
@@ -236,14 +233,13 @@ def check_escape(record: dict, text: str) -> None:
     _require(pairings[index], "the escapee lies on the plane")
 
 
-def check_separated(record: dict, text: str) -> None:
-    """The separated family has rank d, every pair lies above 1 - eps, and its members
-    lie on the unit sphere (L1, Linf) or in the unit ball (L2)."""
+def check_separated(record: dict, vectors: list) -> None:
+    """The separated family is d members of R^d, every pair lies above 1 - eps, and its
+    members lie on the unit sphere (L1, Linf) or in the unit ball (L2); their rank d is
+    the density certificate's replay in :func:`check_spot_density`, which runs next."""
     params = record["params"]
     lower, tag, d = 1 - Fraction(params["eps"]), params["tag"], params["d"]
-    vectors = _fractions(record["constructed"]["vectors"])
-    rank = len(eliminate(list(vectors)))
-    _require(len(vectors) == d and rank == d, f"{len(vectors)} members of rank {rank}, not d = {d}")
+    _require(len(vectors) == d and all(len(v) == d for v in vectors), f"the members are not {d} points of R^{d}")
     # each member as integers over its common denominator, so that u - v is
     # (a * dv - b * du) / (du * dv) and the bound is cross-multiplied
     ints = [_scaled(v) for v in vectors]
@@ -263,18 +259,18 @@ def check_separated(record: dict, text: str) -> None:
             _require(size == 1, f"member {i} has {tag} norm {size}, not 1")
 
 
-def check_klee(record: dict, text: str) -> None:
+def check_klee(record: dict, vectors: list) -> None:
     """The lambdas are distinct and the vectors are their points (1, l, ..., l^(d-1)),
     each subset is d increasing indices of the vectors, an exhaustive report certifies
     every d-subset in order, and every certificate is Full, as distinct nodes make every
     moment-curve d-subset nonsingular: its pivot log replays and gives both
     determinants of its subset."""
-    params, vectors = record["params"], record["constructed"]["vectors"]
+    params = record["params"]
     lambdas = [Fraction(x) for x in params["lambdas"].split(",")]
     n, d = len(vectors), params["d"]
     _require(len(set(lambdas)) == len(lambdas), "the lambdas are not distinct")
     curve = [[lam**i for i in range(d)] for lam in lambdas]
-    _require(_fractions(vectors) == curve, "the vectors are not the lambdas' (1, l, ..., l^(d-1))")
+    _require(vectors == curve, "the vectors are not the lambdas' (1, l, ..., l^(d-1))")
     subsets = [cert["subset"] for cert in record["certificates"]]
     for sub in subsets:
         indices = len(sub) == d and all(type(i) is int and 0 <= i < n for i in sub)
@@ -343,13 +339,12 @@ def _first_singular_subset(rows: list, d: int):
     return walk((), [])
 
 
-def check_general_position(record: dict, text: str) -> None:
+def check_general_position(record: dict, vectors: list) -> None:
     """fd-dense: n vectors in R^d, every d of which are independent,
     re-decided in integers, and a sweep certificate that claims C(n, d)
     subsets (or the sampled count) and no failure."""
     params = record["params"]
     d, n = params["d"], params["n"]
-    vectors = _fractions(record["constructed"]["vectors"])
     _require(len(vectors) == n and all(len(v) == d for v in vectors), f"the vectors are not {n} points of R^{d}")
     singular = _first_singular_subset([_scaled(v)[0] for v in vectors], d)
     _require(singular is None, f"subset {list(singular or ())} is singular")
@@ -359,11 +354,11 @@ def check_general_position(record: dict, text: str) -> None:
              f"the sweep certificate does not claim {checked} subsets and no failure")
 
 
-def check_spot_density(record: dict, text: str) -> None:
+def check_spot_density(record: dict, vectors: list) -> None:
     """fd-dense and separated: the one density certificate is Full on the
     subset 0..d-1, and its pivot log replays on the first d vectors with
     rank d."""
-    d, vectors = record["params"]["d"], record["constructed"]["vectors"]
+    d = record["params"]["d"]
     (cert,) = [cert for cert in record["certificates"] if cert["kind"] == "density"]
     _require(cert["verdict"] == "Full" and cert["subset"] == list(range(d)),
              f"the density certificate is not Full on the subset 0..{d - 1}")
@@ -387,11 +382,10 @@ def _fd_target_balls(record: dict, n: int) -> list:
     return [([Fraction(rng.randrange(-255, 256), 256) for _ in range(d)], radius) for _ in range(n)]
 
 
-def check_ball_membership(record: dict, text: str) -> None:
+def check_ball_membership(record: dict, vectors: list) -> None:
     """fd-dense: one ball-membership certificate per vector, in order, each
     vector strictly inside its ball (||v - c||^2 < r^2), and each ball the
     one params and seed give."""
-    vectors = _fractions(record["constructed"]["vectors"])
     balls = [cert for cert in record["certificates"] if cert["kind"] == "ball-membership"]
     _require([cert["witness"]["index"] for cert in balls] == list(range(len(vectors))),
              "the ball certificates are not one per vector, in order")
@@ -403,30 +397,29 @@ def check_ball_membership(record: dict, text: str) -> None:
         _require((center, radius) == target, f"ball {j} is not the target ball params and seed give")
 
 
-def check_split_log(record: dict, text: str) -> None:
+def check_split_log(record: dict, vectors: list) -> None:
     """Each pick's middle-strip gap and tail mass, from its cut and alpha0."""
     built = record["constructed"]
     alpha0, cuts = built["alpha0"], built["cuts"]
-    vectors = [[abs(x) for x in v] for v in _fractions(built["vectors"])]
     (cert,) = record["certificates"]
     split_log = cert["witness"]["split_log"]
     _require(len(split_log) == len(vectors) == len(cuts), "one split entry per pick")
-    for g, (entry, x, cut) in enumerate(zip(split_log, vectors, cuts)):
+    for g, (entry, v, cut) in enumerate(zip(split_log, vectors, cuts)):
+        x = [abs(c) for c in v]
         _require((entry["member"], entry["cut"]) == (built["members"][g], cut), f"pick {g} names another member or cut")
         _require(Fraction(entry["approximation_gap"]) == sum(x[alpha0:cut], Fraction(0)), f"gap of pick {g}")
         _require(Fraction(entry["tail_mass"]) == sum(x[max(alpha0, cut):], Fraction(0)), f"tail mass of pick {g}")
 
 
-def check_samples(record: dict, text: str) -> None:
+def check_samples(record: dict, vectors: list) -> None:
     """The seeded l1 samples' smallest norm is ``sampled_min``, at least 1 - N - 2*eps."""
     params, built = record["params"], record["constructed"]
-    vectors = _fractions(built["vectors"])
     (cert,) = record["certificates"]
     witness, m, count = cert["witness"], len(vectors), params["samples"]
-    # the 2m signed unit vectors first, then seeded points: m draws below
-    # 2^16 (17-bit draws, those of 2^16 or more rejected), the point drawn
-    # again if all are zero, then m sign bits
-    samples = [[Fraction(s if k == j else 0) for k in range(m)] for j in range(m) for s in (1, -1)][:count]
+    # each sample as integer numerators over their total: the 2m signed unit vectors,
+    # then seeded points: m draws below 2^16 (17-bit draws, those of 2^16 or more
+    # rejected), the point drawn again if all are zero, then m sign bits
+    samples = [([s if k == j else 0 for k in range(m)], 1) for j in range(m) for s in (1, -1)][:count]
     rng = _stream(record, "l1-samples")
     while len(samples) < count:
         raw = []
@@ -435,8 +428,12 @@ def check_samples(record: dict, text: str) -> None:
             if r < 1 << 16:
                 raw.append(r)
         if any(raw):
-            samples.append([Fraction(r if rng.getrandbits(1) else -r, sum(raw)) for r in raw])
-    norms = [sum(abs(sum(a * x for a, x in zip(coeffs, column))) for column in zip(*vectors)) for coeffs in samples]
+            samples.append(([r if rng.getrandbits(1) else -r for r in raw], sum(raw)))
+    # the members over one common denominator, each column as its nonzero (member, entry) pairs
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    columns = [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(col) if x] for col in zip(*vectors)]
+    norms = [Fraction(sum(abs(sum(coeffs[j] * x for j, x in col)) for col in columns), den * total)
+             for coeffs, total in samples]
     constant = 1 - Fraction(built["n_value"]) - 2 * Fraction(params["eps"])
     sampled_min = Fraction(witness["sampled_min"])
     _require(witness["sample_count"] == count, "sample_count is not the configured samples")
@@ -468,9 +465,11 @@ def main(argv=None) -> int:
             text = Path(path).read_bytes().decode("utf-8")
             record = json.loads(text)
             check_canonical(record, text)
+            name = _fractions.__name__
+            vectors = _fractions(record["constructed"]["vectors"])
             for check in CHECKS[record["scenario"]]:
                 name = check.__name__
-                check(record, text)
+                check(record, vectors)
         except OSError as exc:
             print(f"error: cannot read report: {exc}", file=sys.stderr)
             code = 5

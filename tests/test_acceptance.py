@@ -47,10 +47,9 @@ from oclab.linalg import (
     pairing,
     unit_vector,
     zero_vector,
-    _complement,
-    _extend,
 )
 
+from helpers import prefix_state
 from oracles import brute_force_max_free_set, normal_eq_residual_sq, window_mass
 
 
@@ -196,14 +195,6 @@ def test_criterion_6_pigeonhole_quota_and_escape():
     print("criterion 6 PASS: 12 grid instances meet quota; escape pairings nonzero")
 
 
-def _prefix_state(vectors, d):
-    """The integer complement of ``vectors`` in R^d, skipping dependent ones."""
-    state = _complement(d)
-    for v in vectors:
-        state = _extend(state, v._ints[0]) or state
-    return state
-
-
 def test_criterion_7_riesz_dual_witnesses():
     rng = random.Random(71010)
     eps = F(1, 10)
@@ -217,7 +208,7 @@ def test_criterion_7_riesz_dual_witnesses():
                 )
                 for _ in range(k)
             ]
-            step = riesz_step(_prefix_state(basis, d), eps, tag, seed=trial)
+            step = riesz_step(prefix_state(basis, d), eps, tag, seed=trial)
             x, f = step.x, step.functional
             assert all(pairing(f, y) == 0 for y in basis)
             if tag is NormTag.L2:

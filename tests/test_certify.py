@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 import random
 import re
@@ -56,19 +55,13 @@ from oclab.linalg import (
     _extend,
     _general_position,
 )
-from oclab.serialize import canonical_json
-from oclab.verify import replay_pivot_log
 
+from helpers import blocks, replay
 from oracles import brute_force_max_free_set, cofactor_det, l1_combination_norm, rref_rank
 
 
 KLEE5_LAMBDAS = [F(1, 10), F(1, 5), F(3, 10), F(2, 5), F(9, 20)]
 KLEE5 = klee_vectors(KLEE5_LAMBDAS, 3)
-
-
-def _replay(M, log, expected_rank=None):
-    """The verifier's replay of ``log``, in its wire form, on M's coordinates."""
-    return replay_pivot_log([v.coords for v in M.rows], json.loads(canonical_json(log)), expected_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +75,7 @@ def test_klee_subsets_of_size_at_least_d_are_full():
             cert = density_certificate(KLEE5, sub, 3)
             assert cert.rank == 3
             M = Matrix.from_rows([KLEE5[i] for i in sub])
-            assert _replay(M, cert.log, 3) == 3
+            assert replay(M, cert.log, 3) == 3
             if size == 3:
                 assert cert.det == vandermonde_det([KLEE5_LAMBDAS[i] for i in sub])
 
@@ -153,7 +146,7 @@ def test_subset_walk_gives_each_subsets_own_elimination(case):
     assert certs == [ref for ref in reference if ref.rank >= d]
     for sub, cert in zip(spanning, certs):
         selected = Matrix.from_rows(vectors[i] for i in sub)
-        assert _replay(selected, cert.log, d) == d
+        assert replay(selected, cert.log, d) == d
     # after a walk, a dependent subset is refused by name and rank, and a
     # negative or past-the-end index or an empty subset is refused, with -1
     # not wrapping around to the last row
@@ -174,7 +167,7 @@ def test_replay_rejects_forged_row_scale():
     log = rank_exact(M).log
     forged = PivotLog(log.shape, (log.row_scales[0] * 3,) + log.row_scales[1:], log.steps)
     with pytest.raises(CertificationError):
-        _replay(M, forged)
+        replay(M, forged)
 
 
 def test_replay_rejects_dropped_step():
@@ -184,7 +177,7 @@ def test_replay_rejects_dropped_step():
     log = rank_exact(M).log
     forged = PivotLog(log.shape, log.row_scales, log.steps[:1])
     with pytest.raises(CertificationError):
-        _replay(M, forged)
+        replay(M, forged)
 
 
 def test_density_certificate_refuses_a_vector_of_another_dimension():
@@ -518,20 +511,6 @@ def test_witness_single_member_is_vacuous():
 # ---------------------------------------------------------------------------
 
 
-def _blocks(L, m, left_mass):
-    lead = 3 if left_mass > 0 else 0
-    width = (L - lead) // m
-    out = []
-    for j in range(m):
-        coords = [F(0)] * L
-        for i in range(lead):
-            coords[i] = left_mass / lead
-        for i in range(lead + j * width, lead + (j + 1) * width):
-            coords[i] = (1 - left_mass) / width
-        out.append(exact_vector(coords))
-    return out
-
-
 def test_l1_certificate_on_disjoint_family_gives_full_constant():
     S = [unit_vector(i, 15) for i in (0, 5, 10)]
     data = sliding_hump_extract(S, F(1, 10))
@@ -543,7 +522,7 @@ def test_l1_certificate_on_disjoint_family_gives_full_constant():
 
 
 def test_l1_certificate_blocks_instance():
-    data = sliding_hump_extract(_blocks(200, 15, F(3, 10)), F(1, 20))
+    data = sliding_hump_extract(blocks(200, 15, F(3, 10)), F(1, 20))
     cert = l1_lower_bound_certificate(data, coefficient_samples(15, 200, seed=4))
     assert cert.constant == F(3, 5)
     assert cert.floor == F(7, 20)
@@ -553,7 +532,7 @@ def test_l1_certificate_blocks_instance():
 
 
 def test_l1_certificate_rejects_forged_extraction():
-    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    data = sliding_hump_extract(blocks(100, 5, F(3, 10)), F(1, 20))
     # claim a later cut for the first member: the middle strip then holds mass
     forged = dataclasses.replace(data, cuts=(data.cuts[0] + 25,) + data.cuts[1:])
     with pytest.raises(CertificationError) as err:
@@ -574,7 +553,7 @@ def test_l1_certificate_rejects_a_too_light_tail_naming_the_pick():
 
 
 def test_l1_certificate_rejects_nonunit_mass_samples():
-    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    data = sliding_hump_extract(blocks(100, 5, F(3, 10)), F(1, 20))
     with pytest.raises(DomainError):
         l1_lower_bound_certificate(data, [((1,) * 5, 2)])
 
@@ -592,7 +571,7 @@ def test_l1_certificate_rejects_nonunit_mass_samples():
     ids=["short", "long", "zero-total", "negative-total", "mass-below-total", "mass-above-total"],
 )
 def test_l1_certificate_rejects_malformed_samples_naming_the_index(bad):
-    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    data = sliding_hump_extract(blocks(100, 5, F(3, 10)), F(1, 20))
     good = coefficient_samples(5, 4, seed=1)
     with pytest.raises(DomainError) as err:
         l1_lower_bound_certificate(data, good + [bad])
@@ -606,7 +585,7 @@ def test_l1_certificate_names_the_sample_below_the_constant(monkeypatch):
     import oclab.certify as certify_mod
 
     monkeypatch.setattr(certify_mod, "mul", lambda a, b: a * b * 7 // 10)
-    data = sliding_hump_extract(_blocks(100, 5, F(3, 10)), F(1, 20))
+    data = sliding_hump_extract(blocks(100, 5, F(3, 10)), F(1, 20))
     with pytest.raises(CertificationError) as err:
         l1_lower_bound_certificate(data, [((1, 0, 0, 0, 0), 1), ((1, -1, 0, 0, 0), 2)])
     assert "combination 1 fell below" in str(err.value)

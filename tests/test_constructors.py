@@ -43,12 +43,12 @@ from oclab.linalg import (
     unit_vector,
     zero_vector,
     _complement,
-    _extend,
     _state_null_vector,
 )
 from oclab.rng import rng_for
 from oclab.serialize import digest
 
+from helpers import blocks, prefix_state
 from oracles import (
     fd_overcomplete_by_fractions,
     prefix_min_table,
@@ -242,16 +242,8 @@ def test_open_ball_rejects_nonpositive_radius():
 # ---------------------------------------------------------------------------
 
 
-def _prefix_state(vectors, d):
-    """The integer complement of ``vectors`` in R^d, skipping dependent ones."""
-    state = _complement(d)
-    for v in vectors:
-        state = _extend(state, v._ints[0]) or state
-    return state
-
-
 def test_riesz_l1_against_a_line():
-    step = riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(1, 4), NormTag.L1, seed=5)
+    step = riesz_step(prefix_state([exact_vector([1, 0])], 2), F(1, 4), NormTag.L1, seed=5)
     x, f = step.x, step.functional
     assert x.coords == (F(0), F(1))
     assert f.coords == (F(0), F(1))
@@ -261,7 +253,7 @@ def test_riesz_l1_against_a_line():
 
 def test_riesz_dual_witness_contract_l1_linf():
     basis = [exact_vector([2, 1, 1]), exact_vector([0, 1, -1])]
-    step = riesz_step(_prefix_state(basis, 3), F(1, 8), NormTag.LINF, seed=9)
+    step = riesz_step(prefix_state(basis, 3), F(1, 8), NormTag.LINF, seed=9)
     assert norm(step.x, NormTag.LINF) == 1
     for y in basis:
         assert pairing(step.functional, y) == 0
@@ -271,7 +263,7 @@ def test_riesz_dual_witness_contract_l1_linf():
 
 def test_riesz_l2_near_unit_and_orthogonal():
     basis = [unit_vector(0, 3), unit_vector(1, 3)]
-    step = riesz_step(_prefix_state(basis, 3), F(1, 10), NormTag.L2, seed=5)
+    step = riesz_step(prefix_state(basis, 3), F(1, 10), NormTag.L2, seed=5)
     s2 = norm_squared(step.x)
     assert s2 <= 1
     assert 1 - s2 <= F(1, 10 ** 13)
@@ -283,14 +275,14 @@ def test_riesz_l2_near_unit_and_orthogonal():
 
 def test_riesz_rejects_spanning_basis():
     with pytest.raises(PreconditionError):
-        riesz_step(_prefix_state([unit_vector(0, 2), unit_vector(1, 2)], 2), F(1, 4), NormTag.L1)
+        riesz_step(prefix_state([unit_vector(0, 2), unit_vector(1, 2)], 2), F(1, 4), NormTag.L1)
 
 
 def test_riesz_eps_domain():
     with pytest.raises(DomainError):
-        riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(1), NormTag.L1)
+        riesz_step(prefix_state([exact_vector([1, 0])], 2), F(1), NormTag.L1)
     with pytest.raises(DomainError):
-        riesz_step(_prefix_state([exact_vector([1, 0])], 2), F(0), NormTag.L1)
+        riesz_step(prefix_state([exact_vector([1, 0])], 2), F(0), NormTag.L1)
 
 
 def test_unit_scale_refinement_gives_up_on_a_floor_above_one():
@@ -347,7 +339,7 @@ def _riesz_prefixes(draw):
 def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights):
     d, rows = prefix
     weights = weights[:d]
-    state = _prefix_state(rows, d)
+    state = prefix_state(rows, d)
     free = d - len(state[1])
     if rows:
         basis = rref_nullspace([row.coords for row in rows])
@@ -408,7 +400,7 @@ def _break_riesz_step(monkeypatch, at, broken):
 
 def _skips_first_member(real, made, members, eps, tag, seed):
     # a genuine Riesz step against all earlier members but the first
-    step = real(_prefix_state(members[1:], made.x.dim), eps, tag, seed=seed)
+    step = real(prefix_state(members[1:], made.x.dim), eps, tag, seed=seed)
     assert pairing(step.functional, members[0]) != 0
     return step
 
@@ -665,20 +657,6 @@ def test_schedule_must_decrease():
 # ---------------------------------------------------------------------------
 
 
-def _blocks(L, m, left_mass):
-    lead = 3 if left_mass > 0 else 0
-    width = (L - lead) // m
-    out = []
-    for j in range(m):
-        coords = [F(0)] * L
-        for i in range(lead):
-            coords[i] = left_mass / lead
-        for i in range(lead + j * width, lead + (j + 1) * width):
-            coords[i] = (1 - left_mass) / width
-        out.append(exact_vector(coords))
-    return out
-
-
 def _assert_extraction_properties(data, L):
     """The four extraction properties, re-derived from coordinates."""
     n_value, eps = data.n_value, data.epsilon
@@ -700,7 +678,7 @@ def test_disjoint_supports_extract_everything():
 
 
 def test_shared_left_mass_instance():
-    S = _blocks(200, 15, F(3, 10))
+    S = blocks(200, 15, F(3, 10))
     data = sliding_hump_extract(S, F(1, 20))
     assert data.n_value == F(3, 10)
     assert data.alpha0 == 3
@@ -709,7 +687,7 @@ def test_shared_left_mass_instance():
 
 
 def test_n_table_matches_double_loop_oracle_and_monotone():
-    S = _blocks(60, 4, F(1, 5))
+    S = blocks(60, 4, F(1, 5))
     data = sliding_hump_extract(S, F(1, 10))
     oracle = prefix_min_table([v.coords for v in S], 60)
     assert list(data.n_table) == oracle
@@ -723,7 +701,7 @@ def test_family_with_all_mass_left_of_plateau_is_impossible_case():
 
 
 def test_eps_precondition_enforced():
-    S = _blocks(200, 15, F(3, 10))
+    S = blocks(200, 15, F(3, 10))
     with pytest.raises(DomainError):
         sliding_hump_extract(S, F(1, 2))
 
@@ -733,7 +711,7 @@ def test_extraction_needs_a_positive_eps(eps):
     # below 0 no member is within eps of the floor, and the extraction
     # would come back empty
     with pytest.raises(DomainError, match="eps must be positive"):
-        sliding_hump_extract(_blocks(60, 4, F(1, 5)), eps)
+        sliding_hump_extract(blocks(60, 4, F(1, 5)), eps)
 
 
 def test_extraction_refuses_members_of_different_lengths():
@@ -789,7 +767,7 @@ def test_extraction_equals_the_fraction_sum_oracle(case):
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=20, max_value=60))
 @settings(max_examples=30, deadline=None)
 def test_extraction_properties_hold_on_random_block_instances(m, L):
-    S = _blocks(L, m, F(1, 4))
+    S = blocks(L, m, F(1, 4))
     data = sliding_hump_extract(S, F(1, 10))
     _assert_extraction_properties(data, L)
 

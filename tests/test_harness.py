@@ -1038,12 +1038,13 @@ def test_free_set_guard_ignores_max_deg_when_the_map_does_not_draw():
 @pytest.mark.parametrize("tag", ["L1", "L2", "Linf"])
 def test_separated_packs_nothing_again_and_the_witness_holds(tag):
     # the run measures no pair; the verifier measures every one from the report
-    from oclab.verify import check_separated
+    from oclab.verify import _fractions, check_separated
 
     report = run_scenario("separated", {"d": "5", "eps": "1/10", "tag": tag})
     (sep,) = [c for c in report.certificates if c["kind"] == "separation"]
     assert sep["witness"] == {"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True}
-    check_separated(json.loads(emit_report(report)), None)
+    record = json.loads(emit_report(report))
+    check_separated(record, _fractions(record["constructed"]["vectors"]))
 
 
 # the builder carries its members' complement, extending it once per

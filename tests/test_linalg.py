@@ -39,6 +39,7 @@ from oclab.serialize import canonical_json
 from oclab.verify import replay_pivot_log
 from oclab.constructors import IncompleteModel, OpenBall, incomplete_space_sequence, klee_vectors
 
+from helpers import replay
 from oracles import (
     cofactor_det,
     pivots_mod_p_by_rows,
@@ -50,11 +51,6 @@ from oracles import (
     termwise_vandermonde,
     weighted_combination,
 )
-
-
-def _replay(M, log, expected_rank=None):
-    """The verifier's replay of ``log``, in its wire form, on M's coordinates."""
-    return replay_pivot_log([v.coords for v in M.rows], json.loads(canonical_json(log)), expected_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,7 @@ def test_pivot_log_replay_accepts_genuine_runs():
         M = Matrix.from_rows([exact_vector(r) for r in rows])
         result = rank_exact(M)
         assert result.rank == rref_rank(rows)
-        assert _replay(M, result.log, result.rank) == result.rank
+        assert replay(M, result.log, result.rank) == result.rank
 
 
 @pytest.mark.parametrize(
@@ -222,7 +218,7 @@ def test_pinned_pivot_logs(rows, scales, steps, det):
     assert result.log.row_scales == scales
     assert result.log.steps == steps
     assert result.det == det
-    assert _replay(M, result.log, len(steps)) == len(steps)
+    assert replay(M, result.log, len(steps)) == len(steps)
 
 
 def test_broken_complement_state_raises_certification_error():
@@ -280,14 +276,14 @@ def test_pivot_log_replay_rejects_tampered_pivot():
     steps[0] = (row, col, piv + 1)
     forged = PivotLog(log.shape, log.row_scales, tuple(steps))
     with pytest.raises(CertificationError):
-        _replay(M, forged)
+        replay(M, forged)
 
 
 def test_pivot_log_replay_rejects_wrong_rank_claim():
     M = Matrix.from_rows([exact_vector([1, 2]), exact_vector([2, 4])])
     log = rank_exact(M).log
     with pytest.raises(CertificationError):
-        _replay(M, log, expected_rank=2)
+        replay(M, log, expected_rank=2)
 
 
 # each forgery of the wire-form log of [[1, 1/2], [1/3, 1]], whose row

@@ -15,7 +15,7 @@ import pytest
 from oclab import cli
 from oclab.errors import CertificationError
 from oclab.constructors import IncompleteModel, _perturbed_approximants
-from oclab.verify import check_schedule, check_separated, main
+from oclab.verify import _fractions, check_schedule, check_separated, main
 
 # the reports CI's installed-script step verifies, at its configs or smaller
 CHECKED = {
@@ -23,6 +23,7 @@ CHECKED = {
     "klee-d3": ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5, 9/20\nd = 3\n"),
     "klee-sampled": ("klee", "lambdas = 1/10, 1/5, 3/10, 2/5, 9/20\nd = 3\nsubset_samples = 4\n"),
     "sliding-hump": ("sliding-hump", "L = 40\nm = 4\nsamples = 20\n"),
+    "sliding-hump-L200": ("sliding-hump", "L = 200\nm = 15\nsamples = 3000\n"),
     "separated-L1": ("separated", "d = 4\ntag = L1\n"),
     "separated-L2": ("separated", "d = 6\ntag = L2\n"),
     "separated-Linf": ("separated", "d = 6\ntag = Linf\n"),
@@ -188,6 +189,16 @@ def _plant_a_dependent_member(record):
     vectors[3] = [str(F(a) + F(b)) for a, b in zip(vectors[0], vectors[1])]
 
 
+def _plant_a_combination_of_members_0_to_4(record):
+    # v5 becomes 4/9 (v0 + ... + v4): every pair stays apart and v5 inside the
+    # unit ball, so only the rank is wrong; the density log's row scale for v5
+    # clears its new denominators
+    vectors = record["constructed"]["vectors"]
+    v5 = [F(4, 9) * sum(map(F, column)) for column in zip(*vectors[:5])]
+    vectors[5] = [str(x) for x in v5]
+    record["certificates"][1]["pivot_log"]["row_scales"][5] = math.lcm(*(x.denominator for x in v5))
+
+
 def _move_ball_2_onto_vector_2(record):
     # a tiny ball about the vector itself holds it, but is no target ball
     witness = record["certificates"][2]["witness"]
@@ -234,7 +245,11 @@ TAMPERS = {
     "separated-Linf-scaled": ("separated-Linf", _scale_members_by_10,
                               "check_separated", "member 0 has Linf norm 10, not 1"),
     "separated-duplicated": ("separated-L2", _duplicate_member_0,
-                             "check_separated", "6 members of rank 5, not d = 6"),
+                             "check_separated", "members 0 and 1 are within 1 - eps"),
+    "separated-dropped": ("separated-L2", lambda r: r["constructed"]["vectors"].pop(),
+                          "check_separated", "the members are not 6 points of R\\^6"),
+    "separated-dependent": ("separated-L2", _plant_a_combination_of_members_0_to_4,
+                            "check_spot_density", "density certificate: log contains more steps than the replay produced"),
     "separated-spot-pivot": ("separated-L2", _set(["certificates", 1, "pivot_log", "steps", 5, 2], lambda p: p + 1),
                              "check_spot_density", "density certificate: pivot value mismatch at step 5"),
     "fd-dense-dependent": ("fd-dense", _plant_a_dependent_member,
@@ -283,12 +298,10 @@ def test_each_tampered_report_fails_its_named_check(reports, tmp_path, label):
     ],
 )
 def test_separated_pairs_at_the_bound_are_too_close(tag, u, at_bound, apart):
-    def record(v):
-        return {"params": {"d": 2, "eps": "1/20", "tag": tag}, "constructed": {"vectors": [u, v]}}
-
+    record = {"params": {"d": 2, "eps": "1/20", "tag": tag}}
     with pytest.raises(CertificationError, match="members 0 and 1 are within 1 - eps"):
-        check_separated(record(at_bound), None)
-    check_separated(record(apart), None)
+        check_separated(record, _fractions([u, at_bound]))
+    check_separated(record, _fractions([u, apart]))
 
 
 def test_a_schedule_still_rising_at_the_horizon_fails():
@@ -297,9 +310,8 @@ def test_a_schedule_still_rising_at_the_horizon_fails():
     lambdas = [F(1, 2 ** (n + 1)) for n in range(13)]
     vectors = _perturbed_approximants(IncompleteModel(F(1, 2), F(1, 2)), 12, lambda k, j: lambdas[k] ** (j + 1))
     params = {"K": 12, "j_max": 3, "c": "1/2", "rho": "1/2", "schedule": "dyadic", "threshold": "1"}
-    record = {"params": params, "constructed": {"vectors": [[str(x) for x in v.coords] for v in vectors]}}
     with pytest.raises(CertificationError, match="the scaled errors still rise at n = 12 for j = 3"):
-        check_schedule(record, None)
+        check_schedule({"params": params}, [list(v.coords) for v in vectors])
 
 
 def test_a_dropped_certificate_no_longer_matches_the_refs(reports, tmp_path):
