@@ -24,7 +24,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     NormTag,
-    PivotLog,
     RankResult,
     Vector,
     dual_norm,
@@ -32,6 +31,7 @@ from .linalg import (
     rank_exact,
     scaled_int_coords,
     _complement,
+    _diagonal_result,
     _diagonal_step,
     _extend,
     _int_difference,
@@ -98,9 +98,9 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     rows scaled to integers once for the whole family.  While row t
     pivots on coordinate t, the walk's pivots are the subset's leading
     principal minors, which are the Bareiss pivots that
-    :func:`~oclab.linalg.rank_exact` logs for it (a leading minor of M is
-    one of M transposed): the log is ``(t, t, minor)`` per row and the
-    determinant is the last minor over the product of the row scales.  A
+    :func:`~oclab.linalg.rank_exact` logs for it, and
+    :func:`~oclab.linalg._diagonal_result` writes them as its result, as
+    it does for the separated builder's carried state.  A
     subset that leaves that diagonal, turns dependent or does not have d
     rows is eliminated on its own by :func:`~oclab.linalg.rank_exact`, and
     one of rank below d raises :class:`~oclab.errors.CertificationError`
@@ -124,9 +124,7 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     out = []
     for sel_idx, states in _prefix_walk([r for r, _ in ints], checked(), _complement(d), _diagonal_step):
         if len(sel_idx) == d and states[d] is not None:
-            scales = tuple(ints[i][1] for i in sel_idx)
-            log = PivotLog((d, d), scales, tuple((t, t, s[0]) for t, s in enumerate(states[1:])))
-            out.append(RankResult(d, log, Fraction(states[d][0], math.prod(scales))))
+            out.append(_diagonal_result(tuple(ints[i][1] for i in sel_idx), [s[0] for s in states[1:]]))
             continue
         result = rank_exact(Matrix.from_rows(vectors[i] for i in sel_idx))
         if result.rank < d:
@@ -460,9 +458,9 @@ def decay_bound(j: int, k: int, norm_value=Fraction(1)):
     if j < 0 or k < 0:
         raise DomainError("bound indices must be nonnegative")
     if k <= _EXACT_LIMIT:
-        term1 = Fraction((j + 2) ** k, math.factorial(k))
-        term2 = Fraction(j + 2, j + 3) ** k * k
-        return Fraction(norm_value) * (term1 + term2)
+        # p/f + k*p/q over one denominator, p = (j+2)^k, f = k!, q = (j+3)^k
+        p, f, q = (j + 2) ** k, math.factorial(k), (j + 3) ** k
+        return Fraction(norm_value) * Fraction(p * (q + k * f), f * q)
     t1 = math.exp(k * math.log(j + 2) - math.lgamma(k + 1))
     t2 = math.exp(k * (math.log(j + 2) - math.log(j + 3))) * k
     return float(norm_value) * (t1 + t2)

@@ -42,6 +42,7 @@ from .linalg import (
     scaled_int_coords,
     zero_vector,
     _complement,
+    _diagonal_result,
     _extend,
     _general_position,
     _int_difference,
@@ -268,18 +269,29 @@ def riesz_step(state: tuple, eps: Fraction, tag: NormTag, seed: int = 0) -> Ries
 
 
 def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0) -> tuple:
-    """d unit vectors with pairwise distances above 1 - eps, spanning R^d.
+    """d unit vectors with pairwise distances above 1 - eps, spanning R^d,
+    and their density certificate when the builder's state gives it.
 
     Iterates the separation step against the span of the prefix, whose
-    integer complement is carried from step to step: each member but the
-    last extends it once (:func:`~oclab.linalg._extend`), so no step
-    eliminates the prefix again.  Each step's witness f is decided once,
+    integer complement is carried from step to step: each member extends
+    it once (:func:`~oclab.linalg._extend`), so no step eliminates the
+    prefix again.  Each step's witness f is decided once,
     exactly, with :func:`~oclab.linalg.pairing` rather than the
     complement: f kills the prefix, and f(x) > (1 - eps) * ||f||_* (for L2
     in squares, with f(x) > 0).  By Riesz's lemma x_k then lies farther
     than 1 - eps from the prefix's span, and f(x_k) > 0 = f(x_i) for i < k
     makes the family independent.  Raises
     :class:`~oclab.errors.ConstructionError` naming a failed step.
+
+    Returns ``(members, spot)``.  While every member pivots on its own
+    coordinate, the state's pivots are the members' leading minors, and
+    the last member extends the state too: ``spot`` is then
+    :func:`~oclab.linalg._diagonal_result` of those pivots, the
+    :class:`~oclab.linalg.RankResult` that
+    :func:`~oclab.certify.density_certificate` gives the members.  Once a
+    member pivots elsewhere, as L1's signed coordinate vectors +-e_j do
+    unless each member t is +-e_t, the last member is not extended and
+    ``spot`` is ``None``.
     """
     if d < 1:
         raise DomainError("ambient dimension must be positive")
@@ -287,7 +299,7 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
     tag = NormTag(tag)
     lower = 1 - eps
     state = _complement(d)
-    members = []
+    members, minors = [], []
     for k in range(d):
         step = riesz_step(state, eps, tag, seed=split_seed(seed, f"step:{k}"))
         f, x = step.functional, step.x
@@ -301,9 +313,14 @@ def separated_overcomplete_fd(d: int, eps: Fraction, tag: NormTag, seed: int = 0
         if not separated:
             raise ConstructionError(f"step {k}: the witness pairs to at most 1 - eps of its dual norm")
         members.append(x)
-        if k < d - 1:
+        diagonal = len(minors) == k  # every earlier member pivoted on its own coordinate
+        if k < d - 1 or diagonal:
+            # f(x) > 0 = f(prefix), so x lies outside the prefix's span and extends it
             state = _extend(state, x._ints[0])
-    return tuple(members)
+            if diagonal and state[1][-1] == k:
+                minors.append(state[0])
+    spot = _diagonal_result(tuple(x._ints[1] for x in members), minors) if len(minors) == d else None
+    return tuple(members), spot
 
 
 # ---------------------------------------------------------------------------

@@ -355,9 +355,12 @@ def _written(items) -> str:
     return ", ".join(map(str, items))
 
 
-def _spot_density(vectors, d: int) -> dict:
-    """The density certificate of the first d vectors."""
-    spot = density_certificate(vectors, range(d), d)
+def _spot_density(vectors, d: int, spot=None) -> dict:
+    """The density certificate of the first d vectors, written from
+    ``spot``, their :func:`density_certificate` when a builder already
+    holds it (the separated builder's carried state), or computed here."""
+    if spot is None:
+        spot = density_certificate(vectors, range(d), d)
     return certificate(
         "density",
         "Full",
@@ -462,7 +465,7 @@ def _run_separated(values, seed):
     d, eps, tag = values["d"], values["eps"], NormTag(values["tag"])
     # the family holds d*d exact coordinates
     _guard_products(values, (("d", "d"),))
-    vectors = separated_overcomplete_fd(d, eps, tag, seed=seed)
+    vectors, spot = separated_overcomplete_fd(d, eps, tag, seed=seed)
     n = len(vectors)
     # the builder decided each step's Riesz witness, which puts every pair
     # above 1 - eps (oclab.verify's check_separated measures the pairs)
@@ -478,7 +481,7 @@ def _run_separated(values, seed):
             inputs={"d": d, "eps": eps, "tag": tag.value},
         )
     ]
-    certs.append(_spot_density(vectors, d))
+    certs.append(_spot_density(vectors, d, spot))
     constructed = {"vectors": vectors}
     return constructed, certs
 

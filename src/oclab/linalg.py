@@ -34,7 +34,8 @@ prefix's complement (:func:`_complement_vectors`).
 :func:`oclab.certify.density_certificates` steps with
 :func:`_diagonal_step`: while row t pivots on coordinate t, the pivots
 are the leading minors, which are the pivot log :func:`rank_exact` gives
-that subset.  The reference sweep
+that subset (:func:`_diagonal_result`, which the separated builder also
+reads its carried state's pivots into).  The reference sweep
 :func:`oclab.certify.all_subsets_full_rank` steps every d-subset with
 :func:`_extend`, and a subset is singular when its last state is
 ``None``.
@@ -65,9 +66,11 @@ the reduced row echelon form's, so the same null vector can be read off
 a prefix's carried state (:func:`_state_null_vector`): each Riesz step's
 dual witness comes from there, the separated builder carrying its
 members' state from step to step, so no step eliminates the prefix
-again.  Exact sums (:func:`pairing`, the L1 norm, :func:`norm_squared`)
-add a vector's cached integer numerators and build one Fraction at the
-end, the same canonical Fraction as a per-term sum.
+again, and while each member pivots on its own coordinate that state's
+pivots are the family's density certificate.  Exact sums (:func:`pairing`,
+the L1 norm, :func:`norm_squared`) add a vector's cached integer
+numerators and build one Fraction at the end, the same canonical Fraction
+as a per-term sum.
 """
 
 from __future__ import annotations
@@ -626,6 +629,22 @@ def _diagonal_step(state: tuple, v):
     minors."""
     grown = _extend(state, v)
     return grown if grown is not None and grown[1][-1] == len(state[1]) else None
+
+
+def _diagonal_result(scales: tuple, minors: Sequence[int]) -> RankResult:
+    """The :func:`rank_exact` result of d integer rows (rational rows times
+    their ``scales``) from the pivots of their complement states, folded
+    from :func:`_complement` by :func:`_extend` with row t pivoting on
+    coordinate t (:func:`_diagonal_step`): their leading minors.
+
+    A leading minor of M is one of M transposed, so these are the Bareiss
+    pivots :func:`rank_exact` logs, ``(t, t, minor)`` per row, and with
+    the rows in their own order the determinant is the last minor over
+    the product of the scales.
+    """
+    d = len(minors)
+    steps = tuple(zip(range(d), range(d), minors))
+    return RankResult(d, PivotLog((d, d), scales, steps), Fraction(minors[-1], math.prod(scales)))
 
 
 def _prefix_walk(rows: Sequence, subsets: Iterable, state, step):

@@ -278,6 +278,10 @@ def check_klee(record: dict, vectors: list) -> None:
     if params["subset_samples"] == 0:
         every = [list(sub) for sub in itertools.combinations(range(n), d)]
         _require(subsets == every, f"an exhaustive report does not certify the C({n}, {d}) subsets in order")
+    # the lambdas as integers over their common denominator D, so that each
+    # subset's product formula is an integer product over D^C(d, 2)
+    nodes, den = _scaled(lambdas)
+    den_power = den ** math.comb(d, 2)
     for cert in record["certificates"]:
         sub, log, witness = cert["subset"], cert["pivot_log"], cert["witness"]
         _require(cert["verdict"] == "Full", f"certificate {sub} is not Full")
@@ -289,9 +293,11 @@ def check_klee(record: dict, vectors: list) -> None:
         odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
         last = log["steps"][-1][2]
         det = Fraction(-last if odd else last, math.prod(log["row_scales"]))
-        product = math.prod(b - a for a, b in itertools.combinations([lambdas[i] for i in sub], 2))
+        product = math.prod(b - a for a, b in itertools.combinations([nodes[i] for i in sub], 2))
+        written = Fraction(witness["det_product"])
         _require(Fraction(witness["det_elimination"]) == det, f"certificate {sub}: det_elimination is not the last minor")
-        _require(Fraction(witness["det_product"]) == product == det, f"certificate {sub}: det_product is not the product")
+        _require(written == det and written.numerator * den_power == product * written.denominator,
+                 f"certificate {sub}: det_product is not the product")
 
 
 def _first_singular_subset(rows: list, d: int):

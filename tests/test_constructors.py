@@ -23,6 +23,7 @@ from oclab.constructors import (
     _onset,
     _unit_isqrt_scale,
 )
+from oclab.certify import density_certificate
 from oclab.errors import (
     ConstructionError,
     DomainError,
@@ -366,9 +367,11 @@ def test_carried_complement_gives_the_reduced_forms_null_vector(prefix, weights)
 def test_separated_family_spans_and_separates(tag, d, eps, seed):
     # the builder decides only its Riesz witnesses; the facts they imply
     # are re-decided here by brute force
-    fam = separated_overcomplete_fd(d, eps, tag, seed=seed)
+    fam, spot = separated_overcomplete_fd(d, eps, tag, seed=seed)
     assert len(fam) == d
-    assert rank_exact(Matrix.from_rows(fam)).rank == d
+    full = rank_exact(Matrix.from_rows(fam))
+    assert full.rank == d
+    assert spot is None or spot == full
     lower = 1 - eps
     for i, j in itertools.combinations(range(d), 2):
         diff = exact_vector(a - b for a, b in zip(fam[i].coords, fam[j].coords))
@@ -447,8 +450,38 @@ def test_separated_refuses_a_broken_riesz_witness(monkeypatch, tag, at, broken, 
 
 
 def test_separated_single_dimension_vacuous():
-    fam = separated_overcomplete_fd(1, F(1, 2), NormTag.L2, seed=2)
+    fam, spot = separated_overcomplete_fd(1, F(1, 2), NormTag.L2, seed=2)
     assert len(fam) == 1
+    assert spot == density_certificate(fam, range(1), 1)
+
+
+# L2 and Linf members have nonzero leading minors, so each pivots on its own
+# coordinate and the builder's carried state gives the density certificate:
+# rank_exact's column-by-column log and determinant, and the walk's
+@pytest.mark.parametrize(
+    "tag, d",
+    [(NormTag.L2, d) for d in range(1, 12)] + [(NormTag.LINF, d) for d in (1, 2, 3, 5, 8, 13, 21, 40)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+@pytest.mark.parametrize("eps", [F(1, 20), F(1, 3)], ids=["eps1/20", "eps1/3"])
+def test_separated_spot_certificate_is_the_members_density_certificate(tag, d, seed, eps):
+    fam, spot = separated_overcomplete_fd(d, eps, tag, seed=seed)
+    expected = rank_exact(Matrix.from_rows(fam))
+    assert spot is not None and spot.rank == d
+    assert (spot.log, spot.det) == (expected.log, expected.det)
+    assert spot == density_certificate(fam, range(d), d)
+
+
+# L1's members are signed coordinate vectors +-e_j, and e_j pivots on j: the
+# state gives the certificate only when member t is +-e_t for every t
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 40])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+def test_separated_l1_spot_certificate_only_on_the_diagonal(d, seed):
+    fam, spot = separated_overcomplete_fd(d, F(1, 20), NormTag.L1, seed=seed)
+    diagonal = [v.support() for v in fam] == [(t,) for t in range(d)]
+    assert (spot is not None) == diagonal
+    if diagonal:
+        assert spot == density_certificate(fam, range(d), d)
 
 
 # ---------------------------------------------------------------------------

@@ -1048,13 +1048,15 @@ def test_separated_packs_nothing_again_and_the_witness_holds(tag):
 
 
 # the builder carries its members' complement, extending it once per
-# member but the last: d-1 extensions.  L2 and Linf families
-# have nonzero leading minors, so the spot density certificate is then the
-# walk's d steps alone; L1's permutation family leaves the diagonal at its
-# second row and is then eliminated once, column by column, by rank_exact
+# member.  L2 and Linf families have nonzero leading minors, so every member
+# pivots on its own coordinate and the carried state's pivots are the spot
+# density certificate: d extensions in all.  L1's permutation family leaves
+# the diagonal at its second row, so the builder skips the last extension
+# (d-1), and the certificate walks the diagonal until it leaves it (2) and
+# is then eliminated once, column by column, by rank_exact (d)
 @pytest.mark.parametrize(
     "tag, steps, ranks",
-    [("L1", 5 + 2 + 6, 1), ("L2", 5 + 6, 0), ("Linf", 5 + 6, 0)],
+    [("L1", 5 + 2 + 6, 1), ("L2", 6, 0), ("Linf", 6, 0)],
     ids=["L1", "L2", "Linf"],
 )
 def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag, steps, ranks):
