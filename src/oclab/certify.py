@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .constructors import IncompleteModel, SlidingHumpData, _onset
 from .errors import (
@@ -87,12 +87,13 @@ def density_certificate(vectors: Sequence[Vector], subset: Iterable[int], d: int
     The one-subset case of :func:`density_certificates`, so a single
     certificate and a family's many take the same path.
     """
-    return density_certificates(vectors, (subset,), d)[0]
+    return next(density_certificates(vectors, (subset,), d))
 
 
-def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -> list:
+def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -> Iterator[RankResult]:
     """The :func:`density_certificate` of each subset of ``vectors``, in
-    order: a :class:`~oclab.linalg.RankResult` of rank d.
+    order and lazily, so a caller can drop each before the next is made: a
+    :class:`~oclab.linalg.RankResult` of rank d.
 
     The subsets are walked with :func:`~oclab.linalg._diagonal_step` on
     rows scaled to integers once for the whole family.  While row t
@@ -104,7 +105,7 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
     subset that leaves that diagonal, turns dependent or does not have d
     rows is eliminated on its own by :func:`~oclab.linalg.rank_exact`, and
     one of rank below d raises :class:`~oclab.errors.CertificationError`
-    naming it.
+    naming it, when the walk reaches it.
     """
     for v in vectors:
         if v.dim != d:
@@ -121,16 +122,14 @@ def density_certificates(vectors: Sequence[Vector], subsets: Iterable, d: int) -
                     raise DomainError(f"row index {i} out of range")
             yield sel_idx
 
-    out = []
     for sel_idx, states in _prefix_walk([r for r, _ in ints], checked(), _complement(d), _diagonal_step):
         if len(sel_idx) == d and states[d] is not None:
-            out.append(_diagonal_result(tuple(ints[i][1] for i in sel_idx), [s[0] for s in states[1:]]))
+            yield _diagonal_result(tuple(ints[i][1] for i in sel_idx), [s[0] for s in states[1:]])
             continue
         result = rank_exact(Matrix.from_rows(vectors[i] for i in sel_idx))
         if result.rank < d:
             raise CertificationError(f"subset {sel_idx} has rank {result.rank}, not d = {d}")
-        out.append(result)
-    return out
+        yield result
 
 
 def all_subsets_full_rank(vectors: Sequence[Vector], d: int):

@@ -355,7 +355,7 @@ def _written(items) -> str:
     return ", ".join(map(str, items))
 
 
-def _spot_density(vectors, d: int, spot=None) -> dict:
+def _spot_density(vectors, d: int, spot=None) -> str:
     """The density certificate of the first d vectors, written from
     ``spot``, their :func:`density_certificate` when a builder already
     holds it (the separated builder's carried state), or computed here."""
@@ -760,6 +760,9 @@ _RUNNERS = {
 
 @dataclass(frozen=True)
 class Report:
+    """One run's record; ``certificates`` holds each certificate's canonical
+    text, written as the runner made it, which the report hashes and splices."""
+
     scenario: str
     params: dict
     seed: int
@@ -769,7 +772,7 @@ class Report:
     wall_time_s: float
 
     def _record(self) -> dict:
-        """Everything but the wall time, as toolkit objects."""
+        """Everything but the wall time; the certificates as their texts."""
         return {
             "scenario": self.scenario,
             "params": self.params,
@@ -780,15 +783,10 @@ class Report:
         }
 
     @cached_property
-    def certificate_texts(self) -> tuple:
-        """The canonical text of each certificate, written once per report."""
-        return tuple(map(canonical_json, self.certificates))
-
-    @cached_property
     def canonical_text(self) -> str:
         """The canonical JSON of the record, with each certificate spliced
         in from its text; written once per report."""
-        return canonical_json_spliced(self._record(), "certificates", self.certificate_texts)
+        return canonical_json_spliced(self._record(), "certificates", self.certificates)
 
     def canonical_bytes(self) -> bytes:
         return self.canonical_text.encode("utf-8")
@@ -825,7 +823,7 @@ def run_scenario(name: str, raw_config: dict, seed: Optional[int] = None, tol: O
         certificates=tuple(certs),
         wall_time_s=wall,
     )
-    constructed["certificate_refs"] = [digest_text(t) for t in report.certificate_texts]
+    constructed["certificate_refs"] = [digest_text(t) for t in report.certificates]
     constructed.update(extras)
     return report
 
@@ -839,7 +837,7 @@ def emit_report(report: Report, fmt: str = "json") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scenario", "subset", "verdict", "witness_digest"])
-        for cert in report.certificates:
+        for cert in map(json.loads, report.certificates):
             subset = ";".join(str(i) for i in cert.get("subset", ()))
             writer.writerow([report.scenario, subset, cert["verdict"], digest(cert["witness"])])
         return buf.getvalue()

@@ -1,24 +1,25 @@
 """Canonical JSON wire format and content digests: the one module that
 knows how a value is written.
 
-Callers hand over toolkit objects as they are; the standard JSON encoder
-writes every byte and asks the hook ``_encode`` to convert, one level at
-a time, what it does not know.  Rationals become the ASCII string "p/q"
-(denominator omitted when it is 1, matching ``str(Fraction)``), vectors
-arrays of such strings, dataclasses objects with a kebab-case ``kind``,
-and any other type raises ``TypeError``; a norm tag is a ``str``, and
-floats (diagnostics only) stay JSON numbers, both written by the encoder
-itself.  Canonical form sorts keys and strips whitespace, so equal
-objects have equal bytes and digests are tamper-evident.  The encoder
-skips its cycle scan, because every value it writes is a tree that the
-toolkit built; a value that contains itself still raises, as
+Callers hand over toolkit objects as they are; CPython's C encoder,
+built once at import, writes every byte and asks the hook ``_encode`` to
+convert, one level at a time, what it does not know.  Rationals become
+the ASCII string "p/q" (denominator omitted when it is 1, matching
+``str(Fraction)``), vectors arrays of such strings, dataclasses objects
+with a kebab-case ``kind``, and any other type raises ``TypeError``; a
+norm tag is a ``str``, and floats (diagnostics only) stay JSON numbers,
+both written by the encoder itself, which raises ``ValueError`` on NaN
+or an infinity.  Canonical form sorts keys and strips whitespace, so
+equal objects have equal bytes and digests are tamper-evident.  The
+encoder skips its cycle scan, because every value it writes is a tree
+that the toolkit built; a value that contains itself still raises, as
 ``RecursionError``.
 
-Many certificates, each written once: a canonical text can be hashed as
-it is (:func:`digest_text`) and spliced into a larger record
-(:func:`canonical_json_spliced`) without encoding it again, and a family
-of inputs that differ only in their last key is digested from one hashed
-prefix (:func:`prefix_digest`).
+Many certificates, each written once: :func:`certificate` returns a
+record's canonical text, which is hashed as it is (:func:`digest_text`)
+and spliced into a larger record (:func:`canonical_json_spliced`)
+without being encoded again; a family of inputs that differ only in
+their last key is digested from one hashed prefix (:func:`prefix_digest`).
 """
 
 from __future__ import annotations
@@ -68,13 +69,15 @@ def _encode(obj):
     raise TypeError(f"cannot serialize {cls.__name__}")
 
 
-_CANONICAL = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False, default=_encode
+# the C encoder json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+# check_circular=False, default=_encode).encode would build on every call
+_ENCODER = json.encoder.c_make_encoder(
+    None, _encode, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, False
 )
 
 
 def canonical_json(obj) -> str:
-    return _CANONICAL.encode(obj)
+    return "".join(_ENCODER(obj, 0))
 
 
 def to_jsonable(obj):
@@ -128,13 +131,13 @@ def prefix_digest(shared: dict, key: str):
 
 def certificate(
     kind: str, verdict: str, witness=None, pivot_log=None, inputs=None, subset=None, inputs_digest=None
-) -> dict:
-    """Assemble the standard certificate record; ``witness`` and
-    ``pivot_log`` are kept as given.  ``inputs_digest`` hashes the canonical serialization of
-    whatever the certificate was computed from, so a report edited after
-    the fact no longer matches its own digests; a caller that has that
-    digest already (from :func:`prefix_digest`) passes it instead of
-    ``inputs``.
+) -> str:
+    """The canonical text of the standard certificate record, written as
+    it is made, so that ``witness`` and ``pivot_log`` need not outlive it.
+    ``inputs_digest`` hashes the canonical serialization of whatever the
+    certificate was computed from, so a report edited after the fact no
+    longer matches its own digests; a caller that has that digest already
+    (from :func:`prefix_digest`) passes it instead of ``inputs``.
     """
     record = {
         "kind": kind,
@@ -145,4 +148,4 @@ def certificate(
     }
     if subset is not None:
         record["subset"] = [int(i) for i in subset]
-    return record
+    return canonical_json(record)

@@ -5,6 +5,7 @@ per-criterion pass/fail listing.
 """
 
 import itertools
+import json
 import math
 import random
 import time
@@ -66,7 +67,7 @@ def test_criterion_1_identity_principle_at_scale():
     # the runner cross-checks the product-formula determinant against the
     # elimination determinant on every subset and raises on any mismatch
     assert len(report.certificates) == 500
-    assert all(c["verdict"] == "Full" for c in report.certificates)
+    assert all(json.loads(c)["verdict"] == "Full" for c in report.certificates)
     assert elapsed <= 10.0
     print(f"criterion 1 PASS: 500 subsets Full in {elapsed:.2f}s")
 

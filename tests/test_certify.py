@@ -142,7 +142,7 @@ def test_subset_walk_gives_each_subsets_own_elimination(case):
     vectors, subsets, d = case
     reference = _eliminated_one_by_one(vectors, subsets)
     spanning = [sub for sub, ref in zip(subsets, reference) if ref.rank >= d]
-    certs = density_certificates(vectors, spanning, d)
+    certs = list(density_certificates(vectors, spanning, d))
     assert certs == [ref for ref in reference if ref.rank >= d]
     for sub, cert in zip(spanning, certs):
         selected = Matrix.from_rows(vectors[i] for i in sub)
@@ -153,11 +153,11 @@ def test_subset_walk_gives_each_subsets_own_elimination(case):
     for sub, ref in zip(subsets, reference):
         if ref.rank < d:
             with pytest.raises(CertificationError, match=re.escape(f"subset {sub} has rank {ref.rank}, not d = {d}")):
-                density_certificates(vectors, spanning + [sub], d)
+                list(density_certificates(vectors, spanning + [sub], d))
     n = len(vectors)
     for bad in (tuple(range(d - 1)) + (-1,), tuple(range(d - 1)) + (n,), (-1,), ()):
         with pytest.raises(DomainError):
-            density_certificates(vectors, spanning + [bad], d)
+            list(density_certificates(vectors, spanning + [bad], d))
 
 
 def test_replay_rejects_forged_row_scale():

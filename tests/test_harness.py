@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,6 +27,7 @@ from oclab.harness import (
     run_scenario,
     scenario_schema,
 )
+from oclab.linalg import exact_vector
 from oclab.serialize import canonical_json, digest, to_jsonable
 from oclab.verify import main as verify_main
 
@@ -36,6 +38,11 @@ d = 3
 """
 
 KLEE_JSON = '{"lambdas": "1/10, 1/5, 3/10, 2/5, 9/20", "d": 3}'
+
+
+def _certs(report) -> list:
+    """The report's certificates read back from their canonical texts."""
+    return [json.loads(text) for text in report.certificates]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def test_klee_run_produces_full_certificates():
     report = run_scenario("klee", parse_config(KLEE_KV))
     assert report.scenario == "klee"
     assert len(report.certificates) == 10  # C(5, 3)
-    assert all(c["verdict"] == "Full" for c in report.certificates)
+    assert all(c["verdict"] == "Full" for c in _certs(report))
     refs = report.constructed["certificate_refs"]
     assert len(refs) == len(report.certificates)
 
@@ -309,7 +316,7 @@ def test_json_emission_round_trips():
     wall = record.pop("wall_time_s")
     assert isinstance(wall, float)
     # an encoding of the record apart from the spliced certificate texts
-    assert record == to_jsonable(report._record())
+    assert record == to_jsonable(_one_shot_record(report))
 
 
 def test_csv_emission_shape():
@@ -419,23 +426,28 @@ PINNED = {
 }
 
 
+def _one_shot_record(report) -> dict:
+    """The report's record with its certificates read back from their texts."""
+    return {**report._record(), "certificates": _certs(report)}
+
+
 def _one_shot(report):
     """The report's canonical JSON written in one pass of the encoder."""
-    return canonical_json(report._record())
+    return canonical_json(_one_shot_record(report))
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
 def test_spliced_reports_equal_the_one_shot_encoding(name):
     report = run_scenario(name, dict(SMOKE[name][0]))
     payload = emit_report(report)
-    assert payload == canonical_json({**report._record(), "wall_time_s": report.wall_time_s})
+    assert payload == canonical_json({**_one_shot_record(report), "wall_time_s": report.wall_time_s})
     # "wall_time_s" sorts after every record key, so it closes the payload
     assert payload.endswith(f',"wall_time_s":{report.wall_time_s!r}}}')
     record = json.loads(payload)
     record.pop("wall_time_s")
     assert canonical_json(record) == _one_shot(report)
     assert report.canonical_bytes() == _one_shot(report).encode("utf-8")
-    assert report.constructed["certificate_refs"] == [digest(c) for c in report.certificates]
+    assert report.constructed["certificate_refs"] == [digest(c) for c in _certs(report)]
 
 
 def test_a_report_without_certificates_splices_an_empty_list():
@@ -449,7 +461,7 @@ def test_a_report_without_certificates_splices_an_empty_list():
         wall_time_s=0.5,
     )
     assert empty.canonical_bytes() == _one_shot(empty).encode("utf-8")
-    assert emit_report(empty) == canonical_json({**empty._record(), "wall_time_s": 0.5})
+    assert emit_report(empty) == canonical_json({**_one_shot_record(empty), "wall_time_s": 0.5})
     assert json.loads(empty.canonical_bytes())["certificates"] == []
 
 
@@ -458,6 +470,48 @@ def test_pinned_report_bytes(label):
     name, config, expected_digest = PINNED[label]
     report = run_scenario(name, dict(config))
     assert hashlib.sha256(report.canonical_bytes()).hexdigest() == expected_digest
+
+
+# SHA-256 of each SMOKE and PINNED report's CSV, which the writer reads back
+# from the certificates' texts
+CSV_DIGESTS = {
+    "cover": "4eafa7f10a703a1a008d343f6efa996e9f00437cc0840748086e3f4dee3dc79d",
+    "fd-dense": "4c1269aaccead8f6cbdec2b380302add62eb38b6dc00039b9e44ea69ca5d0beb",
+    "free-set": "8ea56499022098ba72897d504e64a41b5f7a4faec8d751544065d7c88c04c45d",
+    "geometric-variant": "33bc2334ad7226fbb4fc1f4f44f7c2b5807d4d91f8a8c07a75dcb4003d81c220",
+    "incomplete": "7ef1888419f6af453a456659b878fb78a115505b9800a62d39d30ba8515f8599",
+    "klee": "1a99c29b28051dd05591d4bc82d34bb37f1aba5762e0d16b8f1396b789364b2c",
+    "probe": "0487be490d4d8b4f6521e34e0bdd54e1980679bcec5fd567b54c125ec9f24c24",
+    "separated": "4385a7f2496fdff8b4f8df0fff48566da2ba7fd62e802fa8ca43643e09fc7597",
+    "sliding-hump": "5c51e58f9f4eeac3b56efe14026582477efe0291393791adac8e721b5041dc5f",
+    "fd-dense-exhaustive": "846014047d54a8f4a863f70ddab354625b417ff64b28c4eb14fdcf3485bfca0e",
+    "incomplete-rising-bounds": "b8e35c0b91a2276fa9bab5c1e775434ad05f5288f6d74ba6e1feddbebbec4809",
+    "klee-sampled": "6b5b71dd4c7c0d9464d837e36d70ba360c0d55dd902e9cfc444d52739693a982",
+    "separated-L1": "ea72c12eb020103980db08f6fad95b38adbf09cde3c9a01ad0e73935be81b172",
+    "separated-Linf": "ea72c12eb020103980db08f6fad95b38adbf09cde3c9a01ad0e73935be81b172",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CSV_DIGESTS))
+def test_pinned_csv_bytes(label):
+    name, config = (label, SMOKE[label][0]) if label in SMOKE else PINNED[label][:2]
+    report = run_scenario(name, dict(config))
+    assert hashlib.sha256(emit_report(report, "csv").encode("utf-8")).hexdigest() == CSV_DIGESTS[label]
+
+
+def test_a_klee_run_peaks_below_twice_its_report_bytes():
+    # the benchmark's exhaustive klee item: C(24, 3) = 2,024 certificates.
+    # Each one is written when it is made and its elimination dropped, so
+    # the run's peak stays below twice the bytes of the report it returns
+    lambdas = ",".join(str(F(i + 1, 81)) for i in range(24))
+    tracemalloc.start()
+    try:
+        report = run_scenario("klee", {"lambdas": lambdas, "d": "3"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.certificates) == 2024
+    assert peak < 2 * len(report.canonical_bytes())
 
 
 @pytest.mark.parametrize(
@@ -470,8 +524,8 @@ def test_pinned_report_bytes(label):
 )
 def test_incomplete_decay_onsets_are_pinned(config, onsets):
     report = run_scenario("incomplete", config)
-    decay = report.certificates[-1]["witness"]
-    assert [e.onset_k for f in decay.functionals for e in f.entries] == onsets
+    decay = _certs(report)[-1]["witness"]
+    assert [e["onset_k"] for f in decay["functionals"] for e in f["entries"]] == onsets
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
@@ -969,11 +1023,11 @@ def test_fd_dense_sweep_certificate_is_the_construction_walk(monkeypatch, config
     calls = _count_calls(monkeypatch, certify_mod, "all_subsets_full_rank")
     report = run_scenario("fd-dense", config)
     assert calls == []
-    (sweep,) = [c for c in report.certificates if c["kind"] == "subset-rank-sweep"]
+    (sweep,) = [c for c in _certs(report) if c["kind"] == "subset-rank-sweep"]
     d = int(config["d"])
     checked, failures = all_subsets_full_rank(report.constructed["vectors"], d)
     assert sweep["verdict"] == "Full"
-    assert sweep["witness"] == {"subsets_checked": checked, "failures": failures}
+    assert sweep["witness"] == to_jsonable({"subsets_checked": checked, "failures": failures})
 
 
 @pytest.mark.parametrize(
@@ -1027,7 +1081,7 @@ def test_cover_and_klee_refuse_a_costly_config_before_building(monkeypatch, scen
 
 def test_cover_guard_ignores_points_in_escape_mode():
     report = run_scenario("cover", {"mode": "escape", "points": "10000000"})
-    assert report.certificates[0]["verdict"] == "Escape"
+    assert _certs(report)[0]["verdict"] == "Escape"
 
 
 def test_free_set_guard_ignores_max_deg_when_the_map_does_not_draw():
@@ -1041,8 +1095,8 @@ def test_separated_packs_nothing_again_and_the_witness_holds(tag):
     from oclab.verify import _fractions, check_separated
 
     report = run_scenario("separated", {"d": "5", "eps": "1/10", "tag": tag})
-    (sep,) = [c for c in report.certificates if c["kind"] == "separation"]
-    assert sep["witness"] == {"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True}
+    (sep,) = [c for c in _certs(report) if c["kind"] == "separation"]
+    assert sep["witness"] == to_jsonable({"pairs_checked": 10, "lower_bound": F(9, 10), "greedy_selects_all": True})
     record = json.loads(emit_report(report))
     check_separated(record, _fractions(record["constructed"]["vectors"]))
 
@@ -1070,7 +1124,7 @@ def test_separated_eliminates_once_and_measures_no_pair(monkeypatch, tag, steps,
     assert len(extends) == steps
     assert len(rank_calls) == ranks
     assert null_vectors == [] and mod_p == []
-    assert [c["kind"] for c in report.certificates] == ["separation", "density"]
+    assert [c["kind"] for c in _certs(report)] == ["separation", "density"]
 
 
 def test_separated_refuses_d_past_the_guard_before_building(monkeypatch):
@@ -1101,10 +1155,10 @@ def test_fd_dense_decides_each_ball_membership_once(monkeypatch, config):
     report = run_scenario("fd-dense", config)
     vectors = report.constructed["vectors"]
     assert [sum(args[1] is v for args in calls) for v in vectors] == [1] * len(vectors)
-    balls = [c["witness"] for c in report.certificates if c["kind"] == "ball-membership"]
+    balls = [c["witness"] for c in _certs(report) if c["kind"] == "ball-membership"]
     assert [b["index"] for b in balls] == list(range(len(vectors)))
     for v, b in zip(vectors, balls):
-        assert OpenBall(b["center"], b["radius"]).contains(v)
+        assert OpenBall(exact_vector(b["center"]), F(b["radius"])).contains(v)
 
 
 @pytest.mark.parametrize("variant, builder", [("gk", "incomplete_space_sequence"), ("basis", "unit_vector")])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oclab.linalg import Matrix, NormTag, exact_vector, rank_exact
 from oclab.serialize import (
+    _encode,
     canonical_json,
     canonical_json_spliced,
     certificate,
@@ -81,13 +82,14 @@ def test_digest_is_stable_under_key_order():
 
 
 def test_certificate_shape():
-    cert = certificate("density", "Full", subset=(2, 0, 1), inputs={"d": 3})
+    text = certificate("density", "Full", subset=(2, 0, 1), inputs={"d": 3})
+    cert = json.loads(text)
     assert set(cert) == {"kind", "verdict", "witness", "pivot_log", "inputs_digest", "subset"}
     assert cert["subset"] == [2, 0, 1]
     assert cert["witness"] is None
     assert cert["inputs_digest"] == digest({"d": 3})
-    # canonical form is valid JSON
-    json.loads(canonical_json(cert))
+    # the record is written in canonical form
+    assert text == canonical_json(cert)
 
 
 _KEYS = st.text(st.sampled_from("abdz\u00e9\"\\"), min_size=1, max_size=4)
@@ -101,6 +103,30 @@ _VALUES = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+# the standard library's encoder with canonical_json's settings, the reference it must match
+_STANDARD = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False, default=_encode
+)
+_TOOLKIT = st.sampled_from(
+    [exact_vector(["1/2", -3]), NormTag.L1, rank_exact(Matrix.from_rows([exact_vector([2, 1])])).log]
+)
+
+
+@given(st.one_of(_VALUES, _TOOLKIT, st.floats(allow_nan=False, allow_infinity=False), st.dictionaries(_KEYS, _VALUES)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_canonical_json_is_the_standard_encoders_text(value):
+    assert canonical_json(value) == _STANDARD.encode(value)
+
+
+def test_canonical_json_raises_as_the_standard_encoder_does():
+    looped = [1]
+    looped.append(looped)
+    for value, error in ((float("nan"), ValueError), ({"z": 1j}, TypeError), (looped, RecursionError)):
+        for encode in (canonical_json, _STANDARD.encode):
+            with pytest.raises(error):
+                encode(value)
 
 
 @given(st.dictionaries(_KEYS, _VALUES, max_size=4), _KEYS, st.lists(_VALUES, min_size=1, max_size=4))
